@@ -381,9 +381,11 @@ func BenchmarkSimWithPredictors(b *testing.B) {
 	})
 }
 
-// BenchmarkPredictorBattery times observing one synthetic branch stream
-// with the whole Table-6 battery: the single-pass Bank against the
-// 14-Bimodal fan-out it replaced in sim.Run.
+// BenchmarkPredictorBattery times observing one branch stream with the
+// whole Table-6 battery. bank and bimodals replay a synthetic 200-ID
+// stream through the single-pass Bank and through the 14-Bimodal fan-out
+// it replaced in sim.Run; roster replays the stream recorded from grep's
+// test run, whose 31 branch IDs are the real range the bank sees.
 func BenchmarkPredictorBattery(b *testing.B) {
 	const streamLen = 4096
 	ids := make([]int, streamLen)
@@ -408,6 +410,45 @@ func BenchmarkPredictorBattery(b *testing.B) {
 			}
 		}
 	})
+	b.Run("roster", func(b *testing.B) {
+		ids, taken := grepBranchStream(b)
+		bank := predictor.NewTable6Bank()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bank.Observe(ids[i%len(ids)], taken[i%len(ids)])
+		}
+	})
+}
+
+// grepBranchStream records every (branchID, taken) event of grep's test
+// run.
+func grepBranchStream(b *testing.B) ([]int, []bool) {
+	b.Helper()
+	w, ok := workload.Named("grep")
+	if !ok {
+		b.Fatal("grep workload missing")
+	}
+	front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	code, err := interp.Decode(front.Prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ids []int
+	var taken []bool
+	m := &interp.FastMachine{Code: code, Input: w.Test(), OnBranch: func(id int, t bool) {
+		ids = append(ids, id)
+		taken = append(taken, t)
+	}}
+	if _, err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if len(ids) == 0 {
+		b.Fatal("grep executed no branches")
+	}
+	return ids, taken
 }
 
 // BenchmarkDetect times sequence detection over all workloads' optimized

@@ -191,6 +191,33 @@ func frontend(name string) (*lower.Result, workload.Workload, error) {
 	return front, w, err
 }
 
+// grepBranchStream records every (branchID, taken) event of grep's test
+// run. Same stream as the go test benchmark
+// (BenchmarkPredictorBattery/roster).
+func grepBranchStream() ([]int, []bool, error) {
+	front, w, err := frontend("grep")
+	if err != nil {
+		return nil, nil, err
+	}
+	code, err := interp.Decode(front.Prog)
+	if err != nil {
+		return nil, nil, err
+	}
+	var ids []int
+	var taken []bool
+	m := &interp.FastMachine{Code: code, Input: w.Test(), OnBranch: func(id int, t bool) {
+		ids = append(ids, id)
+		taken = append(taken, t)
+	}}
+	if _, err := m.Run(); err != nil {
+		return nil, nil, fmt.Errorf("grep test run: %w", err)
+	}
+	if len(ids) == 0 {
+		return nil, nil, fmt.Errorf("grep test run executed no branches")
+	}
+	return ids, taken, nil
+}
+
 func run(out string) error {
 	doc := document{
 		GoVersion:  runtime.Version(),
@@ -407,6 +434,19 @@ func run(out string) error {
 			for _, p := range preds {
 				p.Observe(ids[i%streamLen], taken[i%streamLen])
 			}
+		}
+	}))
+	// The battery on a real stream: grep's test run, 31 branch IDs, the
+	// range every roster program's stream stays near.
+	grepIDs, grepTaken, err := grepBranchStream()
+	if err != nil {
+		return err
+	}
+	record("PredictorBattery/roster", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		bank := predictor.NewTable6Bank()
+		for i := 0; i < b.N; i++ {
+			bank.Observe(grepIDs[i%len(grepIDs)], grepTaken[i%len(grepIDs)])
 		}
 	}))
 

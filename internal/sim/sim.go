@@ -80,36 +80,27 @@ type Options struct {
 	Engine Engine
 }
 
-// Run executes prog on input, simulating the given predictors (pass nil
-// for the full Table 6 sweep) and deriving cycles for every machine model.
+// Run executes prog on input, simulating the given predictor specs (pass
+// nil for the full Table 6 sweep) and deriving cycles for every machine
+// model.
 //
 // Execution is on the flat-decoded fast engine (interp.Decode +
 // interp.FastMachine); RunWith's Options.Engine selects the closure or
-// reference backend instead. With the default sweep the whole predictor battery
-// is simulated by one predictor.Bank pass per branch instead of 14
-// separate Bimodal observations; explicit predictors keep the Bimodal
-// fan-out so tests can instrument individual tables.
-func Run(prog *ir.Program, input []byte, preds []*predictor.Bimodal) (*Measurement, error) {
-	return RunWith(prog, input, preds, Options{})
+// reference backend instead. The whole predictor battery is simulated by
+// one predictor.Bank pass per branch.
+func Run(prog *ir.Program, input []byte, specs []predictor.Spec) (*Measurement, error) {
+	return RunWith(prog, input, specs, Options{})
 }
 
 // RunWith is Run with explicit execution options.
-func RunWith(prog *ir.Program, input []byte, preds []*predictor.Bimodal, opts Options) (*Measurement, error) {
+func RunWith(prog *ir.Program, input []byte, specs []predictor.Spec, opts Options) (*Measurement, error) {
 	var bank *predictor.Bank
-	var onBranch func(id int, taken bool)
-	if preds == nil {
+	if specs == nil {
 		bank = predictor.NewTable6Bank()
-		onBranch = bank.Observe
 	} else {
-		for _, p := range preds {
-			p.Reset()
-		}
-		onBranch = func(id int, taken bool) {
-			for _, p := range preds {
-				p.Observe(id, taken)
-			}
-		}
+		bank = predictor.NewBank(specs)
 	}
+	onBranch := bank.Observe
 	var (
 		stats   interp.Stats
 		output  string
@@ -152,20 +143,13 @@ func RunWith(prog *ir.Program, input []byte, preds []*predictor.Bimodal, opts Op
 	}
 	cfgs := machine.All()
 	out := &Measurement{
-		Stats:   stats,
-		Output:  output,
-		Ret:     ret,
-		Cycles:  make(map[string]uint64, len(cfgs)),
-		Fusion:  fusion,
-		Compile: compile,
-	}
-	if bank != nil {
-		out.Mispredicts = bank.Mispredicts()
-	} else {
-		out.Mispredicts = make(map[string]uint64, len(preds))
-		for _, p := range preds {
-			out.Mispredicts[p.Name()] = p.Mispredicts
-		}
+		Stats:       stats,
+		Output:      output,
+		Ret:         ret,
+		Cycles:      make(map[string]uint64, len(cfgs)),
+		Mispredicts: bank.Mispredicts(),
+		Fusion:      fusion,
+		Compile:     compile,
 	}
 	for _, cfg := range cfgs {
 		out.Cycles[cfg.Name] = Cycles(cfg, stats, out.Mispredicts)

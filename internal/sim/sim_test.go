@@ -111,17 +111,27 @@ func TestRunWithCustomPredictors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := []*predictor.Bimodal{predictor.NewBimodal(2, 2048)}
-	m, err := Run(front.Prog, []byte("xyxy"), preds)
+	input := []byte("xyxyyyxxy")
+	m, err := Run(front.Prog, input, []predictor.Spec{{Bits: 2, Entries: 2048}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	ref := predictor.NewBimodal(2, 2048)
+	rm := &interp.Machine{Prog: front.Prog, Input: input,
+		OnBranch: func(id int, taken bool) { ref.Observe(id, taken) }}
+	if _, err := rm.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Mispredicts) != 1 {
 		t.Errorf("got %d configs, want 1", len(m.Mispredicts))
 	}
-	if preds[0].Branches != m.Stats.CondBranches {
+	if got, ok := m.Mispredicts[ref.Name()]; !ok || got != ref.Mispredicts {
+		t.Errorf("%s: run reports %d mispredicts (present %v), bimodal %d",
+			ref.Name(), got, ok, ref.Mispredicts)
+	}
+	if ref.Branches != m.Stats.CondBranches {
 		t.Errorf("predictor saw %d branches, stats say %d",
-			preds[0].Branches, m.Stats.CondBranches)
+			ref.Branches, m.Stats.CondBranches)
 	}
 }
 
