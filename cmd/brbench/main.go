@@ -294,7 +294,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer func() {
 		if !*quiet {
 			st := engine.Stats()
-			fmt.Fprintf(stderr, "brbench: %d builds, %d cache hits", st.Builds, st.Hits)
+			fmt.Fprintf(stderr, "brbench: %d builds", st.Builds)
+			if st.Shared > 0 {
+				fmt.Fprintf(stderr, ", %d shared", st.Shared)
+			}
+			fmt.Fprintf(stderr, ", %d cache hits", st.Hits)
 			if st.Seeded > 0 {
 				fmt.Fprintf(stderr, ", %d seeded", st.Seeded)
 			}

@@ -65,6 +65,10 @@ func TestSummaryLine(t *testing.T) {
 	if !strings.Contains(errw, "builds") || !strings.Contains(errw, "cache hits") {
 		t.Errorf("missing timing/cache summary on stderr: %q", errw)
 	}
+	// wc lowers identically under all three sets: one job measures it.
+	if !strings.Contains(errw, "brbench: 3 builds, 2 shared,") {
+		t.Errorf("summary does not count the 2 shared jobs: %q", errw)
+	}
 	_, errw, code = capture(t, "-q", "-workloads", "wc", "-table", "4")
 	if code != 0 {
 		t.Fatalf("-q exited %d", code)

@@ -15,8 +15,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 
 	"branchreorder/internal/bench/store"
+	"branchreorder/internal/interp"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
 	"branchreorder/internal/profile"
@@ -82,33 +84,15 @@ func RunOpts(w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, err)
 	}
-	return measureBuild(w, opts, b, sim.Options{})
-}
-
-// RunStaged is RunOpts through a stage cache: the frontend and training
-// stages are shared with every other build of the same configuration,
-// and only the finalize stage runs per variant. Output is byte-identical
-// to RunOpts.
-func RunStaged(cache *pipeline.StageCache, w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
-	return RunStagedWith(cache, w, opts, sim.Options{})
-}
-
-// RunStagedWith is RunStaged with explicit measurement-engine options
-// (e.g. superinstruction fusion off). Measured results are identical
-// for any mo; only wall-clock and the Fusion report change.
-func RunStagedWith(cache *pipeline.StageCache, w workload.Workload, opts pipeline.Options, mo sim.Options) (*ProgramRun, error) {
-	b, err := cache.Build(w.Source, TrainInput(w, opts), opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, err)
-	}
-	return measureBuild(w, opts, b, mo)
+	return measureBuild(w, opts, b, w.Test(), sim.Options{})
 }
 
 // measureBuild runs both executables of a finished build on the test
 // input and assembles the ProgramRun every table and figure consumes.
-func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult, mo sim.Options) (*ProgramRun, error) {
+// Measured results are identical for any mo; only wall-clock and the
+// engine-descriptive Fusion and Compile reports change.
+func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult, test []byte, mo sim.Options) (*ProgramRun, error) {
 	set := opts.Switch
-	test := w.Test()
 	base, err := sim.RunWith(b.Baseline, test, nil, mo)
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v) baseline: %w", w.Name, set, err)
@@ -120,7 +104,6 @@ func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildR
 	if base.Output != reord.Output || base.Ret != reord.Ret {
 		return nil, fmt.Errorf("%s (set %v): reordered output differs from baseline", w.Name, set)
 	}
-	const ijmpInsts = 3
 	seqs := make([]SeqStat, len(b.Results))
 	for i, res := range b.Results {
 		seqs[i] = SeqStat{
@@ -145,10 +128,25 @@ func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildR
 		Build:       b,
 		Base:        base,
 		Reord:       reord,
-		StaticBase:  pipeline.StaticInsts(b.Baseline, ijmpInsts),
-		StaticReord: pipeline.StaticInsts(b.Reordered, ijmpInsts),
+		StaticBase:  pipeline.StaticInsts(b.Baseline, interp.DefaultIJmpInsts),
+		StaticReord: pipeline.StaticInsts(b.Reordered, interp.DefaultIJmpInsts),
 		Seqs:        seqs,
 	}, nil
+}
+
+// relabel returns r as the run of job (w, opts), whose program, inputs
+// and options other than Switch equal r's. Measurements, static counts
+// and sequence stats are shared read-only; Build is copied shallowly so it
+// can carry kinds, the job's own switch census.
+func (r *ProgramRun) relabel(w workload.Workload, opts pipeline.Options, kinds map[lower.SwitchKind]int) *ProgramRun {
+	out := *r
+	out.Workload, out.Set, out.Opts = w, opts.Switch, opts
+	if r.Build != nil {
+		b := *r.Build
+		b.SwitchKinds = maps.Clone(kinds)
+		out.Build = &b
+	}
+	return &out
 }
 
 // Suite holds every (heuristic set × workload) run; tables and figures

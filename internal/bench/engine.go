@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -41,7 +42,10 @@ type EngineStats = store.TierStats
 // Engine runs build+measure jobs on a bounded worker pool and memoizes
 // every result by Key, so regenerating all of Tables 4-8, Figures 11-13
 // and the ablation study compiles and simulates each configuration
-// exactly once. An Engine is safe for concurrent use.
+// exactly once. Behind the Key memo, jobs are also keyed by content —
+// frontend digest, inputs and options other than Switch — so a program
+// that lowers identically under several heuristic sets is trained and
+// measured once. An Engine is safe for concurrent use.
 type Engine struct {
 	jobs     int
 	progress io.Writer
@@ -64,9 +68,13 @@ type Engine struct {
 	// Transform combinations that miss the whole-build tier.
 	stages *pipeline.StageCache
 
-	mu    sync.Mutex // guards cache, stats, and progress writes
+	mu    sync.Mutex // guards cache, shares, stats, and progress writes
 	cache map[Key]*entry
-	stats EngineStats
+	// shares is the content memo behind the build path, bucketed by
+	// frontend digest: one slot per distinct (program, training input,
+	// test input, options other than Switch) this engine has measured.
+	shares map[[32]byte][]*share
+	stats  EngineStats
 }
 
 // entry is one memoized job. done is closed exactly once, after run/err
@@ -75,6 +83,20 @@ type entry struct {
 	done chan struct{}
 	run  *ProgramRun
 	err  error
+}
+
+// share is one content-memo slot: a job that measured a distinct
+// program on distinct inputs, and the result every job with the same
+// content reuses. done is closed once run/tp/err are final; a failed slot
+// is dropped from the memo before it closes, so waiters build themselves.
+type share struct {
+	digest      [32]byte
+	train, test []byte
+	opts        pipeline.Options // Switch zeroed
+	done        chan struct{}
+	run         *ProgramRun
+	tp          *pipeline.TrainProduct
+	err         error
 }
 
 // NewEngine returns an engine running at most jobs builds concurrently
@@ -90,6 +112,7 @@ func NewEngine(jobs int, progress io.Writer) *Engine {
 		progress: progress,
 		sem:      make(chan struct{}, jobs),
 		cache:    map[Key]*entry{},
+		shares:   map[[32]byte][]*share{},
 		stages:   pipeline.NewStageCache(0),
 	}
 	e.stages.Profiles = profileTier{e}
@@ -272,14 +295,7 @@ func (e *Engine) Get(ctx context.Context, w workload.Workload, opts pipeline.Opt
 		e.mu.Unlock()
 	}
 
-	select {
-	case e.sem <- struct{}{}:
-		defer func() { <-e.sem }()
-	case <-ctx.Done():
-		ent.err = ctx.Err()
-		return nil, ent.err
-	}
-	if err := ctx.Err(); err != nil {
+	if err := e.acquire(ctx); err != nil {
 		ent.err = err
 		return nil, err
 	}
@@ -287,26 +303,7 @@ func (e *Engine) Get(ctx context.Context, w workload.Workload, opts pipeline.Opt
 	e.stats.Builds++
 	e.mu.Unlock()
 	e.logf("building %-8s heuristic set %v%s\n", w.Name, opts.Switch, optsSuffix(opts))
-	start := time.Now()
-	ent.run, ent.err = RunStagedWith(e.stages, w, opts, e.Measure)
-	if ent.err == nil {
-		elapsed := time.Since(start).Seconds()
-		e.mu.Lock()
-		if e.stats.BuildSeconds == nil {
-			e.stats.BuildSeconds = map[string]float64{}
-		}
-		e.stats.BuildSeconds[w.Name] += elapsed
-		// Fusion counters follow the BuildSeconds discipline: fresh
-		// builds only, so cache hits (whose records may predate the
-		// fusion field) never skew the summary.
-		e.stats.FusedSites += ent.run.Base.Fusion.Fused + ent.run.Reord.Fusion.Fused
-		e.stats.FusedOps += ent.run.Base.Fusion.Inside + ent.run.Reord.Fusion.Inside
-		e.stats.DecodedOps += ent.run.Base.Fusion.Ops + ent.run.Reord.Fusion.Ops
-		e.stats.CompiledFuncs += ent.run.Base.Compile.CompiledFuncs + ent.run.Reord.Compile.CompiledFuncs
-		e.stats.ClosureBlocks += ent.run.Base.Compile.ClosureBlocks + ent.run.Reord.Compile.ClosureBlocks
-		e.stats.ClosureFallbacks += ent.run.Base.Compile.Fallbacks + ent.run.Reord.Compile.Fallbacks
-		e.mu.Unlock()
-	}
+	ent.run, ent.err = e.build(ctx, w, opts)
 	if ent.err == nil && (e.disk != nil || e.remote != nil) {
 		// A write failure costs only the cache entry, not the run.
 		rec := ent.run.Record()
@@ -328,6 +325,133 @@ func (e *Engine) Get(ctx context.Context, w workload.Workload, opts pipeline.Opt
 		}
 	}
 	return ent.run, ent.err
+}
+
+// acquire takes a worker slot, failing if ctx ends first.
+func (e *Engine) acquire(ctx context.Context) error {
+	select {
+	case e.sem <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	if err := ctx.Err(); err != nil {
+		<-e.sem
+		return err
+	}
+	return nil
+}
+
+// build produces the run of a job no cache tier served. The caller holds
+// a worker slot; build releases it. The job's frontend comes first: when
+// it lowers to a program that another job has measured, or is measuring,
+// on the same inputs under the same options but Switch, the job gives up
+// its slot, waits, and is served by that run relabelled — the heuristic
+// sets differ only in switch lowering, so most programs come out the same
+// under all three. Everything after the frontend is deterministic in its
+// content key, so the shared run is exactly the one a fresh build would
+// produce.
+func (e *Engine) build(ctx context.Context, w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
+	train, test := TrainInput(w, opts), w.Test()
+	for {
+		front, err := e.stages.Frontend(w.Source, opts.Frontend())
+		if err != nil {
+			<-e.sem
+			return nil, fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, err)
+		}
+		sh, owner := e.claim(front.Digest, train, test, opts)
+		if owner {
+			run, err := e.measure(front, sh, w, opts)
+			<-e.sem
+			return run, err
+		}
+		<-e.sem
+		select {
+		case <-sh.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if sh.err == nil {
+			e.mu.Lock()
+			e.stats.Shared++
+			e.mu.Unlock()
+			// Leave this job's profile record behind too, so a warm
+			// store serves its Transform variants as if it had trained.
+			profileTier{e}.PutProfile(w.Source, train, opts.Frontend(), opts.Detection(), sh.tp)
+			return sh.run.relabel(w, opts, front.SwitchKinds), nil
+		}
+		// The owner failed and dropped its slot: claim it afresh.
+		if err := e.acquire(ctx); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// claim returns the content-memo slot for a job whose frontend digests
+// to digest, and whether the caller owns it and must fill it. Merging
+// jobs never share: each training run folds a contribution into the
+// persistent merged profile, so skipping one would change later results.
+func (e *Engine) claim(digest [32]byte, train, test []byte, opts pipeline.Options) (*share, bool) {
+	key := opts
+	key.Switch = 0
+	sh := &share{digest: digest, train: train, test: test, opts: key, done: make(chan struct{})}
+	if opts.Profile.Merge {
+		return sh, true
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, other := range e.shares[digest] {
+		if other.opts == key && bytes.Equal(other.train, train) && bytes.Equal(other.test, test) {
+			return other, false
+		}
+	}
+	e.shares[digest] = append(e.shares[digest], sh)
+	return sh, true
+}
+
+// measure fills an owned content-memo slot: train (through the stage
+// cache), finalize and measure the job, then publish the result to the
+// slot's waiters.
+func (e *Engine) measure(front *pipeline.FrontendProduct, sh *share, w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
+	start := time.Now()
+	sh.tp, sh.err = e.stages.Train(w.Source, sh.train, opts.Frontend(), opts.Detection())
+	var b *pipeline.BuildResult
+	if sh.err == nil {
+		b, sh.err = pipeline.FinalizeStages(front, sh.tp, opts)
+	}
+	if sh.err != nil {
+		sh.err = fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, sh.err)
+	} else {
+		sh.run, sh.err = measureBuild(w, opts, b, sh.test, e.Measure)
+	}
+	e.mu.Lock()
+	if sh.err != nil {
+		bucket := e.shares[sh.digest]
+		for i, other := range bucket {
+			if other == sh {
+				e.shares[sh.digest] = append(bucket[:i:i], bucket[i+1:]...)
+				break
+			}
+		}
+	} else {
+		if e.stats.BuildSeconds == nil {
+			e.stats.BuildSeconds = map[string]float64{}
+		}
+		e.stats.BuildSeconds[w.Name] += time.Since(start).Seconds()
+		// Fusion and closure counters follow the BuildSeconds
+		// discipline: fresh measurements only, so cache hits (whose
+		// records may predate the fields) and shared jobs never skew
+		// the summary.
+		r := sh.run
+		e.stats.FusedSites += r.Base.Fusion.Fused + r.Reord.Fusion.Fused
+		e.stats.FusedOps += r.Base.Fusion.Inside + r.Reord.Fusion.Inside
+		e.stats.DecodedOps += r.Base.Fusion.Ops + r.Reord.Fusion.Ops
+		e.stats.CompiledFuncs += r.Base.Compile.CompiledFuncs + r.Reord.Compile.CompiledFuncs
+		e.stats.ClosureBlocks += r.Base.Compile.ClosureBlocks + r.Reord.Compile.ClosureBlocks
+		e.stats.ClosureFallbacks += r.Base.Compile.Fallbacks + r.Reord.Compile.Fallbacks
+	}
+	e.mu.Unlock()
+	close(sh.done)
+	return sh.run, sh.err
 }
 
 // profileTier adapts the engine's disk and remote tiers into the stage

@@ -44,20 +44,29 @@ func renderAll(t *testing.T, s *Suite) string {
 
 // The worker pool must not leak completion order into rendered output:
 // a wide engine and a serial one must produce byte-identical tables.
+// Which job of a content group measures and which ones share is up to
+// scheduling too; the shared and training-run counts are not.
 func TestSuiteDeterministicAcrossJobs(t *testing.T) {
-	ws := subset(t, "wc", "sort", "lex")
+	ws := subset(t, "wc", "sort", "lex", "yacc")
 	ctx := context.Background()
-	serial, err := NewEngine(1, nil).SuiteOf(ctx, ws)
+	se, pe := NewEngine(1, nil), NewEngine(8, nil)
+	serial, err := se.SuiteOf(ctx, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewEngine(8, nil).SuiteOf(ctx, ws)
+	parallel, err := pe.SuiteOf(ctx, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, want := renderAll(t, parallel), renderAll(t, serial)
 	if got != want {
 		t.Errorf("-j 8 output differs from -j 1 output:\n--- j=8 ---\n%s\n--- j=1 ---\n%s", got, want)
+	}
+	// wc and sort share 2 jobs each, lex and yacc 1 each.
+	for _, st := range []EngineStats{se.Stats(), pe.Stats()} {
+		if st.Shared != 6 || st.TrainRuns != 6 {
+			t.Errorf("stats: %d shared, %d training runs; want 6, 6", st.Shared, st.TrainRuns)
+		}
 	}
 }
 

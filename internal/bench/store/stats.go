@@ -7,8 +7,13 @@ package store
 // not just its own. Zero counters for a tier just mean the tier was
 // not attached.
 type TierStats struct {
-	// Builds is the number of build+measure jobs actually executed.
+	// Builds is the number of build+measure jobs no cache tier served.
 	Builds int `json:"builds"`
+	// Shared is the subset of Builds served by another job's measurement
+	// of the identical program on identical inputs (typically the same
+	// workload under another heuristic set), relabelled rather than
+	// trained, finalized and measured again.
+	Shared int `json:"sharedBuilds,omitempty"`
 	// Hits is the number of lookups served from the in-memory memo
 	// (including callers that joined an in-flight build).
 	Hits int `json:"memoHits"`
@@ -47,7 +52,8 @@ type TierStats struct {
 	ProfileMergeHits int `json:"profileMergeHits,omitempty"`
 
 	// Superinstruction counters, aggregated over freshly built
-	// executables only (like BuildSeconds; cache hits add nothing):
+	// executables only (like BuildSeconds; cache hits and shared jobs add
+	// nothing):
 	// how many fused superinstruction sites their decoded code holds,
 	// how many original ops those sites absorb, and how many dispatch
 	// slots it has pre-fusion, so a summary can report static coverage
@@ -65,10 +71,11 @@ type TierStats struct {
 	ClosureBlocks    int `json:"closureBlocks,omitempty"`
 	ClosureFallbacks int `json:"closureFallbacks,omitempty"`
 
-	// BuildSeconds is the wall-clock cost of the jobs behind Builds,
-	// keyed by workload and summed over every configuration built for
-	// it. Cache hits add nothing, so a BENCH trajectory over exports
-	// tracks engine speed separately from cache effectiveness.
+	// BuildSeconds is the wall-clock cost of the fresh measurements
+	// behind Builds, keyed by workload and summed over every
+	// configuration built for it. Cache hits and shared jobs add nothing,
+	// so a BENCH trajectory over exports tracks engine speed separately
+	// from cache effectiveness.
 	BuildSeconds map[string]float64 `json:"buildSeconds,omitempty"`
 }
 
@@ -76,6 +83,7 @@ type TierStats struct {
 // cache activity of every exported shard.
 func (s *TierStats) Add(o TierStats) {
 	s.Builds += o.Builds
+	s.Shared += o.Shared
 	s.Hits += o.Hits
 	s.Seeded += o.Seeded
 	s.DiskHits += o.DiskHits

@@ -81,7 +81,10 @@ func (f *Func) Dump() string {
 	return sb.String()
 }
 
-// Dump renders the whole program.
+// Dump renders the whole program. It omits global initializers, MemSize
+// and the block- and branch-ID allocators, so two programs with equal
+// dumps may still behave differently: a dump is not an identity. Use
+// Digest for that.
 func (p *Program) Dump() string {
 	var sb strings.Builder
 	for _, g := range p.Globals {

@@ -67,9 +67,12 @@ func (o Options) Detection() DetectOptions {
 // contract: every consumer must ir.CloneProgram it before mutating
 // (detection instruments blocks in place, reordering rewrites them).
 // SwitchKinds is likewise shared and must be treated as read-only.
+// Digest is Prog.Digest(): products with equal digests lower to the same
+// program, whichever source and options produced them.
 type FrontendProduct struct {
 	Prog        *ir.Program
 	SwitchKinds map[lower.SwitchKind]int
+	Digest      [32]byte
 }
 
 // BuildFrontend runs stage 1: parse, check, lower, optimize, linearize,
@@ -80,7 +83,7 @@ func BuildFrontend(src string, fo FrontendOptions) (*FrontendProduct, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FrontendProduct{Prog: res.Prog, SwitchKinds: res.SwitchKinds}, nil
+	return &FrontendProduct{Prog: res.Prog, SwitchKinds: res.SwitchKinds, Digest: res.Prog.Digest()}, nil
 }
 
 // TrainProduct is the cached stage-2 result: the training-run counts for
