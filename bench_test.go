@@ -385,7 +385,10 @@ func BenchmarkSimWithPredictors(b *testing.B) {
 // whole Table-6 battery. bank and bimodals replay a synthetic 200-ID
 // stream through the single-pass Bank and through the 14-Bimodal fan-out
 // it replaced in sim.Run; roster replays the stream recorded from grep's
-// test run, whose 31 branch IDs are the real range the bank sees.
+// test run, whose 31 branch IDs are the real range the bank sees, one
+// Observe per event; roster-replay feeds the same stream to Replay in
+// interp.BranchChunk-event chunks, the path sim.Run takes. Every variant
+// reports ns per event.
 func BenchmarkPredictorBattery(b *testing.B) {
 	const streamLen = 4096
 	ids := make([]int, streamLen)
@@ -410,14 +413,41 @@ func BenchmarkPredictorBattery(b *testing.B) {
 			}
 		}
 	})
+	grepIDs, grepTaken := grepBranchStream(b)
 	b.Run("roster", func(b *testing.B) {
-		ids, taken := grepBranchStream(b)
 		bank := predictor.NewTable6Bank()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bank.Observe(ids[i%len(ids)], taken[i%len(ids)])
+			bank.Observe(grepIDs[i%len(grepIDs)], grepTaken[i%len(grepIDs)])
 		}
 	})
+	b.Run("roster-replay", func(b *testing.B) {
+		events := encodeBranches(grepIDs, grepTaken)
+		bank := predictor.NewTable6Bank()
+		b.ResetTimer()
+		replayChunks(bank, events, b.N)
+	})
+}
+
+// encodeBranches packs a recorded stream into OnBranches events.
+func encodeBranches(ids []int, taken []bool) []uint32 {
+	events := make([]uint32, len(ids))
+	for i, id := range ids {
+		events[i] = interp.BranchEvent(id, taken[i])
+	}
+	return events
+}
+
+// replayChunks replays n events, cycling through the stream, in chunks
+// of at most interp.BranchChunk that never wrap around its end.
+func replayChunks(bank *predictor.Bank, events []uint32, n int) {
+	for pos := 0; n > 0; {
+		k := min(n, interp.BranchChunk, len(events)-pos)
+		bank.Replay(events[pos : pos+k])
+		n -= k
+		if pos += k; pos == len(events) {
+			pos = 0
+		}
+	}
 }
 
 // grepBranchStream records every (branchID, taken) event of grep's test

@@ -218,6 +218,29 @@ func grepBranchStream() ([]int, []bool, error) {
 	return ids, taken, nil
 }
 
+// encodeBranches packs a recorded stream into OnBranches events.
+// Same as the go test benchmark's.
+func encodeBranches(ids []int, taken []bool) []uint32 {
+	events := make([]uint32, len(ids))
+	for i, id := range ids {
+		events[i] = interp.BranchEvent(id, taken[i])
+	}
+	return events
+}
+
+// replayChunks replays n events, cycling through the stream, in chunks
+// of at most interp.BranchChunk that never wrap around its end.
+func replayChunks(bank *predictor.Bank, events []uint32, n int) {
+	for pos := 0; n > 0; {
+		k := min(n, interp.BranchChunk, len(events)-pos)
+		bank.Replay(events[pos : pos+k])
+		n -= k
+		if pos += k; pos == len(events) {
+			pos = 0
+		}
+	}
+}
+
 func run(out string) error {
 	doc := document{
 		GoVersion:  runtime.Version(),
@@ -448,6 +471,13 @@ func run(out string) error {
 		for i := 0; i < b.N; i++ {
 			bank.Observe(grepIDs[i%len(grepIDs)], grepTaken[i%len(grepIDs)])
 		}
+	}))
+	// The same stream as sim.Run feeds it: encoded events replayed in
+	// interp.BranchChunk-event chunks. Still ns per event.
+	grepEvents := encodeBranches(grepIDs, grepTaken)
+	record("PredictorBattery/roster-replay", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		replayChunks(predictor.NewTable6Bank(), grepEvents, b.N)
 	}))
 
 	enc, err := json.MarshalIndent(doc, "", "  ")

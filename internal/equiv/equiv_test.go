@@ -14,7 +14,8 @@ import (
 
 // referenceMeasure replicates the pre-rewrite measurement loop exactly:
 // the block-walking interpreter with every executed branch fanned out to
-// the 14 Table-6 Bimodal predictors.
+// the 14 Table-6 Bimodal predictors. The same run's OnBranches chunks,
+// replayed through a predictor.Bank, must give the fan-out's counts.
 type measurement struct {
 	stats       interp.Stats
 	output      string
@@ -25,18 +26,31 @@ type measurement struct {
 func referenceMeasure(t *testing.T, prog *ir.Program, input []byte) *measurement {
 	t.Helper()
 	preds := sim.PredictorSweep()
+	var branches uint64
+	bank := predictor.NewTable6Bank()
 	m := &interp.Machine{
 		Prog:  prog,
 		Input: input,
 		OnBranch: func(id int, taken bool) {
+			branches++
 			for _, p := range preds {
 				p.Observe(id, taken)
 			}
 		},
+		OnBranches: bank.Replay,
 	}
 	ret, err := m.Run()
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
+	}
+	if bank.Branches != branches {
+		t.Errorf("reference run: chunks carried %d events, OnBranch saw %d", bank.Branches, branches)
+	}
+	for i, p := range preds {
+		if bank.MispredictsOf(i) != p.Mispredicts {
+			t.Errorf("reference run: %s: replayed chunks give %d mispredicts, OnBranch %d",
+				p.Name(), bank.MispredictsOf(i), p.Mispredicts)
+		}
 	}
 	out := &measurement{
 		stats:       m.Stats,
@@ -109,9 +123,10 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 }
 
 // TestWorkloadSuiteEquivalence measures every workload's baseline and
-// reordered executables through sim.Run (fast engine + predictor bank)
-// and through a replica of the old Machine+Bimodal loop, demanding
-// identical Stats, Output, Ret and per-predictor Mispredicts.
+// reordered executables through sim.Run (fast engine + predictor bank
+// replaying the branch-log chunks) and through a replica of the old
+// Machine+Bimodal loop fed per event, demanding identical Stats, Output,
+// Ret and per-predictor Mispredicts.
 func TestWorkloadSuiteEquivalence(t *testing.T) {
 	all := workload.All()
 	if testing.Short() {

@@ -192,7 +192,7 @@ func TestRandomProgramEquivalence(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	completed := 0
+	completed, multiChunk := 0, 0
 	for seed := 0; seed < n; seed++ {
 		p := randprog.New(uint64(seed))
 		for _, input := range [][]byte{nil, workload.FuzzInput(uint64(seed)+1000, 200)} {
@@ -201,12 +201,21 @@ func TestRandomProgramEquivalence(t *testing.T) {
 			if ref.err == "" {
 				completed++
 			}
+			if len(fast.branches)/2 > interp.BranchChunk {
+				multiChunk++
+			}
 		}
 	}
 	// The generator must keep producing runs that complete, or the
 	// strong (stats-comparing) arm of the contract goes untested.
 	if completed < n/5 {
 		t.Errorf("only %d/%d runs completed; generator too trap-happy", completed, 2*n)
+	}
+	// It must also keep producing streams longer than one branch-log
+	// chunk, or the fast engines' OnBranch delivery of full chunks
+	// mid-run goes untested.
+	if multiChunk < n/40 {
+		t.Errorf("only %d/%d runs filled a branch-log chunk", multiChunk, 2*n)
 	}
 }
 

@@ -37,9 +37,9 @@
 //     observably identical closure graphs.
 //   - Two variants are compiled lazily per Code and cached: a plain
 //     variant whose branch/prof closures skip hook dispatch entirely,
-//     and a hooked variant replicating FastMachine's per-event nil
-//     checks. Run picks the variant by hook nil-ness, so measurement
-//     runs never pay for instrumentation.
+//     and a hooked variant replicating FastMachine's branch-log stores
+//     and per-event OnProf checks. Run picks the variant by hook
+//     nil-ness, so runs without hooks never pay for instrumentation.
 //   - Calls split a block: the call closure pushes a frame whose resume
 //     continuation is the already-compiled rest of the block, then
 //     returns the callee's entry closure; Ret pops and returns the
@@ -107,9 +107,13 @@ type ClosureMachine struct {
 	Code  *Code
 	Input []byte
 
-	// OnBranch, if non-nil, observes every executed conditional branch,
-	// exactly as Machine.OnBranch does.
+	// OnBranch, if non-nil, observes the branch events in batches,
+	// exactly as FastMachine.OnBranch does.
 	OnBranch func(id int, taken bool)
+
+	// OnBranches, if non-nil, observes the same events in chunks,
+	// exactly as Machine.OnBranches does.
+	OnBranches func(events []uint32)
 
 	// OnProf, if non-nil, observes every executed Prof/ProfCond
 	// instruction, exactly as Machine.OnProf does.
@@ -134,6 +138,7 @@ type ClosureMachine struct {
 	regs      []int64
 	frames    []closFrame
 	counts    []uint64 // per-transfer execution counts, folded by Run
+	log       branchLog
 	inPos     int
 	maxSteps  uint64
 	ijmpInsts uint64
@@ -205,14 +210,14 @@ func (m *ClosureMachine) Run() (int64, error) {
 	if c.funcs[c.main].nParams != 0 {
 		return 0, fmt.Errorf("interp: main must take no parameters")
 	}
-	hooked := m.OnBranch != nil || m.OnProf != nil
+	hooked := m.OnBranch != nil || m.OnBranches != nil || m.OnProf != nil
 	cp := c.compiledVariant(hooked)
 	if cp.stats.Fallbacks > 0 {
 		// The compiler declined part of the program: run the whole
 		// program on the dispatch engine, preserving equivalence.
 		fm := &FastMachine{
 			Code: c, Input: m.Input,
-			OnBranch: m.OnBranch, OnProf: m.OnProf,
+			OnBranch: m.OnBranch, OnBranches: m.OnBranches, OnProf: m.OnProf,
 			IJmpInsts: m.IJmpInsts, MaxSteps: m.MaxSteps,
 		}
 		ret, err := fm.Run()
@@ -251,6 +256,7 @@ func (m *ClosureMachine) Run() (int64, error) {
 	m.regs = growWindow(m.regs[:0], c.funcs[c.main].nRegs)
 	m.ret = 0
 	m.err = nil
+	m.log.start(m.OnBranch, m.OnBranches)
 	m.Stats.Calls++
 	m.Stats.Insts++ // the synthetic call of main
 
@@ -262,6 +268,8 @@ func (m *ClosureMachine) Run() (int64, error) {
 	for fb != nil {
 		fb, w, cmpA, cmpB, flags, steps = fb(m, w, cmpA, cmpB, flags, steps)
 	}
+	// Every path, traps included, ends the loop above.
+	m.log.flush()
 	// Fold the transfer counters into Stats — on trapped runs too: the
 	// counters hold the fully-executed transfers, and the trap closure
 	// already credited its partial segment.
@@ -808,7 +816,7 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 		idTaken := cc.newCounter(plus(stepPartial, Stats{TakenBranches: 1, SlotNops: uint64(d.slotTaken)}))
 		idFall := cc.newCounter(plus(stepPartial, Stats{SlotNops: uint64(d.slotFall)}))
 		relMask := d.relMask
-		branchID := int(d.branchID)
+		event := uint32(d.branchID) << 1
 		takenp := cc.blockPtr(d.t1)
 		fallp := cc.blockPtr(d.t2)
 		a, b := d.a, d.b
@@ -826,8 +834,8 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 					rs = 1
 				}
 				taken := relMask>>rs&1 != 0
-				if m.OnBranch != nil {
-					m.OnBranch(branchID, taken)
+				if m.log.on && m.log.add(event|uint32(relMask>>rs&1)) {
+					m.log.flush()
 				}
 				if taken {
 					m.counts[idTaken]++
@@ -852,8 +860,8 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 				rs = 1
 			}
 			taken := relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(branchID, taken)
+			if m.log.on && m.log.add(event|uint32(relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.counts[idTaken]++

@@ -11,8 +11,8 @@
 // prefix is expanded inline per pattern.
 //
 // Combined bodies are compiled only for the plain (hook-free) variant:
-// the hooked variant always decomposes, which keeps every OnBranch /
-// OnProf call site in exactly one place. Run never selects the plain
+// the hooked variant always decomposes, which keeps every branch-log /
+// OnProf site in exactly one place. Run never selects the plain
 // variant when a hook is installed, so the tails omit hook dispatch
 // entirely.
 package interp

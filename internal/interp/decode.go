@@ -25,7 +25,8 @@
 //     to opJump with its dynamic cost and delay-slot effect precomputed.
 //   - Conditional branches carry both successor PCs plus the SlotNops
 //     charge for each outcome, precomputed from the terminator's
-//     SlotFill.
+//     SlotFill. A branch ID outside [0, MaxBranchID] is a decode error:
+//     it would not fit the int32 field, nor a branch event.
 //   - Calls resolve the callee to a function index at decode time; a
 //     call to an unknown function decodes to a trap that reproduces the
 //     reference interpreter's runtime error if (and only if) executed.
@@ -456,6 +457,10 @@ func decodeFunc(df *dfunc, f *ir.Func, idx map[string]int32) error {
 				})
 			}
 		case ir.TermBr:
+			if t.BranchID < 0 || t.BranchID > MaxBranchID {
+				return fmt.Errorf("block %d: branch ID %d outside [0,%d], the range a branch event carries",
+					bi, t.BranchID, MaxBranchID)
+			}
 			st, sf := brSlots(t.Slot)
 			d := dinst{
 				op:        opBr,

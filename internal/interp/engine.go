@@ -35,6 +35,81 @@ func (e Engine) String() string {
 	return "fast"
 }
 
+// BranchChunk is the number of events one OnBranches chunk holds: each
+// machine collects branch events into a chunk of this many (16 KB),
+// allocated on its first hooked Run and reused by later ones.
+const BranchChunk = 4096
+
+// MaxBranchID is the largest branch ID a branch event can carry: an
+// event packs the ID above the taken bit (see BranchEvent), so IDs must
+// lie in [0, 2^31). Decode rejects a program with a conditional branch
+// outside that range.
+const MaxBranchID = 1<<31 - 1
+
+// BranchEvent encodes one executed conditional branch as OnBranches
+// delivers it: uint32(id)<<1 | taken, taken being 1 if the branch was
+// taken. id must lie in [0, MaxBranchID]; the event decodes as
+// id = int(e>>1), taken = e&1 == 1. The engines' dispatch loops store
+// the same encoding from the branch's taken bit directly.
+func BranchEvent(id int, taken bool) uint32 {
+	e := uint32(id) << 1
+	if taken {
+		e |= 1
+	}
+	return e
+}
+
+// branchLog is a machine's chunk of undelivered branch events. While on,
+// the run loops store each event into it inline (add is cheap enough to
+// inline into a dispatch loop past the big-function threshold) and
+// flush it whenever it fills; Run flushes the rest before returning, on
+// every path.
+type branchLog struct {
+	on         bool
+	buf        *[BranchChunk]uint32
+	n          int
+	onBranch   func(id int, taken bool)
+	onBranches func(events []uint32)
+}
+
+// start readies the log for a run that delivers to the given hooks and
+// turns it on if either is set, allocating the chunk on first use.
+// onBranch receives the events one by one at each flush; the reference
+// Machine, which calls OnBranch as each branch executes, passes nil.
+func (l *branchLog) start(onBranch func(id int, taken bool), onBranches func(events []uint32)) {
+	l.on = onBranch != nil || onBranches != nil
+	l.onBranch, l.onBranches = onBranch, onBranches
+	l.n = 0
+	if l.on && l.buf == nil {
+		l.buf = new([BranchChunk]uint32)
+	}
+}
+
+// add appends one event and reports whether the chunk is now full.
+func (l *branchLog) add(ev uint32) bool {
+	l.buf[l.n&(BranchChunk-1)] = ev
+	l.n++
+	return l.n == BranchChunk
+}
+
+// flush delivers the pending events, if any, in order — one by one to
+// onBranch, then as one chunk to onBranches — and empties the chunk.
+func (l *branchLog) flush() {
+	if l.n == 0 {
+		return
+	}
+	events := l.buf[:l.n]
+	l.n = 0
+	if l.onBranch != nil {
+		for _, e := range events {
+			l.onBranch(int(e>>1), e&1 == 1)
+		}
+	}
+	if l.onBranches != nil {
+		l.onBranches(events)
+	}
+}
+
 // ParseEngine maps a command-line engine name to an Engine. The empty
 // string selects the default fast engine.
 func ParseEngine(s string) (Engine, error) {

@@ -30,9 +30,16 @@ type FastMachine struct {
 	Code  *Code
 	Input []byte
 
-	// OnBranch, if non-nil, observes every executed conditional branch,
-	// exactly as Machine.OnBranch does.
+	// OnBranch, if non-nil, observes the events Machine.OnBranch does,
+	// in the same order, but delivered in batches from the machine's
+	// chunk: the dispatch loop only records each event, and every
+	// flush of the chunk — when it fills and before Run returns, on
+	// every path — replays it through OnBranch.
 	OnBranch func(id int, taken bool)
+
+	// OnBranches, if non-nil, observes the same events in chunks,
+	// exactly as Machine.OnBranches does.
+	OnBranches func(events []uint32)
 
 	// OnProf, if non-nil, observes every executed Prof/ProfCond
 	// instruction, exactly as Machine.OnProf does.
@@ -52,6 +59,7 @@ type FastMachine struct {
 	mem    []int64
 	regs   []int64
 	frames []fastFrame
+	log    branchLog
 	inPos  int
 	numBuf [24]byte
 }
@@ -98,6 +106,15 @@ type fastFrame struct {
 
 // Run executes main() and returns its result.
 func (m *FastMachine) Run() (int64, error) {
+	m.log.start(m.OnBranch, m.OnBranches)
+	ret, err := m.run()
+	m.log.flush()
+	return ret, err
+}
+
+// run is Run's dispatch loop; Run delivers the branch events it leaves
+// in m.log.
+func (m *FastMachine) run() (int64, error) {
 	c := m.Code
 	if c == nil || c.main < 0 {
 		return 0, fmt.Errorf("interp: program has no main function")
@@ -345,8 +362,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -374,8 +391,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -492,8 +509,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -527,8 +544,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -562,8 +579,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -592,8 +609,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -627,8 +644,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -657,8 +674,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -687,8 +704,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -813,8 +830,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -969,8 +986,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -1032,8 +1049,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -1193,8 +1210,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)
@@ -1297,8 +1314,8 @@ func (m *FastMachine) Run() (int64, error) {
 				rs = 1
 			}
 			taken := in.relMask>>rs&1 != 0
-			if m.OnBranch != nil {
-				m.OnBranch(int(in.branchID), taken)
+			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
+				m.log.flush()
 			}
 			if taken {
 				m.Stats.SlotNops += uint64(in.slotTaken)

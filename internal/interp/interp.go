@@ -61,6 +61,15 @@ type Machine struct {
 	// The id is the branch's program-unique BranchID from linearization.
 	OnBranch func(id int, taken bool)
 
+	// OnBranches, if non-nil, observes the same events in execution
+	// order, batched: each event is BranchEvent(id, taken).
+	// Every chunk but the last holds exactly BranchChunk events; full
+	// chunks are delivered during the run, and the last, partial one
+	// before Run returns on every path, traps and step-limit aborts
+	// included. The slice is valid only during the call. A branch ID
+	// outside [0, MaxBranchID] cannot be encoded and traps.
+	OnBranches func(events []uint32)
+
 	// OnProf, if non-nil, observes every executed Prof or ProfCond
 	// instruction: for Prof, value is the branch variable and sub is 0;
 	// for ProfCond, value is the 0/1 outcome of the instrumented
@@ -86,6 +95,7 @@ type Machine struct {
 	Output bytes.Buffer
 
 	mem    []int64
+	log    branchLog
 	inPos  int
 	steps  uint64
 	numBuf [24]byte
@@ -130,7 +140,12 @@ func (m *Machine) Run() (int64, error) {
 	}
 	m.inPos = 0
 	m.steps = 0
-	return m.call(main, nil)
+	// OnBranch is called as each branch executes; the log feeds only
+	// OnBranches.
+	m.log.start(nil, m.OnBranches)
+	ret, err := m.call(main, nil)
+	m.log.flush()
+	return ret, err
 }
 
 func (m *Machine) call(f *ir.Func, args []int64) (int64, error) {
@@ -181,8 +196,15 @@ func (m *Machine) call(f *ir.Func, args []int64) (int64, error) {
 				return 0, err
 			}
 			taken := t.Rel.Holds(fr.cmpA, fr.cmpB)
+			if m.log.on && (t.BranchID < 0 || t.BranchID > MaxBranchID) {
+				// Neither hook sees an event the chunks cannot carry.
+				return 0, &RuntimeError{f.Name, fmt.Sprintf("branch ID %d does not fit a branch event", t.BranchID)}
+			}
 			if m.OnBranch != nil {
 				m.OnBranch(t.BranchID, taken)
+			}
+			if m.log.on && m.log.add(BranchEvent(t.BranchID, taken)) {
+				m.log.flush()
 			}
 			switch t.Slot {
 			case ir.SlotAlways:

@@ -9,9 +9,10 @@ import (
 
 // Bank simulates a battery of bimodal predictors over one branch stream
 // in a single pass. Every counter table is a flat byte slice carved from
-// one backing array, and the update rule is bit-for-bit the Bimodal one,
-// so mispredict counts are identical; Bimodal stays as the reference
-// implementation and the one-predictor API.
+// one backing array, and the update rule is bit-for-bit the Bimodal one
+// (as a transition-table lookup, see transitions), so mispredict counts
+// are identical; Bimodal stays as the reference implementation and the
+// one-predictor API.
 //
 // Most of the battery is redundant work: among predictors of one counter
 // width, every table with more entries than the highest branch ID seen
@@ -34,7 +35,8 @@ type Bank struct {
 	// counts stand for it; rep[i] == i for the simulated ones.
 	rep []int
 
-	// active lists the representatives: the only tables Observe updates.
+	// active lists the representatives: the only tables Observe and
+	// Replay update.
 	active []*bankPred
 
 	// bound is the smallest collapsed-class representative's entry
@@ -50,15 +52,51 @@ type Bank struct {
 
 // bankPred is one predictor's configuration and state inside a Bank.
 type bankPred struct {
-	name   string
-	mask   uint // len(table)-1 when that is a power of two, else 0
-	pow2   bool
-	thresh uint8
-	max    uint8
-	init   uint8
-	table  []uint8
+	name  string
+	mask  uint // len(table)-1 when that is a power of two, else 0
+	pow2  bool
+	init  uint8
+	lut   *[512]uint16 // transitions[bits]
+	table []uint8
 
 	mispredicts uint64
+}
+
+// transitions[w] is the w-bit saturating counter's update rule as one
+// lookup: entry taken<<8 | ctr holds the next counter in its low byte
+// and, in bit 8, whether ctr mispredicted the outcome (predict taken
+// when ctr is in the upper half). Observe and Replay share it, so the
+// bank has one update rule, free of data-dependent host branches.
+var transitions = buildTransitions()
+
+func buildTransitions() *[9][512]uint16 {
+	var t [9][512]uint16
+	for w := 1; w <= 8; w++ {
+		max, thresh := 1<<w-1, 1<<(w-1)
+		for ctr := 0; ctr < 256; ctr++ {
+			for taken := 0; taken < 2; taken++ {
+				next := ctr
+				if taken == 1 && ctr < max {
+					next++
+				} else if taken == 0 && ctr > 0 {
+					next--
+				}
+				var miss int
+				if (ctr >= thresh) != (taken == 1) {
+					miss = 1
+				}
+				t[w][taken<<8|ctr] = uint16(next | miss<<8)
+			}
+		}
+	}
+	return &t
+}
+
+// step applies one outcome to counter idx; tk is 1<<8 if taken, else 0.
+func (p *bankPred) step(idx, tk uint) {
+	s := p.lut[uint(p.table[idx])|tk]
+	p.table[idx] = uint8(s)
+	p.mispredicts += uint64(s >> 8)
 }
 
 // bankGroup is the predictors of one counter width, ordered by entry
@@ -112,18 +150,15 @@ func NewBank(specs []Spec) *Bank {
 	backing := make([]uint8, total)
 	off := 0
 	for i, s := range specs {
-		max := uint8(1<<s.Bits - 1)
-		thresh := uint8(1 << (s.Bits - 1))
 		p := &b.preds[i]
 		p.name = "(0," + strconv.Itoa(s.Bits) + ")x" + strconv.Itoa(s.Entries)
 		p.pow2 = s.Entries&(s.Entries-1) == 0
 		if p.pow2 {
 			p.mask = uint(s.Entries - 1)
 		}
-		p.thresh = thresh
-		p.max = max
+		p.lut = &transitions[s.Bits]
 		if s.Bits > 1 {
-			p.init = thresh - 1 // weakly not taken
+			p.init = 1<<(s.Bits-1) - 1 // weakly not taken
 		}
 		p.table = backing[off : off+s.Entries : off+s.Entries]
 		off += s.Entries
@@ -177,34 +212,26 @@ func (b *Bank) Mispredicts() map[string]uint64 {
 }
 
 // Observe records one executed branch in every predictor of the bank.
-// The hot path: branch IDs from linearization are dense non-negative
-// ints below the smallest collapsed table, and every Table-6 size is a
-// power of two, so indexing is a mask over the representatives alone;
-// the general case falls back to Bimodal's modulo rule.
+// Branch IDs from linearization are dense non-negative ints below the
+// smallest collapsed table, and every Table-6 size is a power of two,
+// so indexing is a mask over the representatives alone; the general
+// case falls back to Bimodal's modulo rule.
 func (b *Bank) Observe(id int, taken bool) {
 	b.Branches++
 	if uint(id) >= b.bound {
 		b.regroup(id)
 	}
+	var tk uint
+	if taken {
+		tk = 1 << 8
+	}
 	if id >= 0 {
 		u := uint(id)
 		for _, p := range b.active {
-			var idx uint
 			if p.pow2 {
-				idx = u & p.mask
+				p.step(u&p.mask, tk)
 			} else {
-				idx = u % uint(len(p.table))
-			}
-			ctr := p.table[idx]
-			if (ctr >= p.thresh) != taken {
-				p.mispredicts++
-			}
-			if taken {
-				if ctr < p.max {
-					p.table[idx] = ctr + 1
-				}
-			} else if ctr > 0 {
-				p.table[idx] = ctr - 1
+				p.step(u%uint(len(p.table)), tk)
 			}
 		}
 		return
@@ -214,17 +241,71 @@ func (b *Bank) Observe(id int, taken bool) {
 		if idx < 0 {
 			idx += len(p.table)
 		}
-		ctr := p.table[idx]
-		if (ctr >= p.thresh) != taken {
-			p.mispredicts++
-		}
-		if taken {
-			if ctr < p.max {
-				p.table[idx] = ctr + 1
+		p.step(uint(idx), tk)
+	}
+}
+
+// Replay observes a chunk of encoded branch events, as interp's
+// OnBranches delivers them (see interp.BranchEvent): it is
+// Observe(int(e>>1), e&1 == 1) for each event, in order. It regroups at
+// exactly the event whose ID first reaches bound, as Observe would, and
+// between regroups updates each representative in one tight loop over
+// the events. Replay allocates nothing.
+func (b *Bank) Replay(events []uint32) {
+	b.Branches += uint64(len(events))
+	for len(events) > 0 {
+		cut := len(events)
+		if b.bound < 1<<31 { // an event ID is at most 1<<31 - 1
+			lim := uint32(b.bound) << 1
+			for i, e := range events {
+				if e >= lim {
+					cut = i
+					break
+				}
 			}
-		} else if ctr > 0 {
-			p.table[idx] = ctr - 1
 		}
+		b.replayActive(events[:cut])
+		if cut == len(events) {
+			return
+		}
+		// The new bound exceeds this ID, so the loop moves past it.
+		b.regroup(int(events[cut] >> 1))
+		events = events[cut:]
+	}
+}
+
+// replayActive applies events, none of which splits a class, to every
+// representative; a non-power-of-two table keeps the modulo rule.
+func (b *Bank) replayActive(events []uint32) {
+	for _, p := range b.active {
+		if p.pow2 {
+			replay1(p, events)
+		} else {
+			replayMod(p, events)
+		}
+	}
+}
+
+// replay1 applies events to one power-of-two table.
+func replay1(p *bankPred, events []uint32) {
+	t, lut := p.table, p.lut
+	mask := uint(len(t) - 1)
+	_ = t[mask] // one bounds check here proves every t[i&mask] in range
+	var miss uint64
+	for _, e := range events {
+		i := uint(e>>1) & mask
+		s := lut[uint(t[i])|uint(e&1)<<8]
+		t[i] = uint8(s)
+		miss += uint64(s >> 8)
+	}
+	p.mispredicts += miss
+}
+
+// replayMod applies events to a table of any size by the modulo rule.
+func replayMod(p *bankPred, events []uint32) {
+	n := uint(len(p.table))
+	for _, e := range events {
+		p.step(uint(e>>1)%n, uint(e&1)<<8)
 	}
 }
 

@@ -1,6 +1,10 @@
 package predictor
 
-import "testing"
+import (
+	"testing"
+
+	"branchreorder/internal/interp"
+)
 
 // lcg gives the tests a deterministic branch stream.
 type lcg struct{ s uint64 }
@@ -207,18 +211,19 @@ func TestBankLateNegativeID(t *testing.T) {
 	}
 }
 
-// TestBankMixedSpecs mixes duplicate and non-power-of-two sizes with
-// power-of-two ones in both widths, in no particular order.
+// mixedSpecs mixes duplicate and non-power-of-two sizes with
+// power-of-two ones in three widths, in no particular order.
+var mixedSpecs = []Spec{
+	{Bits: 2, Entries: 2048}, {Bits: 2, Entries: 100}, {Bits: 1, Entries: 64},
+	{Bits: 2, Entries: 32}, {Bits: 2, Entries: 100}, {Bits: 3, Entries: 48},
+	{Bits: 1, Entries: 64}, {Bits: 2, Entries: 2048}, {Bits: 1, Entries: 1},
+	{Bits: 2, Entries: 1000}, {Bits: 1, Entries: 33}, {Bits: 3, Entries: 48},
+}
+
 func TestBankMixedSpecs(t *testing.T) {
-	specs := []Spec{
-		{Bits: 2, Entries: 2048}, {Bits: 2, Entries: 100}, {Bits: 1, Entries: 64},
-		{Bits: 2, Entries: 32}, {Bits: 2, Entries: 100}, {Bits: 3, Entries: 48},
-		{Bits: 1, Entries: 64}, {Bits: 2, Entries: 2048}, {Bits: 1, Entries: 1},
-		{Bits: 2, Entries: 1000}, {Bits: 1, Entries: 33}, {Bits: 3, Entries: 48},
-	}
 	events := growingStream(21, 40000, 1100)
 	events = append(events, event{-7, true}, event{5, false}, event{-7, true}, event{3000, true})
-	checkAgainstBimodals(t, specs, events)
+	checkAgainstBimodals(t, mixedSpecs, events)
 }
 
 // TestBankResetAfterSplit: Reset must collapse the classes again, so a
@@ -267,11 +272,173 @@ func TestBankObserveAllocatesNothing(t *testing.T) {
 	}
 }
 
+// encode packs the events Replay can carry — IDs in [0,
+// interp.MaxBranchID] — with interp.BranchEvent, and drops the rest.
+func encode(events []event) ([]event, []uint32) {
+	var kept []event
+	var enc []uint32
+	for _, e := range events {
+		if e.id < 0 || int64(e.id) > interp.MaxBranchID {
+			continue
+		}
+		kept = append(kept, e)
+		enc = append(enc, interp.BranchEvent(e.id, e.taken))
+	}
+	return kept, enc
+}
+
+// replayCut replays enc in consecutive chunks whose sizes cycle through
+// sizes (zero-size chunks included), then the remainder in one chunk.
+func replayCut(bank *Bank, enc []uint32, sizes []int) {
+	total := 0
+	for _, k := range sizes {
+		total += k
+	}
+	for i := 0; total > 0 && len(enc) > 0; i++ {
+		k := min(sizes[i%len(sizes)], len(enc))
+		bank.Replay(enc[:k])
+		enc = enc[k:]
+	}
+	bank.Replay(enc)
+}
+
+// checkReplay feeds the representable events to a bank through Replay,
+// cut into chunks of the given sizes, and to one Bimodal per spec, and
+// demands bit-identical counts and Branches.
+func checkReplay(t *testing.T, specs []Spec, events []event, sizes []int) *Bank {
+	t.Helper()
+	kept, enc := encode(events)
+	bank := NewBank(specs)
+	replayCut(bank, enc, sizes)
+	for i, s := range specs {
+		ref := NewBimodal(s.Bits, s.Entries)
+		for _, e := range kept {
+			ref.Observe(e.id, e.taken)
+		}
+		if bank.MispredictsOf(i) != ref.Mispredicts {
+			t.Errorf("%s: replayed bank %d mispredicts, bimodal %d",
+				ref.Name(), bank.MispredictsOf(i), ref.Mispredicts)
+		}
+		if bank.Branches != ref.Branches {
+			t.Errorf("%s: replayed bank saw %d branches, bimodal %d",
+				ref.Name(), bank.Branches, ref.Branches)
+		}
+	}
+	return bank
+}
+
+// TestReplaySplitPositions puts the event that splits a class first, in
+// the middle and last in its chunk: Replay must regroup at exactly that
+// event, as Observe does.
+func TestReplaySplitPositions(t *testing.T) {
+	g := &lcg{s: 8}
+	var below []event
+	for i := 0; i < 300; i++ {
+		below = append(below, event{int(g.next() % 32), g.next()%3 != 0})
+	}
+	for _, tc := range []struct {
+		name string
+		at   int // index of the splitting event within its chunk
+	}{{"first", 0}, {"middle", 50}, {"last", 99}} {
+		t.Run(tc.name, func(t *testing.T) {
+			events := append([]event(nil), below[:200+tc.at]...)
+			// ID 40 splits the 32-entry tables off; later IDs alias in
+			// them, so a split one event early or late shows.
+			events = append(events, event{40, true})
+			events = append(events, below[200+tc.at:]...)
+			for i := 0; i < 200; i++ {
+				events = append(events, event{int(g.next() % 64), g.next()%2 == 0})
+			}
+			bank := checkReplay(t, Table6Specs(), events, []int{100})
+			if len(bank.active) != 4 {
+				t.Errorf("%d tables simulated after ID 40, want 4", len(bank.active))
+			}
+		})
+	}
+}
+
+// TestReplayMatchesObserve replays long streams that cross every
+// Table-6 size, and the mixed and non-power-of-two specs, in chunk
+// sizes that straddle the splits differently.
+func TestReplayMatchesObserve(t *testing.T) {
+	for _, sizes := range [][]int{{4096}, {1}, {7, 0, 300, 13}} {
+		checkReplay(t, Table6Specs(), growingStream(3, 60000, 2100), sizes)
+		checkReplay(t, mixedSpecs, growingStream(21, 40000, 1100), sizes)
+		checkReplay(t, []Spec{{Bits: 2, Entries: 100}, {Bits: 1, Entries: 100}, {Bits: 2, Entries: 64}},
+			growingStream(5, 20000, 1000), sizes)
+	}
+}
+
+// TestReplayEmptyChunk: an empty chunk changes neither counts nor state.
+func TestReplayEmptyChunk(t *testing.T) {
+	_, enc := encode(growingStream(9, 5000, 100))
+	bank, fresh := NewTable6Bank(), NewTable6Bank()
+	bank.Replay(nil)
+	bank.Replay(enc[:0])
+	if bank.Branches != 0 || bank.MispredictsOf(0) != 0 || len(bank.active) != 2 {
+		t.Fatalf("empty chunks moved a fresh bank: %d branches, %d tables", bank.Branches, len(bank.active))
+	}
+	bank.Replay(enc[:2500])
+	bank.Replay(enc[2500:2500])
+	bank.Replay(enc[2500:])
+	fresh.Replay(enc)
+	for i := 0; i < bank.Len(); i++ {
+		if bank.MispredictsOf(i) != fresh.MispredictsOf(i) {
+			t.Errorf("%s: %d mispredicts with empty chunks, %d without",
+				bank.Name(i), bank.MispredictsOf(i), fresh.MispredictsOf(i))
+		}
+	}
+	if bank.Branches != fresh.Branches {
+		t.Errorf("%d branches with empty chunks, %d without", bank.Branches, fresh.Branches)
+	}
+}
+
+// TestReplayAfterReset: a split bank, Reset, replays like a fresh one.
+func TestReplayAfterReset(t *testing.T) {
+	_, first := encode(growingStream(41, 10000, 3000))
+	_, second := encode(growingStream(42, 10000, 700))
+	bank, fresh := NewTable6Bank(), NewTable6Bank()
+	bank.Replay(first)
+	if len(bank.active) != 14 {
+		t.Fatalf("%d tables simulated before Reset, want 14", len(bank.active))
+	}
+	bank.Reset()
+	bank.Replay(second)
+	fresh.Replay(second)
+	for i := 0; i < bank.Len(); i++ {
+		if bank.MispredictsOf(i) != fresh.MispredictsOf(i) {
+			t.Errorf("%s: reset bank %d mispredicts, fresh %d",
+				bank.Name(i), bank.MispredictsOf(i), fresh.MispredictsOf(i))
+		}
+	}
+	if bank.Branches != fresh.Branches {
+		t.Errorf("reset bank saw %d branches, fresh %d", bank.Branches, fresh.Branches)
+	}
+}
+
+// TestReplayAllocatesNothing replays a chunk that splits every class.
+func TestReplayAllocatesNothing(t *testing.T) {
+	_, enc := encode(growingStream(43, 4096, 3000))
+	bank := NewTable6Bank()
+	allocs := testing.AllocsPerRun(50, func() {
+		bank.Reset()
+		bank.Replay(enc)
+	})
+	if len(bank.active) != 14 {
+		t.Errorf("%d tables simulated after the chunk, want 14", len(bank.active))
+	}
+	if allocs != 0 {
+		t.Errorf("Replay allocates %.1f times per chunk", allocs)
+	}
+}
+
 // FuzzBank decodes the input into (id, taken) events and demands that a
 // bank built from mixed specs count bit-identically to the Bimodal
 // fan-out. Each event takes three bytes: two for the ID (a high bit of
 // the first makes it negative, another scales it past every table) and
-// one whose low bit is the outcome.
+// one whose low bit is the outcome. The representable events are then
+// replayed through Replay in chunks whose sizes are the input's bytes
+// modulo 8.
 func FuzzBank(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 5, 1, 0, 5, 0, 0, 5, 1, 0, 31, 1})                     // IDs below 32
@@ -283,6 +450,10 @@ func FuzzBank(f *testing.F) {
 		Spec{Bits: 2, Entries: 100}, Spec{Bits: 2, Entries: 100},
 		Spec{Bits: 1, Entries: 1000}, Spec{Bits: 3, Entries: 48}, Spec{Bits: 2, Entries: 32})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sizes := make([]int, len(data))
+		for i, c := range data {
+			sizes[i] = int(c % 8)
+		}
 		var events []event
 		for ; len(data) >= 3; data = data[3:] {
 			id := int(data[0]&0x3f)<<8 | int(data[1])
@@ -295,6 +466,7 @@ func FuzzBank(f *testing.F) {
 			events = append(events, event{id, data[2]&1 != 0})
 		}
 		checkAgainstBimodals(t, specs, events)
+		checkReplay(t, specs, events, sizes)
 	})
 }
 

@@ -86,8 +86,9 @@ type Options struct {
 //
 // Execution is on the flat-decoded fast engine (interp.Decode +
 // interp.FastMachine); RunWith's Options.Engine selects the closure or
-// reference backend instead. The whole predictor battery is simulated by
-// one predictor.Bank pass per branch.
+// reference backend instead. Every engine records the branch stream in
+// chunks (OnBranches), and one predictor.Bank replays each chunk into
+// the whole predictor battery.
 func Run(prog *ir.Program, input []byte, specs []predictor.Spec) (*Measurement, error) {
 	return RunWith(prog, input, specs, Options{})
 }
@@ -100,7 +101,7 @@ func RunWith(prog *ir.Program, input []byte, specs []predictor.Spec, opts Option
 	} else {
 		bank = predictor.NewBank(specs)
 	}
-	onBranch := bank.Observe
+	onBranches := bank.Replay
 	var (
 		stats   interp.Stats
 		output  string
@@ -110,7 +111,7 @@ func RunWith(prog *ir.Program, input []byte, specs []predictor.Spec, opts Option
 	)
 	switch opts.Engine {
 	case EngineReference:
-		m := &interp.Machine{Prog: prog, Input: input, OnBranch: onBranch}
+		m := &interp.Machine{Prog: prog, Input: input, OnBranches: onBranches}
 		r, err := m.Run()
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
@@ -121,7 +122,7 @@ func RunWith(prog *ir.Program, input []byte, specs []predictor.Spec, opts Option
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		m := &interp.ClosureMachine{Code: code, Input: input, OnBranch: onBranch}
+		m := &interp.ClosureMachine{Code: code, Input: input, OnBranches: onBranches}
 		r, err := m.Run()
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
@@ -133,7 +134,7 @@ func RunWith(prog *ir.Program, input []byte, specs []predictor.Spec, opts Option
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		m := &interp.FastMachine{Code: code, Input: input, OnBranch: onBranch}
+		m := &interp.FastMachine{Code: code, Input: input, OnBranches: onBranches}
 		r, err := m.Run()
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
