@@ -11,17 +11,7 @@
 // build+measure jobs. The job matrix shards across machines: -shard i/n
 // runs one deterministic partition and -export writes its measurements;
 // -merge loads exported shards and renders the full tables byte-identical
-// to a single-process run. Both work for -ablation too. With -store-url,
-// a fleet-shared brstored server becomes a third cache tier behind the
-// memo and the disk store: local misses are fetched remotely, fresh
-// builds are uploaded, and any remote failure falls back to the local
-// tiers without failing the run.
-//
-// Against a brstored -queue coordinator the same binary self-organizes
-// into a build farm — no hand-chosen shards, stragglers re-offered after
-// one lease TTL: -enqueue submits the matrix, any number of -worker
-// processes pull jobs under TTL leases, and -collect waits for the drain
-// and renders output byte-identical to a single-process run.
+// to a single-process run. Both work for -ablation too.
 //
 //	brbench                 # everything
 //	brbench -j 4            # same, at most 4 concurrent builds
@@ -30,14 +20,10 @@
 //	brbench -workloads wc,sort -table 8   # a subset of the roster
 //	brbench -cache-dir ~/.cache/brbench   # warm-start later runs
 //	brbench -cache-dir D -cache-gc 720h   # evict month-old entries first
-//	brbench -store-url http://build42:8370  # share results fleet-wide
 //	brbench -shard 0/2 -export s0.json    # machine A's half of the matrix
 //	brbench -shard 1/2 -export s1.json    # machine B's half
 //	brbench -merge s0.json,s1.json        # full tables from both shards
 //	brbench -json runs.json               # machine-readable measurements
-//	brbench -enqueue http://build42:8370  # submit the matrix to the farm
-//	brbench -worker http://build42:8370   # pull and build jobs until drained
-//	brbench -collect http://build42:8370  # assemble the farm's full output
 package main
 
 import (
@@ -54,7 +40,6 @@ import (
 
 	"branchreorder/internal/bench"
 	"branchreorder/internal/bench/store"
-	"branchreorder/internal/bench/storenet"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
 	"branchreorder/internal/sim"
@@ -79,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profRates = fs.String("profile-rates", "1,8,64,512", "comma-separated sample rates for -profile-study (1 is the exact reference and must be present)")
 		profSeed  = fs.Uint64("profile-seed", 1, "deterministic sampling seed for -profile-study")
 		profBias  = fs.Uint64("profile-bias", 0, "fault injection for -profile-study: corrupt every sampled sequence's first arm count by this much")
-		profMerge = fs.Bool("profile-merge", false, "fold every training run into a persistent merged-profile record and train from the decayed fold (needs -cache-dir or -store-url)")
+		profMerge = fs.Bool("profile-merge", false, "fold every training run into a persistent merged-profile record and train from the decayed fold (needs -cache-dir)")
 		quiet     = fs.Bool("q", false, "suppress progress output and the timing summary")
 		jobs      = fs.Int("j", 0, "max concurrent build+measure jobs (<=0 means GOMAXPROCS)")
 		workloads = fs.String("workloads", "", "comma-separated workload subset (default: all 17)")
@@ -88,15 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		export    = fs.String("export", "", "write the run's measurements to this file instead of rendering tables")
 		merge     = fs.String("merge", "", "comma-separated exported shard files to load before rendering")
 		jsonOut   = fs.String("json", "", "also write every measured run to this file as JSON")
-		storeURL  = fs.String("store-url", "", "fleet-shared brstored result store (third cache tier behind -cache-dir)")
-		storeTO   = fs.Duration("store-timeout", 10*time.Second, "per-request timeout for -store-url operations")
-		enqueue   = fs.String("enqueue", "", "submit the job matrix to this brstored -queue coordinator and exit")
-		workerURL = fs.String("worker", "", "run as a build-farm worker: lease jobs from this coordinator URL until drained")
-		collect   = fs.String("collect", "", "wait for the farm at this coordinator URL to drain, then render from its store")
-		workerID  = fs.String("worker-id", "", "worker identity reported to the coordinator (default hostname-pid)")
-		farmPoll  = fs.Duration("farm-poll", 500*time.Millisecond, "poll interval while waiting on the farm queue (-worker idle, -collect)")
-		dieAfter  = fs.Int("die-after-leases", 0, "fault injection: exit without completing after acquiring this many leases (requires -worker)")
-		collectTO = fs.Duration("collect-timeout", 10*time.Minute, "-collect gives up if the farm has not drained after this long")
 		cacheGC   = fs.Duration("cache-gc", 0, "before running, evict -cache-dir entries older than this age")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -152,23 +128,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	farmRoles := 0
-	for _, u := range []string{*enqueue, *workerURL, *collect} {
-		if u != "" {
-			farmRoles++
-		}
-	}
 	switch {
-	case farmRoles > 1:
-		return fail(fmt.Errorf("-enqueue, -worker and -collect are different farm roles; pick one"))
-	case (*enqueue != "" || *workerURL != "") && (*table != 0 || *figure != 0 || *jsonOut != "" || *export != "" || *merge != "" || shardN > 0):
-		return fail(fmt.Errorf("-enqueue and -worker render nothing; drop -table/-figure/-json/-export/-merge/-shard"))
-	case *collect != "" && (*export != "" || *merge != "" || shardN > 0):
-		return fail(fmt.Errorf("-collect renders from the farm store; it cannot be combined with -shard/-export/-merge"))
-	case *dieAfter < 0:
-		return fail(fmt.Errorf("-die-after-leases needs a positive count, got %d", *dieAfter))
-	case *dieAfter > 0 && *workerURL == "":
-		return fail(fmt.Errorf("-die-after-leases is worker fault injection; add -worker URL"))
+	case *table != 0 && (*table < 2 || *table > 8):
+		return fail(fmt.Errorf("no table %d (have 2-8)", *table))
+	case *figure != 0 && (*figure < 11 || *figure > 13):
+		return fail(fmt.Errorf("no figure %d (have 11-13)", *figure))
+	case *table != 0 && *figure != 0:
+		return fail(fmt.Errorf("-table and -figure each select one experiment; pick one"))
 	case shardN > 0 && *export == "":
 		return fail(fmt.Errorf("-shard runs a partial job matrix, which cannot render tables: add -export FILE"))
 	case *merge != "" && (*export != "" || shardN > 0):
@@ -183,15 +149,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-cache-gc needs a positive age, got %v", *cacheGC))
 	case *profStudy && (*ablation || *table != 0 || *figure != 0 || *jsonOut != ""):
 		return fail(fmt.Errorf("-profile-study renders its own table; drop -ablation/-table/-figure/-json"))
-	case *profStudy && (*enqueue != "" || *workerURL != "" || *collect != ""):
-		return fail(fmt.Errorf("-profile-study does not run on the farm; drop -enqueue/-worker/-collect"))
 	case *profStudy && *profMerge:
 		return fail(fmt.Errorf("-profile-study scores fresh training runs; -profile-merge would make its table depend on store history"))
 	case !*profStudy && (*profRates != "1,8,64,512" || *profSeed != 1 || *profBias != 0):
 		return fail(fmt.Errorf("-profile-rates, -profile-seed and -profile-bias configure the study; add -profile-study"))
-	case *profMerge && *cacheDir == "" && *storeURL == "" && *workerURL == "" && *collect == "":
-		return fail(fmt.Errorf("-profile-merge persists profiles across runs; add -cache-dir DIR or -store-url URL"))
-	case *superinst && (*ablation || *profStudy || *table != 0 || *figure != 0 || *jsonOut != "" || *export != "" || *merge != "" || shardN > 0 || farmRoles > 0):
+	case *profMerge && *cacheDir == "":
+		return fail(fmt.Errorf("-profile-merge persists profiles across runs; add -cache-dir DIR"))
+	case *superinst && (*ablation || *profStudy || *table != 0 || *figure != 0 || *jsonOut != "" || *export != "" || *merge != "" || shardN > 0):
 		return fail(fmt.Errorf("-superinst-report renders its own table from fresh mining runs; drop the other modes"))
 	case *superinst && *noFuse:
 		return fail(fmt.Errorf("-superinst-report mines the unfused stream already; drop -no-fuse"))
@@ -234,15 +198,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// -enqueue only talks to the coordinator; no engine, no rendering.
-	if *enqueue != "" {
-		jobList := bench.SuiteJobs(ws)
-		if *ablation {
-			jobList = bench.AblationJobs(lower.SetIII, ws)
-		}
-		return runEnqueue(*enqueue, *storeTO, bench.ModJobs(jobList, mod), stdout, stderr)
-	}
-
 	var progress io.Writer = stderr
 	if *quiet {
 		progress = nil
@@ -255,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		if *cacheGC > 0 {
-			res, err := st.GC(*cacheGC, 0)
+			res, err := st.GC(*cacheGC)
 			if err != nil {
 				return fail(err)
 			}
@@ -265,28 +220,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		engine.UseStore(st)
-	}
-	// A farm worker or collector talks to the coordinator's result store
-	// too: the queue carries job identities, the store carries results.
-	if *storeURL == "" {
-		if *workerURL != "" {
-			*storeURL = *workerURL
-		} else if *collect != "" {
-			*storeURL = *collect
-		}
-	}
-	var remote *storenet.Client
-	if *storeURL != "" {
-		logf := func(string, ...interface{}) {}
-		if !*quiet {
-			logf = func(format string, args ...interface{}) { fmt.Fprintf(stderr, format, args...) }
-		}
-		client, err := storenet.NewClient(*storeURL, storenet.ClientConfig{Timeout: *storeTO, Logf: logf})
-		if err != nil {
-			return fail(err)
-		}
-		remote = client
-		engine.UseRemote(client)
 	}
 	start := time.Now()
 	ctx := context.Background()
@@ -306,13 +239,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, ", %d disk hits, %d disk misses, %d disk invalidated",
 					st.DiskHits, st.DiskMisses, st.DiskInvalid)
 			}
-			if *storeURL != "" {
-				fmt.Fprintf(stderr, ", %d remote hits, %d remote misses, %d remote fallbacks, %d remote puts",
-					st.RemoteHits, st.RemoteMisses, st.RemoteFallbacks, st.RemotePuts)
-			}
 			if shardStats != nil {
-				fmt.Fprintf(stderr, "; merged shards: %d builds, %d disk hits, %d remote hits, %d remote fallbacks",
-					shardStats.Builds, shardStats.DiskHits, shardStats.RemoteHits, shardStats.RemoteFallbacks)
+				fmt.Fprintf(stderr, "; merged shards: %d builds, %d disk hits",
+					shardStats.Builds, shardStats.DiskHits)
 			}
 			fmt.Fprintf(stderr, ", %.2fs elapsed (-j %d)\n", time.Since(start).Seconds(), engine.Jobs())
 			if st.FrontendRuns+st.FrontendHits+st.TrainRuns+st.TrainHits > 0 {
@@ -358,25 +287,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}()
-
-	if *workerURL != "" {
-		id := *workerID
-		if id == "" {
-			id = defaultWorkerID()
-		}
-		return runWorker(ctx, engine, remote,
-			workerConfig{id: id, poll: *farmPoll, dieAfter: *dieAfter, quiet: *quiet}, stderr)
-	}
-	if *collect != "" {
-		jobList := bench.SuiteJobs(ws)
-		if *ablation {
-			jobList = bench.AblationJobs(lower.SetIII, ws)
-		}
-		jobList = bench.ModJobs(jobList, mod)
-		if err := collectFarm(ctx, engine, remote, jobList, *collectTO, *farmPoll, *quiet, stderr); err != nil {
-			return fail(err)
-		}
-	}
 
 	// exportRuns measures jobList (or its -shard partition) and writes
 	// the records plus this engine's cache counters, so a later -merge
@@ -482,6 +392,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // parseRates parses the -profile-rates list.
 func parseRates(s string) ([]int, error) {
 	var rates []int
+	seen := map[int]bool{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -491,6 +402,10 @@ func parseRates(s string) ([]int, error) {
 		if _, err := fmt.Sscanf(part, "%d", &r); err != nil || fmt.Sprintf("%d", r) != part || r < 1 {
 			return nil, fmt.Errorf("-profile-rates must be positive integers, got %q", part)
 		}
+		if seen[r] {
+			return nil, fmt.Errorf("-profile-rates lists rate %d twice", r)
+		}
+		seen[r] = true
 		rates = append(rates, r)
 	}
 	if len(rates) == 0 {

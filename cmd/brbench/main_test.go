@@ -3,15 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"branchreorder/internal/bench/store"
-	"branchreorder/internal/bench/storenet"
 )
 
 func capture(t *testing.T, args ...string) (stdout, stderr string, code int) {
@@ -78,18 +74,32 @@ func TestSummaryLine(t *testing.T) {
 	}
 }
 
+// Bad selectors fail before the engine runs: exit 1, and no build
+// summary on stderr.
 func TestBadInputs(t *testing.T) {
-	if _, _, code := capture(t, "-workloads", "nosuch", "-table", "4"); code == 0 {
-		t.Error("unknown workload accepted")
+	cache := t.TempDir()
+	for name, args := range map[string][]string{
+		"unknown workload":   {"-workloads", "nosuch", "-table", "4"},
+		"empty workloads":    {"-workloads", ",", "-table", "4"},
+		"table 99":           {"-workloads", "wc", "-table", "99"},
+		"table 1":            {"-workloads", "wc", "-table", "1"},
+		"negative table":     {"-workloads", "wc", "-table", "-4"},
+		"figure 9":           {"-workloads", "wc", "-figure", "9"},
+		"figure 14":          {"-workloads", "wc", "-figure", "14"},
+		"table and figure":   {"-workloads", "wc", "-table", "4", "-figure", "11"},
+		"static and figure":  {"-workloads", "wc", "-table", "2", "-figure", "11"},
+		"table 1, cache dir": {"-workloads", "wc", "-table", "1", "-cache-dir", cache},
+	} {
+		_, stderr, code := capture(t, args...)
+		if code != 1 {
+			t.Errorf("%s: exited %d, want 1", name, code)
+		}
+		if strings.Contains(stderr, "builds") {
+			t.Errorf("%s: ran the engine before failing: %q", name, stderr)
+		}
 	}
-	if _, _, code := capture(t, "-workloads", ",", "-table", "4"); code == 0 {
-		t.Error("empty workload list accepted")
-	}
-	if _, _, code := capture(t, "-workloads", "wc", "-table", "99"); code == 0 {
-		t.Error("unknown table accepted")
-	}
-	if _, _, code := capture(t, "-workloads", "wc", "-figure", "9"); code == 0 {
-		t.Error("unknown figure accepted")
+	if entries, err := os.ReadDir(cache); err != nil || len(entries) != 0 {
+		t.Errorf("a rejected run wrote to -cache-dir: %d entries, %v", len(entries), err)
 	}
 	if _, _, code := capture(t, "-nosuchflag"); code != 2 {
 		t.Error("bad flag not rejected with usage exit code")
@@ -240,88 +250,23 @@ func TestUnknownWorkloadListsRoster(t *testing.T) {
 
 func TestShardFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{"-shard", "0/2"},                            // -shard without -export
-		{"-shard", "2/2", "-export", "x.json"},       // index out of range
-		{"-shard", "0-2", "-export", "x.json"},       // malformed
-		{"-shard", "0/2/9", "-export", "x.json"},     // trailing junk
-		{"-shard", "-1/2", "-export", "x.json"},      // negative
-		{"-merge", "a.json", "-export", "b.json"},    // merge+export
-		{"-merge", "a.json", "-shard", "0/2"},        // merge+shard
-		{"-export", "x.json", "-table", "4"},         // export renders nothing
-		{"-ablation", "-json", "x.json"},             // ablation+json
-		{"-cache-gc", "1h"},                          // gc without a cache dir
-		{"-cache-gc", "-1h", "-cache-dir", t.TempDir()}, // negative age
-		{"-store-url", "not a url", "-table", "4"},   // unusable store URL
+		{"-shard", "0/2"},                                      // -shard without -export
+		{"-shard", "2/2", "-export", "x.json"},                 // index out of range
+		{"-shard", "0-2", "-export", "x.json"},                 // malformed
+		{"-shard", "0/2/9", "-export", "x.json"},               // trailing junk
+		{"-shard", "-1/2", "-export", "x.json"},                // negative
+		{"-merge", "a.json", "-export", "b.json"},              // merge+export
+		{"-merge", "a.json", "-shard", "0/2"},                  // merge+shard
+		{"-export", "x.json", "-table", "4"},                   // export renders nothing
+		{"-ablation", "-json", "x.json"},                       // ablation+json
+		{"-cache-gc", "1h"},                                    // gc without a cache dir
+		{"-cache-gc", "-1h", "-cache-dir", t.TempDir()},        // negative age
 		{"-merge", filepath.Join(t.TempDir(), "missing.json")}, // unreadable shard
 	}
 	for _, args := range cases {
 		if _, _, code := capture(t, args...); code == 0 {
 			t.Errorf("%v accepted", args)
 		}
-	}
-}
-
-// The acceptance loop of the fleet-wide store: one machine populates a
-// brstored server, and a second machine — cold memo, cold disk cache —
-// runs with zero builds and byte-identical output.
-func TestStoreURLWarmStartsColdCache(t *testing.T) {
-	pool, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(storenet.NewServer(pool).Handler())
-	defer hs.Close()
-
-	local, _, code := capture(t, "-q", "-workloads", "wc,sort", "-table", "4")
-	if code != 0 {
-		t.Fatalf("local-only run exited %d", code)
-	}
-
-	first, firstErr, code := capture(t, "-workloads", "wc,sort", "-table", "4",
-		"-cache-dir", t.TempDir(), "-store-url", hs.URL)
-	if code != 0 {
-		t.Fatalf("first -store-url run exited %d: %s", code, firstErr)
-	}
-	if !strings.Contains(firstErr, "remote misses") || !strings.Contains(firstErr, "remote puts") {
-		t.Errorf("summary missing remote counters: %q", firstErr)
-	}
-
-	second, secondErr, code := capture(t, "-workloads", "wc,sort", "-table", "4",
-		"-cache-dir", t.TempDir(), "-store-url", hs.URL)
-	if code != 0 {
-		t.Fatalf("second -store-url run exited %d: %s", code, secondErr)
-	}
-	if first != local || second != local {
-		t.Errorf("-store-url output differs from local-only output")
-	}
-	if !strings.Contains(secondErr, "brbench: 0 builds") {
-		t.Errorf("second run over a warm pool still built: %q", secondErr)
-	}
-	if strings.Contains(secondErr, "0 remote hits") || !strings.Contains(secondErr, "remote hits") {
-		t.Errorf("second run did not hit the remote store: %q", secondErr)
-	}
-}
-
-// An unreachable -store-url must cost fallbacks, not the run: output
-// stays correct and the summary reports the degradation.
-func TestStoreURLDeadServerFallsBack(t *testing.T) {
-	local, _, code := capture(t, "-q", "-workloads", "wc", "-table", "4")
-	if code != 0 {
-		t.Fatalf("local-only run exited %d", code)
-	}
-	out, stderr, code := capture(t, "-workloads", "wc", "-table", "4",
-		"-store-url", "http://127.0.0.1:1", "-store-timeout", "1s")
-	if code != 0 {
-		t.Fatalf("run with a dead store exited %d: %s", code, stderr)
-	}
-	if out != local {
-		t.Errorf("dead-store output differs from local-only output")
-	}
-	if !strings.Contains(stderr, "falling back to local tiers") {
-		t.Errorf("missing degradation notice: %q", stderr)
-	}
-	if strings.Contains(stderr, "0 remote fallbacks") || !strings.Contains(stderr, "remote fallbacks") {
-		t.Errorf("summary does not report the fallbacks: %q", stderr)
 	}
 }
 

@@ -50,10 +50,10 @@ func TestProfileStudyFlagValidation(t *testing.T) {
 		"study with table":    {"-profile-study", "-table", "4", "-workloads", "wc"},
 		"study with json":     {"-profile-study", "-json", "x.json", "-workloads", "wc"},
 		"study with merge":    {"-profile-study", "-profile-merge", "-workloads", "wc"},
-		"study on the farm":   {"-profile-study", "-enqueue", "http://x", "-workloads", "wc"},
 		"merge without store": {"-profile-merge", "-workloads", "wc"},
 		"garbage rates":       {"-profile-study", "-profile-rates", "1,zap", "-workloads", "wc"},
 		"zero rate":           {"-profile-study", "-profile-rates", "1,0", "-workloads", "wc"},
+		"repeated rate":       {"-profile-study", "-profile-rates", "1,1,64", "-workloads", "wc"},
 		"no reference rate":   {"-profile-study", "-profile-rates", "8,64", "-workloads", "wc"},
 	} {
 		if _, _, code := capture(t, args...); code == 0 {

@@ -17,15 +17,6 @@
 // how CI holds each PR against the committed baseline:
 //
 //	go run ./cmd/brperf -compare -threshold 50 BENCH_baseline.json new.json
-//
-// -server switches brperf from micro-benchmarks to macro load: it
-// drives a running brstored with a deterministic mixed workload
-// (internal/bench/loadgen) and reports per-op-class throughput and
-// latency percentiles. -json emits the load document committed as
-// LOAD_baseline.json; -compare understands both document kinds:
-//
-//	go run ./cmd/brperf -server http://127.0.0.1:8745 -duration 10s -json -o LOAD_baseline.json
-//	go run ./cmd/brperf -compare -threshold 200 LOAD_baseline.json load_new.json
 package main
 
 import (
@@ -37,9 +28,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
-	"branchreorder/internal/bench/loadgen"
 	"branchreorder/internal/interp"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
@@ -63,42 +52,58 @@ type document struct {
 	// Host records where the benchmarks ran (CPU count, GOMAXPROCS,
 	// CPU model). -compare prints it but never gates on it, so drift
 	// between baselines taken on different machines is diagnosable.
-	Host       *loadgen.HostInfo `json:"host,omitempty"`
+	Host       *hostInfo         `json:"host,omitempty"`
 	Benchmarks map[string]result `json:"benchmarks"`
+}
+
+// hostInfo identifies the hardware a document was produced on.
+type hostInfo struct {
+	NumCPU     int    `json:"numCPU"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpuModel,omitempty"`
+}
+
+// collectHost gathers the running host's info. The CPU model comes from
+// /proc/cpuinfo when readable (Linux); elsewhere it stays empty.
+func collectHost() *hostInfo {
+	h := &hostInfo{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if name, ok := strings.CutPrefix(line, "model name"); ok {
+				if _, val, ok := strings.Cut(name, ":"); ok {
+					h.CPUModel = strings.TrimSpace(val)
+					break
+				}
+			}
+		}
+	}
+	return h
+}
+
+func (h *hostInfo) String() string {
+	if h == nil {
+		return "unknown host"
+	}
+	s := fmt.Sprintf("%d cpus, gomaxprocs %d", h.NumCPU, h.GOMAXPROCS)
+	if h.CPUModel != "" {
+		s += ", " + h.CPUModel
+	}
+	return s
 }
 
 func main() {
 	out := flag.String("o", "", "write JSON here instead of stdout")
 	doCompare := flag.Bool("compare", false, "compare two result files: brperf -compare [-threshold pct] OLD.json NEW.json")
 	threshold := flag.Float64("threshold", 25, "with -compare, fail if any benchmark slows down by more than this percentage")
-	server := flag.String("server", "", "load-test a running brstored at this base URL instead of benchmarking")
-	duration := flag.Duration("duration", 10*time.Second, "with -server, how long to generate load")
-	clients := flag.Int("clients", 8, "with -server, concurrent closed-loop clients")
-	mix := flag.String("mix", "get=70,put=20,batch=5,queue=5", "with -server, op-class weights")
-	seed := flag.Uint64("seed", 1, "with -server, workload stream seed (same seed, same op streams)")
-	abandon := flag.Float64("abandon", 0.1, "with -server, fraction of queue lifecycles abandoned after leasing")
-	jsonOut := flag.Bool("json", false, "with -server, emit the machine-readable load document instead of a summary")
 	flag.Parse()
 	var err error
-	switch {
-	case *doCompare:
+	if *doCompare {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "usage: brperf -compare [-threshold pct] OLD.json NEW.json")
 			os.Exit(2)
 		}
-		err = compareDispatch(flag.Arg(0), flag.Arg(1), *threshold)
-	case *server != "":
-		err = runLoad(loadFlags{
-			server:   *server,
-			duration: *duration,
-			clients:  *clients,
-			mix:      *mix,
-			seed:     *seed,
-			abandon:  *abandon,
-			jsonOut:  *jsonOut,
-			out:      *out,
-		})
-	default:
+		err = compare(flag.Arg(0), flag.Arg(1), *threshold)
+	} else {
 		err = run(*out)
 	}
 	if err != nil {
@@ -246,7 +251,7 @@ func run(out string) error {
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
-		Host:       loadgen.CollectHost(),
+		Host:       collectHost(),
 		Benchmarks: map[string]result{},
 	}
 	record := func(name string, r testing.BenchmarkResult) {

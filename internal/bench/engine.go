@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"branchreorder/internal/bench/store"
-	"branchreorder/internal/bench/storenet"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
 	"branchreorder/internal/sim"
@@ -34,8 +33,8 @@ func BaseOptions(set lower.HeuristicSet) pipeline.Options {
 }
 
 // EngineStats summarizes an engine's cache behaviour across its tiers
-// (memo → disk → remote). It is the serializable store.TierStats, so
-// shard exports carry it and merged runs can total every shard's cache
+// (memo → disk). It is the serializable store.TierStats, so shard
+// exports carry it and merged runs can total every shard's cache
 // activity.
 type EngineStats = store.TierStats
 
@@ -50,8 +49,7 @@ type Engine struct {
 	jobs     int
 	progress io.Writer
 	sem      chan struct{}
-	disk     *store.Store     // optional second cache tier; nil means memory-only
-	remote   *storenet.Client // optional third tier: a fleet-shared brstored server
+	disk     *store.Store // optional second cache tier; nil means memory-only
 
 	// Measure configures the measurement engine for every fresh build
 	// (e.g. superinstruction fusion off, for `brbench -no-fuse`). Set it
@@ -62,10 +60,10 @@ type Engine struct {
 	// stages memoizes the build pipeline's cacheable stages (frontend,
 	// detect+train) across jobs, so the ablation grid performs one
 	// frontend and one training run per (workload, set, detection
-	// config) instead of one per variant. When a disk or remote tier is
-	// attached, stage-2 products also persist as content-addressed
-	// profile records, letting warm caches skip training runs even for
-	// Transform combinations that miss the whole-build tier.
+	// config) instead of one per variant. When a disk tier is attached,
+	// stage-2 products also persist as content-addressed profile
+	// records, letting warm caches skip training runs even for Transform
+	// combinations that miss the whole-build tier.
 	stages *pipeline.StageCache
 
 	mu    sync.Mutex // guards cache, shares, stats, and progress writes
@@ -140,15 +138,6 @@ func (e *Engine) Jobs() int { return e.jobs }
 // in-memory memo: every memo miss probes the store before building, and
 // every fresh build is written back. Attach it before the first Get.
 func (e *Engine) UseStore(s *store.Store) { e.disk = s }
-
-// UseRemote attaches a fleet-shared network store as a third cache tier
-// behind the disk store: probed only when memo and disk both miss, and
-// written back after every fresh build. Remote hits are written through
-// to the disk tier (when one is attached) so the next run on this
-// machine warms locally. Remote failures never fail a run — the client
-// degrades to the local tiers and the fallback is counted. Attach it
-// before the first Get.
-func (e *Engine) UseRemote(c *storenet.Client) { e.remote = c }
 
 // Seed installs an already-measured run — typically loaded from an
 // exported shard — into the memo cache, so a later Get for the same
@@ -235,10 +224,8 @@ func (e *Engine) Get(ctx context.Context, w workload.Workload, opts pipeline.Opt
 	// worker pool — reading an entry is cheap). Anything unusable is a
 	// miss; Invalid is counted separately so invalidations are visible.
 	var fp string
-	if e.disk != nil || e.remote != nil {
-		fp = store.Fingerprint(w.Source, TrainInput(w, opts), w.Test(), opts)
-	}
 	if e.disk != nil {
+		fp = store.Fingerprint(w.Source, TrainInput(w, opts), w.Test(), opts)
 		rec, st := e.disk.Get(fp)
 		if st == store.Hit {
 			run, err := RunFromRecord(rec, w)
@@ -262,39 +249,6 @@ func (e *Engine) Get(ctx context.Context, w workload.Workload, opts pipeline.Opt
 		e.mu.Unlock()
 	}
 
-	// Remote tier: with both local tiers cold, ask the fleet's shared
-	// store before paying for a build. A hit is written through to the
-	// disk tier so this machine serves it locally next time. Any remote
-	// failure is absorbed as a fallback — the build below still runs.
-	if e.remote != nil {
-		rec, out := e.remote.Get(ctx, fp)
-		if out == storenet.Hit {
-			if run, rerr := RunFromRecord(rec, w); rerr == nil {
-				e.mu.Lock()
-				e.stats.RemoteHits++
-				e.mu.Unlock()
-				e.logf("remote hit %-8s heuristic set %v%s\n", w.Name, opts.Switch, optsSuffix(opts))
-				if e.disk != nil {
-					if perr := e.disk.Put(fp, rec); perr != nil {
-						e.logf("store write failed: %v\n", perr)
-					}
-				}
-				ent.run = run
-				return ent.run, nil
-			}
-			// The server validated the entry yet it would not
-			// reconstitute here: degrade, don't trust it.
-			out = storenet.Fallback
-		}
-		e.mu.Lock()
-		if out == storenet.Miss {
-			e.stats.RemoteMisses++
-		} else {
-			e.stats.RemoteFallbacks++
-		}
-		e.mu.Unlock()
-	}
-
 	if err := e.acquire(ctx); err != nil {
 		ent.err = err
 		return nil, err
@@ -304,24 +258,10 @@ func (e *Engine) Get(ctx context.Context, w workload.Workload, opts pipeline.Opt
 	e.mu.Unlock()
 	e.logf("building %-8s heuristic set %v%s\n", w.Name, opts.Switch, optsSuffix(opts))
 	ent.run, ent.err = e.build(ctx, w, opts)
-	if ent.err == nil && (e.disk != nil || e.remote != nil) {
+	if ent.err == nil && e.disk != nil {
 		// A write failure costs only the cache entry, not the run.
-		rec := ent.run.Record()
-		if e.disk != nil {
-			if perr := e.disk.Put(fp, rec); perr != nil {
-				e.logf("store write failed: %v\n", perr)
-			}
-		}
-		if e.remote != nil {
-			if perr := e.remote.Put(ctx, fp, rec); perr != nil {
-				e.mu.Lock()
-				e.stats.RemoteFallbacks++
-				e.mu.Unlock()
-			} else {
-				e.mu.Lock()
-				e.stats.RemotePuts++
-				e.mu.Unlock()
-			}
+		if perr := e.disk.Put(fp, ent.run.Record()); perr != nil {
+			e.logf("store write failed: %v\n", perr)
 		}
 	}
 	return ent.run, ent.err
@@ -454,68 +394,38 @@ func (e *Engine) measure(front *pipeline.FrontendProduct, sh *share, w workload.
 	return sh.run, sh.err
 }
 
-// profileTier adapts the engine's disk and remote tiers into the stage
-// cache's persistent store for stage-2 training products. Remote hits
-// are written through to the disk tier, and fresh products go to both —
-// the same discipline as whole-build records. All remote operations are
-// best-effort: a failure just means the training run happens here.
+// profileTier adapts the engine's disk tier into the stage cache's
+// persistent store for stage-2 training products. Writes are
+// best-effort: a failure just means a later run trains again.
 type profileTier struct{ e *Engine }
 
 func (p profileTier) GetProfile(src string, train []byte, fo pipeline.FrontendOptions, d pipeline.DetectOptions) (*pipeline.TrainProduct, bool) {
 	e := p.e
-	if e.disk == nil && e.remote == nil {
+	if e.disk == nil {
 		return nil, false
 	}
-	fp := store.ProfileFingerprint(src, train, fo, d)
-	if e.disk != nil {
-		if rec, st := e.disk.GetProfile(fp); st == store.Hit {
-			e.mu.Lock()
-			e.stats.ProfileHits++
-			e.mu.Unlock()
-			return rec.Train(), true
-		}
+	rec, st := e.disk.GetProfile(store.ProfileFingerprint(src, train, fo, d))
+	if st != store.Hit {
+		return nil, false
 	}
-	if e.remote != nil {
-		if rec, out := e.remote.GetProfile(context.Background(), fp); out == storenet.Hit {
-			e.mu.Lock()
-			e.stats.ProfileHits++
-			e.mu.Unlock()
-			if e.disk != nil {
-				if perr := e.disk.PutProfile(fp, rec); perr != nil {
-					e.logf("profile store write failed: %v\n", perr)
-				}
-			}
-			return rec.Train(), true
-		}
-	}
-	return nil, false
+	e.mu.Lock()
+	e.stats.ProfileHits++
+	e.mu.Unlock()
+	return rec.Train(), true
 }
 
 func (p profileTier) PutProfile(src string, train []byte, fo pipeline.FrontendOptions, d pipeline.DetectOptions, tp *pipeline.TrainProduct) {
 	e := p.e
-	if e.disk == nil && e.remote == nil {
+	if e.disk == nil {
 		return
 	}
-	fp := store.ProfileFingerprint(src, train, fo, d)
-	rec := store.FromTrain(tp)
-	stored := false
-	if e.disk != nil {
-		if perr := e.disk.PutProfile(fp, rec); perr != nil {
-			e.logf("profile store write failed: %v\n", perr)
-		} else {
-			stored = true
-		}
+	if perr := e.disk.PutProfile(store.ProfileFingerprint(src, train, fo, d), store.FromTrain(tp)); perr != nil {
+		e.logf("profile store write failed: %v\n", perr)
+		return
 	}
-	if e.remote != nil {
-		if perr := e.remote.PutProfile(context.Background(), fp, rec); perr == nil {
-			stored = true
-		}
-	}
-	if stored {
-		e.mu.Lock()
-		e.stats.ProfilePuts++
-		e.mu.Unlock()
-	}
+	e.mu.Lock()
+	e.stats.ProfilePuts++
+	e.mu.Unlock()
 }
 
 // MergeProfile folds a just-trained product into the persistent
@@ -523,51 +433,25 @@ func (p profileTier) PutProfile(src string, train []byte, fo pipeline.FrontendOp
 // decay-weighted sum of this and every previously accumulated training
 // input. The merged fingerprint deliberately ignores the training input
 // and the drift choice, so successive runs over different inputs pile
-// into one record. Reads prefer the disk tier; the updated record is
-// written back to both tiers best-effort. A nil return means no
-// persistent tier is attached and the caller should use the solo
-// product; reused reports whether prior contributions were folded in.
+// into one record. The updated record is written back best-effort. A nil
+// return means no disk tier is attached and the caller should use the
+// solo product; reused reports whether prior contributions were folded
+// in.
 func (p profileTier) MergeProfile(src string, train []byte, fo pipeline.FrontendOptions, d pipeline.DetectOptions, tp *pipeline.TrainProduct) (*pipeline.TrainProduct, bool) {
 	e := p.e
-	if e.disk == nil && e.remote == nil {
+	if e.disk == nil {
 		return nil, false
 	}
 	fp := store.MergedFingerprint(src, fo, d)
-	var rec *store.MergedRecord
-	if e.disk != nil {
-		if r, st := e.disk.GetMerged(fp); st == store.Hit {
-			rec = r
-		}
-	}
-	if rec == nil && e.remote != nil {
-		if r, out := e.remote.GetMerged(context.Background(), fp); out == storenet.Hit {
-			rec = r
-			if e.disk != nil {
-				if perr := e.disk.PutMerged(fp, r); perr != nil {
-					e.logf("profile store write failed: %v\n", perr)
-				}
-			}
-		}
-	}
-	reused := rec != nil && len(rec.Contribs) > 0
-	if rec == nil {
+	rec, st := e.disk.GetMerged(fp)
+	reused := st == store.Hit // a stored record holds at least one contribution
+	if !reused {
 		rec = &store.MergedRecord{HalfLife: d.Profile.EffectiveHalfLife()}
 	}
 	rec.Merge(store.TrainDigest(train), store.FromTrain(tp))
-	stored := false
-	if e.disk != nil {
-		if perr := e.disk.PutMerged(fp, rec); perr != nil {
-			e.logf("profile store write failed: %v\n", perr)
-		} else {
-			stored = true
-		}
-	}
-	if e.remote != nil {
-		if perr := e.remote.PutMerged(context.Background(), fp, rec); perr == nil {
-			stored = true
-		}
-	}
-	if stored {
+	if perr := e.disk.PutMerged(fp, rec); perr != nil {
+		e.logf("profile store write failed: %v\n", perr)
+	} else {
 		e.mu.Lock()
 		e.stats.ProfilePuts++
 		e.mu.Unlock()

@@ -89,51 +89,6 @@ func TestProfileTierSkipsTraining(t *testing.T) {
 	}
 }
 
-// Profile records must travel the remote tier like build records: machine
-// A uploads its training product, machine B — cold disk — skips the
-// training run for a variant the fleet has never finalized.
-func TestRemoteProfileWarmsSecondMachine(t *testing.T) {
-	_, client := remoteFixture(t)
-	ws := subset(t, "wc")
-	ctx := context.Background()
-
-	a := NewEngine(2, nil)
-	a.UseRemote(client)
-	if _, err := a.Get(ctx, ws[0], BaseOptions(lower.SetI)); err != nil {
-		t.Fatal(err)
-	}
-	if as := a.Stats(); as.ProfilePuts != 1 {
-		t.Fatalf("machine A did not upload its training product: %+v", as)
-	}
-
-	vary := BaseOptions(lower.SetI)
-	vary.Transform.NoBoundOrder = true
-	bDisk := t.TempDir()
-	b := NewEngine(2, nil)
-	b.UseStore(openStore(t, bDisk))
-	b.UseRemote(client)
-	if _, err := b.Get(ctx, ws[0], vary); err != nil {
-		t.Fatal(err)
-	}
-	bs := b.Stats()
-	if bs.ProfileHits != 1 || bs.TrainRuns != 0 {
-		t.Errorf("remote profile did not skip the training run: %+v", bs)
-	}
-
-	// The remote hit was written through to B's disk: a third engine on
-	// the same disk (dead remote) still skips training.
-	c := NewEngine(2, nil)
-	c.UseStore(openStore(t, bDisk))
-	varyMore := vary
-	varyMore.Transform.NoCmpReuse = true
-	if _, err := c.Get(ctx, ws[0], varyMore); err != nil {
-		t.Fatal(err)
-	}
-	if cs := c.Stats(); cs.ProfileHits != 1 || cs.TrainRuns != 0 {
-		t.Errorf("write-through profile missing from B's disk: %+v", cs)
-	}
-}
-
 // AutoBuild's three candidate sets share one stage cache; handing it a
 // pre-warmed cache must skip every frontend and training run.
 func TestAutoBuildSharesStageCache(t *testing.T) {

@@ -24,8 +24,8 @@ type GCResult struct {
 
 // GCPolicy configures a collection pass. Profile-kind entries (stage-2
 // profiles and merged profiles) are policed separately from build
-// results: they are tiny but represent training runs the whole fleet
-// reuses for a long time, so the result LRU bytes budget must not churn
+// results: they are tiny but represent training runs that later runs
+// reuse for a long time, so the result LRU bytes budget must not churn
 // them out. A zero or negative bound disables that criterion.
 type GCPolicy struct {
 	// MaxAge evicts build-result entries older than this.
@@ -39,13 +39,13 @@ type GCPolicy struct {
 	ProfileMaxAge time.Duration
 }
 
-// GC evicts stale entries with a single age bound for every kind and
-// the bytes budget for results — the pre-policy behaviour, kept as the
-// simple entry point. Eviction races are benign: an entry is immutable
-// once written, so a concurrent reader either got it before the unlink
-// or misses and rebuilds. GC(0, 0) only sweeps orphaned temp files.
-func (s *Store) GC(maxAge time.Duration, maxBytes int64) (GCResult, error) {
-	return s.GCWith(GCPolicy{MaxAge: maxAge, MaxBytes: maxBytes, ProfileMaxAge: maxAge})
+// GC evicts every entry, of any kind, last written more than maxAge
+// ago, and sweeps orphaned temp files. Eviction races are benign: an
+// entry is immutable once written, so a concurrent reader either got it
+// before the unlink or misses and rebuilds. GC(0) only sweeps orphaned
+// temp files.
+func (s *Store) GC(maxAge time.Duration) (GCResult, error) {
+	return s.GCWith(GCPolicy{MaxAge: maxAge, ProfileMaxAge: maxAge})
 }
 
 // GCWith runs one collection pass under the given policy.

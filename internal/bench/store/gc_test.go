@@ -42,15 +42,27 @@ func entryStatus(s *Store, fp string) Status {
 	return st
 }
 
-// Age-based GC must evict exactly the entries older than the bound.
+// Age-based GC must evict exactly the entries older than the bound and
+// account for the bytes it freed and kept.
 func TestGCEvictsByAge(t *testing.T) {
 	s, fps := gcStore(t, 4) // ages 4h, 3h, 2h, 1h
-	res, err := s.GC(150*time.Minute, 0)
+	var sizes []int64
+	for _, fp := range fps {
+		info, err := os.Stat(s.path(fp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, info.Size())
+	}
+	res, err := s.GC(150 * time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Evicted != 2 || res.Scanned != 4 {
 		t.Fatalf("GC: %+v, want 2 of 4 evicted", res)
+	}
+	if res.Freed != sizes[0]+sizes[1] || res.Bytes != sizes[2]+sizes[3] {
+		t.Errorf("GC byte accounting off: %+v, sizes %v", res, sizes)
 	}
 	for i, want := range []Status{Miss, Miss, Hit, Hit} {
 		if got := entryStatus(s, fps[i]); got != want {
@@ -59,7 +71,7 @@ func TestGCEvictsByAge(t *testing.T) {
 	}
 }
 
-// Size-based GC must evict least-recently-used first and stop as soon
+// A bytes budget must evict least-recently-used first and stop as soon
 // as the store fits.
 func TestGCEvictsLRUBySize(t *testing.T) {
 	s, fps := gcStore(t, 4)
@@ -76,7 +88,7 @@ func TestGCEvictsLRUBySize(t *testing.T) {
 	// Budget for the two newest entries (plus slack below one entry):
 	// exactly the two oldest must go.
 	budget := sizes[2] + sizes[3] + sizes[0]/2
-	res, err := s.GC(0, budget)
+	res, err := s.GCWith(GCPolicy{MaxBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +115,7 @@ func TestTouchProtectsFromEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Room for roughly two entries: the untouched older pair loses.
-	if _, err := s.GC(0, 2*info.Size()+info.Size()/2); err != nil {
+	if _, err := s.GCWith(GCPolicy{MaxBytes: 2*info.Size() + info.Size()/2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := entryStatus(s, fps[0]); got != Hit {
@@ -114,7 +126,7 @@ func TestTouchProtectsFromEviction(t *testing.T) {
 	}
 }
 
-// GC(0,0) must be a no-op for entries but still sweep orphaned temp
+// GC(0) must be a no-op for entries but still sweep orphaned temp
 // files old enough that no live writer owns them.
 func TestGCSweepsOrphanedTempFiles(t *testing.T) {
 	s, fps := gcStore(t, 2)
@@ -131,12 +143,12 @@ func TestGCSweepsOrphanedTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := s.GC(0, 0)
+	res, err := s.GC(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Evicted != 0 {
-		t.Errorf("GC(0,0) evicted %d entries", res.Evicted)
+		t.Errorf("GC(0) evicted %d entries", res.Evicted)
 	}
 	if _, err := os.Stat(oldTmp); !os.IsNotExist(err) {
 		t.Error("orphaned temp file survived")
@@ -226,14 +238,16 @@ func TestGCProfileMaxAge(t *testing.T) {
 	}
 }
 
-// The legacy GC(a, b) wrapper applies the age bound to every kind —
-// pre-policy behaviour, preserved for callers that never split ages.
+// GC applies its age bound to every entry kind alike.
 func TestGCWrapperAgesAllKinds(t *testing.T) {
 	s, _, pfps := gcProfileStore(t, 2)
-	if _, err := s.GC(time.Hour, 0); err != nil {
+	if _, err := s.GC(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if _, st := s.GetProfile(pfps[0]); st != Miss {
-		t.Errorf("GC(age, bytes) spared a stale profile entry (%v)", st)
+		t.Errorf("GC spared a stale profile entry (%v)", st)
+	}
+	if _, st := s.GetMerged(pfps[1]); st != Miss {
+		t.Errorf("GC spared a stale merged entry (%v)", st)
 	}
 }

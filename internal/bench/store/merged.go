@@ -11,8 +11,8 @@ import (
 	"branchreorder/internal/pipeline"
 )
 
-// Cross-input merged profiles: the fleet's accumulated profile wisdom
-// for one (source, frontend, detection) configuration. Each training
+// Cross-input merged profiles: the profile wisdom accumulated across
+// runs for one (source, frontend, detection) configuration. Each training
 // input contributes its exact or sampled counts as one generation-
 // stamped entry; consumers fold the contributions with exponential
 // decay — a contribution's weight halves every HalfLife generations it
@@ -23,8 +23,7 @@ import (
 // canonical (train-digest-sorted) order, the fold uses integer
 // power-of-two shifts rather than floating-point weights, and the
 // record is bounded, so the same set of contributions encodes to the
-// same bytes and folds to the same counts on every machine regardless
-// of arrival order.
+// same bytes and folds to the same counts regardless of arrival order.
 
 // MaxMergeContribs bounds a merged record. With HalfLife 1 an entry 8
 // generations stale is attenuated 256x — effectively gone — so keeping

@@ -14,8 +14,8 @@ import (
 // TransformOptions combination always misses the whole-build tier — but
 // its frontend and training run are identical to ones already paid for.
 // Persisting the training product under its own (narrower) fingerprint
-// lets warm disk and fleet caches skip the training run even when the
-// whole build misses: only the cheap finalize stage re-runs.
+// lets a warm disk cache skip the training run even when the whole build
+// misses: only the cheap finalize stage re-runs.
 
 // ProfileCounts is one range-condition sequence's training counts.
 type ProfileCounts struct {
@@ -34,8 +34,8 @@ type OrProfileCounts struct {
 
 // ProfileRecord is the serializable form of a pipeline.TrainProduct:
 // the profile data the paper's Figure 2 stores between its two passes,
-// content-addressed so any machine with the same source, training input
-// and detection configuration can reuse it.
+// content-addressed so any later run with the same source, training
+// input and detection configuration can reuse it.
 type ProfileRecord struct {
 	NumSeqs   int               `json:"numSeqs"`
 	NumOrSeqs int               `json:"numOrSeqs"`

@@ -1,7 +1,7 @@
 package store
 
 // TierStats counts one engine's cache activity across its tiers
-// (in-memory memo → disk store → network store). It lives in this
+// (in-memory memo → disk store). It lives in this
 // package, not bench, because shard export files carry it: a merged
 // run's summary can then account for every shard's cache behaviour,
 // not just its own. Zero counters for a tier just mean the tier was
@@ -18,8 +18,8 @@ type TierStats struct {
 	// (including callers that joined an in-flight build).
 	Hits int `json:"memoHits"`
 	// Seeded is the number of pre-measured runs installed into the memo
-	// from outside — merged shard exports or a farm collect — rather
-	// than built or fetched by this engine.
+	// from merged shard exports rather than built or fetched by this
+	// engine.
 	Seeded int `json:"seeded,omitempty"`
 
 	// Disk-tier counters; all stay zero when no store is attached.
@@ -27,27 +27,19 @@ type TierStats struct {
 	DiskMisses  int `json:"diskMisses,omitempty"`  // jobs with no usable entry on disk
 	DiskInvalid int `json:"diskInvalid,omitempty"` // corrupt, truncated or schema-mismatched entries, treated as misses
 
-	// Remote-tier counters; all stay zero when no network store is
-	// attached.
-	RemoteHits      int `json:"remoteHits,omitempty"`      // jobs served from the network store
-	RemoteMisses    int `json:"remoteMisses,omitempty"`    // reachable server, no entry
-	RemoteFallbacks int `json:"remoteFallbacks,omitempty"` // remote failures absorbed by the local tiers
-	RemotePuts      int `json:"remotePuts,omitempty"`      // fresh results uploaded to the network store
-
 	// Staged-build counters: the engine composes every fresh build from
 	// cached stages (frontend → detect+train → finalize), so these count
 	// how often the expensive stages actually ran versus were reused.
-	// All stay zero for runs served entirely from the memo/disk/remote
-	// tiers.
+	// All stay zero for runs served entirely from the memo/disk tiers.
 	FrontendRuns int `json:"frontendRuns,omitempty"` // stage-1 frontends actually compiled
 	FrontendHits int `json:"frontendHits,omitempty"` // stage-1 lookups served from the stage cache
 	TrainRuns    int `json:"trainRuns,omitempty"`    // stage-2 training runs actually executed
 	TrainHits    int `json:"trainHits,omitempty"`    // stage-2 lookups served from the stage cache
-	ProfileHits  int `json:"profileHits,omitempty"`  // training runs avoided by a stored profile record (disk or fleet)
+	ProfileHits  int `json:"profileHits,omitempty"`  // training runs avoided by a stored profile record
 	ProfilePuts  int `json:"profilePuts,omitempty"`  // fresh profile records persisted for later runs
 	// Profile-subsystem counters: training runs that collected sampled
 	// (non-exact) counts, and training runs whose counts were folded into
-	// a pre-existing merged profile record (fleet warm start).
+	// a pre-existing merged profile record (warm start).
 	SampledTrainRuns int `json:"sampledTrainRuns,omitempty"`
 	ProfileMergeHits int `json:"profileMergeHits,omitempty"`
 
@@ -89,10 +81,6 @@ func (s *TierStats) Add(o TierStats) {
 	s.DiskHits += o.DiskHits
 	s.DiskMisses += o.DiskMisses
 	s.DiskInvalid += o.DiskInvalid
-	s.RemoteHits += o.RemoteHits
-	s.RemoteMisses += o.RemoteMisses
-	s.RemoteFallbacks += o.RemoteFallbacks
-	s.RemotePuts += o.RemotePuts
 	s.FrontendRuns += o.FrontendRuns
 	s.FrontendHits += o.FrontendHits
 	s.TrainRuns += o.TrainRuns

@@ -209,7 +209,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestExportRoundTrip(t *testing.T) {
 	recs := []*Record{testRecord(), testRecord()}
 	recs[1].Workload = "sort"
-	stats := &TierStats{Builds: 2, DiskHits: 1, RemoteHits: 3, RemoteFallbacks: 1}
+	stats := &TierStats{Builds: 2, DiskHits: 1, DiskMisses: 3, DiskInvalid: 1}
 	var buf bytes.Buffer
 	if err := WriteExport(&buf, recs, stats); err != nil {
 		t.Fatal(err)
@@ -238,13 +238,11 @@ func TestExportRoundTrip(t *testing.T) {
 
 func TestTierStatsAdd(t *testing.T) {
 	a := TierStats{Builds: 1, Hits: 2, DiskHits: 3, DiskMisses: 4, DiskInvalid: 5,
-		RemoteHits: 6, RemoteMisses: 7, RemoteFallbacks: 8, RemotePuts: 9,
 		BuildSeconds: map[string]float64{"wc": 0.5, "sort": 2}}
 	sum := TierStats{Builds: 1, BuildSeconds: map[string]float64{"wc": 0.25}}
 	sum.Add(a)
 	sum.Add(a)
 	want := TierStats{Builds: 3, Hits: 4, DiskHits: 6, DiskMisses: 8, DiskInvalid: 10,
-		RemoteHits: 12, RemoteMisses: 14, RemoteFallbacks: 16, RemotePuts: 18,
 		BuildSeconds: map[string]float64{"wc": 1.25, "sort": 4}}
 	if !reflect.DeepEqual(sum, want) {
 		t.Errorf("Add: %+v, want %+v", sum, want)

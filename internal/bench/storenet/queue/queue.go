@@ -1,6 +1,7 @@
-// Package queue is the work-queue heart of the build farm: the
-// coordinator state machine that turns a fleet of brbench workers into a
-// self-organizing grid.
+// Package queue is the work-queue heart of a build farm: the
+// coordinator state machine that turns a fleet of workers into a
+// self-organizing grid. brbench's farm roles that leased from it were
+// removed; only package storenet's queue API still wraps it.
 //
 // The static alternative — brbench -shard i/n — decides the partition up
 // front, so one slow or dead machine stalls its slice and the merge waits
@@ -9,7 +10,7 @@
 // under a time-limited lease, and re-offers any lease whose holder stops
 // heartbeating. A straggler costs one TTL, never the grid.
 //
-// Lease protocol (see DESIGN.md §4f):
+// Lease protocol:
 //
 //	          Enqueue                Lease                 Complete
 //	(absent) ────────▶ pending ───────────────▶ leased ─────────────▶ done

@@ -158,7 +158,7 @@ func (s *Server) Stats() ServerStats {
 
 // GC collects the backing store and folds evictions into the metrics.
 func (s *Server) GC(maxAge time.Duration, maxBytes int64) (store.GCResult, error) {
-	res, err := s.st.GC(maxAge, maxBytes)
+	res, err := s.st.GCWith(store.GCPolicy{MaxAge: maxAge, MaxBytes: maxBytes, ProfileMaxAge: maxAge})
 	s.evictions.Add(int64(res.Evicted))
 	return res, err
 }

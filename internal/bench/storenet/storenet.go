@@ -1,10 +1,15 @@
 // Package storenet shares one result store — and one work queue —
-// across a fleet over HTTP.
+// across machines over HTTP.
+//
+// No command uses it any more: brbench's remote cache tier and
+// build-farm roles, brperf's load mode and the cmd/brstored server were
+// removed, and this package and package queue are the last of that
+// distribution stack left to delete.
 //
 // Server wraps a store.Store as a small content-addressed HTTP API —
 // GET/HEAD/PUT of entries keyed by their SHA-256 fingerprints, batched
-// multi-fingerprint get/put, plus a plaintext /metrics endpoint — and is
-// what cmd/brstored serves. Because entries are immutable and
+// multi-fingerprint get/put, plus a plaintext /metrics endpoint.
+// Because entries are immutable and
 // content-addressed, the cache protocol needs no invalidation, no
 // locking, and no coordination: a PUT either lands a byte-validated
 // entry or is rejected, and concurrent PUTs of the same fingerprint
@@ -17,8 +22,8 @@
 // and re-offers whatever a dead worker was holding, while results flow
 // back through the store API the fleet already shares.
 //
-// Client is the engine-facing side: a third cache tier behind the
-// in-memory memo and the disk store. It is built to degrade, not to
+// Client is the consumer side, written as a third cache tier behind
+// the in-memory memo and the disk store. It is built to degrade, not to
 // fail — every request carries a timeout, transient errors (5xx,
 // connection loss) are retried a bounded number of times with
 // exponentially backed-off, jittered delays, concurrent fetches of one

@@ -51,8 +51,8 @@ type StageCache struct {
 }
 
 // ProfileStore is a persistent tier for stage-2 training products —
-// typically content-addressed records in the bench result store, shared
-// via the disk and fleet cache tiers. Implementations must be safe for
+// typically content-addressed records in the bench result store's disk
+// tier. Implementations must be safe for
 // concurrent use. PutProfile is best-effort: failures are logged or
 // dropped by the implementation, never surfaced to the build.
 type ProfileStore interface {
@@ -87,7 +87,7 @@ type StageStats struct {
 	// SampledTrainRuns counts the subset of TrainRuns that collected
 	// sampled (non-exact) counts; ProfileMergeHits counts training runs
 	// whose counts were folded into a pre-existing merged profile record
-	// (fleet warm start).
+	// (warm start).
 	SampledTrainRuns int
 	ProfileMergeHits int
 }

@@ -98,11 +98,11 @@ type Config struct {
 	Capacity int `json:"capacity,omitempty"`
 	// Drift selects the training input (see Drift).
 	Drift Drift `json:"drift,omitempty"`
-	// Merge folds this build's training counts through the fleet's
-	// persistent merged profile for the same (source, frontend,
-	// detection) instead of using them alone: older training inputs
-	// contribute with exponentially decayed weight. Requires a
-	// persistent profile tier; without one the solo counts are used.
+	// Merge folds this build's training counts through the persistent
+	// merged profile for the same (source, frontend, detection) instead
+	// of using them alone: older training inputs contribute with
+	// exponentially decayed weight. Requires a persistent profile tier;
+	// without one the solo counts are used.
 	Merge bool `json:"merge,omitempty"`
 	// HalfLife is the decay rate for Merge: a contribution's weight
 	// halves every HalfLife generations it falls behind the newest
