@@ -306,19 +306,6 @@ func BenchmarkInterp(b *testing.B) {
 				}
 			}
 		})
-		b.Run(name+"/closure-nofuse", func(b *testing.B) {
-			b.SetBytes(int64(len(input)))
-			m := &interp.ClosureMachine{Code: unfused, Input: input}
-			if _, err := m.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(name+"/reference", func(b *testing.B) {
 			b.SetBytes(int64(len(input)))
 			for i := 0; i < b.N; i++ {

@@ -78,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		noFuse    = fs.Bool("no-fuse", false, "measure on the unfused decode (superinstructions off) — a differential-debugging escape hatch; results are byte-identical, only speed changes")
 		engName   = fs.String("engine", "fast", "execution backend for measurements and training runs: fast, closure, or reference — results are byte-identical, only speed and the engine counters change")
-		superinst = fs.Bool("superinst-report", false, "mine dynamic adjacent-op patterns over the selected workloads plus random CFGs and print the ranked table with the curated fusion set's coverage")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -143,6 +142,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-export serializes measurements and renders nothing; drop -table/-figure"))
 	case *ablation && *jsonOut != "":
 		return fail(fmt.Errorf("-ablation renders no suite to dump; drop -json"))
+	case *ablation && (*table != 0 || *figure != 0):
+		return fail(fmt.Errorf("-ablation renders its own table; drop -table/-figure"))
+	case (*table == 2 || *table == 3) && (*jsonOut != "" || *merge != "" || *cacheGC != 0):
+		return fail(fmt.Errorf("table %d is static and measures nothing; drop -json/-merge/-cache-gc", *table))
 	case *cacheGC != 0 && *cacheDir == "":
 		return fail(fmt.Errorf("-cache-gc collects the local store; add -cache-dir DIR"))
 	case *cacheGC < 0:
@@ -155,10 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-profile-rates, -profile-seed and -profile-bias configure the study; add -profile-study"))
 	case *profMerge && *cacheDir == "":
 		return fail(fmt.Errorf("-profile-merge persists profiles across runs; add -cache-dir DIR"))
-	case *superinst && (*ablation || *profStudy || *table != 0 || *figure != 0 || *jsonOut != "" || *export != "" || *merge != "" || shardN > 0):
-		return fail(fmt.Errorf("-superinst-report renders its own table from fresh mining runs; drop the other modes"))
-	case *superinst && *noFuse:
-		return fail(fmt.Errorf("-superinst-report mines the unfused stream already; drop -no-fuse"))
 	}
 	var rates []int
 	if *profStudy {
@@ -170,12 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	names, ws, err := selectWorkloads(*workloads)
 	if err != nil {
 		return fail(err)
-	}
-
-	// The mining report measures on the reference interpreter directly;
-	// no engine, no caches.
-	if *superinst {
-		return runSuperinstReport(ws, stdout, stderr)
 	}
 
 	// Tables 2 and 3 need no measurements.
@@ -263,9 +256,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "brbench: superinstructions: %d fused sites absorbing %d of %d decoded ops (%.1f%% static coverage) across fresh builds\n",
 					st.FusedSites, st.FusedOps, st.DecodedOps, 100*float64(st.FusedOps)/float64(st.DecodedOps))
 			}
-			if st.CompiledFuncs > 0 || st.ClosureFallbacks > 0 {
-				fmt.Fprintf(stderr, "brbench: closure compiler: %d funcs compiled into %d closure blocks, %d declined, across fresh builds\n",
-					st.CompiledFuncs, st.ClosureBlocks, st.ClosureFallbacks)
+			if st.CompiledFuncs > 0 {
+				fmt.Fprintf(stderr, "brbench: closure compiler: %d funcs compiled into %d closure blocks across fresh builds\n",
+					st.CompiledFuncs, st.ClosureBlocks)
 			}
 			if len(st.BuildSeconds) > 0 {
 				names := make([]string, 0, len(st.BuildSeconds))

@@ -74,21 +74,27 @@ func TestSummaryLine(t *testing.T) {
 	}
 }
 
-// Bad selectors fail before the engine runs: exit 1, and no build
-// summary on stderr.
+// Bad selectors, and flags the selected mode would silently drop, fail
+// before the engine runs: exit 1, and no build summary on stderr.
 func TestBadInputs(t *testing.T) {
 	cache := t.TempDir()
+	missing := filepath.Join(t.TempDir(), "missing.json")
 	for name, args := range map[string][]string{
-		"unknown workload":   {"-workloads", "nosuch", "-table", "4"},
-		"empty workloads":    {"-workloads", ",", "-table", "4"},
-		"table 99":           {"-workloads", "wc", "-table", "99"},
-		"table 1":            {"-workloads", "wc", "-table", "1"},
-		"negative table":     {"-workloads", "wc", "-table", "-4"},
-		"figure 9":           {"-workloads", "wc", "-figure", "9"},
-		"figure 14":          {"-workloads", "wc", "-figure", "14"},
-		"table and figure":   {"-workloads", "wc", "-table", "4", "-figure", "11"},
-		"static and figure":  {"-workloads", "wc", "-table", "2", "-figure", "11"},
-		"table 1, cache dir": {"-workloads", "wc", "-table", "1", "-cache-dir", cache},
+		"unknown workload":       {"-workloads", "nosuch", "-table", "4"},
+		"empty workloads":        {"-workloads", ",", "-table", "4"},
+		"table 99":               {"-workloads", "wc", "-table", "99"},
+		"table 1":                {"-workloads", "wc", "-table", "1"},
+		"negative table":         {"-workloads", "wc", "-table", "-4"},
+		"figure 9":               {"-workloads", "wc", "-figure", "9"},
+		"figure 14":              {"-workloads", "wc", "-figure", "14"},
+		"table and figure":       {"-workloads", "wc", "-table", "4", "-figure", "11"},
+		"static and figure":      {"-workloads", "wc", "-table", "2", "-figure", "11"},
+		"table 1, cache dir":     {"-workloads", "wc", "-table", "1", "-cache-dir", cache},
+		"static table and json":  {"-table", "2", "-json", filepath.Join(cache, "x.json")},
+		"static table and merge": {"-table", "3", "-merge", missing},
+		"static table and gc":    {"-table", "2", "-cache-dir", cache, "-cache-gc", "24h"},
+		"ablation and table":     {"-workloads", "wc", "-ablation", "-table", "2"},
+		"ablation and figure":    {"-workloads", "wc", "-ablation", "-figure", "11"},
 	} {
 		_, stderr, code := capture(t, args...)
 		if code != 1 {

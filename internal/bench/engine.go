@@ -387,7 +387,6 @@ func (e *Engine) measure(front *pipeline.FrontendProduct, sh *share, w workload.
 		e.stats.DecodedOps += r.Base.Fusion.Ops + r.Reord.Fusion.Ops
 		e.stats.CompiledFuncs += r.Base.Compile.CompiledFuncs + r.Reord.Compile.CompiledFuncs
 		e.stats.ClosureBlocks += r.Base.Compile.ClosureBlocks + r.Reord.Compile.ClosureBlocks
-		e.stats.ClosureFallbacks += r.Base.Compile.Fallbacks + r.Reord.Compile.Fallbacks
 	}
 	e.mu.Unlock()
 	close(sh.done)

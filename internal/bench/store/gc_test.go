@@ -71,61 +71,6 @@ func TestGCEvictsByAge(t *testing.T) {
 	}
 }
 
-// A bytes budget must evict least-recently-used first and stop as soon
-// as the store fits.
-func TestGCEvictsLRUBySize(t *testing.T) {
-	s, fps := gcStore(t, 4)
-	var sizes []int64
-	var total int64
-	for _, fp := range fps {
-		info, err := os.Stat(s.path(fp))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, info.Size())
-		total += info.Size()
-	}
-	// Budget for the two newest entries (plus slack below one entry):
-	// exactly the two oldest must go.
-	budget := sizes[2] + sizes[3] + sizes[0]/2
-	res, err := s.GCWith(GCPolicy{MaxBytes: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evicted != 2 {
-		t.Fatalf("GC evicted %d, want 2 (%+v)", res.Evicted, res)
-	}
-	if res.Bytes != sizes[2]+sizes[3] || res.Freed != total-res.Bytes {
-		t.Errorf("GC byte accounting off: %+v", res)
-	}
-	for i, want := range []Status{Miss, Miss, Hit, Hit} {
-		if got := entryStatus(s, fps[i]); got != want {
-			t.Errorf("entry %d: %v, want %v", i, got, want)
-		}
-	}
-}
-
-// Touch must refresh an entry's LRU position: the oldest entry, once
-// touched, survives a size-bound GC that evicts its untouched peers.
-func TestTouchProtectsFromEviction(t *testing.T) {
-	s, fps := gcStore(t, 3)
-	s.Touch(fps[0])
-	info, err := os.Stat(s.path(fps[2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Room for roughly two entries: the untouched older pair loses.
-	if _, err := s.GCWith(GCPolicy{MaxBytes: 2*info.Size() + info.Size()/2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := entryStatus(s, fps[0]); got != Hit {
-		t.Errorf("touched entry evicted (%v)", got)
-	}
-	if got := entryStatus(s, fps[1]); got != Miss {
-		t.Errorf("LRU entry survived (%v)", got)
-	}
-}
-
 // GC(0) must be a no-op for entries but still sweep orphaned temp
 // files old enough that no live writer owns them.
 func TestGCSweepsOrphanedTempFiles(t *testing.T) {
@@ -165,10 +110,10 @@ func TestGCSweepsOrphanedTempFiles(t *testing.T) {
 
 // gcProfileStore adds profile-kind entries (one stage-2 profile, one
 // merged profile) to a build-entry store, all backdated to be the
-// oldest files present.
-func gcProfileStore(t *testing.T, builds int) (*Store, []string, []string) {
+// oldest files present, and returns the profile fingerprints.
+func gcProfileStore(t *testing.T, builds int) (*Store, []string) {
 	t.Helper()
-	s, fps := gcStore(t, builds)
+	s, _ := gcStore(t, builds)
 	pfp := profileFP()
 	if err := s.PutProfile(pfp, FromTrain(sampleTrain())); err != nil {
 		t.Fatal(err)
@@ -185,62 +130,12 @@ func gcProfileStore(t *testing.T, builds int) (*Store, []string, []string) {
 			t.Fatal(err)
 		}
 	}
-	return s, fps, []string{pfp, mfp}
-}
-
-// The result LRU bytes budget must never evict profile-kind entries,
-// even when they are the oldest files in the store.
-func TestGCBytesBudgetSparesProfiles(t *testing.T) {
-	s, fps, pfps := gcProfileStore(t, 4)
-	// A budget of one byte forces out every result; the (older!)
-	// profile entries must all survive.
-	res, err := s.GCWith(GCPolicy{MaxBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evicted != len(fps) {
-		t.Fatalf("evicted %d, want all %d results", res.Evicted, len(fps))
-	}
-	for i, fp := range fps {
-		if got := entryStatus(s, fp); got != Miss {
-			t.Errorf("result %d survived a 1-byte budget (%v)", i, got)
-		}
-	}
-	if _, st := s.GetProfile(pfps[0]); st != Hit {
-		t.Errorf("profile entry evicted by the result bytes budget (%v)", st)
-	}
-	if _, st := s.GetMerged(pfps[1]); st != Hit {
-		t.Errorf("merged entry evicted by the result bytes budget (%v)", st)
-	}
-}
-
-// ProfileMaxAge is the profile entries' own bound: a pass with a short
-// profile age and no result bounds must evict exactly them.
-func TestGCProfileMaxAge(t *testing.T) {
-	s, fps, pfps := gcProfileStore(t, 2)
-	res, err := s.GCWith(GCPolicy{ProfileMaxAge: time.Duration(len(fps)+1) * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evicted != 2 {
-		t.Fatalf("evicted %d, want the 2 profile entries", res.Evicted)
-	}
-	if _, st := s.GetProfile(pfps[0]); st != Miss {
-		t.Errorf("stale profile survived ProfileMaxAge (%v)", st)
-	}
-	if _, st := s.GetMerged(pfps[1]); st != Miss {
-		t.Errorf("stale merged record survived ProfileMaxAge (%v)", st)
-	}
-	for i, fp := range fps {
-		if got := entryStatus(s, fp); got != Hit {
-			t.Errorf("result %d evicted by the profile age bound (%v)", i, got)
-		}
-	}
+	return s, []string{pfp, mfp}
 }
 
 // GC applies its age bound to every entry kind alike.
 func TestGCWrapperAgesAllKinds(t *testing.T) {
-	s, _, pfps := gcProfileStore(t, 2)
+	s, pfps := gcProfileStore(t, 2)
 	if _, err := s.GC(time.Hour); err != nil {
 		t.Fatal(err)
 	}

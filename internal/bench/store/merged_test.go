@@ -75,13 +75,6 @@ func TestMergedRecordRoundTrip(t *testing.T) {
 	if _, status := st.GetProfile(fp); status != Invalid {
 		t.Fatalf("profile Get on merged entry: %v", status)
 	}
-	raw, status := st.GetRaw(fp)
-	if status != Hit {
-		t.Fatalf("GetRaw: %v", status)
-	}
-	if kind, err := VerifyEntry(raw, fp); err != nil || kind != KindMerged {
-		t.Fatalf("VerifyEntry = %q, %v", kind, err)
-	}
 }
 
 // Within one half-life no contribution is attenuated, so the fold is a

@@ -178,41 +178,6 @@ func DecodeProfile(data []byte, fp string) (*ProfileRecord, error) {
 	return &rec, nil
 }
 
-// VerifyEntry fully validates an encoded entry of any known kind —
-// framing, checksum, fingerprint, and payload shape — returning the
-// entry's kind. It is the network store's serve/upload gate.
-func VerifyEntry(data []byte, fp string) (string, error) {
-	kind, err := EntryKind(data)
-	if err != nil {
-		return "", err
-	}
-	switch kind {
-	case KindBuild:
-		_, err = Decode(data, fp)
-	case KindProfile:
-		_, err = DecodeProfile(data, fp)
-	case KindMerged:
-		_, err = DecodeMerged(data, fp)
-	default:
-		err = fmt.Errorf("store: unknown entry kind %q", kind)
-	}
-	return kind, err
-}
-
-// GetRaw returns the verified raw bytes of the entry for fp, whatever
-// its kind; same miss/invalid contract as Get. Entries are written
-// canonically encoded, so the bytes can be served as-is.
-func (s *Store) GetRaw(fp string) ([]byte, Status) {
-	data, st := s.read(fp)
-	if st != Hit {
-		return nil, st
-	}
-	if _, err := VerifyEntry(data, fp); err != nil {
-		return nil, Invalid
-	}
-	return data, Hit
-}
-
 // GetProfile loads the profile entry for fp; same contract as Get.
 func (s *Store) GetProfile(fp string) (*ProfileRecord, Status) {
 	data, st := s.read(fp)

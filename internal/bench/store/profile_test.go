@@ -1,7 +1,6 @@
 package store
 
 import (
-	"strings"
 	"testing"
 
 	"branchreorder/internal/core"
@@ -70,26 +69,16 @@ func TestProfileRecordValidateRejects(t *testing.T) {
 	}
 }
 
-// Build and profile entries share the pool; kind must dispatch correctly
-// and cross-kind decodes must fail.
+// Build and profile entries share the pool; cross-kind decodes must
+// fail.
 func TestEntryKindDispatch(t *testing.T) {
 	fp := profileFP()
 	data, err := EncodeProfile(fp, FromTrain(sampleTrain()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind, err := EntryKind(data)
-	if err != nil || kind != KindProfile {
-		t.Fatalf("EntryKind = %q, %v", kind, err)
-	}
 	if _, err := Decode(data, fp); err == nil {
 		t.Error("build decoder accepted a profile entry")
-	}
-	if k, err := VerifyEntry(data, fp); err != nil || k != KindProfile {
-		t.Errorf("VerifyEntry = %q, %v", k, err)
-	}
-	if _, err := VerifyEntry(data, strings.Repeat("0", 64)); err == nil {
-		t.Error("VerifyEntry accepted a wrong fingerprint")
 	}
 }
 
@@ -109,14 +98,6 @@ func TestStoreProfilePutGet(t *testing.T) {
 	back, status := st.GetProfile(fp)
 	if status != Hit || back.NumSeqs != 1 {
 		t.Fatalf("get after put: %v %+v", status, back)
-	}
-	// GetRaw serves the canonical bytes of either kind.
-	raw, status := st.GetRaw(fp)
-	if status != Hit {
-		t.Fatalf("GetRaw: %v", status)
-	}
-	if _, err := DecodeProfile(raw, fp); err != nil {
-		t.Fatalf("raw bytes do not decode: %v", err)
 	}
 	// A build-kind Get on a profile entry must be Invalid, not a crash.
 	if _, status := st.Get(fp); status != Invalid {

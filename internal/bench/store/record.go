@@ -192,17 +192,6 @@ func decodeEnvelope(data []byte, kind, fp string) (json.RawMessage, error) {
 	return env.Record, nil
 }
 
-// EntryKind reports which kind of entry data frames, without validating
-// its payload. Used by the network store's upload gate to pick the right
-// validator.
-func EntryKind(data []byte) (string, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	return env.Kind, nil
-}
-
 // Encode serializes rec as the store entry keyed by fp.
 func Encode(fp string, rec *Record) ([]byte, error) {
 	if err := rec.Validate(); err != nil {

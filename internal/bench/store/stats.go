@@ -56,12 +56,10 @@ type TierStats struct {
 
 	// Closure-compiler counters, aggregated over freshly built
 	// executables only (the FusedSites discipline): functions compiled
-	// to closure graphs, non-empty basic blocks those graphs hold, and
-	// functions the compiler declined. All stay zero unless the closure
-	// engine measured the run.
-	CompiledFuncs    int `json:"compiledFuncs,omitempty"`
-	ClosureBlocks    int `json:"closureBlocks,omitempty"`
-	ClosureFallbacks int `json:"closureFallbacks,omitempty"`
+	// to closure graphs and the non-empty basic blocks those graphs
+	// hold. Both stay zero unless the closure engine measured the run.
+	CompiledFuncs int `json:"compiledFuncs,omitempty"`
+	ClosureBlocks int `json:"closureBlocks,omitempty"`
 
 	// BuildSeconds is the wall-clock cost of the fresh measurements
 	// behind Builds, keyed by workload and summed over every
@@ -94,7 +92,6 @@ func (s *TierStats) Add(o TierStats) {
 	s.DecodedOps += o.DecodedOps
 	s.CompiledFuncs += o.CompiledFuncs
 	s.ClosureBlocks += o.ClosureBlocks
-	s.ClosureFallbacks += o.ClosureFallbacks
 	for w, sec := range o.BuildSeconds {
 		if s.BuildSeconds == nil {
 			s.BuildSeconds = make(map[string]float64, len(o.BuildSeconds))

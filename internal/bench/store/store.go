@@ -76,9 +76,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir reports the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path places entries in two-hex-digit subdirectories (like git's object
 // store) so no single directory grows unboundedly.
 func (s *Store) path(fp string) string {

@@ -130,7 +130,7 @@ func TestStorePutGet(t *testing.T) {
 
 	// No orphaned temp files after successful Puts.
 	var leftovers []string
-	filepath.WalkDir(s.Dir(), func(path string, d os.DirEntry, err error) error {
+	filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.Contains(d.Name(), ".tmp") {
 			leftovers = append(leftovers, path)
 		}

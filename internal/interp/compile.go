@@ -46,11 +46,9 @@
 //     resume. A call also closes its accounting segment (the callee may
 //     trap before the caller's terminator runs). Empty blocks (a lone
 //     elided goto) compile to nothing and alias their successor.
-//   - If any function contains an op the compiler does not recognize it
-//     declines the whole program (counted in CompileStats.Fallbacks)
-//     and Run delegates to a FastMachine, preserving equivalence. The
-//     current compiler is total, so this is a forward-compatibility
-//     escape hatch.
+//   - An op the compiler does not recognize compiles to a closure that
+//     traps, naming the function and the opcode. The compiler handles
+//     every op Decode emits, so no well-formed program reaches it.
 package interp
 
 import (
@@ -73,9 +71,6 @@ type CompileStats struct {
 	CompiledFuncs int `json:"compiledFuncs"`
 	// ClosureBlocks is the number of non-empty basic blocks compiled.
 	ClosureBlocks int `json:"closureBlocks"`
-	// Fallbacks counts functions the compiler declined; any nonzero
-	// value makes the whole program run on the FastMachine instead.
-	Fallbacks int `json:"fallbacks,omitempty"`
 }
 
 // compiledProg is one compiled variant (plain or hooked) of a Code.
@@ -212,20 +207,6 @@ func (m *ClosureMachine) Run() (int64, error) {
 	}
 	hooked := m.OnBranch != nil || m.OnBranches != nil || m.OnProf != nil
 	cp := c.compiledVariant(hooked)
-	if cp.stats.Fallbacks > 0 {
-		// The compiler declined part of the program: run the whole
-		// program on the dispatch engine, preserving equivalence.
-		fm := &FastMachine{
-			Code: c, Input: m.Input,
-			OnBranch: m.OnBranch, OnBranches: m.OnBranches, OnProf: m.OnProf,
-			IJmpInsts: m.IJmpInsts, MaxSteps: m.MaxSteps,
-		}
-		ret, err := fm.Run()
-		m.Stats = fm.Stats
-		m.Output.Reset()
-		m.Output.Write(fm.Output.Bytes())
-		return ret, err
-	}
 	m.ijmpInsts = m.IJmpInsts
 	if m.ijmpInsts == 0 {
 		m.ijmpInsts = DefaultIJmpInsts
@@ -299,7 +280,6 @@ type funcCompiler struct {
 	blocks    []blockFn
 	pcToBlock map[int32]int
 	bi        int // block being compiled; targets > bi are built
-	declined  bool
 }
 
 // newCounter allocates a transfer counter charging delta per execution.
@@ -338,10 +318,6 @@ func compileFunc(cp *compiledProg, c *Code, fi int, hooked bool) {
 		}
 		cc.blocks[bi] = cc.compileBlock(bi)
 		compiled++
-	}
-	if cc.declined {
-		cp.stats.Fallbacks++
-		return
 	}
 	cp.entries[fi] = cc.blocks[0]
 	cp.stats.CompiledFuncs++
@@ -391,78 +367,43 @@ func segCharge(op dop, d *dinst, seg *Stats) {
 	}
 }
 
-// cunit is one compilation unit of a block: a single base op, or a
-// whole superinstruction run kept intact so compileFused can emit a
-// single combined closure for it. subs[0] is the fused run's first
-// dinst (whose opcode was overwritten by fusion; seq[0] names its base
-// op), subs[1:] the shadowed dinsts. pres holds the segment delta
-// accumulated before each sub-op, for trap accounting.
+// cunit is one base op of a block: its opcode, its dinst, and the
+// segment delta accumulated before it, for trap accounting.
 type cunit struct {
-	op   dop // base op, or fused opcode (>= nBaseDop)
-	d    *dinst
-	subs []*dinst
-	pre  Stats
-	pres []Stats
+	op  dop
+	d   *dinst
+	pre Stats
 }
 
 // compileBlock compiles one non-empty block. A first left-to-right
-// pass gathers units (keeping superinstruction runs whole) and computes
-// each sub-op's accumulated segment delta (the Stats its trap or
-// transfer must credit for the straight-line ops already executed); the
-// second pass compiles right to left so each op's closure captures its
-// continuation directly. Superinstruction runs become one combined
-// closure when compileFused knows the pattern, else they decompose into
-// a chain of per-op closures with identical behavior.
+// pass expands superinstruction runs into their base ops and computes
+// each op's accumulated segment delta (the Stats its trap or transfer
+// must credit for the straight-line ops already executed); the second
+// pass compiles right to left so each op's closure captures its
+// continuation directly.
 func (cc *funcCompiler) compileBlock(bi int) blockFn {
 	cc.bi = bi
 	f := cc.f
 	lo, hi := int(f.blockStart[bi]), int(f.blockStart[bi+1])
-	units := make([]cunit, 0, hi-lo)
-	for i := lo; i < hi; {
-		d := &f.code[i]
-		if d.op >= nBaseDop {
-			seq := fusedDopSeq[d.op]
-			if seq == nil {
-				cc.declined = true
-				return nil
-			}
-			subs := make([]*dinst, len(seq))
-			for k := range seq {
-				subs[k] = &f.code[i+k]
-			}
-			units = append(units, cunit{op: d.op, d: d, subs: subs, pres: make([]Stats, len(seq))})
-			i += len(seq)
-		} else {
-			units = append(units, cunit{op: d.op, d: d})
-			i++
-		}
-	}
+	units := make([]cunit, hi-lo)
 	var seg Stats
-	lastOp := units[len(units)-1].op
-	for k := range units {
-		u := &units[k]
-		u.pre = seg
-		if u.subs != nil {
-			seq := fusedDopSeq[u.op]
-			for s := range seq {
-				u.pres[s] = seg
-				if seq[s] == opCall || isTransfer(seq[s]) {
-					seg = Stats{}
-				} else {
-					segCharge(seq[s], u.subs[s], &seg)
-				}
-			}
-			if k == len(units)-1 {
-				lastOp = seq[len(seq)-1]
-			}
-		} else if u.op == opCall || isTransfer(u.op) {
+	for i := lo; i < hi; i++ {
+		d := &f.code[i]
+		op := d.op
+		if seq := fusedDopSeq[op]; seq != nil {
+			// Fusion overwrote the run's first opcode; the shadowed
+			// dinsts that follow keep their own.
+			op = seq[0]
+		}
+		units[i-lo] = cunit{op: op, d: d, pre: seg}
+		if op == opCall || isTransfer(op) {
 			seg = Stats{}
 		} else {
-			segCharge(u.op, u.d, &seg)
+			segCharge(op, d, &seg)
 		}
 	}
 	var next blockFn
-	if !isTransfer(lastOp) {
+	if !isTransfer(units[len(units)-1].op) {
 		// The block ends without a transfer (elided goto): continue
 		// straight into the physically following block's chain (built
 		// already — reverse order), crediting the trailing segment.
@@ -479,22 +420,7 @@ func (cc *funcCompiler) compileBlock(bi int) blockFn {
 	}
 	for k := len(units) - 1; k >= 0; k-- {
 		u := &units[k]
-		if u.subs == nil {
-			next = cc.compileUnit(u.op, u.d, next, u.pre)
-			continue
-		}
-		if !cc.hooked {
-			if fb := cc.compileFused(u, next); fb != nil {
-				next = fb
-				continue
-			}
-		}
-		// Decompose: chain the base sequence per-op. The first dinst's
-		// opcode field was overwritten by fusion; seq names it.
-		seq := fusedDopSeq[u.op]
-		for s := len(seq) - 1; s >= 0; s-- {
-			next = cc.compileUnit(seq[s], u.subs[s], next, u.pres[s])
-		}
+		next = cc.compileUnit(u.op, u.d, next, u.pre)
 	}
 	return next
 }
@@ -902,7 +828,10 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 		}
 	}
 
-	// Unknown op: decline the function; Run falls back to FastMachine.
-	cc.declined = true
-	return next
+	// Unknown op: the run ends here with a trap.
+	msg := fmt.Sprintf("unknown opcode %d", op)
+	partial := &pre
+	return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
+		return m.trap(partial, fname, msg)
+	}
 }

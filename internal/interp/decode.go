@@ -82,9 +82,7 @@ const (
 	// remaining dinsts keep their full original contents and are read as
 	// the operand/charge source by the fused dispatch case (which then
 	// advances pc past the whole run, or performs the final op's
-	// transfer). The curated set lives in fusedPatterns (superinst.go)
-	// and is data-justified by the miner — see `brbench
-	// -superinst-report`.
+	// transfer). The curated set lives in fusedPatterns (superinst.go).
 	opMovMov              // Mov ; Mov
 	opMovAdd              // Mov ; Add
 	opAddMov              // Add ; Mov
@@ -184,7 +182,7 @@ type dcall struct {
 
 // dfunc is one decoded function. blockStart maps each block's layout
 // index to its first PC (with one extra sentinel entry at len(code));
-// the fusion pass and the pattern miner use it to bound in-block runs,
+// the fusion pass uses it to bound in-block runs,
 // and it is what structurally prevents fusing across a block boundary:
 // every branch, jump and jump-table target is a block start, so no
 // transfer can land on the hidden second half of a fused pair.

@@ -76,13 +76,6 @@ type Machine struct {
 	// condition and sub identifies it within the sequence.
 	OnProf func(seqID, sub int, value int64)
 
-	// OnBlock, if non-nil, observes every basic block entered, keyed by
-	// function name and the block's layout index. The superinstruction
-	// miner uses it to weight static op sequences by dynamic execution
-	// count; it lives on the reference Machine so the fast engine's
-	// dispatch loop stays instrumentation-free.
-	OnBlock func(fn string, layoutIndex int)
-
 	// IJmpInsts is the instruction cost charged per indirect jump;
 	// DefaultIJmpInsts if zero.
 	IJmpInsts uint64
@@ -155,9 +148,6 @@ func (m *Machine) call(f *ir.Func, args []int64) (int64, error) {
 	m.Stats.Insts++ // the call instruction itself
 	b := f.Entry()
 	for {
-		if m.OnBlock != nil {
-			m.OnBlock(f.Name, b.LayoutIndex)
-		}
 		for i := range b.Insts {
 			if err := m.exec(&fr, &b.Insts[i]); err != nil {
 				return 0, err

@@ -1,15 +1,6 @@
 // Superinstruction support: the curated fusion pattern table applied by
-// Decode, the structured fusion report (Code.FusionStats), and the
-// pattern miner behind `brbench -superinst-report` that justifies the
-// curated set from measured dynamic frequency — profile-guided
-// optimization applied to the measurement loop itself.
+// Decode and the structured fusion report (Code.FusionStats).
 package interp
-
-import (
-	"sort"
-
-	"branchreorder/internal/ir"
-)
 
 // maxFuseLen is the longest curated pattern. The in-place fusion scheme
 // supports any length: the fused opcode overwrites the run's first
@@ -25,14 +16,14 @@ type fusedPattern struct {
 	seq []dop
 }
 
-// fusedPatterns is the curated set. Selection is data-justified: these
-// are the highest-weight dynamic runs mined from the 17-workload roster
-// plus 40 random CFGs (`brbench -superinst-report`), with one
-// structural restriction: Call may only be a pattern's final op,
-// because execution resumes at the op after the call site and a return
-// landing mid-pattern would skip the fused prefix. ProfCond may fuse —
-// the fused body replicates the hook call at its original position in
-// the effect order. Longer patterns shadow their prefixes in the greedy
+// fusedPatterns is the curated set, and it is fixed: these were the
+// highest-weight dynamic runs over the 17-workload roster plus 40
+// random CFGs when the set was chosen, with one structural
+// restriction: Call may only be a pattern's final op, because
+// execution resumes at the op after the call site and a return landing
+// mid-pattern would skip the fused prefix. ProfCond may fuse — the
+// fused body replicates the hook call at its original position in the
+// effect order. Longer patterns shadow their prefixes in the greedy
 // scan, so e.g. ld+add+st+cmpbr (the counter idiom `g[i]++` followed by
 // a loop test) wins over ld+add where both apply.
 var fusedPatterns = []fusedPattern{
@@ -141,8 +132,8 @@ var baseDopName = [nBaseDop]string{
 
 // fusedDopName labels fused opcodes ("add+ld+cmpbr"), fusedDopLen
 // records each one's pattern length, and fusedDopSeq its base-op
-// sequence (the closure compiler decomposes superinstructions back
-// into base ops), all derived from the pattern list.
+// sequence (the closure compiler reads a run's overwritten first op
+// from it), all derived from the pattern list.
 var (
 	fusedDopName = map[dop]string{}
 	fusedDopLen  = map[dop]int{}
@@ -171,13 +162,6 @@ func patGram(seq []dop) gram {
 	return g
 }
 
-func dopLabel(op dop) string {
-	if op < nBaseDop {
-		return baseDopName[op]
-	}
-	return fusedDopName[op]
-}
-
 // FusionStats summarizes superinstruction fusion over a decoded body:
 // how many dispatch slots it has pre-fusion, how many superinstruction
 // sites were formed, how many original ops those sites absorb, and the
@@ -200,15 +184,6 @@ type FusionStats struct {
 	Patterns map[string]int `json:"patterns,omitempty"`
 }
 
-// StaticCoverage is the percentage of decoded ops that are part of a
-// superinstruction.
-func (s *FusionStats) StaticCoverage() float64 {
-	if s.Ops == 0 {
-		return 0
-	}
-	return 100 * float64(s.Inside) / float64(s.Ops)
-}
-
 // Merge accumulates o into s.
 func (s *FusionStats) Merge(o *FusionStats) {
 	s.Ops += o.Ops
@@ -222,12 +197,6 @@ func (s *FusionStats) Merge(o *FusionStats) {
 	}
 }
 
-// FuncFusion is one function's slice of the fusion report.
-type FuncFusion struct {
-	Name string `json:"name"`
-	FusionStats
-}
-
 // FusionStats reports whole-program fusion totals for the decoded code.
 // All zeroes when the code was decoded with Fuse off.
 func (c *Code) FusionStats() FusionStats {
@@ -237,15 +206,6 @@ func (c *Code) FusionStats() FusionStats {
 		total.Merge(&fs)
 	}
 	return total
-}
-
-// FusionByFunc reports fusion per function, in program order.
-func (c *Code) FusionByFunc() []FuncFusion {
-	out := make([]FuncFusion, len(c.funcs))
-	for i := range c.funcs {
-		out[i] = FuncFusion{Name: c.funcs[i].name, FusionStats: funcFusion(&c.funcs[i])}
-	}
-	return out
 }
 
 func funcFusion(df *dfunc) FusionStats {
@@ -268,10 +228,8 @@ func funcFusion(df *dfunc) FusionStats {
 	return fs
 }
 
-// ---- pattern miner ----
-
-// gram is an adjacent decoded-op sequence of length n (2..maxFuseLen)
-// from the unfused stream.
+// gram is an adjacent decoded-op sequence of length n (2..maxFuseLen):
+// the decoder's lookup key for patterns longer than a pair.
 type gram struct {
 	n   uint8
 	ops [maxFuseLen]dop
@@ -283,217 +241,4 @@ func (g gram) String() string {
 		s += "+" + baseDopName[g.ops[i]]
 	}
 	return s
-}
-
-// PatternCount is one row of a ranked mining report.
-type PatternCount struct {
-	Pattern string  `json:"pattern"`
-	Count   uint64  `json:"count"`
-	Share   float64 `json:"share"` // % of all dynamic dispatches
-}
-
-// MineResult accumulates dynamic adjacent-op n-gram weights across
-// programs. Weights are dynamic: every block's static op run counts
-// once per execution of the block (observed via Machine.OnBlock on the
-// reference interpreter), which is exactly the number of dispatches the
-// fast engine would spend on it.
-type MineResult struct {
-	dispatches uint64          // total dynamic dispatches observed
-	saved      uint64          // dispatches the curated set eliminates
-	inside     uint64          // dispatches folded inside superinstructions
-	grams      map[gram]uint64 // all adjacent runs of length 2..maxFuseLen
-	matches    map[gram]uint64 // greedy matches of the curated set
-	residual   map[dop]uint64  // dispatches left outside any match, by op
-}
-
-// NewMineResult returns an empty accumulator.
-func NewMineResult() *MineResult {
-	return &MineResult{
-		grams:    make(map[gram]uint64),
-		matches:  make(map[gram]uint64),
-		residual: make(map[dop]uint64),
-	}
-}
-
-// Mine runs p on the reference interpreter (so the measured fast path
-// stays instrumentation-free), weights each block's unfused decoded op
-// run by its execution count, and accumulates n-grams plus the curated
-// set's greedy match counts. Runtime traps and step-limit aborts still
-// leave usable weights — random CFGs trap often — so only decode
-// failures are reported. maxSteps of 0 means DefaultMaxSteps.
-func (r *MineResult) Mine(p *ir.Program, input []byte, maxSteps uint64) error {
-	code, err := DecodeWith(p, DecodeOptions{})
-	if err != nil {
-		return err
-	}
-	fi := make(map[string]int, len(p.Funcs))
-	counts := make([][]uint64, len(p.Funcs))
-	for i, f := range p.Funcs {
-		fi[f.Name] = i
-		counts[i] = make([]uint64, len(f.Blocks))
-	}
-	m := &Machine{Prog: p, Input: input, MaxSteps: maxSteps}
-	m.OnBlock = func(fn string, li int) { counts[fi[fn]][li]++ }
-	m.Run()
-	for i := range code.funcs {
-		df := &code.funcs[i]
-		for bi := 0; bi+1 < len(df.blockStart); bi++ {
-			w := counts[i][bi]
-			if w == 0 {
-				continue
-			}
-			lo, hi := int(df.blockStart[bi]), int(df.blockStart[bi+1])
-			r.dispatches += w * uint64(hi-lo)
-			for j := lo; j < hi-1; j++ {
-				for n := 2; n <= maxFuseLen && j+n <= hi; n++ {
-					g := gram{n: uint8(n)}
-					for k := 0; k < n; k++ {
-						g.ops[k] = df.code[j+k].op
-					}
-					r.grams[g] += w
-				}
-			}
-			// Replay the decoder's greedy longest-first fusion scan to
-			// measure what the curated set actually captures (overlaps
-			// excluded, long patterns shadowing their prefixes).
-			for j := lo; j < hi; {
-				var g gram
-				n := 0
-				if j+1 < hi {
-					g, n = matchFusion(df.code, j, hi)
-				}
-				if n == 0 {
-					r.residual[df.code[j].op] += w
-					j++
-					continue
-				}
-				r.matches[g] += w
-				r.saved += w * uint64(n-1)
-				r.inside += w * uint64(n)
-				j += n
-			}
-		}
-	}
-	return nil
-}
-
-// matchFusion returns the longest curated pattern starting at code[j]
-// within the run ending at hi, as (gram, length), or length 0.
-func matchFusion(code []dinst, j, hi int) (gram, int) {
-	a, b := code[j].op, code[j+1].op
-	if fuseLonger[a][b] {
-		for n := maxFuseLen; n > 2; n-- {
-			if j+n > hi {
-				continue
-			}
-			g := gram{n: uint8(n)}
-			for k := 0; k < n; k++ {
-				g.ops[k] = code[j+k].op
-			}
-			if _, ok := fuseLookup[g]; ok {
-				return g, n
-			}
-		}
-	}
-	if fuseTable[a][b] != 0 {
-		return gram{n: 2, ops: [maxFuseLen]dop{a, b}}, 2
-	}
-	return gram{}, 0
-}
-
-// Merge accumulates o into r.
-func (r *MineResult) Merge(o *MineResult) {
-	r.dispatches += o.dispatches
-	r.saved += o.saved
-	r.inside += o.inside
-	for g, w := range o.grams {
-		r.grams[g] += w
-	}
-	for g, w := range o.matches {
-		r.matches[g] += w
-	}
-	for op, w := range o.residual {
-		r.residual[op] += w
-	}
-}
-
-// Residual ranks the dispatches the curated set leaves unfused, by
-// opcode — the to-do list for the next curation round.
-func (r *MineResult) Residual(limit int) []PatternCount {
-	rows := make([]PatternCount, 0, len(r.residual))
-	for op, w := range r.residual {
-		share := 0.0
-		if r.dispatches > 0 {
-			share = 100 * float64(w) / float64(r.dispatches)
-		}
-		rows = append(rows, PatternCount{Pattern: baseDopName[op], Count: w, Share: share})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Count != rows[j].Count {
-			return rows[i].Count > rows[j].Count
-		}
-		return rows[i].Pattern < rows[j].Pattern
-	})
-	if len(rows) > limit {
-		rows = rows[:limit]
-	}
-	return rows
-}
-
-// Dispatches is the total dynamic dispatch count observed.
-func (r *MineResult) Dispatches() uint64 { return r.dispatches }
-
-// DynamicCoverage is the percentage of dynamic dispatches that the
-// curated set folds into superinstructions.
-func (r *MineResult) DynamicCoverage() float64 {
-	if r.dispatches == 0 {
-		return 0
-	}
-	return 100 * float64(r.inside) / float64(r.dispatches)
-}
-
-// DispatchReduction is the percentage of dynamic dispatches eliminated
-// (pattern length minus one per match).
-func (r *MineResult) DispatchReduction() float64 {
-	if r.dispatches == 0 {
-		return 0
-	}
-	return 100 * float64(r.saved) / float64(r.dispatches)
-}
-
-// TopGrams ranks the mined length-n grams by dynamic weight (count
-// descending, then label ascending — deterministic), up to limit rows.
-func (r *MineResult) TopGrams(n, limit int) []PatternCount {
-	return r.rank(r.grams, n, limit)
-}
-
-// CuratedDynamic ranks the curated set's greedy match counts, all
-// pattern lengths together.
-func (r *MineResult) CuratedDynamic() []PatternCount {
-	return r.rank(r.matches, 0, len(r.matches))
-}
-
-// rank filters src to length-n grams (any length when n is 0) and sorts.
-func (r *MineResult) rank(src map[gram]uint64, n, limit int) []PatternCount {
-	rows := make([]PatternCount, 0, len(src))
-	for g, w := range src {
-		if n != 0 && int(g.n) != n {
-			continue
-		}
-		share := 0.0
-		if r.dispatches > 0 {
-			share = 100 * float64(w) / float64(r.dispatches)
-		}
-		rows = append(rows, PatternCount{Pattern: g.String(), Count: w, Share: share})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Count != rows[j].Count {
-			return rows[i].Count > rows[j].Count
-		}
-		return rows[i].Pattern < rows[j].Pattern
-	})
-	if len(rows) > limit {
-		rows = rows[:limit]
-	}
-	return rows
 }

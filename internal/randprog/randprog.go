@@ -1,9 +1,7 @@
 // Package randprog generates random linearized IR programs: small CFGs
 // with loops, calls, indirect jumps and reachable traps. The engine
-// differential suite (internal/equiv) fuzzes the two interpreters
-// against each other with them, and the superinstruction miner
-// (interp.MineProgram) includes them so fusion-pattern selection is not
-// overfitted to the 17-workload roster's code shapes.
+// differential suite (internal/equiv) fuzzes the interpreters against
+// each other with them.
 //
 // Generation is a pure function of the seed: the same seed yields a
 // byte-identical program on every run and platform.
