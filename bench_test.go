@@ -236,12 +236,13 @@ func BenchmarkBuild(b *testing.B) {
 	})
 }
 
-// BenchmarkInterp times raw execution of optimized binaries on both
-// engines: the flat-decoded fast engine (the measurement path, with its
-// default superinstruction fusion and with fusion off) and the
-// block-walking reference interpreter both are differentially tested
-// against. sort is the suite's heaviest workload by dynamic instruction
-// count (Table 4); wc is the classic light one.
+// BenchmarkInterp times raw, hook-free execution of optimized binaries
+// on every engine: the closure engine (the measurement path), the
+// flat-decoded fast engine (with its default superinstruction fusion and
+// with fusion off) and the block-walking reference interpreter the
+// others are differentially tested against. sort is the suite's
+// heaviest workload by dynamic instruction count (Table 4); wc is the
+// classic light one.
 func BenchmarkInterp(b *testing.B) {
 	for _, name := range []string{"sort", "wc"} {
 		w, ok := workload.Named(name)
@@ -334,7 +335,9 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkSimWithPredictors times measurement with the full predictor
-// battery attached (fast engine + vectorized bank, the sim.Run path).
+// battery attached, decode (and the closure compile) included each
+// iteration: sim.Run on its default closure engine, and the same run
+// pinned to the fast engine, fused and unfused.
 func BenchmarkSimWithPredictors(b *testing.B) {
 	w := wcSource(b)
 	front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
@@ -342,26 +345,23 @@ func BenchmarkSimWithPredictors(b *testing.B) {
 		b.Fatal(err)
 	}
 	input := w.Test()
-	b.Run("fused", func(b *testing.B) {
+	b.Run("closure", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.Run(front.Prog, input, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("nofuse", func(b *testing.B) {
+	b.Run("fast", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{NoFuse: true}); err != nil {
+			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineFast}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	// The closure variant re-decodes and re-compiles per iteration (the
-	// sim.Run path decodes fresh), so it times end-to-end measurement
-	// including compilation — the honest comparison for one-shot runs.
-	b.Run("closure", func(b *testing.B) {
+	b.Run("fast-nofuse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineClosure}); err != nil {
+			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineFast, NoFuse: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		noFuse    = fs.Bool("no-fuse", false, "measure on the unfused decode (superinstructions off) — a differential-debugging escape hatch; results are byte-identical, only speed changes")
-		engName   = fs.String("engine", "fast", "execution backend for measurements and training runs: fast, closure, or reference — results are byte-identical, only speed and the engine counters change")
+		engName   = fs.String("engine", "closure", "execution backend for measurements and training runs: closure, fast, or reference — results are byte-identical, only speed changes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -255,10 +255,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if st.DecodedOps > 0 {
 				fmt.Fprintf(stderr, "brbench: superinstructions: %d fused sites absorbing %d of %d decoded ops (%.1f%% static coverage) across fresh builds\n",
 					st.FusedSites, st.FusedOps, st.DecodedOps, 100*float64(st.FusedOps)/float64(st.DecodedOps))
-			}
-			if st.CompiledFuncs > 0 {
-				fmt.Fprintf(stderr, "brbench: closure compiler: %d funcs compiled into %d closure blocks across fresh builds\n",
-					st.CompiledFuncs, st.ClosureBlocks)
 			}
 			if len(st.BuildSeconds) > 0 {
 				names := make([]string, 0, len(st.BuildSeconds))

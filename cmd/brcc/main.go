@@ -47,7 +47,7 @@ func main() {
 		trainBuiltin = flag.Bool("train-builtin", false, "use the workload's built-in training input")
 		runBuiltin   = flag.Bool("run-builtin", false, "execute on the workload's built-in test input")
 		compare      = flag.Bool("compare", false, "run both baseline and reordered and report both")
-		engName      = flag.String("engine", "fast", "execution backend for training and -run: fast, closure, or reference — results are byte-identical, only speed changes")
+		engName      = flag.String("engine", "closure", "execution backend for training and -run: closure, fast, or reference — results are byte-identical, only speed changes")
 	)
 	flag.Parse()
 

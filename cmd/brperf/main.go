@@ -381,6 +381,10 @@ func run(out string) error {
 			}
 		}
 	}))
+	// End-to-end measurement, decode + compile included each iteration:
+	// sim.Run on its default closure engine against the same run pinned
+	// to the fast engine, fused and unfused.
+	fast := sim.Options{Engine: sim.EngineFast}
 	record("SimWithPredictors/wc", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -389,31 +393,27 @@ func run(out string) error {
 			}
 		}
 	}))
-	// The same end-to-end measurement with superinstructions off: the
-	// pair records the fusion win on the full sim.Run path (decode +
-	// execute + predictor bank), not just the bare dispatch loop.
-	record("SimWithPredictors/wc-nofuse", testing.Benchmark(func(b *testing.B) {
+	record("SimWithPredictors/wc-fast", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{NoFuse: true}); err != nil {
+			if _, err := sim.RunWith(front.Prog, input, nil, fast); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}))
-	// End-to-end measurement on the closure engine, decode + compile
-	// included each iteration — the one-shot sim.Run cost a caller of
-	// -engine closure actually pays.
-	record("SimWithPredictors/wc-closure", testing.Benchmark(func(b *testing.B) {
+	// The fast pair records the fusion win on the full sim.Run path
+	// (decode + execute + predictor bank), not just the bare dispatch
+	// loop.
+	record("SimWithPredictors/wc-fast-nofuse", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineClosure}); err != nil {
+			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineFast, NoFuse: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}))
 	// The same end-to-end pair on the suite's heaviest workload, where
-	// execution (not the predictor bank) dominates the measurement: this
-	// is where the closure engine's end-to-end win shows.
+	// execution (not the predictor bank) dominates the measurement.
 	sortFront, sortW, err := frontend("sort")
 	if err != nil {
 		return err
@@ -427,10 +427,10 @@ func run(out string) error {
 			}
 		}
 	}))
-	record("SimWithPredictors/sort-closure", testing.Benchmark(func(b *testing.B) {
+	record("SimWithPredictors/sort-fast", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(sortFront.Prog, sortInput, nil, sim.Options{Engine: sim.EngineClosure}); err != nil {
+			if _, err := sim.RunWith(sortFront.Prog, sortInput, nil, fast); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -90,7 +90,7 @@ func RunOpts(w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
 // measureBuild runs both executables of a finished build on the test
 // input and assembles the ProgramRun every table and figure consumes.
 // Measured results are identical for any mo; only wall-clock and the
-// engine-descriptive Fusion and Compile reports change.
+// engine-descriptive Fusion report change.
 func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult, test []byte, mo sim.Options) (*ProgramRun, error) {
 	set := opts.Switch
 	base, err := sim.RunWith(b.Baseline, test, nil, mo)

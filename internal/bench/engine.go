@@ -125,7 +125,7 @@ func (e *Engine) StageCache() *pipeline.StageCache { return e.stages }
 // SetMeasure configures the measurement options and steers the stage
 // cache's training runs onto the same execution engine. Call it before
 // the first Get. Results and cache entries are identical for any value;
-// only wall-clock and the engine-descriptive counters change.
+// only wall-clock and the fusion counters change.
 func (e *Engine) SetMeasure(mo sim.Options) {
 	e.Measure = mo
 	e.stages.Exec = mo.Engine
@@ -377,16 +377,13 @@ func (e *Engine) measure(front *pipeline.FrontendProduct, sh *share, w workload.
 			e.stats.BuildSeconds = map[string]float64{}
 		}
 		e.stats.BuildSeconds[w.Name] += time.Since(start).Seconds()
-		// Fusion and closure counters follow the BuildSeconds
-		// discipline: fresh measurements only, so cache hits (whose
-		// records may predate the fields) and shared jobs never skew
-		// the summary.
+		// Fusion counters follow the BuildSeconds discipline: fresh
+		// measurements only, so cache hits (whose records may predate
+		// the fields) and shared jobs never skew the summary.
 		r := sh.run
 		e.stats.FusedSites += r.Base.Fusion.Fused + r.Reord.Fusion.Fused
 		e.stats.FusedOps += r.Base.Fusion.Inside + r.Reord.Fusion.Inside
 		e.stats.DecodedOps += r.Base.Fusion.Ops + r.Reord.Fusion.Ops
-		e.stats.CompiledFuncs += r.Base.Compile.CompiledFuncs + r.Reord.Compile.CompiledFuncs
-		e.stats.ClosureBlocks += r.Base.Compile.ClosureBlocks + r.Reord.Compile.ClosureBlocks
 	}
 	e.mu.Unlock()
 	close(sh.done)

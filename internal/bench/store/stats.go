@@ -54,13 +54,6 @@ type TierStats struct {
 	FusedOps   int `json:"fusedOps,omitempty"`
 	DecodedOps int `json:"decodedOps,omitempty"`
 
-	// Closure-compiler counters, aggregated over freshly built
-	// executables only (the FusedSites discipline): functions compiled
-	// to closure graphs and the non-empty basic blocks those graphs
-	// hold. Both stay zero unless the closure engine measured the run.
-	CompiledFuncs int `json:"compiledFuncs,omitempty"`
-	ClosureBlocks int `json:"closureBlocks,omitempty"`
-
 	// BuildSeconds is the wall-clock cost of the fresh measurements
 	// behind Builds, keyed by workload and summed over every
 	// configuration built for it. Cache hits and shared jobs add nothing,
@@ -90,8 +83,6 @@ func (s *TierStats) Add(o TierStats) {
 	s.FusedSites += o.FusedSites
 	s.FusedOps += o.FusedOps
 	s.DecodedOps += o.DecodedOps
-	s.CompiledFuncs += o.CompiledFuncs
-	s.ClosureBlocks += o.ClosureBlocks
 	for w, sec := range o.BuildSeconds {
 		if s.BuildSeconds == nil {
 			s.BuildSeconds = make(map[string]float64, len(o.BuildSeconds))

@@ -1,9 +1,9 @@
 // Package equiv differentially tests the three execution engines
 // against each other: the block-walking reference interpreter
 // (interp.Machine), the flat-decoded fast engine (interp.Decode +
-// interp.FastMachine) that the measurement pipeline runs on by default,
-// and the closure-compiled engine (interp.ClosureMachine) behind
-// sim.Options{Engine: EngineClosure}.
+// interp.FastMachine, behind sim.Options{Engine: EngineFast}), and the
+// closure-compiled engine (interp.ClosureMachine) that the measurement
+// pipeline runs on by default.
 //
 // The contract under test is the one DESIGN.md states for the fast
 // engine: on every program and input, both engines produce the same
@@ -17,9 +17,9 @@
 //
 // The closure engine is held to a stricter contract: it shares the fast
 // engine's block-granular execution model exactly, so against the fast
-// run of the same decode (fused or unfused, hooked or plain) everything
-// must be identical — trap text and PC, trap-point statistics, and hook
-// streams included.
+// run of the same decode (fused or unfused, hooked or hook-free)
+// everything must be identical — trap text and PC, trap-point
+// statistics, and hook streams included.
 //
 // Two test layers enforce this: the full workload suite (baseline and
 // reordered executables, measured end-to-end through sim.Run against a

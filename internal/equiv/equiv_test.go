@@ -67,9 +67,9 @@ func referenceMeasure(t *testing.T, prog *ir.Program, input []byte) *measurement
 func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte) {
 	t.Helper()
 	want := referenceMeasure(t, prog, input)
-	got, err := sim.Run(prog, input, nil)
+	got, err := sim.RunWith(prog, input, nil, sim.Options{Engine: sim.EngineFast})
 	if err != nil {
-		t.Fatalf("%s: sim.Run: %v", label, err)
+		t.Fatalf("%s: sim.RunWith: %v", label, err)
 	}
 	if got.Ret != want.ret {
 		t.Errorf("%s: ret fast=%d ref=%d", label, got.Ret, want.ret)
@@ -90,8 +90,7 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 	}
 
 	// Third side of the oracle: the closure engine — fused and unfused —
-	// must reproduce the fast measurement byte for byte, and actually
-	// compile.
+	// must reproduce the fast measurement byte for byte.
 	for _, mo := range []sim.Options{
 		{Engine: sim.EngineClosure},
 		{Engine: sim.EngineClosure, NoFuse: true},
@@ -115,21 +114,19 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 				t.Errorf("%s: %s mispredicts closure=%d fast=%d", tag, name, clos.Mispredicts[name], w)
 			}
 		}
-		if clos.Compile.CompiledFuncs == 0 {
-			t.Errorf("%s: closure compiler did not engage: %+v", tag, clos.Compile)
-		}
 	}
 
-	// sim.RunWith always installs branch hooks, so the runs above use
-	// the hooked closure variant; a hook-free run uses the plain one.
-	unfused, err := interp.DecodeWith(prog, interp.DecodeOptions{})
-	if err != nil {
-		t.Fatalf("%s: decode: %v", label, err)
-	}
-	for _, code := range []*interp.Code{nil, unfused} {
+	// sim.RunWith always installs a branch hook, so the runs above log
+	// every branch; a hook-free run takes the closures' log-off path.
+	// Each must compile every function of the program.
+	for _, fuse := range []bool{true, false} {
 		tag := label + "/closure-plain"
-		if code != nil {
+		if !fuse {
 			tag += "-nofuse"
+		}
+		code, err := interp.DecodeWith(prog, interp.DecodeOptions{Fuse: fuse})
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tag, err)
 		}
 		ret, stats, output, err := interp.Exec(interp.EngineClosure, prog, code, input, nil, nil)
 		if err != nil {
@@ -141,14 +138,17 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 		if stats != got.Stats {
 			t.Errorf("%s: stats\nclosure: %+v\nfast:    %+v", tag, stats, got.Stats)
 		}
+		if st := code.CompileStats(); st.CompiledFuncs != len(prog.Funcs) {
+			t.Errorf("%s: closure compiler did not engage: compiled %d of %d funcs", tag, st.CompiledFuncs, len(prog.Funcs))
+		}
 	}
 }
 
 // TestWorkloadSuiteEquivalence measures every workload's baseline and
-// reordered executables through sim.Run (fast engine + predictor bank
-// replaying the branch-log chunks) and through a replica of the old
-// Machine+Bimodal loop fed per event, demanding identical Stats, Output,
-// Ret and per-predictor Mispredicts.
+// reordered executables through sim.RunWith on the fast and closure
+// engines (predictor bank replaying the branch-log batches) and through
+// a replica of the old Machine+Bimodal loop fed per event, demanding
+// identical Stats, Output, Ret and per-predictor Mispredicts.
 func TestWorkloadSuiteEquivalence(t *testing.T) {
 	all := workload.All()
 	if testing.Short() {

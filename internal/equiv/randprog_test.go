@@ -39,9 +39,9 @@ func hooks(r *engineRun) (func(int, bool), func(int, int, int64)) {
 // full three-way oracle: the reference machine against the fast engine
 // under the lenient contract (compareRuns), the fast engine against
 // itself across decodes, and the closure engine against the fast engine
-// of the same decode under strict identity (compareSame) — for both the
-// hooked variant (branch/prof streams attached) and the hook-free plain
-// variant, whose specialized closure bodies only compile without hooks.
+// of the same decode under strict identity (compareSame) — for both
+// hooked runs (branch/prof streams attached) and hook-free runs, whose
+// closure bodies take the log-off path.
 func runBoth(t testing.TB, p *ir.Program, input []byte) (ref, fast engineRun) {
 	fused := interp.DecodeOptions{Fuse: true}
 	nofuse := interp.DecodeOptions{}
@@ -66,8 +66,7 @@ func runBoth(t testing.TB, p *ir.Program, input []byte) (ref, fast engineRun) {
 }
 
 // runOn executes p once on the chosen engine. hooked attaches the
-// branch/prof recorders; without them the closure engine compiles its
-// specialized plain bodies.
+// branch/prof recorders; without them the engines' logs stay off.
 func runOn(t testing.TB, p *ir.Program, input []byte, opts interp.DecodeOptions, e interp.Engine, hooked bool) (r engineRun) {
 	t.Helper()
 	var onBranch func(int, bool)

@@ -35,11 +35,10 @@
 //     op's operands, the shadowed dinsts their own. Dispatch cost is
 //     already zero either way, so fused and unfused Code compile to
 //     observably identical closure graphs.
-//   - Two variants are compiled lazily per Code and cached: a plain
-//     variant whose branch/prof closures skip hook dispatch entirely,
-//     and a hooked variant replicating FastMachine's branch-log stores
-//     and per-event OnProf checks. Run picks the variant by hook
-//     nil-ness, so runs without hooks never pay for instrumentation.
+//   - One graph per Code, compiled lazily and cached, serves hooked and
+//     hook-free runs alike: every branch outcome stores its event
+//     behind the m.log.on test, exactly where FastMachine does, and
+//     Prof/ProfCond closures test OnProf at run time.
 //   - Calls split a block: the call closure pushes a frame whose resume
 //     continuation is the already-compiled rest of the block, then
 //     returns the callee's entry closure; Ret pops and returns the
@@ -55,7 +54,6 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"sync"
 )
 
 // blockFn is one compiled execution step. The register window, the
@@ -73,7 +71,7 @@ type CompileStats struct {
 	ClosureBlocks int `json:"closureBlocks"`
 }
 
-// compiledProg is one compiled variant (plain or hooked) of a Code.
+// compiledProg is the compiled closure graph of a Code.
 type compiledProg struct {
 	entries []blockFn // per-function entry closure
 	deltas  []Stats   // per-transfer-counter Stats charge
@@ -171,30 +169,18 @@ func (m *ClosureMachine) stepTrap(partial *Stats, fname string) (blockFn, []int6
 	return m.trap(partial, fname, fmt.Sprintf("exceeded step limit %d", m.maxSteps))
 }
 
-// compiledVariant returns the cached compiled program for the variant,
-// compiling it on first use. Safe for concurrent machines.
-func (c *Code) compiledVariant(hooked bool) *compiledProg {
-	i := 0
-	if hooked {
-		i = 1
-	}
-	c.closOnce[i].Do(func() {
-		c.clos[i] = compileProg(c, hooked)
-	})
-	return c.clos[i]
+// compiled returns the cached closure graph, compiling it on first use.
+// Safe for concurrent machines.
+func (c *Code) compiled() *compiledProg {
+	c.closOnce.Do(func() { c.clos = compileProg(c) })
+	return c.clos
 }
 
 // CompileStats compiles the program (if not already compiled) and
-// reports the closure compiler's counters. Both variants compile to
-// the same counts; the plain variant is canonical.
+// reports the closure compiler's counters.
 func (c *Code) CompileStats() CompileStats {
-	return c.compiledVariant(false).stats
+	return c.compiled().stats
 }
-
-// closOncePair reserves the per-Code compilation slots. Declared here
-// so everything closure-related lives in this file; the fields
-// themselves are on Code (decode.go).
-type closOncePair = [2]sync.Once
 
 // Run executes main() and returns its result.
 func (m *ClosureMachine) Run() (int64, error) {
@@ -205,8 +191,7 @@ func (m *ClosureMachine) Run() (int64, error) {
 	if c.funcs[c.main].nParams != 0 {
 		return 0, fmt.Errorf("interp: main must take no parameters")
 	}
-	hooked := m.OnBranch != nil || m.OnBranches != nil || m.OnProf != nil
-	cp := c.compiledVariant(hooked)
+	cp := c.compiled()
 	m.ijmpInsts = m.IJmpInsts
 	if m.ijmpInsts == 0 {
 		m.ijmpInsts = DefaultIJmpInsts
@@ -249,8 +234,10 @@ func (m *ClosureMachine) Run() (int64, error) {
 	for fb != nil {
 		fb, w, cmpA, cmpB, flags, steps = fb(m, w, cmpA, cmpB, flags, steps)
 	}
-	// Every path, traps included, ends the loop above.
-	m.log.flush()
+	// Every path, traps included, ends the loop above. A reused machine
+	// keeps no reference to this run's hooks or compiled graph.
+	m.log.finish()
+	clear(m.frames[:cap(m.frames)])
 	// Fold the transfer counters into Stats — on trapped runs too: the
 	// counters hold the fully-executed transfers, and the trap closure
 	// already credited its partial segment.
@@ -262,24 +249,32 @@ func (m *ClosureMachine) Run() (int64, error) {
 	return m.ret, m.err
 }
 
-func compileProg(c *Code, hooked bool) *compiledProg {
-	cp := &compiledProg{entries: make([]blockFn, len(c.funcs))}
+func compileProg(c *Code) *compiledProg {
+	// A block holds at most two counters at its end (a branch's
+	// outcomes, or a jump, return or fall-through) plus one per call.
+	n := 0
 	for i := range c.funcs {
-		compileFunc(cp, c, i, hooked)
+		n += 2*len(c.funcs[i].blockStart) + len(c.funcs[i].calls)
+	}
+	cp := &compiledProg{entries: make([]blockFn, len(c.funcs)), deltas: make([]Stats, 0, n)}
+	cc := &funcCompiler{c: c, cp: cp, pcToBlock: map[int32]int{}}
+	for i := range c.funcs {
+		cc.compileFunc(i)
 	}
 	return cp
 }
 
-// funcCompiler compiles one function's blocks into closures.
+// funcCompiler compiles one function's blocks into closures; compileProg
+// reuses it, and its scratch, across functions.
 type funcCompiler struct {
 	c         *Code
 	cp        *compiledProg
 	f         *dfunc
 	fname     string
-	hooked    bool
 	blocks    []blockFn
 	pcToBlock map[int32]int
-	bi        int // block being compiled; targets > bi are built
+	bi        int     // block being compiled; targets > bi are built
+	units     []cunit // compileBlock's scratch
 }
 
 // newCounter allocates a transfer counter charging delta per execution.
@@ -288,14 +283,12 @@ func (cc *funcCompiler) newCounter(delta Stats) int {
 	return len(cc.cp.deltas) - 1
 }
 
-func compileFunc(cp *compiledProg, c *Code, fi int, hooked bool) {
-	f := &c.funcs[fi]
+func (cc *funcCompiler) compileFunc(fi int) {
+	f := &cc.c.funcs[fi]
 	nb := len(f.blockStart) - 1
-	cc := &funcCompiler{
-		c: c, cp: cp, f: f, fname: f.name, hooked: hooked,
-		blocks:    make([]blockFn, nb),
-		pcToBlock: make(map[int32]int, nb),
-	}
+	// Closures keep pointers into blocks, so each function needs its own.
+	cc.f, cc.fname, cc.blocks = f, f.name, make([]blockFn, nb)
+	clear(cc.pcToBlock)
 	// Empty blocks share their successor's start PC; iterating high to
 	// low makes the map prefer the lowest (empty) block, whose closure
 	// aliases the successor below — either resolution is equivalent.
@@ -319,9 +312,9 @@ func compileFunc(cp *compiledProg, c *Code, fi int, hooked bool) {
 		cc.blocks[bi] = cc.compileBlock(bi)
 		compiled++
 	}
-	cp.entries[fi] = cc.blocks[0]
-	cp.stats.CompiledFuncs++
-	cp.stats.ClosureBlocks += compiled
+	cc.cp.entries[fi] = cc.blocks[0]
+	cc.cp.stats.CompiledFuncs++
+	cc.cp.stats.ClosureBlocks += compiled
 }
 
 // blockPtr returns the successor slot for a transfer target PC. The
@@ -385,7 +378,7 @@ func (cc *funcCompiler) compileBlock(bi int) blockFn {
 	cc.bi = bi
 	f := cc.f
 	lo, hi := int(f.blockStart[bi]), int(f.blockStart[bi+1])
-	units := make([]cunit, hi-lo)
+	units := cc.units[:0]
 	var seg Stats
 	for i := lo; i < hi; i++ {
 		d := &f.code[i]
@@ -395,13 +388,14 @@ func (cc *funcCompiler) compileBlock(bi int) blockFn {
 			// dinsts that follow keep their own.
 			op = seq[0]
 		}
-		units[i-lo] = cunit{op: op, d: d, pre: seg}
+		units = append(units, cunit{op: op, d: d, pre: seg})
 		if op == opCall || isTransfer(op) {
 			seg = Stats{}
 		} else {
 			segCharge(op, d, &seg)
 		}
 	}
+	cc.units = units
 	var next blockFn
 	if !isTransfer(units[len(units)-1].op) {
 		// The block ends without a transfer (elided goto): continue
@@ -597,9 +591,7 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 			return next(m, w, cmpA, cmpB, flags, steps)
 		}
 	case opProf:
-		if !cc.hooked {
-			return next // ProfHits comes with the segment delta
-		}
+		// ProfHits comes with the segment delta.
 		seqID, sub, a := int(d.seqID), int(d.sub), d.a
 		return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
 			if m.OnProf != nil {
@@ -608,9 +600,6 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 			return next(m, w, cmpA, cmpB, flags, steps)
 		}
 	case opProfCond:
-		if !cc.hooked {
-			return next // ProfHits comes with the segment delta
-		}
 		seqID, sub, a, b, relMask := int(d.seqID), int(d.sub), d.a, d.b, d.relMask
 		return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
 			if m.OnProf != nil {
@@ -721,81 +710,7 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 		}
 
 	case opBr, opCmpBr:
-		if !cc.hooked {
-			// The plain variant gets mask- and operand-specialized
-			// bodies: the relation becomes a single native compare-and-
-			// branch instead of an interpreted mask test.
-			return cc.compileBranchPlain(op, d, pre)
-		}
-		isCmp := op == opCmpBr
-		stepCost := uint64(d.stepCost) + 1
-		charge := Stats{CondBranches: 1, Insts: uint64(d.cost) + 1}
-		if isCmp {
-			charge.Cmps = 1
-		}
-		// FastMachine charges the branch (and a CmpBr's compare) before
-		// its step check; the outcome's SlotNops/TakenBranches only
-		// after, so the step-trap partial excludes them.
-		stepPartial := plus(pre, charge)
-		partial := &stepPartial
-		undefPartial := &pre
-		idTaken := cc.newCounter(plus(stepPartial, Stats{TakenBranches: 1, SlotNops: uint64(d.slotTaken)}))
-		idFall := cc.newCounter(plus(stepPartial, Stats{SlotNops: uint64(d.slotFall)}))
-		relMask := d.relMask
-		event := uint32(d.branchID) << 1
-		takenp := cc.blockPtr(d.t1)
-		fallp := cc.blockPtr(d.t2)
-		a, b := d.a, d.b
-		if isCmp {
-			return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
-				cmpA, cmpB = a.val(w), b.val(w)
-				steps += stepCost
-				if steps > m.maxSteps {
-					return m.stepTrap(partial, fname)
-				}
-				rs := 0
-				if cmpA < cmpB {
-					rs = 2
-				} else if cmpA == cmpB {
-					rs = 1
-				}
-				taken := relMask>>rs&1 != 0
-				if m.log.on && m.log.add(event|uint32(relMask>>rs&1)) {
-					m.log.flush()
-				}
-				if taken {
-					m.counts[idTaken]++
-					return *takenp, w, cmpA, cmpB, true, steps
-				}
-				m.counts[idFall]++
-				return *fallp, w, cmpA, cmpB, true, steps
-			}
-		}
-		return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
-			if !flags {
-				return m.trap(undefPartial, fname, "conditional branch with undefined condition codes")
-			}
-			steps += stepCost
-			if steps > m.maxSteps {
-				return m.stepTrap(partial, fname)
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := relMask>>rs&1 != 0
-			if m.log.on && m.log.add(event|uint32(relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.counts[idTaken]++
-				return *takenp, w, cmpA, cmpB, flags, steps
-			}
-			m.counts[idFall]++
-			return *fallp, w, cmpA, cmpB, flags, steps
-		}
+		return cc.compileBranch(op, d, pre)
 
 	case opIJmp:
 		stepCost := uint64(d.stepCost)

@@ -309,10 +309,10 @@ func TestClosureMachineReuse(t *testing.T) {
 	}
 }
 
-// TestClosureHookVariants checks the lazily compiled plain and hooked
-// variants agree: a hooked run (which exercises the instrumented
-// closure graph) and a bare run (the stripped graph) produce the same
-// result, output and stats.
+// TestClosureHookVariants checks that hooked and hook-free runs of the
+// one compiled graph agree: a hooked run (every branch outcome logs its
+// event) and a bare run (the log is off) produce the same result,
+// output and stats.
 func TestClosureHookVariants(t *testing.T) {
 	p := countLoopProg(30)
 	code, err := Decode(p)
@@ -334,6 +334,41 @@ func TestClosureHookVariants(t *testing.T) {
 	if hr != pr || hooked.Stats != plain.Stats || hooked.Output.String() != plain.Output.String() {
 		t.Errorf("variants diverged: ret %d vs %d, stats %+v vs %+v",
 			hr, pr, hooked.Stats, plain.Stats)
+	}
+}
+
+// echoProg copies its input to its output.
+func echoProg() *ir.Program {
+	p := &ir.Program{}
+	f := &ir.Func{Name: "main", NRegs: 1}
+	p.Funcs = append(p.Funcs, f)
+	head, body, exit := f.NewBlock(), f.NewBlock(), f.NewBlock()
+	head.Insts = []ir.Inst{{Op: ir.GetChar, Dst: 0}, {Op: ir.Cmp, A: ir.R(0), B: ir.Imm(0)}}
+	head.Term = ir.Term{Kind: ir.TermBr, Rel: ir.LT, Taken: exit, Next: body}
+	body.Insts = []ir.Inst{{Op: ir.PutChar, A: ir.R(0)}}
+	body.Term = ir.Term{Kind: ir.TermGoto, Taken: head}
+	exit.Term = ir.Term{Kind: ir.TermRet, Val: ir.Imm(0)}
+	p.Linearize()
+	return p
+}
+
+// TestExecOutputOutlivesReuse checks that the output Exec returns stays
+// intact after later Execs, which may run on the same pooled machine.
+func TestExecOutputOutlivesReuse(t *testing.T) {
+	p := echoProg()
+	var outs [][]byte
+	inputs := []string{"first", "XXXXX", "", "longer than the first input"}
+	for _, in := range inputs {
+		_, _, out, err := Exec(EngineClosure, p, nil, []byte(in), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	for i, in := range inputs {
+		if string(outs[i]) != in {
+			t.Errorf("output of Exec %d = %q, want %q", i, outs[i], in)
+		}
 	}
 }
 

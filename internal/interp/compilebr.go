@@ -1,26 +1,26 @@
-// Specialized conditional-branch closures for the plain (hook-free)
-// compiled variant. The generic branch body interprets relMask at run
-// time: derive a relation selector rs from the compare, shift the mask,
-// test a bit — a five-instruction dependent chain ending in a branch.
-// Here the mask is decoded at compile time instead, so each branch
-// closure executes one native compare-and-branch on the operands; the
-// six relations give six distinct host branch sites (plus six more per
-// operand shape), which also stops every interpreted branch from
-// aliasing onto a single host predictor slot — the same replication
-// effect superinstructions buy FastMachine's dispatch switch.
+// Specialized conditional-branch closures. FastMachine's branch tails
+// interpret relMask at run time: derive a relation selector rs from the
+// compare, shift the mask, test a bit — a five-instruction dependent
+// chain ending in a branch. Here the mask is decoded at compile time
+// instead, so each branch closure executes one native compare-and-branch
+// on the operands; the six relations give six distinct host branch sites
+// (plus six more per operand shape), which also stops every interpreted
+// branch from aliasing onto a single host predictor slot — the same
+// replication effect superinstructions buy FastMachine's dispatch switch.
 //
-// The relation selector convention (see the generic body): rs is 2 when
-// a < b, 1 when a == b, 0 when a > b, and relMask bit rs set means the
-// branch is taken. So mask 0b100 is <, 0b110 <=, 0b010 ==, 0b101 !=,
-// 0b001 >, 0b011 >=. Degenerate masks (never/always taken) and unusual
-// operand shapes keep a mask-table body.
+// The relation selector convention (maskHolds): rs is 2 when a < b, 1
+// when a == b, 0 when a > b, and relMask bit rs set means the branch is
+// taken. So mask 0b100 is <, 0b110 <=, 0b010 ==, 0b101 !=, 0b001 >,
+// 0b011 >=. Degenerate masks (never/always taken) and unusual operand
+// shapes keep a mask-table body.
 package interp
 
-// compileBranchPlain compiles opBr/opCmpBr for the plain variant. The
-// accounting mirrors the generic path exactly: branch (+compare for
-// CmpBr) charges precede the step check, the outcome's TakenBranches/
-// SlotNops ride in the per-outcome counters.
-func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn {
+// compileBranch compiles opBr/opCmpBr. The accounting mirrors
+// FastMachine exactly: branch (+compare for CmpBr) charges precede the
+// step check, the outcome's TakenBranches/SlotNops ride in the
+// per-outcome counters, and each outcome then stores its branch event
+// while the machine's log is on.
+func (cc *funcCompiler) compileBranch(op dop, d *dinst, pre Stats) blockFn {
 	fname := cc.fname
 	isCmp := op == opCmpBr
 	stepCost := uint64(d.stepCost) + 1
@@ -34,6 +34,8 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 	idFall := cc.newCounter(plus(stepPartial, Stats{SlotNops: uint64(d.slotFall)}))
 	takenFb, takenp := cc.succ(d.t1)
 	fallFb, fallp := cc.succ(d.t2)
+	evFall := uint32(d.branchID) << 1
+	evTaken := evFall | 1
 
 	if isCmp {
 		a, b := d.a, d.b
@@ -49,12 +51,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA < cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -69,12 +77,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA <= cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -89,12 +103,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA == cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -109,12 +129,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA != cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -129,12 +155,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA > cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -149,12 +181,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA >= cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -173,12 +211,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA < cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -193,12 +237,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA <= cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -213,12 +263,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA == cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -233,12 +289,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA != cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -253,12 +315,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA > cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -273,12 +341,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 					}
 					if cmpA >= cmpB {
 						m.counts[idTaken]++
+						if m.log.on && m.log.add(evTaken) {
+							m.log.flush()
+						}
 						if takenFb != nil {
 							return takenFb(m, w, cmpA, cmpB, true, steps)
 						}
 						return *takenp, w, cmpA, cmpB, true, steps
 					}
 					m.counts[idFall]++
+					if m.log.on && m.log.add(evFall) {
+						m.log.flush()
+					}
 					if fallFb != nil {
 						return fallFb(m, w, cmpA, cmpB, true, steps)
 					}
@@ -287,7 +361,7 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 			}
 		}
 		// Unusual operand shape or degenerate mask: mask-table body.
-		ids, direct, slots := branchTables(d.relMask, idTaken, idFall, takenFb, fallFb, takenp, fallp)
+		ids, evs, direct, slots := branchTables(d.relMask, idTaken, idFall, evTaken, evFall, takenFb, fallFb, takenp, fallp)
 		return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
 			cmpA, cmpB = a.val(w), b.val(w)
 			steps += stepCost
@@ -301,6 +375,9 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 				rs = 1
 			}
 			m.counts[ids[rs]]++
+			if m.log.on && m.log.add(evs[rs]) {
+				m.log.flush()
+			}
 			if fb := direct[rs]; fb != nil {
 				return fb(m, w, cmpA, cmpB, true, steps)
 			}
@@ -322,12 +399,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 			}
 			if cmpA < cmpB {
 				m.counts[idTaken]++
+				if m.log.on && m.log.add(evTaken) {
+					m.log.flush()
+				}
 				if takenFb != nil {
 					return takenFb(m, w, cmpA, cmpB, flags, steps)
 				}
 				return *takenp, w, cmpA, cmpB, flags, steps
 			}
 			m.counts[idFall]++
+			if m.log.on && m.log.add(evFall) {
+				m.log.flush()
+			}
 			if fallFb != nil {
 				return fallFb(m, w, cmpA, cmpB, flags, steps)
 			}
@@ -344,12 +427,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 			}
 			if cmpA <= cmpB {
 				m.counts[idTaken]++
+				if m.log.on && m.log.add(evTaken) {
+					m.log.flush()
+				}
 				if takenFb != nil {
 					return takenFb(m, w, cmpA, cmpB, flags, steps)
 				}
 				return *takenp, w, cmpA, cmpB, flags, steps
 			}
 			m.counts[idFall]++
+			if m.log.on && m.log.add(evFall) {
+				m.log.flush()
+			}
 			if fallFb != nil {
 				return fallFb(m, w, cmpA, cmpB, flags, steps)
 			}
@@ -366,12 +455,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 			}
 			if cmpA == cmpB {
 				m.counts[idTaken]++
+				if m.log.on && m.log.add(evTaken) {
+					m.log.flush()
+				}
 				if takenFb != nil {
 					return takenFb(m, w, cmpA, cmpB, flags, steps)
 				}
 				return *takenp, w, cmpA, cmpB, flags, steps
 			}
 			m.counts[idFall]++
+			if m.log.on && m.log.add(evFall) {
+				m.log.flush()
+			}
 			if fallFb != nil {
 				return fallFb(m, w, cmpA, cmpB, flags, steps)
 			}
@@ -388,12 +483,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 			}
 			if cmpA != cmpB {
 				m.counts[idTaken]++
+				if m.log.on && m.log.add(evTaken) {
+					m.log.flush()
+				}
 				if takenFb != nil {
 					return takenFb(m, w, cmpA, cmpB, flags, steps)
 				}
 				return *takenp, w, cmpA, cmpB, flags, steps
 			}
 			m.counts[idFall]++
+			if m.log.on && m.log.add(evFall) {
+				m.log.flush()
+			}
 			if fallFb != nil {
 				return fallFb(m, w, cmpA, cmpB, flags, steps)
 			}
@@ -410,12 +511,18 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 			}
 			if cmpA > cmpB {
 				m.counts[idTaken]++
+				if m.log.on && m.log.add(evTaken) {
+					m.log.flush()
+				}
 				if takenFb != nil {
 					return takenFb(m, w, cmpA, cmpB, flags, steps)
 				}
 				return *takenp, w, cmpA, cmpB, flags, steps
 			}
 			m.counts[idFall]++
+			if m.log.on && m.log.add(evFall) {
+				m.log.flush()
+			}
 			if fallFb != nil {
 				return fallFb(m, w, cmpA, cmpB, flags, steps)
 			}
@@ -432,19 +539,25 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 			}
 			if cmpA >= cmpB {
 				m.counts[idTaken]++
+				if m.log.on && m.log.add(evTaken) {
+					m.log.flush()
+				}
 				if takenFb != nil {
 					return takenFb(m, w, cmpA, cmpB, flags, steps)
 				}
 				return *takenp, w, cmpA, cmpB, flags, steps
 			}
 			m.counts[idFall]++
+			if m.log.on && m.log.add(evFall) {
+				m.log.flush()
+			}
 			if fallFb != nil {
 				return fallFb(m, w, cmpA, cmpB, flags, steps)
 			}
 			return *fallp, w, cmpA, cmpB, flags, steps
 		}
 	}
-	ids, direct, slots := branchTables(d.relMask, idTaken, idFall, takenFb, fallFb, takenp, fallp)
+	ids, evs, direct, slots := branchTables(d.relMask, idTaken, idFall, evTaken, evFall, takenFb, fallFb, takenp, fallp)
 	return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
 		if !flags {
 			return m.trap(undefPartial, fname, "conditional branch with undefined condition codes")
@@ -460,6 +573,9 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 			rs = 1
 		}
 		m.counts[ids[rs]]++
+		if m.log.on && m.log.add(evs[rs]) {
+			m.log.flush()
+		}
 		if fb := direct[rs]; fb != nil {
 			return fb(m, w, cmpA, cmpB, flags, steps)
 		}
@@ -469,16 +585,17 @@ func (cc *funcCompiler) compileBranchPlain(op dop, d *dinst, pre Stats) blockFn 
 
 // branchTables spreads a branch's two outcomes over the three relation
 // selectors so the outcome is a table lookup instead of a mask test.
-func branchTables(relMask uint8, idTaken, idFall int, takenFb, fallFb blockFn, takenp, fallp *blockFn) ([3]int, [3]blockFn, [3]*blockFn) {
+func branchTables(relMask uint8, idTaken, idFall int, evTaken, evFall uint32, takenFb, fallFb blockFn, takenp, fallp *blockFn) ([3]int, [3]uint32, [3]blockFn, [3]*blockFn) {
 	var ids [3]int
+	var evs [3]uint32
 	var direct [3]blockFn
 	var slots [3]*blockFn
 	for rs := 0; rs < 3; rs++ {
 		if relMask>>rs&1 != 0 {
-			ids[rs], direct[rs], slots[rs] = idTaken, takenFb, takenp
+			ids[rs], evs[rs], direct[rs], slots[rs] = idTaken, evTaken, takenFb, takenp
 		} else {
-			ids[rs], direct[rs], slots[rs] = idFall, fallFb, fallp
+			ids[rs], evs[rs], direct[rs], slots[rs] = idFall, evFall, fallFb, fallp
 		}
 	}
-	return ids, direct, slots
+	return ids, evs, direct, slots
 }

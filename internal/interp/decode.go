@@ -34,6 +34,7 @@ package interp
 
 import (
 	"fmt"
+	"sync"
 
 	"branchreorder/internal/ir"
 )
@@ -198,16 +199,16 @@ type dfunc struct {
 
 // Code is a whole program compiled for the fast engine. A Code is
 // immutable after Decode and safe for concurrent FastMachines. The
-// closure engine's compiled variants (compile.go) are cached here
-// lazily under closOnce, so a Code stays safe for concurrent
-// ClosureMachines too.
+// closure engine's compiled graph (compile.go) is cached here lazily
+// under closOnce, so a Code stays safe for concurrent ClosureMachines
+// too.
 type Code struct {
 	prog  *ir.Program
 	funcs []dfunc
 	main  int
 
-	closOnce closOncePair
-	clos     [2]*compiledProg // plain, hooked
+	closOnce sync.Once
+	clos     *compiledProg
 }
 
 // Prog returns the program the code was decoded from.

@@ -1,7 +1,9 @@
 package interp
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"branchreorder/internal/ir"
 )
@@ -9,17 +11,17 @@ import (
 // Engine names one of the package's execution backends. All engines are
 // observably equivalent — same Stats, Output, return value, hook
 // sequences and traps — so the choice never affects results, only
-// wall-clock speed. The zero value is the fast interpreter, the
-// package's default backend.
+// wall-clock speed. The zero value is the closure engine, the package's
+// default backend for measurement, training, auto-evaluation and brcc.
 type Engine int
 
 const (
-	// EngineFast is the flat-decoded direct interpreter (FastMachine).
-	EngineFast Engine = iota
 	// EngineClosure is the closure-compiled backend (ClosureMachine):
 	// each decoded function is translated once into a graph of
 	// pre-bound closures executed past the dispatch loop.
-	EngineClosure
+	EngineClosure Engine = iota
+	// EngineFast is the flat-decoded direct interpreter (FastMachine).
+	EngineFast
 	// EngineReference is the block-walking reference interpreter
 	// (Machine), the slow semantic baseline.
 	EngineReference
@@ -27,12 +29,12 @@ const (
 
 func (e Engine) String() string {
 	switch e {
-	case EngineClosure:
-		return "closure"
+	case EngineFast:
+		return "fast"
 	case EngineReference:
 		return "reference"
 	}
-	return "fast"
+	return "closure"
 }
 
 // BranchChunk is the number of events one OnBranches chunk holds: each
@@ -92,6 +94,13 @@ func (l *branchLog) add(ev uint32) bool {
 	return l.n == BranchChunk
 }
 
+// finish flushes the last events of a run and drops the hooks, so a
+// machine kept for reuse holds no reference to their consumers.
+func (l *branchLog) finish() {
+	l.flush()
+	l.onBranch, l.onBranches = nil, nil
+}
+
 // flush delivers the pending events, if any, in order — one by one to
 // onBranch, then as one chunk to onBranches — and empties the chunk.
 func (l *branchLog) flush() {
@@ -111,26 +120,30 @@ func (l *branchLog) flush() {
 }
 
 // ParseEngine maps a command-line engine name to an Engine. The empty
-// string selects the default fast engine.
+// string selects the default closure engine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "fast":
-		return EngineFast, nil
-	case "closure":
+	case "", "closure":
 		return EngineClosure, nil
+	case "fast":
+		return EngineFast, nil
 	case "reference":
 		return EngineReference, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want fast, closure, or reference)", s)
+	return 0, fmt.Errorf("unknown engine %q (want closure, fast, or reference)", s)
 }
+
+// closureMachines recycles Exec's closure machines, so their arenas and
+// output buffers outlive one run.
+var closureMachines = sync.Pool{New: func() any { return new(ClosureMachine) }}
 
 // Exec runs prog once under the selected engine with the given hooks
 // and returns the run's result, statistics and program output. The
 // reference engine walks prog directly; the fast and closure engines
 // execute code, decoding prog (with fusion) when code is nil. Exec is
 // the one-shot form shared by training runs, auto-evaluation and CLI
-// execution; callers that reuse machines or need fusion/compile reports
-// construct the machines themselves.
+// execution; callers that need fusion/compile reports construct the
+// machines themselves. The returned output is the caller's to keep.
 func Exec(e Engine, prog *ir.Program, code *Code, input []byte,
 	onBranch func(id int, taken bool), onProf func(seqID, sub int, value int64)) (int64, Stats, []byte, error) {
 	if e == EngineReference {
@@ -145,12 +158,16 @@ func Exec(e Engine, prog *ir.Program, code *Code, input []byte,
 			return 0, Stats{}, nil, err
 		}
 	}
-	if e == EngineClosure {
-		m := &ClosureMachine{Code: code, Input: input, OnBranch: onBranch, OnProf: onProf}
+	if e == EngineFast {
+		m := &FastMachine{Code: code, Input: input, OnBranch: onBranch, OnProf: onProf}
 		ret, err := m.Run()
 		return ret, m.Stats, m.Output.Bytes(), err
 	}
-	m := &FastMachine{Code: code, Input: input, OnBranch: onBranch, OnProf: onProf}
+	m := closureMachines.Get().(*ClosureMachine)
+	m.Code, m.Input, m.OnBranch, m.OnProf = code, input, onBranch, onProf
 	ret, err := m.Run()
-	return ret, m.Stats, m.Output.Bytes(), err
+	st, out := m.Stats, bytes.Clone(m.Output.Bytes())
+	m.Code, m.Input, m.OnBranch, m.OnProf = nil, nil, nil, nil
+	closureMachines.Put(m)
+	return ret, st, out, err
 }

@@ -8,11 +8,12 @@ import (
 	"branchreorder/internal/ir"
 )
 
-// FastMachine executes pre-decoded Code. It is the measurement engine:
+// FastMachine executes pre-decoded Code: a direct dispatch loop,
 // observably equivalent to Machine (same Stats, Output, return value,
 // branch/profile event streams and runtime traps) at a fraction of the
-// dispatch cost. The differences are confined to resource accounting on
-// aborted runs:
+// dispatch cost. It is the oracle the closure engine is held to exactly
+// (internal/equiv) and the engine of -engine fast. The differences from
+// Machine are confined to resource accounting on aborted runs:
 //
 //   - The step budget (MaxSteps) is charged block-granularly, so a
 //     step-limit abort stops at a block edge of the basic block in which
@@ -108,7 +109,7 @@ type fastFrame struct {
 func (m *FastMachine) Run() (int64, error) {
 	m.log.start(m.OnBranch, m.OnBranches)
 	ret, err := m.run()
-	m.log.flush()
+	m.log.finish()
 	return ret, err
 }
 

@@ -53,7 +53,7 @@ func (r *BuildResult) ReorderedSeqs() int {
 // instrumented executable on the training input, select orderings, apply
 // the transformation, and clean up.
 func Build(src string, train []byte, o Options) (*BuildResult, error) {
-	return BuildWith(src, train, o, interp.EngineFast)
+	return BuildWith(src, train, o, interp.EngineClosure)
 }
 
 // BuildWith is Build with the training run on an explicit execution

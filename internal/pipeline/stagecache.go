@@ -37,7 +37,7 @@ type StageCache struct {
 	// AutoBuildWith, auto-evaluation runs). It deliberately lives
 	// outside Options and every fingerprint: profiles are byte-identical
 	// under any engine, so the choice must never split caches. Set it
-	// before the first Build; the zero value is the fast interpreter.
+	// before the first Build; the zero value is the closure engine.
 	Exec interp.Engine
 
 	mu     sync.Mutex

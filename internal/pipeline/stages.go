@@ -129,7 +129,7 @@ func profHook(prof *core.Profile, orProf *core.OrProfile) func(seqID, sub int, v
 // mirroring the monolithic Build's first pass exactly so the counts are
 // identical to the ones an in-place build would collect.
 func TrainStage(front *FrontendProduct, train []byte, d DetectOptions) (*TrainProduct, error) {
-	return TrainStageWith(front, train, d, interp.EngineFast)
+	return TrainStageWith(front, train, d, interp.EngineClosure)
 }
 
 // TrainStageWith is TrainStage on an explicit execution engine. All

@@ -26,8 +26,8 @@ type Instrumented struct {
 	OrSequences []*core.OrSequence
 
 	// Exec selects the execution engine for Train. Profiles are
-	// byte-identical under every engine; the zero value is the fast
-	// interpreter.
+	// byte-identical under every engine; the zero value is the closure
+	// engine.
 	Exec interp.Engine
 }
 

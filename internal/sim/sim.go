@@ -2,10 +2,19 @@
 // one interpreted run collects the dynamic instruction mix, feeds every
 // branch to a battery of predictors (Tables 5 and 6), and derives cycle
 // counts for each machine model (Table 7).
+//
+// The run is on the closure engine by default. The machine logs branch
+// events into chunks; Run gathers the chunks into batches and hands each
+// full batch to one goroutine that replays it through the predictor
+// bank, so prediction overlaps execution on a second core. The one
+// consumer sees the events in execution order, so the counts are those a
+// synchronous replay gives. Machines, banks and batches are pooled
+// across runs.
 package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"branchreorder/internal/interp"
 	"branchreorder/internal/ir"
@@ -42,32 +51,26 @@ type Measurement struct {
 	// engine, not the measured program: Stats/Cycles are identical
 	// either way.
 	Fusion interp.FusionStats
-
-	// Compile reports the closure compilation of the executable (all
-	// zero unless the closure engine ran). Like Fusion it describes the
-	// measurement engine, not the measured program.
-	Compile interp.CompileStats
 }
 
 // Engine selects the execution backend for a measurement. All engines
 // produce byte-identical Measurements; they differ only in wall-clock
-// speed (and the engine-descriptive Fusion/Compile fields). The enum
-// lives in interp — where the machines do — and is aliased here so
-// measurement callers need only this package.
+// speed. The enum lives in interp — where the machines do — and is
+// aliased here so measurement callers need only this package.
 type Engine = interp.Engine
 
 const (
-	EngineFast      = interp.EngineFast
 	EngineClosure   = interp.EngineClosure
+	EngineFast      = interp.EngineFast
 	EngineReference = interp.EngineReference
 )
 
 // ParseEngine maps a command-line engine name to an Engine. The empty
-// string selects the default fast engine.
+// string selects the default closure engine.
 func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
 
 // Options configures how a measurement executes. The zero value is the
-// default (fused, fast-engine) configuration. Options never enters
+// default (fused, closure-engine) configuration. Options never enters
 // result fingerprints: engine selection must not invalidate caches,
 // because results are engine-independent.
 type Options struct {
@@ -84,63 +87,75 @@ type Options struct {
 // nil for the full Table 6 sweep) and deriving cycles for every machine
 // model.
 //
-// Execution is on the flat-decoded fast engine (interp.Decode +
-// interp.FastMachine); RunWith's Options.Engine selects the closure or
+// Execution is on the closure engine (interp.Decode +
+// interp.ClosureMachine); RunWith's Options.Engine selects the fast or
 // reference backend instead. Every engine records the branch stream in
-// chunks (OnBranches), and one predictor.Bank replays each chunk into
-// the whole predictor battery.
+// chunks (OnBranches); the chunks are gathered into batches that one
+// goroutine replays through a predictor.Bank while execution goes on.
+// Run is safe for concurrent use: each call takes its own machine, bank
+// and batches from a pool and returns them when it is done.
 func Run(prog *ir.Program, input []byte, specs []predictor.Spec) (*Measurement, error) {
 	return RunWith(prog, input, specs, Options{})
 }
 
 // RunWith is Run with explicit execution options.
 func RunWith(prog *ir.Program, input []byte, specs []predictor.Spec, opts Options) (*Measurement, error) {
-	var bank *predictor.Bank
-	if specs == nil {
-		bank = predictor.NewTable6Bank()
-	} else {
-		bank = predictor.NewBank(specs)
+	r := runners.Get().(*runner)
+	defer runners.Put(r)
+	return r.measure(prog, input, specs, opts)
+}
+
+// batchEvents is the size of one replay batch: 4 machine chunks, 16K
+// events (64 KB). Larger batches replayed no faster and held more memory.
+const batchEvents = 4 * interp.BranchChunk
+
+// nBatches is the number of batch buffers a run cycles through: one
+// filling, one queued and one replaying.
+const nBatches = 3
+
+// runner is the reusable state of one measurement: the machines of the
+// decoded engines, the Table-6 bank and the replay batches. Every field
+// that refers to the measured program is cleared when the run ends, so
+// the pool keeps no program alive.
+type runner struct {
+	clos       interp.ClosureMachine
+	fast       interp.FastMachine
+	table6     *predictor.Bank
+	onBranches func(events []uint32) // r.add, bound once
+
+	bank  *predictor.Bank // this run's bank
+	batch []uint32        // the batch being filled
+	// free holds the empty batches and full the batches to replay, in
+	// order. Each has room for all nBatches, so no put ever blocks; the
+	// producer waits only on free, for the consumer to return a batch.
+	free chan []uint32
+	full chan []uint32 // nil until the run's first batch fills
+	done chan struct{} // closed when the replay goroutine has drained full
+}
+
+var runners = sync.Pool{New: func() any {
+	r := &runner{table6: predictor.NewTable6Bank(), free: make(chan []uint32, nBatches)}
+	r.onBranches = r.add
+	r.batch = make([]uint32, 0, batchEvents)
+	for i := 1; i < nBatches; i++ {
+		r.free <- make([]uint32, 0, batchEvents)
 	}
-	onBranches := bank.Replay
-	var (
-		stats   interp.Stats
-		output  string
-		ret     int64
-		fusion  interp.FusionStats
-		compile interp.CompileStats
-	)
-	switch opts.Engine {
-	case EngineReference:
-		m := &interp.Machine{Prog: prog, Input: input, OnBranches: onBranches}
-		r, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		stats, output, ret = m.Stats, m.Output.String(), r
-	case EngineClosure:
-		code, err := interp.DecodeWith(prog, interp.DecodeOptions{Fuse: !opts.NoFuse})
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		m := &interp.ClosureMachine{Code: code, Input: input, OnBranches: onBranches}
-		r, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		stats, output, ret = m.Stats, m.Output.String(), r
-		fusion, compile = code.FusionStats(), code.CompileStats()
-	default:
-		code, err := interp.DecodeWith(prog, interp.DecodeOptions{Fuse: !opts.NoFuse})
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		m := &interp.FastMachine{Code: code, Input: input, OnBranches: onBranches}
-		r, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		stats, output, ret = m.Stats, m.Output.String(), r
-		fusion = code.FusionStats()
+	return r
+}}
+
+func (r *runner) measure(prog *ir.Program, input []byte, specs []predictor.Spec, opts Options) (*Measurement, error) {
+	r.bank = r.table6
+	if specs != nil {
+		r.bank = predictor.NewBank(specs)
+	} else {
+		r.bank.Reset()
+	}
+	stats, output, ret, fusion, err := r.exec(prog, input, opts)
+	r.drain()
+	mispredicts := r.bank.Mispredicts()
+	r.bank = nil
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	cfgs := machine.All()
 	out := &Measurement{
@@ -148,14 +163,78 @@ func RunWith(prog *ir.Program, input []byte, specs []predictor.Spec, opts Option
 		Output:      output,
 		Ret:         ret,
 		Cycles:      make(map[string]uint64, len(cfgs)),
-		Mispredicts: bank.Mispredicts(),
+		Mispredicts: mispredicts,
 		Fusion:      fusion,
-		Compile:     compile,
 	}
 	for _, cfg := range cfgs {
 		out.Cycles[cfg.Name] = Cycles(cfg, stats, out.Mispredicts)
 	}
 	return out, nil
+}
+
+// exec runs prog on the selected engine, feeding every branch chunk to
+// r.add.
+func (r *runner) exec(prog *ir.Program, input []byte, opts Options) (interp.Stats, string, int64, interp.FusionStats, error) {
+	if opts.Engine == EngineReference {
+		m := &interp.Machine{Prog: prog, Input: input, OnBranches: r.onBranches}
+		ret, err := m.Run()
+		return m.Stats, m.Output.String(), ret, interp.FusionStats{}, err
+	}
+	code, err := interp.DecodeWith(prog, interp.DecodeOptions{Fuse: !opts.NoFuse})
+	if err != nil {
+		return interp.Stats{}, "", 0, interp.FusionStats{}, err
+	}
+	if opts.Engine == EngineFast {
+		m := &r.fast
+		m.Code, m.Input, m.OnBranches = code, input, r.onBranches
+		ret, err := m.Run()
+		m.Code, m.Input, m.OnBranches = nil, nil, nil
+		return m.Stats, m.Output.String(), ret, code.FusionStats(), err
+	}
+	m := &r.clos
+	m.Code, m.Input, m.OnBranches = code, input, r.onBranches
+	ret, err := m.Run()
+	m.Code, m.Input, m.OnBranches = nil, nil, nil
+	return m.Stats, m.Output.String(), ret, code.FusionStats(), err
+}
+
+// add appends one machine chunk to the batch being filled. Every chunk
+// but a run's last holds exactly interp.BranchChunk events, so a batch
+// fills exactly; a full batch goes to the replay goroutine, started on
+// the first, and the next batch comes off the free list.
+func (r *runner) add(events []uint32) {
+	r.batch = append(r.batch, events...)
+	if len(r.batch) < batchEvents {
+		return
+	}
+	if r.full == nil {
+		r.full, r.done = make(chan []uint32, nBatches), make(chan struct{})
+		go replay(r.bank, r.full, r.free, r.done)
+	}
+	r.full <- r.batch
+	r.batch = (<-r.free)[:0]
+}
+
+// replay observes each batch in order and returns it to the free list.
+func replay(bank *predictor.Bank, full <-chan []uint32, free chan<- []uint32, done chan<- struct{}) {
+	for b := range full {
+		bank.Replay(b)
+		free <- b
+	}
+	close(done)
+}
+
+// drain joins the replay goroutine, if the run started one, and then
+// replays the last, partial batch, so the bank has seen every event in
+// order.
+func (r *runner) drain() {
+	if r.full != nil {
+		close(r.full)
+		<-r.done
+		r.full, r.done = nil, nil
+	}
+	r.bank.Replay(r.batch)
+	r.batch = r.batch[:0]
 }
 
 // Cycles evaluates the machine timing model over a run's statistics.

@@ -1,13 +1,20 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"branchreorder/internal/interp"
+	"branchreorder/internal/ir"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/machine"
 	"branchreorder/internal/pipeline"
 	"branchreorder/internal/predictor"
+	"branchreorder/internal/workload"
 )
 
 const loopSrc = `
@@ -143,4 +150,141 @@ func TestRunPropagatesErrors(t *testing.T) {
 	if _, err := Run(front.Prog, nil, nil); err == nil {
 		t.Error("trap not propagated")
 	}
+}
+
+// TestDefaultEngineIsClosure checks which machine each Options runs:
+// the zero value must dispatch to the closure engine.
+func TestDefaultEngineIsClosure(t *testing.T) {
+	front, err := pipeline.Frontend(loopSrc, *compile(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		opts       Options
+		clos, fast bool
+	}{
+		{Options{}, true, false},
+		{Options{NoFuse: true}, true, false},
+		{Options{Engine: EngineClosure}, true, false},
+		{Options{Engine: EngineFast}, false, true},
+		{Options{Engine: EngineReference}, false, false},
+	} {
+		r := runners.New().(*runner)
+		if _, err := r.measure(front.Prog, []byte("xyx"), nil, c.opts); err != nil {
+			t.Fatal(err)
+		}
+		clos, fast := r.clos.Stats.Insts > 0, r.fast.Stats.Insts > 0
+		if clos != c.clos || fast != c.fast {
+			t.Errorf("%+v ran closure=%v fast=%v, want closure=%v fast=%v", c.opts, clos, fast, c.clos, c.fast)
+		}
+	}
+}
+
+// countSrc takes about 3 branch events per iteration (loop test, the if,
+// and the check of z), so 20000 iterations fill several replay batches.
+const countSrc = `
+int main() {
+	int i = 0, n = 0, z = 0;
+	while (i < 20000) {
+		if (i % 3 == 0)
+			n = n + 1;
+		i = i + 1;
+	}
+	return n / z;
+}`
+
+// waitGoroutines waits, boundedly, for the goroutine count to fall back
+// to want: a finished goroutine leaves the count just after it signals.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for i := 0; i < 1000 && runtime.NumGoroutine() > want; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got != want {
+		t.Errorf("%d goroutines after the run, %d before", got, want)
+	}
+}
+
+// TestReplayJoinsOnEveryPath runs measurements that end before one batch
+// fills and that trap in the middle of a batch, by division by zero and
+// by the step limit. Each must return its error text and leave no replay
+// goroutine behind.
+func TestReplayJoinsOnEveryPath(t *testing.T) {
+	build := func(src string) *ir.Program {
+		t.Helper()
+		front, err := pipeline.Frontend(src, *compile(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return front.Prog
+	}
+	short := build(loopSrc)
+	trap := build(countSrc)
+	endless := build(`int main() { int i = 0; while (1) { if (i < 5) i = i + 1; else i = 0; } return i; }`)
+	for _, c := range []struct {
+		name     string
+		prog     *ir.Program
+		input    string
+		maxSteps uint64
+		err      string
+	}{
+		{"short", short, "xyx", 0, ""},
+		{"div-by-zero", trap, "", 0, "sim: runtime error in main: division by zero"},
+		{"step-limit", endless, "", 100000, "sim: runtime error in main: exceeded step limit 100000"},
+	} {
+		for _, opts := range []Options{{}, {Engine: EngineFast}, {Engine: EngineReference}} {
+			if c.maxSteps != 0 && opts.Engine == EngineReference {
+				continue // the reference Machine is built per run
+			}
+			before := runtime.NumGoroutine()
+			r := runners.New().(*runner)
+			r.clos.MaxSteps, r.fast.MaxSteps = c.maxSteps, c.maxSteps
+			m, err := r.measure(c.prog, []byte(c.input), nil, opts)
+			if got := fmt.Sprint(err); (c.err == "" && err != nil) || (c.err != "" && got != c.err) {
+				t.Errorf("%s %v: error %q, want %q", c.name, opts.Engine, got, c.err)
+			}
+			if c.err == "" && (m == nil || m.Ret != 2) {
+				t.Errorf("%s %v: measurement %+v", c.name, opts.Engine, m)
+			}
+			waitGoroutines(t, before)
+		}
+	}
+}
+
+// TestConcurrentRunsMatchSerial runs the roster's executables from 8
+// goroutines at once, each through the pooled machines, banks and
+// batches, and requires the Measurements serial calls give.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	all := workload.All()
+	progs := make([]*ir.Program, len(all))
+	want := make([]*Measurement, len(all))
+	for i, w := range all {
+		front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetII, Optimize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[i] = front.Prog
+		if want[i], err = Run(progs[i], all[i].Test(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range all {
+				i := (g + k) % len(all)
+				got, err := Run(progs[i], all[i].Test(), nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d: %s measured differently from the serial run", g, all[i].Name)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
