@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profBias  = fs.Uint64("profile-bias", 0, "fault injection for -profile-study: corrupt every sampled sequence's first arm count by this much")
 		profMerge = fs.Bool("profile-merge", false, "fold every training run into a persistent merged-profile record and train from the decayed fold (needs -cache-dir)")
 		quiet     = fs.Bool("q", false, "suppress progress output and the timing summary")
-		jobs      = fs.Int("j", 0, "max concurrent build+measure jobs (<=0 means GOMAXPROCS)")
+		jobs      = fs.Int("j", 0, "max concurrent build+measure jobs (<=0 means GOMAXPROCS); each job's baseline measurement runs beside its training, outside this bound")
 		workloads = fs.String("workloads", "", "comma-separated workload subset (default: all 17)")
 		cacheDir  = fs.String("cache-dir", "", "persist build+measure results in this directory")
 		shardFlag = fs.String("shard", "", "run only partition i of n of the job matrix, written i/n (requires -export)")
@@ -243,7 +243,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if st.ProfileHits > 0 {
 					fmt.Fprintf(stderr, ", %d from store", st.ProfileHits)
 				}
-				fmt.Fprintf(stderr, ")")
+				fmt.Fprintf(stderr, "), %d baseline runs (%d reused)", st.BaselineRuns, st.BaselineHits)
 				if st.SampledTrainRuns > 0 {
 					fmt.Fprintf(stderr, ", %d sampled training runs", st.SampledTrainRuns)
 				}

@@ -1,14 +1,14 @@
 // Command brperf measures the execution core's headline benchmarks —
-// interpreter throughput on both engines, decode cost, the full
-// measurement path and the predictor battery — and writes them as a
-// JSON document. Committing the output as BENCH_baseline.json (and
-// diffing later runs against it) gives the repo a performance
-// trajectory that survives across machines and PRs:
+// interpreter throughput on both engines, decode cost, the training
+// stage, the full measurement path, a cold suite and the predictor
+// battery — and writes them as a JSON document. Committing the output
+// as BENCH_baseline.json (and diffing later runs against it) gives the
+// repo a performance trajectory that survives across machines and PRs:
 //
 //	go run ./cmd/brperf -o BENCH_baseline.json
 //	go run ./cmd/brperf | diff BENCH_baseline.json -   # eyeball a change
 //
-// The same numbers are available as ordinary go benchmarks
+// All but the Train and Suite rows are also ordinary go benchmarks
 // (go test -bench 'Interp|Decode|Build|SimWithPredictors|PredictorBattery');
 // brperf exists so CI and scripts get machine-readable output without
 // parsing benchmark text.
@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 	"strings"
 	"testing"
 
+	"branchreorder/internal/bench"
 	"branchreorder/internal/interp"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
@@ -368,6 +370,37 @@ func run(out string) error {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := cache.Build(w.Source, train, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+
+	// The training stage alone, on a prebuilt frontend: detection,
+	// instrumentation and the training run with its profile hook.
+	wcFront, err := pipeline.BuildFrontend(w.Source, opts.Frontend())
+	if err != nil {
+		return err
+	}
+	record("Train/wc", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := pipeline.TrainStage(wcFront, train, opts.Detection()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	// A cold suite on a fresh engine at one job: the path the repository
+	// benchmark's paper-suite times.
+	var suite []workload.Workload
+	for _, sw := range workload.All() {
+		if sw.Name == "wc" || sw.Name == "sort" || sw.Name == "lex" {
+			suite = append(suite, sw)
+		}
+	}
+	record("Suite/cold-j1", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bench.NewEngine(1, nil).SuiteOf(context.Background(), suite); err != nil {
 				b.Fatal(err)
 			}
 		}

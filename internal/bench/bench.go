@@ -19,6 +19,7 @@ import (
 
 	"branchreorder/internal/bench/store"
 	"branchreorder/internal/interp"
+	"branchreorder/internal/ir"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
 	"branchreorder/internal/profile"
@@ -84,23 +85,48 @@ func RunOpts(w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, err)
 	}
-	return measureBuild(w, opts, b, w.Test(), sim.Options{})
+	return measureBuild(w, opts, b, startBaseline(b.Baseline, w.Test(), sim.Options{}), sim.Options{})
 }
 
-// measureBuild runs both executables of a finished build on the test
-// input and assembles the ProgramRun every table and figure consumes.
+// baseline is the measurement of a baseline program on a test input,
+// taken on its own goroutine: the paper's Original executable is the
+// output of pass 1 (Figure 2), so measuring it needs neither the training
+// run nor the reordering. done is closed once m and err are final.
+type baseline struct {
+	test []byte
+	done chan struct{}
+	m    *sim.Measurement
+	err  error
+}
+
+// startBaseline starts measuring prog on test. prog must not change
+// until the measurement is joined.
+func startBaseline(prog *ir.Program, test []byte, mo sim.Options) *baseline {
+	l := &baseline{test: test, done: make(chan struct{})}
+	go func() {
+		defer close(l.done)
+		l.m, l.err = sim.RunWith(prog, test, nil, mo)
+	}()
+	return l
+}
+
+// measureBuild measures the reordered executable of a finished build on
+// the baseline's test input, joins the started baseline measurement,
+// and assembles the ProgramRun every table and figure consumes. The
+// baseline error wins over the reordered one, whichever ended first.
 // Measured results are identical for any mo; only wall-clock and the
 // engine-descriptive Fusion report change.
-func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult, test []byte, mo sim.Options) (*ProgramRun, error) {
+func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult, bl *baseline, mo sim.Options) (*ProgramRun, error) {
 	set := opts.Switch
-	base, err := sim.RunWith(b.Baseline, test, nil, mo)
-	if err != nil {
-		return nil, fmt.Errorf("%s (set %v) baseline: %w", w.Name, set, err)
+	reord, rerr := sim.RunWith(b.Reordered, bl.test, nil, mo)
+	<-bl.done
+	if bl.err != nil {
+		return nil, fmt.Errorf("%s (set %v) baseline: %w", w.Name, set, bl.err)
 	}
-	reord, err := sim.RunWith(b.Reordered, test, nil, mo)
-	if err != nil {
-		return nil, fmt.Errorf("%s (set %v) reordered: %w", w.Name, set, err)
+	if rerr != nil {
+		return nil, fmt.Errorf("%s (set %v) reordered: %w", w.Name, set, rerr)
 	}
+	base := bl.m
 	if base.Output != reord.Output || base.Ret != reord.Ret {
 		return nil, fmt.Errorf("%s (set %v): reordered output differs from baseline", w.Name, set)
 	}

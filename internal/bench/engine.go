@@ -44,7 +44,11 @@ type EngineStats = store.TierStats
 // exactly once. Behind the Key memo, jobs are also keyed by content —
 // frontend digest, inputs and options other than Switch — so a program
 // that lowers identically under several heuristic sets is trained and
-// measured once. An Engine is safe for concurrent use.
+// measured once. A job's baseline measurement runs on its own goroutine
+// beside the job's training, finalize and reordered measurement, outside
+// the worker pool, and is memoized by frontend digest and test input, so
+// the variants of one program measure its baseline once. An Engine is
+// safe for concurrent use.
 type Engine struct {
 	jobs     int
 	progress io.Writer
@@ -66,13 +70,17 @@ type Engine struct {
 	// combinations that miss the whole-build tier.
 	stages *pipeline.StageCache
 
-	mu    sync.Mutex // guards cache, shares, stats, and progress writes
+	mu    sync.Mutex // guards cache, shares, baselines, stats, and progress writes
 	cache map[Key]*entry
 	// shares is the content memo behind the build path, bucketed by
 	// frontend digest: one slot per distinct (program, training input,
 	// test input, options other than Switch) this engine has measured.
 	shares map[[32]byte][]*share
-	stats  EngineStats
+	// baselines memoizes baseline measurements by frontend digest, one
+	// per distinct (program, test input). A failed one keeps its error:
+	// a trap on the same program and input is deterministic.
+	baselines map[[32]byte][]*baseline
+	stats     EngineStats
 }
 
 // entry is one memoized job. done is closed exactly once, after run/err
@@ -106,12 +114,13 @@ func NewEngine(jobs int, progress io.Writer) *Engine {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		jobs:     jobs,
-		progress: progress,
-		sem:      make(chan struct{}, jobs),
-		cache:    map[Key]*entry{},
-		shares:   map[[32]byte][]*share{},
-		stages:   pipeline.NewStageCache(0),
+		jobs:      jobs,
+		progress:  progress,
+		sem:       make(chan struct{}, jobs),
+		cache:     map[Key]*entry{},
+		shares:    map[[32]byte][]*share{},
+		baselines: map[[32]byte][]*baseline{},
+		stages:    pipeline.NewStageCache(0),
 	}
 	e.stages.Profiles = profileTier{e}
 	return e
@@ -348,20 +357,24 @@ func (e *Engine) claim(digest [32]byte, train, test []byte, opts pipeline.Option
 	return sh, true
 }
 
-// measure fills an owned content-memo slot: train (through the stage
-// cache), finalize and measure the job, then publish the result to the
-// slot's waiters.
+// measure fills an owned content-memo slot: start the baseline
+// measurement (or take the one another job started), train (through the
+// stage cache), finalize and measure the job, then publish the result to
+// the slot's waiters. It returns only after the baseline measurement has
+// ended, on every path.
 func (e *Engine) measure(front *pipeline.FrontendProduct, sh *share, w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
 	start := time.Now()
+	bl := e.baseline(front, sh.test)
 	sh.tp, sh.err = e.stages.Train(w.Source, sh.train, opts.Frontend(), opts.Detection())
 	var b *pipeline.BuildResult
 	if sh.err == nil {
 		b, sh.err = pipeline.FinalizeStages(front, sh.tp, opts)
 	}
 	if sh.err != nil {
+		<-bl.done
 		sh.err = fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, sh.err)
 	} else {
-		sh.run, sh.err = measureBuild(w, opts, b, sh.test, e.Measure)
+		sh.run, sh.err = measureBuild(w, opts, b, bl, e.Measure)
 	}
 	e.mu.Lock()
 	if sh.err != nil {
@@ -388,6 +401,24 @@ func (e *Engine) measure(front *pipeline.FrontendProduct, sh *share, w workload.
 	e.mu.Unlock()
 	close(sh.done)
 	return sh.run, sh.err
+}
+
+// baseline returns the baseline measurement of the program front holds
+// on test, starting it unless another job already has. front.Prog is
+// immutable, so the measurement reads it in place.
+func (e *Engine) baseline(front *pipeline.FrontendProduct, test []byte) *baseline {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, bl := range e.baselines[front.Digest] {
+		if bytes.Equal(bl.test, test) {
+			e.stats.BaselineHits++
+			return bl
+		}
+	}
+	bl := startBaseline(front.Prog, test, e.Measure)
+	e.baselines[front.Digest] = append(e.baselines[front.Digest], bl)
+	e.stats.BaselineRuns++
+	return bl
 }
 
 // profileTier adapts the engine's disk tier into the stage cache's

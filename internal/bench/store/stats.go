@@ -42,6 +42,8 @@ type TierStats struct {
 	// a pre-existing merged profile record (warm start).
 	SampledTrainRuns int `json:"sampledTrainRuns,omitempty"`
 	ProfileMergeHits int `json:"profileMergeHits,omitempty"`
+	BaselineRuns     int `json:"baselineRuns,omitempty"` // baseline measurements actually run
+	BaselineHits     int `json:"baselineHits,omitempty"` // jobs served another job's baseline of the same program and test input
 
 	// Superinstruction counters, aggregated over freshly built
 	// executables only (like BuildSeconds; cache hits and shared jobs add
@@ -80,6 +82,8 @@ func (s *TierStats) Add(o TierStats) {
 	s.ProfilePuts += o.ProfilePuts
 	s.SampledTrainRuns += o.SampledTrainRuns
 	s.ProfileMergeHits += o.ProfileMergeHits
+	s.BaselineRuns += o.BaselineRuns
+	s.BaselineHits += o.BaselineHits
 	s.FusedSites += o.FusedSites
 	s.FusedOps += o.FusedOps
 	s.DecodedOps += o.DecodedOps

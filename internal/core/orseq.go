@@ -256,11 +256,13 @@ func NewOrProfile(seqs []*OrSequence) *OrProfile {
 // sequence execute consecutively in sub order, so the hook assembles the
 // outcome mask incrementally and commits it on the last condition.
 func (p *OrProfile) Hook() func(seqID, sub int, v int64) {
+	bySeq, firstID := byID(p.Seqs)
 	return func(seqID, sub int, v int64) {
-		sp, ok := p.Seqs[seqID]
-		if !ok {
+		i := seqID - firstID
+		if i < 0 || i >= len(bySeq) || bySeq[i] == nil {
 			return
 		}
+		sp := bySeq[i]
 		if sub == 0 {
 			sp.pendingMask = 0
 			sp.pendingSubs = 0

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -63,7 +64,12 @@ type lookupEntry struct {
 	arm int
 }
 
-type lookupTable []lookupEntry
+// lookupTable is one sequence's count storage and its arms sorted by
+// range start.
+type lookupTable struct {
+	sp      *SeqProfile
+	entries []lookupEntry
+}
 
 // NewProfile prepares count storage for the given sequences (whose Arms
 // must be built).
@@ -76,15 +82,34 @@ func NewProfile(seqs []*Sequence) *Profile {
 		if len(s.Arms) == 0 {
 			panic(fmt.Sprintf("core: sequence %d has no arms; call BuildArms first", s.ID))
 		}
-		p.Seqs[s.ID] = &SeqProfile{Counts: make([]uint64, len(s.Arms))}
-		tbl := make(lookupTable, len(s.Arms))
+		sp := &SeqProfile{Counts: make([]uint64, len(s.Arms))}
+		p.Seqs[s.ID] = sp
+		tbl := make([]lookupEntry, len(s.Arms))
 		for i, a := range s.Arms {
 			tbl[i] = lookupEntry{a.R, i}
 		}
 		sort.Slice(tbl, func(i, j int) bool { return tbl[i].r.Lo < tbl[j].r.Lo })
-		p.lookup[s.ID] = tbl
+		p.lookup[s.ID] = lookupTable{sp, tbl}
 	}
 	return p
+}
+
+// byID returns m's values in a slice indexed by key minus the least key,
+// and that key. Detection numbers sequences densely from its firstID, so
+// a training hook finds a sequence's counts without a map lookup.
+func byID[T any](m map[int]T) ([]T, int) {
+	lo, hi := math.MaxInt, math.MinInt
+	for id := range m {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	if len(m) == 0 {
+		return nil, 0
+	}
+	s := make([]T, hi-lo+1)
+	for id, v := range m {
+		s[id-lo] = v
+	}
+	return s, lo
 }
 
 // Hook returns the interpreter callback that attributes each execution of
@@ -93,14 +118,24 @@ func NewProfile(seqs []*Sequence) *Profile {
 // lands in exactly one arm. The sub index is unused for range-condition
 // sequences (common-successor sequences use OrProfile instead).
 func (p *Profile) Hook() func(seqID, sub int, v int64) {
+	lookup, firstID := byID(p.lookup)
 	return func(seqID, sub int, v int64) {
-		sp, ok := p.Seqs[seqID]
-		if !ok {
+		i := seqID - firstID
+		if i < 0 || i >= len(lookup) || lookup[i].sp == nil {
 			return
 		}
-		tbl := p.lookup[seqID]
-		// Binary search for the entry with the greatest Lo <= v.
-		idx := sort.Search(len(tbl), func(i int) bool { return tbl[i].r.Lo > v }) - 1
+		sp, tbl := lookup[i].sp, lookup[i].entries
+		// Binary search for the first entry with Lo > v; the one before
+		// it has the greatest Lo <= v.
+		lo, hi := 0, len(tbl)
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); tbl[m].r.Lo > v {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		idx := lo - 1
 		if idx < 0 || !tbl[idx].r.Contains(v) {
 			return // unreachable for covering arms; be defensive
 		}

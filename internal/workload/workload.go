@@ -8,18 +8,25 @@
 // is what made hyphen regress there).
 package workload
 
+import "sync"
+
 // Workload is one benchmark program.
 type Workload struct {
 	Name   string
 	Desc   string // the paper's Table 3 description
 	Source string // Mini-C source
-	Train  func() []byte
-	Test   func() []byte
+	// Train and Test return the inputs. For the roster's workloads each
+	// input is generated on first use and shared by every later caller:
+	// treat it as read-only.
+	Train func() []byte
+	Test  func() []byte
 }
 
-// All returns the workloads in the paper's (alphabetical) order.
+// All returns the workloads in the paper's (alphabetical) order. Each
+// call generates the inputs afresh, once, on first use, so they live only
+// as long as the returned workloads.
 func All() []Workload {
-	return []Workload{
+	ws := []Workload{
 		awkWorkload(),
 		cbWorkload(),
 		cppWorkload(),
@@ -37,6 +44,21 @@ func All() []Workload {
 		sortWorkload(),
 		wcWorkload(),
 		yaccWorkload(),
+	}
+	for i := range ws {
+		ws[i].Train, ws[i].Test = once(ws[i].Train), once(ws[i].Test)
+	}
+	return ws
+}
+
+// once returns gen memoized. The result's capacity is cut to its
+// length, so a caller's append copies instead of writing into the
+// shared array.
+func once(gen func() []byte) func() []byte {
+	get := sync.OnceValue(gen)
+	return func() []byte {
+		b := get()
+		return b[:len(b):len(b)]
 	}
 }
 

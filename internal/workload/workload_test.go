@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"branchreorder/internal/interp"
@@ -102,5 +104,40 @@ func TestSuiteWideImprovement(t *testing.T) {
 	if reduction[lower.SetIII] <= reduction[lower.SetI] {
 		t.Errorf("Set III reduction (%.3f) should exceed Set I (%.3f), as in Table 4",
 			reduction[lower.SetIII], reduction[lower.SetI])
+	}
+}
+
+// Each input is generated once per All call: every caller of a returned
+// workload, 8 at once included, gets the same array, capped at its length
+// so an append cannot write into it, and another All call generates the
+// same bytes.
+func TestInputsMemoized(t *testing.T) {
+	ws, again := All(), All()
+	const callers = 8
+	for i, w := range ws {
+		for _, in := range []struct {
+			name      string
+			gen, want func() []byte
+		}{
+			{"train", w.Train, again[i].Train},
+			{"test", w.Test, again[i].Test},
+		} {
+			var got [callers][]byte
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[g] = in.gen()
+				}()
+			}
+			wg.Wait()
+			want := in.want()
+			for g, b := range got {
+				if cap(b) != len(b) || &b[0] != &got[0][0] || !bytes.Equal(b, want) {
+					t.Errorf("%s %s: caller %d got other bytes (len %d, cap %d)", w.Name, in.name, g, len(b), cap(b))
+				}
+			}
+		}
 	}
 }
