@@ -13,11 +13,13 @@ package branchreorder
 // full.
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
 	"branchreorder/internal/bench"
+	"branchreorder/internal/bench/store"
 	"branchreorder/internal/core"
 	"branchreorder/internal/interp"
 	"branchreorder/internal/ir"
@@ -330,6 +332,45 @@ func BenchmarkDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := interp.Decode(front.Prog); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreGet times the disk-store reads a warm brbench -cache-dir
+// suite makes: set-up fills a store with one cold suite, and each
+// iteration gets the suite's 51 build entries back, each Get reading,
+// decoding and verifying its own file. SetBytes counts the entry bytes
+// read, as Put wrote them.
+func BenchmarkStoreGet(b *testing.B) {
+	disk, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := bench.NewEngine(1, nil)
+	e.UseStore(disk)
+	jobs := bench.SuiteJobs(workload.All())
+	fps := make([]string, len(jobs))
+	var size int64
+	for i, j := range jobs {
+		run, err := e.Get(context.Background(), j.Workload, j.Opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fps[i] = store.Fingerprint(j.Workload.Source, bench.TrainInput(j.Workload, j.Opts), j.Workload.Test(), j.Opts)
+		data, err := store.Encode(fps[i], run.Record())
+		if err != nil {
+			b.Fatal(err)
+		}
+		size += int64(len(data))
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, fp := range fps {
+			if _, st := disk.Get(fp); st != store.Hit {
+				b.Fatalf("Get %s: %v", fp, st)
+			}
 		}
 	}
 }

@@ -3,13 +3,36 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
+// roundTrip requires a decoded record to survive its own validation and
+// a full round trip: the store may later serve it, so it must re-encode
+// to an entry that decodes to the same record.
+func roundTrip[T any](t *testing.T, key string, rec *T, validate func(*T) error,
+	encode func(string, *T) ([]byte, error), decode func([]byte, string) (*T, error)) {
+	t.Helper()
+	if err := validate(rec); err != nil {
+		t.Fatalf("decoded an invalid %T: %v", rec, err)
+	}
+	data, err := encode(key, rec)
+	if err != nil {
+		t.Fatalf("decoded %T does not re-encode: %v", rec, err)
+	}
+	back, err := decode(data, key)
+	if err != nil {
+		t.Fatalf("re-encoded %T does not decode: %v", rec, err)
+	}
+	if !reflect.DeepEqual(back, rec) {
+		t.Fatalf("round trip changed the %T:\ngot  %+v\nwant %+v", rec, back, rec)
+	}
+}
+
 // FuzzStoreDecode drives Decode (and the export reader) with hostile
 // inputs: truncated, corrupted, or adversarially-crafted store files
-// must come back as errors — i.e. cache misses — never panics and never
-// records that fail their own validation.
+// must come back as errors — i.e. cache misses — never panics, and
+// whatever does decode must round-trip through Encode unchanged.
 func FuzzStoreDecode(f *testing.F) {
 	// Seed corpus: a valid entry and targeted corruptions of it, plus
 	// structurally-interesting JSON.
@@ -26,24 +49,15 @@ func FuzzStoreDecode(f *testing.F) {
 	f.Add(bytes.Replace(good, []byte(`"sum"`), []byte(`"sun"`), 1))
 	f.Add([]byte(nil))
 	f.Add([]byte("{}"))
-	f.Add([]byte(`{"schema":1,"fingerprint":"","sum":"","record":null}`))
-	f.Add([]byte(`{"schema":1,"fingerprint":"x","sum":"00","record":{}}`))
+	f.Add([]byte(fmt.Sprintf(`{"schema":%d,"fingerprint":"","sum":"","record":null}`, SchemaVersion)))
+	f.Add([]byte(fmt.Sprintf(`{"schema":%d,"fingerprint":"x","sum":"00","record":{}}`, SchemaVersion)))
 	f.Add([]byte(`{"schema":1,"records":[{"workload":"wc"}]}`))
 	f.Add([]byte(`[1,2,3]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, key := range []string{"", fp} {
-			rec, err := Decode(data, key)
-			if err != nil {
-				continue
-			}
-			// Whatever decodes must be internally consistent and
-			// re-encodable: the store may later serve it.
-			if verr := rec.Validate(); verr != nil {
-				t.Fatalf("Decode returned an invalid record: %v", verr)
-			}
-			if _, eerr := Encode(key, rec); eerr != nil {
-				t.Fatalf("decoded record does not re-encode: %v", eerr)
+			if rec, err := Decode(data, key); err == nil {
+				roundTrip(t, key, rec, (*Record).Validate, Encode, Decode)
 			}
 		}
 		// The shard reader faces the same hostile bytes on -merge.
@@ -60,7 +74,7 @@ func FuzzStoreDecode(f *testing.F) {
 // FuzzProfileDecode drives the profile-kind decoders with hostile
 // inputs: malformed, truncated, or oversized profile and merged-profile
 // documents must come back as errors — cache misses — never panics, and
-// whatever does decode must survive its own validation and re-encode.
+// whatever does decode must round-trip through its encoder unchanged.
 func FuzzProfileDecode(f *testing.F) {
 	pfp := profileFP()
 	goodProfile, err := EncodeProfile(pfp, FromTrain(sampleTrain()))
@@ -85,8 +99,8 @@ func FuzzProfileDecode(f *testing.F) {
 		bytes.Replace(goodMerged, []byte(`"generation": 1`), []byte(`"generation": -7`), 1),
 		bytes.Replace(goodMerged, []byte(`"sum"`), []byte(`"sun"`), 1),
 		bytes.Replace(goodProfile, []byte(`"kind": "profile"`), []byte(`"kind": "merged-profile"`), 1),
-		[]byte(`{"schema":2,"kind":"merged-profile","fingerprint":"","sum":"","record":null}`),
-		[]byte(`{"schema":2,"kind":"profile","fingerprint":"x","sum":"00","record":{}}`),
+		[]byte(fmt.Sprintf(`{"schema":%d,"kind":"merged-profile","fingerprint":"","sum":"","record":null}`, SchemaVersion)),
+		[]byte(fmt.Sprintf(`{"schema":%d,"kind":"profile","fingerprint":"x","sum":"00","record":{}}`, SchemaVersion)),
 		nil,
 	} {
 		f.Add(seed)
@@ -95,20 +109,10 @@ func FuzzProfileDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, key := range []string{"", pfp, mfp} {
 			if rec, err := DecodeProfile(data, key); err == nil {
-				if verr := rec.Validate(); verr != nil {
-					t.Fatalf("DecodeProfile returned an invalid record: %v", verr)
-				}
-				if _, eerr := EncodeProfile(key, rec); eerr != nil {
-					t.Fatalf("decoded profile does not re-encode: %v", eerr)
-				}
+				roundTrip(t, key, rec, (*ProfileRecord).Validate, EncodeProfile, DecodeProfile)
 			}
 			if rec, err := DecodeMerged(data, key); err == nil {
-				if verr := rec.Validate(); verr != nil {
-					t.Fatalf("DecodeMerged returned an invalid record: %v", verr)
-				}
-				if _, eerr := EncodeMerged(key, rec); eerr != nil {
-					t.Fatalf("decoded merged record does not re-encode: %v", eerr)
-				}
+				roundTrip(t, key, rec, (*MergedRecord).Validate, EncodeMerged, DecodeMerged)
 				if rec.Fold() == nil {
 					t.Fatal("validated merged record folds to nothing")
 				}

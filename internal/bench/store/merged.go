@@ -3,7 +3,6 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -247,31 +246,12 @@ func EncodeMerged(fp string, rec *MergedRecord) ([]byte, error) {
 // as Decode: any malformed input is an error, never a panic, and
 // callers treat errors as cache misses.
 func DecodeMerged(data []byte, fp string) (*MergedRecord, error) {
-	payload, err := decodeEnvelope(data, KindMerged, fp)
-	if err != nil {
-		return nil, err
-	}
-	var rec MergedRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, err
-	}
-	return &rec, nil
+	return decodeEnvelope(data, KindMerged, fp, (*MergedRecord).Validate)
 }
 
 // GetMerged loads the merged-profile entry for fp; same contract as Get.
 func (s *Store) GetMerged(fp string) (*MergedRecord, Status) {
-	data, st := s.read(fp)
-	if st != Hit {
-		return nil, st
-	}
-	rec, err := DecodeMerged(data, fp)
-	if err != nil {
-		return nil, Invalid
-	}
-	return rec, Hit
+	return get(s, fp, DecodeMerged)
 }
 
 // PutMerged writes the merged-profile entry for fp with Put's atomicity.

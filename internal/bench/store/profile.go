@@ -53,6 +53,9 @@ func (r *ProfileRecord) Validate() error {
 		return errors.New("store: profile record with negative sequence counts")
 	case len(r.Seqs) > r.NumSeqs || len(r.OrSeqs) > r.NumOrSeqs:
 		return errors.New("store: profile record counts more sequences than detected")
+	case r.Seqs != nil && len(r.Seqs) == 0 || r.OrSeqs != nil && len(r.OrSeqs) == 0:
+		// Forged: a training run leaves an empty list nil (see Record.Validate).
+		return errors.New("store: profile record holds an empty sequence list")
 	}
 	for _, s := range r.Seqs {
 		var sum uint64
@@ -164,31 +167,12 @@ func EncodeProfile(fp string, rec *ProfileRecord) ([]byte, error) {
 // Decode: any malformed input is an error, never a panic, and callers
 // treat errors as cache misses.
 func DecodeProfile(data []byte, fp string) (*ProfileRecord, error) {
-	payload, err := decodeEnvelope(data, KindProfile, fp)
-	if err != nil {
-		return nil, err
-	}
-	var rec ProfileRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, err
-	}
-	return &rec, nil
+	return decodeEnvelope(data, KindProfile, fp, (*ProfileRecord).Validate)
 }
 
 // GetProfile loads the profile entry for fp; same contract as Get.
 func (s *Store) GetProfile(fp string) (*ProfileRecord, Status) {
-	data, st := s.read(fp)
-	if st != Hit {
-		return nil, st
-	}
-	rec, err := DecodeProfile(data, fp)
-	if err != nil {
-		return nil, Invalid
-	}
-	return rec, Hit
+	return get(s, fp, DecodeProfile)
 }
 
 // PutProfile writes the profile entry for fp with Put's atomicity.

@@ -57,6 +57,7 @@ func TestProfileRecordValidateRejects(t *testing.T) {
 		"too-many-seqs":   {NumSeqs: 0, Seqs: []ProfileCounts{{ID: 0, Total: 0}}},
 		"combo-shape":     {NumOrSeqs: 1, OrSeqs: []OrProfileCounts{{ID: 0, N: 2, Total: 3, Combos: []uint64{1, 2}}}},
 		"negative":        {NumSeqs: -1},
+		"empty-seqs":      {NumSeqs: 1, Seqs: []ProfileCounts{}},
 	}
 	for name, rec := range cases {
 		if err := rec.Validate(); err == nil {

@@ -108,6 +108,22 @@ func (r *Record) Validate() error {
 		return errors.New("store: record missing measurements")
 	case r.Set != int(r.Opts.Switch):
 		return fmt.Errorf("store: record set %d disagrees with options set %d", r.Set, int(r.Opts.Switch))
+	case !bytes.Equal(r.Base.Output, r.Reord.Output):
+		// A real run fails the job instead, and an entry stores one output.
+		return errors.New("store: record's reordered output differs from its baseline's")
+	}
+	// An entry omits an empty list or map, which then decodes as nil. A
+	// real run leaves them nil too, so an empty one that is not nil is
+	// forged, and would not survive a round trip.
+	for _, s := range r.Seqs {
+		if s.Order != nil && len(s.Order) == 0 || s.Omitted != nil && len(s.Omitted) == 0 {
+			return errors.New("store: record holds an empty ordering list")
+		}
+	}
+	for _, m := range []*Measurement{r.Base, r.Reord} {
+		if m.Fusion != nil && m.Fusion.Patterns != nil && len(m.Fusion.Patterns) == 0 {
+			return errors.New("store: record holds an empty fusion pattern map")
+		}
 	}
 	return nil
 }
@@ -120,14 +136,14 @@ const (
 	KindMerged  = "merged-profile" // a cross-input MergedRecord
 )
 
-// envelope is the on-disk framing of one store entry. Record is kept as
-// raw JSON so the checksum covers the exact serialized payload.
-type envelope struct {
-	Schema      int             `json:"schema"`
-	Kind        string          `json:"kind,omitempty"`
-	Fingerprint string          `json:"fingerprint"`
-	Sum         string          `json:"sum"`
-	Record      json.RawMessage `json:"record"`
+// envelope is the on-disk framing of one store entry: R is the encoded
+// payload (json.RawMessage) when writing and the record (*T) when reading.
+type envelope[R any] struct {
+	Schema      int    `json:"schema"`
+	Kind        string `json:"kind,omitempty"`
+	Fingerprint string `json:"fingerprint"`
+	Sum         string `json:"sum"`
+	Record      R      `json:"record"`
 }
 
 // encodeEnvelope frames an already-validated payload as a store entry.
@@ -137,7 +153,7 @@ func encodeEnvelope(kind, fp string, payload interface{}) ([]byte, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	sum := sha256.Sum256(body)
-	data, err := json.MarshalIndent(envelope{
+	data, err := json.MarshalIndent(envelope[json.RawMessage]{
 		Schema:      SchemaVersion,
 		Kind:        kind,
 		Fingerprint: fp,
@@ -150,42 +166,50 @@ func encodeEnvelope(kind, fp string, payload interface{}) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// decodeEnvelope verifies one store entry's framing — schema, kind,
-// fingerprint, checksum — and returns the raw payload. Every malformed
-// input yields an error, never a panic.
-func decodeEnvelope(data []byte, kind, fp string) (json.RawMessage, error) {
-	var env envelope
+// decodeEnvelope decodes one store entry with its record in one pass,
+// verifies schema, kind and fingerprint, then the checksum by re-encoding
+// the record into the compact payload encodeEnvelope hashed, and last
+// runs check. The sum so certifies values, not formatting, and a record
+// field removed or renamed needs a schema bump. Every malformed input
+// yields an error, never a panic.
+func decodeEnvelope[T any](data []byte, kind, fp string, check func(*T) error) (*T, error) {
+	var env envelope[*T]
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if env.Schema != SchemaVersion {
+	switch {
+	case env.Schema != SchemaVersion:
 		return nil, fmt.Errorf("store: entry schema %d, want %d", env.Schema, SchemaVersion)
-	}
-	if env.Kind != kind {
+	case env.Kind != kind:
 		return nil, fmt.Errorf("store: entry kind %q, want %q", env.Kind, kind)
-	}
-	if fp != "" && env.Fingerprint != fp {
+	case fp != "" && env.Fingerprint != fp:
 		return nil, errors.New("store: entry fingerprint does not match its key")
+	case env.Record == nil:
+		return nil, errors.New("store: entry has no record")
 	}
-	// The checksum covers the compact payload: indentation inside the
-	// envelope is cosmetic, content is not.
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, env.Record); err != nil {
+	body, err := json.Marshal(env.Record)
+	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	sum := sha256.Sum256(compact.Bytes())
-	if hex.EncodeToString(sum[:]) != env.Sum {
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != env.Sum {
 		return nil, errors.New("store: payload checksum mismatch")
+	}
+	if err := check(env.Record); err != nil {
+		return nil, err
 	}
 	return env.Record, nil
 }
 
-// Encode serializes rec as the store entry keyed by fp.
+// Encode serializes rec as the store entry keyed by fp. The outputs are
+// equal (Validate checks), so the reordered one is written as null.
 func Encode(fp string, rec *Record) ([]byte, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
-	return encodeEnvelope(KindBuild, fp, rec)
+	stored, reord := *rec, *rec.Reord
+	reord.Output = nil
+	stored.Reord = &reord
+	return encodeEnvelope(KindBuild, fp, &stored)
 }
 
 // Decode parses one store entry. fp, when non-empty, must match the
@@ -193,18 +217,13 @@ func Encode(fp string, rec *Record) ([]byte, error) {
 // key is not a usable result. Every malformed input yields an error,
 // never a panic; callers treat any error as a cache miss.
 func Decode(data []byte, fp string) (*Record, error) {
-	payload, err := decodeEnvelope(data, KindBuild, fp)
-	if err != nil {
-		return nil, err
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, err
-	}
-	return &rec, nil
+	return decodeEnvelope(data, KindBuild, fp, func(rec *Record) error {
+		if rec.Base == nil || rec.Reord == nil || rec.Reord.Output != nil {
+			return errors.New("store: entry lacks a measurement or stores a second output")
+		}
+		rec.Reord.Output = rec.Base.Output
+		return rec.Validate()
+	})
 }
 
 // exportFile frames a list of records: the -export shard interchange and

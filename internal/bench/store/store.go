@@ -8,9 +8,11 @@
 // store schema version), so a change to any input simply misses and
 // rebuilds — there is no invalidation protocol, no locking, and merging
 // two stores is a file copy. Entries are written atomically (temp file +
-// rename in the same directory) and carry an internal checksum; anything
-// corrupt, truncated, schema-mismatched, or misplaced decodes as a miss,
-// never an error and never a panic.
+// rename in the same directory) and carry a checksum, verified by
+// re-encoding the decoded record; anything corrupt, truncated,
+// schema-mismatched, or misplaced decodes as a miss, never an error and
+// never a panic. A build entry holds the program's output once; exported
+// and -json records carry it in both measurements.
 package store
 
 import (
@@ -27,7 +29,9 @@ import (
 // Version 2: Options/DetectOptions gained the profile configuration
 // (changing every fingerprint), SeqStat records the selected ordering,
 // and merged-profile entries are a third record kind.
-const SchemaVersion = 2
+// Version 3: a build entry stores the program's output once, writing
+// the reordered measurement's output as null.
+const SchemaVersion = 3
 
 // Status classifies the outcome of a Get.
 type Status int
@@ -85,30 +89,27 @@ func (s *Store) path(fp string) string {
 // Get loads the entry for fp. A Hit returns the decoded record; Miss and
 // Invalid return nil, and differ only in whether a file was present.
 func (s *Store) Get(fp string) (*Record, Status) {
-	data, st := s.read(fp)
-	if st != Hit {
-		return nil, st
-	}
-	rec, err := Decode(data, fp)
-	if err != nil {
-		return nil, Invalid
-	}
-	return rec, Hit
+	return get(s, fp, Decode)
 }
 
-// read loads the raw bytes of the entry for fp.
-func (s *Store) read(fp string) ([]byte, Status) {
+// get reads the entry for fp and decodes it with decode, which verifies
+// it. Nothing is cached: every call reads and verifies its own file.
+func get[T any](s *Store, fp string, decode func([]byte, string) (*T, error)) (*T, Status) {
 	if len(fp) < 2 {
 		return nil, Miss
 	}
 	data, err := os.ReadFile(s.path(fp))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, Miss
+	}
+	var rec *T
+	if err == nil {
+		rec, err = decode(data, fp)
+	}
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, Miss
-		}
 		return nil, Invalid
 	}
-	return data, Hit
+	return rec, Hit
 }
 
 // Put writes the entry for fp atomically: the encoded record goes to a

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -52,20 +53,36 @@ func testFingerprint() string {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rec, fp := testRecord(), testFingerprint()
-	data, err := Encode(fp, rec)
-	if err != nil {
-		t.Fatal(err)
+	fp := testFingerprint()
+	empty := testRecord()
+	empty.Base.Output, empty.Reord.Output = []byte{}, []byte{}
+	for name, rec := range map[string]*Record{"binary output": testRecord(), "empty output": empty} {
+		data, err := Encode(fp, rec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// The entry holds the output once: the baseline's, base64.
+		out := fmt.Sprintf(`"output": %q`, base64.StdEncoding.EncodeToString(rec.Base.Output))
+		if n := bytes.Count(data, []byte(out)); n != 1 {
+			t.Errorf("%s: entry holds the output %d times, want once", name, n)
+		}
+		got, err := Decode(data, fp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, rec) {
+			t.Errorf("%s: round trip changed the record:\ngot  %+v\nwant %+v", name, got, rec)
+		}
+		if !bytes.Equal(got.Base.Output, rec.Base.Output) || !bytes.Equal(got.Reord.Output, rec.Reord.Output) {
+			t.Errorf("%s: binary output not byte-identical after round trip", name)
+		}
 	}
-	got, err := Decode(data, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rec) {
-		t.Errorf("round trip changed the record:\ngot  %+v\nwant %+v", got, rec)
-	}
-	if !bytes.Equal(got.Base.Output, rec.Base.Output) {
-		t.Error("binary output not byte-identical after round trip")
+
+	// No real run has two outputs: such a record is not stored.
+	differ := testRecord()
+	differ.Reord.Output = []byte("41 lines")
+	if _, err := Encode(fp, differ); err == nil {
+		t.Error("record with differing outputs encoded")
 	}
 }
 
@@ -75,6 +92,39 @@ func TestDecodeRejectsBadEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b64 := base64.StdEncoding.EncodeToString(rec.Base.Output)
+	mid := len(b64) / 2
+	flip := "A"
+	if b64[mid] == 'A' {
+		flip = "B"
+	}
+	// Entries whose sum is valid for what they hold, written past Encode.
+	framed := func(payload any) []byte {
+		t.Helper()
+		data, err := encodeEnvelope(KindBuild, fp, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	withFusion := testRecord()
+	withFusion.Base.Fusion = &interp.FusionStats{Ops: 9}
+	fused, err := Encode(fp, withFusion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// As Encode stores rec: the reordered output is null.
+	stored, reord := *rec, *rec.Reord
+	reord.Output = nil
+	stored.Reord = &reord
+	if !bytes.Equal(framed(&stored), good) {
+		t.Fatal("Encode does not frame the record as stored")
+	}
+	noBase, noReord, twoOutputs, second := stored, stored, stored, reord
+	noBase.Base, noReord.Reord = nil, nil
+	second.Output = []byte("41 lines")
+	twoOutputs.Reord = &second
+
 	cases := map[string][]byte{
 		"empty":      nil,
 		"garbage":    []byte("not json at all"),
@@ -83,10 +133,39 @@ func TestDecodeRejectsBadEntries(t *testing.T) {
 		"bit flip":   bytes.Replace(good, []byte(`"wc"`), []byte(`"Wc"`), 1),
 		"emptied":    []byte("{}"),
 		"bad schema": bytes.Replace(good, []byte(fmt.Sprintf(`"schema": %d`, SchemaVersion)), []byte(`"schema": 99`), 1),
+		// Each changes one decoded value under the old sum.
+		"stats digit":  bytes.Replace(good, []byte(`"Insts": 123456`), []byte(`"Insts": 123457`), 1),
+		"output char":  bytes.Replace(good, []byte(b64), []byte(b64[:mid]+flip+b64[mid+1:]), 1),
+		"mispredicts":  bytes.Replace(good, []byte(`"(0,2)x2048": 55`), []byte(`"(0,2)x2048": 56`), 1),
+		"reord output": bytes.Replace(good, []byte(`"output": null`), []byte(`"output": "NDEgbGluZXM="`), 1),
+		// Each adds an empty list or map that a real run leaves nil.
+		"empty order":    bytes.Replace(good, []byte(`"applied": true,`), []byte(`"applied": true, "order": [],`), 1),
+		"empty patterns": bytes.Replace(fused, []byte(`"fusion": {`), []byte(`"fusion": {"patterns": {},`), 1),
+		// Each has a valid sum but is no record Encode writes.
+		"null record":     framed(nil),
+		"no base":         framed(&noBase),
+		"no reord":        framed(&noReord),
+		"stored 2 output": framed(&twoOutputs),
 	}
 	for name, data := range cases {
+		if bytes.Equal(data, good) {
+			t.Fatalf("%s: the case does not change the entry", name)
+		}
 		if _, err := Decode(data, fp); err == nil {
 			t.Errorf("%s: decoded successfully", name)
+		}
+	}
+	// The sum certifies values, not bytes: unchanged values decode.
+	var reindented bytes.Buffer
+	if err := json.Indent(&reindented, good, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"re-indented": reindented.Bytes(),
+		"unknown key": bytes.Replace(good, []byte(`"record": {`), []byte(`"record": {"note": "added after the sum",`), 1),
+	} {
+		if got, err := Decode(data, fp); err != nil || !reflect.DeepEqual(got, rec) {
+			t.Errorf("%s: Decode = %+v, %v; want the record", name, got, err)
 		}
 	}
 	// A valid entry filed under the wrong key is not a usable result.
