@@ -8,10 +8,7 @@
 //
 // With -cache-dir, results also persist in a content-addressed on-disk
 // store, so a second invocation over unchanged inputs executes zero
-// build+measure jobs. The job matrix shards across machines: -shard i/n
-// runs one deterministic partition and -export writes its measurements;
-// -merge loads exported shards and renders the full tables byte-identical
-// to a single-process run. Both work for -ablation too.
+// build+measure jobs. -json writes every measured run as JSON.
 //
 //	brbench                 # everything
 //	brbench -j 4            # same, at most 4 concurrent builds
@@ -20,9 +17,6 @@
 //	brbench -workloads wc,sort -table 8   # a subset of the roster
 //	brbench -cache-dir ~/.cache/brbench   # warm-start later runs
 //	brbench -cache-dir D -cache-gc 720h   # evict month-old entries first
-//	brbench -shard 0/2 -export s0.json    # machine A's half of the matrix
-//	brbench -shard 1/2 -export s1.json    # machine B's half
-//	brbench -merge s0.json,s1.json        # full tables from both shards
 //	brbench -json runs.json               # machine-readable measurements
 package main
 
@@ -34,6 +28,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -41,7 +36,6 @@ import (
 	"branchreorder/internal/bench"
 	"branchreorder/internal/bench/store"
 	"branchreorder/internal/lower"
-	"branchreorder/internal/pipeline"
 	"branchreorder/internal/sim"
 	"branchreorder/internal/workload"
 )
@@ -51,8 +45,7 @@ func main() {
 }
 
 // run is main with its dependencies injected, so tests can assert the
-// parallel engine's output byte-for-byte against the serial one, and the
-// shard/merge path against the single-process one.
+// parallel engine's output byte-for-byte against the serial one.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("brbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -64,14 +57,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profRates = fs.String("profile-rates", "1,8,64,512", "comma-separated sample rates for -profile-study (1 is the exact reference and must be present)")
 		profSeed  = fs.Uint64("profile-seed", 1, "deterministic sampling seed for -profile-study")
 		profBias  = fs.Uint64("profile-bias", 0, "fault injection for -profile-study: corrupt every sampled sequence's first arm count by this much")
-		profMerge = fs.Bool("profile-merge", false, "fold every training run into a persistent merged-profile record and train from the decayed fold (needs -cache-dir)")
 		quiet     = fs.Bool("q", false, "suppress progress output and the timing summary")
 		jobs      = fs.Int("j", 0, "max concurrent build+measure jobs (<=0 means GOMAXPROCS); each job's baseline measurement runs beside its training, outside this bound")
 		workloads = fs.String("workloads", "", "comma-separated workload subset (default: all 17)")
 		cacheDir  = fs.String("cache-dir", "", "persist build+measure results in this directory")
-		shardFlag = fs.String("shard", "", "run only partition i of n of the job matrix, written i/n (requires -export)")
-		export    = fs.String("export", "", "write the run's measurements to this file instead of rendering tables")
-		merge     = fs.String("merge", "", "comma-separated exported shard files to load before rendering")
 		jsonOut   = fs.String("json", "", "also write every measured run to this file as JSON")
 		cacheGC   = fs.Duration("cache-gc", 0, "before running, evict -cache-dir entries older than this age")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -119,10 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	shardIdx, shardN, err := parseShard(*shardFlag)
-	if err != nil {
-		return fail(err)
-	}
 	measureEngine, err := sim.ParseEngine(*engName)
 	if err != nil {
 		return fail(err)
@@ -134,30 +119,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("no figure %d (have 11-13)", *figure))
 	case *table != 0 && *figure != 0:
 		return fail(fmt.Errorf("-table and -figure each select one experiment; pick one"))
-	case shardN > 0 && *export == "":
-		return fail(fmt.Errorf("-shard runs a partial job matrix, which cannot render tables: add -export FILE"))
-	case *merge != "" && (*export != "" || shardN > 0):
-		return fail(fmt.Errorf("-merge renders from already-exported shards; it cannot be combined with -shard/-export"))
-	case *export != "" && (*table != 0 || *figure != 0):
-		return fail(fmt.Errorf("-export serializes measurements and renders nothing; drop -table/-figure"))
 	case *ablation && *jsonOut != "":
 		return fail(fmt.Errorf("-ablation renders no suite to dump; drop -json"))
 	case *ablation && (*table != 0 || *figure != 0):
 		return fail(fmt.Errorf("-ablation renders its own table; drop -table/-figure"))
-	case (*table == 2 || *table == 3) && (*jsonOut != "" || *merge != "" || *cacheGC != 0):
-		return fail(fmt.Errorf("table %d is static and measures nothing; drop -json/-merge/-cache-gc", *table))
+	case (*table == 2 || *table == 3) && (*jsonOut != "" || *cacheGC != 0):
+		return fail(fmt.Errorf("table %d is static and measures nothing; drop -json/-cache-gc", *table))
 	case *cacheGC != 0 && *cacheDir == "":
 		return fail(fmt.Errorf("-cache-gc collects the local store; add -cache-dir DIR"))
 	case *cacheGC < 0:
 		return fail(fmt.Errorf("-cache-gc needs a positive age, got %v", *cacheGC))
 	case *profStudy && (*ablation || *table != 0 || *figure != 0 || *jsonOut != ""):
 		return fail(fmt.Errorf("-profile-study renders its own table; drop -ablation/-table/-figure/-json"))
-	case *profStudy && *profMerge:
-		return fail(fmt.Errorf("-profile-study scores fresh training runs; -profile-merge would make its table depend on store history"))
 	case !*profStudy && (*profRates != "1,8,64,512" || *profSeed != 1 || *profBias != 0):
 		return fail(fmt.Errorf("-profile-rates, -profile-seed and -profile-bias configure the study; add -profile-study"))
-	case *profMerge && *cacheDir == "":
-		return fail(fmt.Errorf("-profile-merge persists profiles across runs; add -cache-dir DIR"))
 	}
 	var rates []int
 	if *profStudy {
@@ -179,16 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case 3:
 		fmt.Fprint(stdout, bench.Table3())
 		return 0
-	}
-
-	// -profile-merge is a cross-cutting switch: every enumerated job's
-	// training runs in merge mode, whichever path enumerates them.
-	var mod func(pipeline.Options) pipeline.Options
-	if *profMerge {
-		mod = func(o pipeline.Options) pipeline.Options {
-			o.Profile.Merge = true
-			return o
-		}
 	}
 
 	var progress io.Writer = stderr
@@ -216,7 +181,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	start := time.Now()
 	ctx := context.Background()
-	var shardStats *store.TierStats // cache activity totalled from -merge inputs
 	defer func() {
 		if !*quiet {
 			st := engine.Stats()
@@ -225,30 +189,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, ", %d shared", st.Shared)
 			}
 			fmt.Fprintf(stderr, ", %d cache hits", st.Hits)
-			if st.Seeded > 0 {
-				fmt.Fprintf(stderr, ", %d seeded", st.Seeded)
-			}
 			if *cacheDir != "" {
 				fmt.Fprintf(stderr, ", %d disk hits, %d disk misses, %d disk invalidated",
 					st.DiskHits, st.DiskMisses, st.DiskInvalid)
 			}
-			if shardStats != nil {
-				fmt.Fprintf(stderr, "; merged shards: %d builds, %d disk hits",
-					shardStats.Builds, shardStats.DiskHits)
-			}
 			fmt.Fprintf(stderr, ", %.2fs elapsed (-j %d)\n", time.Since(start).Seconds(), engine.Jobs())
 			if st.FrontendRuns+st.FrontendHits+st.TrainRuns+st.TrainHits > 0 {
-				fmt.Fprintf(stderr, "brbench: stages: %d frontend runs (%d reused), %d training runs (%d reused",
-					st.FrontendRuns, st.FrontendHits, st.TrainRuns, st.TrainHits)
-				if st.ProfileHits > 0 {
-					fmt.Fprintf(stderr, ", %d from store", st.ProfileHits)
-				}
-				fmt.Fprintf(stderr, "), %d baseline runs (%d reused)", st.BaselineRuns, st.BaselineHits)
+				fmt.Fprintf(stderr, "brbench: stages: %d frontend runs (%d reused), %d training runs (%d reused), %d baseline runs (%d reused)",
+					st.FrontendRuns, st.FrontendHits, st.TrainRuns, st.TrainHits, st.BaselineRuns, st.BaselineHits)
 				if st.SampledTrainRuns > 0 {
 					fmt.Fprintf(stderr, ", %d sampled training runs", st.SampledTrainRuns)
-				}
-				if st.ProfileMergeHits > 0 {
-					fmt.Fprintf(stderr, ", %d merged-profile reuses", st.ProfileMergeHits)
 				}
 				fmt.Fprintf(stderr, "\n")
 			}
@@ -277,33 +227,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	// exportRuns measures jobList (or its -shard partition) and writes
-	// the records plus this engine's cache counters, so a later -merge
-	// can account for every shard's activity.
-	exportRuns := func(jobList []bench.Job) int {
-		if shardN > 0 {
-			jobList = bench.ShardJobs(jobList, shardIdx, shardN)
-		}
-		runs, err := engine.RunJobs(ctx, jobList)
-		if err != nil {
-			return fail(err)
-		}
-		st := engine.Stats()
-		if err := writeRecords(*export, bench.Records(runs), &st); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
 	if *profStudy {
-		if *export != "" {
-			return exportRuns(bench.ProfileStudyJobs(ws, rates, *profSeed, *profBias))
-		}
-		if *merge != "" {
-			if shardStats, err = loadShards(engine, *merge); err != nil {
-				return fail(err)
-			}
-		}
 		rows, err := bench.RunProfileStudyWith(ctx, engine, ws, rates, *profSeed, *profBias)
 		if err != nil {
 			return fail(err)
@@ -313,15 +237,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *ablation {
-		if *export != "" {
-			return exportRuns(bench.ModJobs(bench.AblationJobs(lower.SetIII, ws), mod))
-		}
-		if *merge != "" {
-			if shardStats, err = loadShards(engine, *merge); err != nil {
-				return fail(err)
-			}
-		}
-		rows, err := bench.RunAblationOpts(ctx, engine, lower.SetIII, names, mod)
+		rows, err := bench.RunAblationWith(ctx, engine, lower.SetIII, names)
 		if err != nil {
 			return fail(err)
 		}
@@ -329,17 +245,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *export != "" {
-		return exportRuns(bench.ModJobs(bench.SuiteJobs(ws), mod))
-	}
-
-	if *merge != "" {
-		if shardStats, err = loadShards(engine, *merge); err != nil {
-			return fail(err)
-		}
-	}
-
-	suite, err := engine.SuiteOfOpts(ctx, ws, mod)
+	suite, err := engine.SuiteOf(ctx, ws)
 	if err != nil {
 		return fail(err)
 	}
@@ -403,66 +309,8 @@ func parseRates(s string) ([]int, error) {
 	return rates, nil
 }
 
-// parseShard parses "-shard i/n". shardN is 0 when the flag is unset.
-func parseShard(s string) (idx, n int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	if _, err := fmt.Sscanf(s, "%d/%d", &idx, &n); err != nil || fmt.Sprintf("%d/%d", idx, n) != s {
-		return 0, 0, fmt.Errorf("-shard must be i/n (e.g. 0/2), got %q", s)
-	}
-	if n < 1 || idx < 0 || idx >= n {
-		return 0, 0, fmt.Errorf("-shard %q out of range: need 0 <= i < n", s)
-	}
-	return idx, n, nil
-}
-
-// loadShards seeds the engine's cache from every exported shard file, so
-// the suite renders without rebuilding anything the shards cover. It
-// returns the shards' cache counters totalled together — nil when no
-// shard carried stats — so the merged summary accounts for every
-// machine's activity, not just this one's.
-func loadShards(engine *bench.Engine, files string) (*store.TierStats, error) {
-	var total store.TierStats
-	haveStats := false
-	for _, path := range strings.Split(files, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		recs, stats, err := store.ReadExport(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if stats != nil {
-			total.Add(*stats)
-			haveStats = true
-		}
-		for _, rec := range recs {
-			w, ok := workload.Named(rec.Workload)
-			if !ok {
-				return nil, fmt.Errorf("%s: unknown workload %q", path, rec.Workload)
-			}
-			run, err := bench.RunFromRecord(rec, w)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			engine.Seed(run)
-		}
-	}
-	if !haveStats {
-		return nil, nil
-	}
-	return &total, nil
-}
-
 // writeRecords dumps records (and the engine's cache counters) to path
-// in the export/-json format.
+// in the -json format.
 func writeRecords(path string, recs []*store.Record, stats *store.TierStats) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -477,7 +325,9 @@ func writeRecords(path string, recs []*store.Record, stats *store.TierStats) err
 
 // selectWorkloads resolves the -workloads flag: empty means the whole
 // roster (nil names, so the ablation's default applies too). An unknown
-// name fails listing the valid roster, so a typo is self-correcting.
+// name fails listing the valid roster, so a typo is self-correcting. A
+// repeated name fails too: it would repeat rows and weight every
+// average.
 func selectWorkloads(flagVal string) ([]string, []workload.Workload, error) {
 	if flagVal == "" {
 		return nil, workload.All(), nil
@@ -492,6 +342,9 @@ func selectWorkloads(flagVal string) ([]string, []workload.Workload, error) {
 		w, ok := workload.Named(n)
 		if !ok {
 			return nil, nil, fmt.Errorf("unknown workload %q; valid workloads: %s", n, rosterNames())
+		}
+		if slices.Contains(names, n) {
+			return nil, nil, fmt.Errorf("-workloads lists %q twice", n)
 		}
 		names = append(names, n)
 		ws = append(ws, w)

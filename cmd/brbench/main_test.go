@@ -65,6 +65,14 @@ func TestSummaryLine(t *testing.T) {
 	if !strings.Contains(errw, "brbench: 3 builds, 2 shared,") {
 		t.Errorf("summary does not count the 2 shared jobs: %q", errw)
 	}
+	// Each drift arm of the study trains wc once sampled at 1/64.
+	_, errw, code = capture(t, "-profile-study", "-profile-rates", "1,64", "-workloads", "wc")
+	if code != 0 {
+		t.Fatalf("-profile-study exited %d: %s", code, errw)
+	}
+	if !strings.Contains(errw, ", 2 sampled training runs") {
+		t.Errorf("summary does not count the sampled training runs: %q", errw)
+	}
 	_, errw, code = capture(t, "-q", "-workloads", "wc", "-table", "4")
 	if code != 0 {
 		t.Fatalf("-q exited %d", code)
@@ -78,23 +86,25 @@ func TestSummaryLine(t *testing.T) {
 // before the engine runs: exit 1, and no build summary on stderr.
 func TestBadInputs(t *testing.T) {
 	cache := t.TempDir()
-	missing := filepath.Join(t.TempDir(), "missing.json")
 	for name, args := range map[string][]string{
-		"unknown workload":       {"-workloads", "nosuch", "-table", "4"},
-		"empty workloads":        {"-workloads", ",", "-table", "4"},
-		"table 99":               {"-workloads", "wc", "-table", "99"},
-		"table 1":                {"-workloads", "wc", "-table", "1"},
-		"negative table":         {"-workloads", "wc", "-table", "-4"},
-		"figure 9":               {"-workloads", "wc", "-figure", "9"},
-		"figure 14":              {"-workloads", "wc", "-figure", "14"},
-		"table and figure":       {"-workloads", "wc", "-table", "4", "-figure", "11"},
-		"static and figure":      {"-workloads", "wc", "-table", "2", "-figure", "11"},
-		"table 1, cache dir":     {"-workloads", "wc", "-table", "1", "-cache-dir", cache},
-		"static table and json":  {"-table", "2", "-json", filepath.Join(cache, "x.json")},
-		"static table and merge": {"-table", "3", "-merge", missing},
-		"static table and gc":    {"-table", "2", "-cache-dir", cache, "-cache-gc", "24h"},
-		"ablation and table":     {"-workloads", "wc", "-ablation", "-table", "2"},
-		"ablation and figure":    {"-workloads", "wc", "-ablation", "-figure", "11"},
+		"unknown workload":      {"-workloads", "nosuch", "-table", "4"},
+		"empty workloads":       {"-workloads", ",", "-table", "4"},
+		"repeated workload":     {"-workloads", "wc,sort,wc", "-table", "4"},
+		"table 99":              {"-workloads", "wc", "-table", "99"},
+		"table 1":               {"-workloads", "wc", "-table", "1"},
+		"negative table":        {"-workloads", "wc", "-table", "-4"},
+		"figure 9":              {"-workloads", "wc", "-figure", "9"},
+		"figure 14":             {"-workloads", "wc", "-figure", "14"},
+		"table and figure":      {"-workloads", "wc", "-table", "4", "-figure", "11"},
+		"static and figure":     {"-workloads", "wc", "-table", "2", "-figure", "11"},
+		"table 1, cache dir":    {"-workloads", "wc", "-table", "1", "-cache-dir", cache},
+		"static table and json": {"-table", "2", "-json", filepath.Join(cache, "x.json")},
+		"static table and gc":   {"-table", "2", "-cache-dir", cache, "-cache-gc", "24h"},
+		"ablation and table":    {"-workloads", "wc", "-ablation", "-table", "2"},
+		"ablation and figure":   {"-workloads", "wc", "-ablation", "-figure", "11"},
+		"ablation and json":     {"-workloads", "wc", "-ablation", "-json", filepath.Join(cache, "x.json")},
+		"gc without cache dir":  {"-workloads", "wc", "-cache-gc", "1h"},
+		"negative gc age":       {"-workloads", "wc", "-cache-dir", cache, "-cache-gc", "-1h"},
 	} {
 		_, stderr, code := capture(t, args...)
 		if code != 1 {
@@ -104,74 +114,15 @@ func TestBadInputs(t *testing.T) {
 			t.Errorf("%s: ran the engine before failing: %q", name, stderr)
 		}
 	}
+	// The repeated-name error names the repeated workload.
+	if _, stderr, _ := capture(t, "-workloads", "wc,sort,wc", "-table", "4"); !strings.Contains(stderr, `"wc" twice`) {
+		t.Errorf("repeated workload error does not name it: %q", stderr)
+	}
 	if entries, err := os.ReadDir(cache); err != nil || len(entries) != 0 {
 		t.Errorf("a rejected run wrote to -cache-dir: %d entries, %v", len(entries), err)
 	}
 	if _, _, code := capture(t, "-nosuchflag"); code != 2 {
 		t.Error("bad flag not rejected with usage exit code")
-	}
-}
-
-// Two exported shards merged back together must render byte-identically
-// to a single-process run, with zero builds in the merge step.
-func TestShardExportMergeMatchesSingleProcess(t *testing.T) {
-	dir := t.TempDir()
-	s0, s1 := filepath.Join(dir, "s0.json"), filepath.Join(dir, "s1.json")
-	base := []string{"-q", "-workloads", "wc,sort,lex"}
-
-	single, _, code := capture(t, base...)
-	if code != 0 {
-		t.Fatalf("single-process run exited %d", code)
-	}
-	if _, _, code := capture(t, append(base, "-shard", "0/2", "-export", s0)...); code != 0 {
-		t.Fatalf("shard 0/2 exited %d", code)
-	}
-	if _, _, code := capture(t, append(base, "-shard", "1/2", "-export", s1)...); code != 0 {
-		t.Fatalf("shard 1/2 exited %d", code)
-	}
-	merged, stderr, code := capture(t, "-workloads", "wc,sort,lex", "-merge", s0+","+s1)
-	if code != 0 {
-		t.Fatalf("merge exited %d: %s", code, stderr)
-	}
-	if merged != single {
-		t.Errorf("merged stdout differs from single-process stdout")
-	}
-	if !strings.Contains(stderr, "0 builds") {
-		t.Errorf("merge rebuilt jobs the shards already measured: %q", stderr)
-	}
-	// The shards' own cache activity must round-trip through the export
-	// files into the merged summary: 9 jobs built across both shards.
-	if !strings.Contains(stderr, "merged shards: 9 builds") {
-		t.Errorf("merged summary does not account for shard activity: %q", stderr)
-	}
-}
-
-// The ablation study must shard and merge like the suite: the merged
-// table byte-identical to the direct one, with zero rebuilds.
-func TestAblationShardMergeMatchesDirect(t *testing.T) {
-	dir := t.TempDir()
-	a0, a1 := filepath.Join(dir, "a0.json"), filepath.Join(dir, "a1.json")
-	base := []string{"-q", "-ablation", "-workloads", "wc,sort"}
-
-	direct, _, code := capture(t, base...)
-	if code != 0 {
-		t.Fatalf("direct ablation exited %d", code)
-	}
-	if _, _, code := capture(t, append(base, "-shard", "0/2", "-export", a0)...); code != 0 {
-		t.Fatalf("ablation shard 0/2 exited %d", code)
-	}
-	if _, _, code := capture(t, append(base, "-shard", "1/2", "-export", a1)...); code != 0 {
-		t.Fatalf("ablation shard 1/2 exited %d", code)
-	}
-	merged, stderr, code := capture(t, "-ablation", "-workloads", "wc,sort", "-merge", a0+","+a1)
-	if code != 0 {
-		t.Fatalf("ablation merge exited %d: %s", code, stderr)
-	}
-	if merged != direct {
-		t.Errorf("merged ablation table differs from the direct one:\n--- merged ---\n%s--- direct ---\n%s", merged, direct)
-	}
-	if !strings.Contains(stderr, "brbench: 0 builds") {
-		t.Errorf("ablation merge rebuilt sharded jobs: %q", stderr)
 	}
 }
 
@@ -254,28 +205,6 @@ func TestUnknownWorkloadListsRoster(t *testing.T) {
 	}
 }
 
-func TestShardFlagValidation(t *testing.T) {
-	cases := [][]string{
-		{"-shard", "0/2"},                                      // -shard without -export
-		{"-shard", "2/2", "-export", "x.json"},                 // index out of range
-		{"-shard", "0-2", "-export", "x.json"},                 // malformed
-		{"-shard", "0/2/9", "-export", "x.json"},               // trailing junk
-		{"-shard", "-1/2", "-export", "x.json"},                // negative
-		{"-merge", "a.json", "-export", "b.json"},              // merge+export
-		{"-merge", "a.json", "-shard", "0/2"},                  // merge+shard
-		{"-export", "x.json", "-table", "4"},                   // export renders nothing
-		{"-ablation", "-json", "x.json"},                       // ablation+json
-		{"-cache-gc", "1h"},                                    // gc without a cache dir
-		{"-cache-gc", "-1h", "-cache-dir", t.TempDir()},        // negative age
-		{"-merge", filepath.Join(t.TempDir(), "missing.json")}, // unreadable shard
-	}
-	for _, args := range cases {
-		if _, _, code := capture(t, args...); code == 0 {
-			t.Errorf("%v accepted", args)
-		}
-	}
-}
-
 // -cache-gc must evict entries older than the bound before the run, so
 // the evicted jobs rebuild and the summary shows the collection.
 func TestCacheGCFlag(t *testing.T) {
@@ -285,7 +214,7 @@ func TestCacheGCFlag(t *testing.T) {
 		t.Fatal("cold run failed")
 	}
 	// Backdate every entry beyond the GC bound. The cold run stores one
-	// build record and one stage-2 profile record per heuristic set.
+	// build record per heuristic set.
 	old := time.Now().Add(-48 * time.Hour)
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
@@ -300,7 +229,7 @@ func TestCacheGCFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("gc run exited %d", code)
 	}
-	if !strings.Contains(stderr, "cache gc evicted 6 of 6 entries") {
+	if !strings.Contains(stderr, "cache gc evicted 3 of 3 entries") {
 		t.Errorf("gc summary missing or wrong: %q", stderr)
 	}
 	if !strings.Contains(stderr, "3 builds") {

@@ -73,13 +73,6 @@ func AblationJobs(set lower.HeuristicSet, ws []workload.Workload) []Job {
 // nothing for it. Rows come back in workload order regardless of which
 // build finishes first.
 func RunAblationWith(ctx context.Context, e *Engine, set lower.HeuristicSet, names []string) ([]AblationRow, error) {
-	return RunAblationOpts(ctx, e, set, names, nil)
-}
-
-// RunAblationOpts is RunAblationWith with every variant's options passed
-// through mod (when non-nil) — how -profile-merge applies to the whole
-// grid while the variants keep their distinct Transform axes.
-func RunAblationOpts(ctx context.Context, e *Engine, set lower.HeuristicSet, names []string, mod func(pipeline.Options) pipeline.Options) ([]AblationRow, error) {
 	var ws []workload.Workload
 	if len(names) == 0 {
 		ws = workload.All()
@@ -93,12 +86,7 @@ func RunAblationOpts(ctx context.Context, e *Engine, set lower.HeuristicSet, nam
 		}
 	}
 	variants := AblationVariants(set)
-	if mod != nil {
-		for i := range variants {
-			variants[i].Opts = mod(variants[i].Opts)
-		}
-	}
-	jobs := ModJobs(AblationJobs(set, ws), mod)
+	jobs := AblationJobs(set, ws)
 	grid := make([]*ProgramRun, len(jobs))
 	err := e.gather(ctx, len(grid), func(ctx context.Context, i int) error {
 		r, err := e.Get(ctx, jobs[i].Workload, jobs[i].Opts)

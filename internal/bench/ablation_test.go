@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -15,6 +14,9 @@ func TestAblation(t *testing.T) {
 	}
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
+	}
+	if jobs, want := AblationJobs(lower.SetIII, subset(t, "wc", "sort", "lex")), 3*len(AblationVariants(lower.SetIII)); len(jobs) != want {
+		t.Errorf("AblationJobs: %d jobs, want %d", len(jobs), want)
 	}
 	for _, r := range rows {
 		full := r.Insts["full"]
@@ -51,56 +53,4 @@ func TestAblation(t *testing.T) {
 		t.Errorf("table malformed:\n%s", text)
 	}
 	t.Logf("\n%s", text)
-}
-
-// The ablation grid must shard exactly like the suite matrix: each job
-// in one shard, and the sharded-and-merged study byte-identical to the
-// direct one with zero rebuilds.
-func TestAblationJobsShardAndMerge(t *testing.T) {
-	ws := subset(t, "wc", "sort")
-	set := Sets()[2]
-	jobs := AblationJobs(set, ws)
-	if want := len(ws) * len(AblationVariants(set)); len(jobs) != want {
-		t.Fatalf("AblationJobs: %d jobs, want %d", len(jobs), want)
-	}
-	const n = 2
-	seen := map[Key]int{}
-	var shards [][]Job
-	for i := 0; i < n; i++ {
-		shard := ShardJobs(jobs, i, n)
-		shards = append(shards, shard)
-		for _, j := range shard {
-			seen[Key{Workload: j.Workload.Name, Opts: j.Opts}]++
-		}
-	}
-	if len(seen) != len(jobs) {
-		t.Fatalf("shards cover %d jobs, want %d", len(seen), len(jobs))
-	}
-
-	ctx := context.Background()
-	direct, err := RunAblationWith(ctx, NewEngine(4, nil), set, []string{"wc", "sort"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := NewEngine(4, nil)
-	for i, shard := range shards {
-		e := NewEngine(4, nil)
-		runs, err := e.RunJobs(ctx, shard)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		for _, r := range runs {
-			merged.Seed(r)
-		}
-	}
-	rows, err := RunAblationWith(ctx, merged, set, []string{"wc", "sort"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := merged.Stats(); st.Builds != 0 {
-		t.Errorf("merged ablation executed %d builds, want 0", st.Builds)
-	}
-	if got, want := AblationTable(set, rows), AblationTable(set, direct); got != want {
-		t.Errorf("sharded ablation differs:\n--- merged ---\n%s--- direct ---\n%s", got, want)
-	}
 }

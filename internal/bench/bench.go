@@ -45,14 +45,14 @@ type SeqStat = store.SeqStat
 // ProgramRun is one workload built under one configuration and measured
 // on its test input. Everything the tables and figures consume lives in
 // the measurement and summary fields, so a run round-trips through the
-// disk store and shard exports; Build carries the compiled programs only
-// for runs produced in this process.
+// disk store; Build carries the compiled programs only for runs produced
+// in this process.
 type ProgramRun struct {
 	Workload workload.Workload
 	Set      lower.HeuristicSet
 	Opts     pipeline.Options
-	// Build is nil for runs loaded from the disk store or a merged
-	// shard: the compiled programs are not persisted.
+	// Build is nil for runs loaded from the disk store: the compiled
+	// programs are not persisted.
 	Build *pipeline.BuildResult
 	Base  *sim.Measurement
 	Reord *sim.Measurement
@@ -229,8 +229,8 @@ func (r *ProgramRun) AppliedSeqs() []SeqStat {
 	return out
 }
 
-// Record converts the run to its serializable form for the disk store,
-// shard exports, and the -json dump.
+// Record converts the run to its serializable form for the disk store
+// and the -json dump.
 func (r *ProgramRun) Record() *store.Record {
 	return &store.Record{
 		Workload:    r.Workload.Name,

@@ -33,9 +33,8 @@ func BaseOptions(set lower.HeuristicSet) pipeline.Options {
 }
 
 // EngineStats summarizes an engine's cache behaviour across its tiers
-// (memo → disk). It is the serializable store.TierStats, so shard
-// exports carry it and merged runs can total every shard's cache
-// activity.
+// (memo → disk). It is the serializable store.TierStats, so the -json
+// dump carries it.
 type EngineStats = store.TierStats
 
 // Engine runs build+measure jobs on a bounded worker pool and memoizes
@@ -64,10 +63,7 @@ type Engine struct {
 	// stages memoizes the build pipeline's cacheable stages (frontend,
 	// detect+train) across jobs, so the ablation grid performs one
 	// frontend and one training run per (workload, set, detection
-	// config) instead of one per variant. When a disk tier is attached,
-	// stage-2 products also persist as content-addressed profile
-	// records, letting warm caches skip training runs even for Transform
-	// combinations that miss the whole-build tier.
+	// config) instead of one per variant.
 	stages *pipeline.StageCache
 
 	mu    sync.Mutex // guards cache, shares, baselines, stats, and progress writes
@@ -93,7 +89,7 @@ type entry struct {
 
 // share is one content-memo slot: a job that measured a distinct
 // program on distinct inputs, and the result every job with the same
-// content reuses. done is closed once run/tp/err are final; a failed slot
+// content reuses. done is closed once run/err are final; a failed slot
 // is dropped from the memo before it closes, so waiters build themselves.
 type share struct {
 	digest      [32]byte
@@ -101,7 +97,6 @@ type share struct {
 	opts        pipeline.Options // Switch zeroed
 	done        chan struct{}
 	run         *ProgramRun
-	tp          *pipeline.TrainProduct
 	err         error
 }
 
@@ -113,7 +108,7 @@ func NewEngine(jobs int, progress io.Writer) *Engine {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{
+	return &Engine{
 		jobs:      jobs,
 		progress:  progress,
 		sem:       make(chan struct{}, jobs),
@@ -122,14 +117,7 @@ func NewEngine(jobs int, progress io.Writer) *Engine {
 		baselines: map[[32]byte][]*baseline{},
 		stages:    pipeline.NewStageCache(0),
 	}
-	e.stages.Profiles = profileTier{e}
-	return e
 }
-
-// StageCache exposes the engine's build-stage cache so co-operating
-// experiments (e.g. pipeline.AutoBuildWith) can share its frontends and
-// training runs.
-func (e *Engine) StageCache() *pipeline.StageCache { return e.stages }
 
 // SetMeasure configures the measurement options and steers the stage
 // cache's training runs onto the same execution engine. Call it before
@@ -148,23 +136,6 @@ func (e *Engine) Jobs() int { return e.jobs }
 // every fresh build is written back. Attach it before the first Get.
 func (e *Engine) UseStore(s *store.Store) { e.disk = s }
 
-// Seed installs an already-measured run — typically loaded from an
-// exported shard — into the memo cache, so a later Get for the same
-// (workload, options) key is a cache hit instead of a rebuild. An
-// existing entry wins; seeding never overwrites.
-func (e *Engine) Seed(r *ProgramRun) {
-	key := Key{Workload: r.Workload.Name, Opts: r.Opts}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.cache[key]; ok {
-		return
-	}
-	done := make(chan struct{})
-	close(done)
-	e.cache[key] = &entry{done: done, run: r}
-	e.stats.Seeded++
-}
-
 // Stats returns a snapshot of the cache counters, the per-stage
 // counters of the staged build pipeline included.
 func (e *Engine) Stats() EngineStats {
@@ -177,7 +148,6 @@ func (e *Engine) Stats() EngineStats {
 	s.TrainRuns = ss.TrainRuns
 	s.TrainHits = ss.TrainHits
 	s.SampledTrainRuns = ss.SampledTrainRuns
-	s.ProfileMergeHits = ss.ProfileMergeHits
 	if e.stats.BuildSeconds != nil {
 		s.BuildSeconds = make(map[string]float64, len(e.stats.BuildSeconds))
 		for w, sec := range e.stats.BuildSeconds {
@@ -323,9 +293,6 @@ func (e *Engine) build(ctx context.Context, w workload.Workload, opts pipeline.O
 			e.mu.Lock()
 			e.stats.Shared++
 			e.mu.Unlock()
-			// Leave this job's profile record behind too, so a warm
-			// store serves its Transform variants as if it had trained.
-			profileTier{e}.PutProfile(w.Source, train, opts.Frontend(), opts.Detection(), sh.tp)
 			return sh.run.relabel(w, opts, front.SwitchKinds), nil
 		}
 		// The owner failed and dropped its slot: claim it afresh.
@@ -336,16 +303,11 @@ func (e *Engine) build(ctx context.Context, w workload.Workload, opts pipeline.O
 }
 
 // claim returns the content-memo slot for a job whose frontend digests
-// to digest, and whether the caller owns it and must fill it. Merging
-// jobs never share: each training run folds a contribution into the
-// persistent merged profile, so skipping one would change later results.
+// to digest, and whether the caller owns it and must fill it.
 func (e *Engine) claim(digest [32]byte, train, test []byte, opts pipeline.Options) (*share, bool) {
 	key := opts
 	key.Switch = 0
 	sh := &share{digest: digest, train: train, test: test, opts: key, done: make(chan struct{})}
-	if opts.Profile.Merge {
-		return sh, true
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, other := range e.shares[digest] {
@@ -365,14 +327,14 @@ func (e *Engine) claim(digest [32]byte, train, test []byte, opts pipeline.Option
 func (e *Engine) measure(front *pipeline.FrontendProduct, sh *share, w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
 	start := time.Now()
 	bl := e.baseline(front, sh.test)
-	sh.tp, sh.err = e.stages.Train(w.Source, sh.train, opts.Frontend(), opts.Detection())
+	tp, err := e.stages.Train(w.Source, sh.train, opts.Frontend(), opts.Detection())
 	var b *pipeline.BuildResult
-	if sh.err == nil {
-		b, sh.err = pipeline.FinalizeStages(front, sh.tp, opts)
+	if err == nil {
+		b, err = pipeline.FinalizeStages(front, tp, opts)
 	}
-	if sh.err != nil {
+	if err != nil {
 		<-bl.done
-		sh.err = fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, sh.err)
+		sh.err = fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, err)
 	} else {
 		sh.run, sh.err = measureBuild(w, opts, b, bl, e.Measure)
 	}
@@ -419,71 +381,6 @@ func (e *Engine) baseline(front *pipeline.FrontendProduct, test []byte) *baselin
 	e.baselines[front.Digest] = append(e.baselines[front.Digest], bl)
 	e.stats.BaselineRuns++
 	return bl
-}
-
-// profileTier adapts the engine's disk tier into the stage cache's
-// persistent store for stage-2 training products. Writes are
-// best-effort: a failure just means a later run trains again.
-type profileTier struct{ e *Engine }
-
-func (p profileTier) GetProfile(src string, train []byte, fo pipeline.FrontendOptions, d pipeline.DetectOptions) (*pipeline.TrainProduct, bool) {
-	e := p.e
-	if e.disk == nil {
-		return nil, false
-	}
-	rec, st := e.disk.GetProfile(store.ProfileFingerprint(src, train, fo, d))
-	if st != store.Hit {
-		return nil, false
-	}
-	e.mu.Lock()
-	e.stats.ProfileHits++
-	e.mu.Unlock()
-	return rec.Train(), true
-}
-
-func (p profileTier) PutProfile(src string, train []byte, fo pipeline.FrontendOptions, d pipeline.DetectOptions, tp *pipeline.TrainProduct) {
-	e := p.e
-	if e.disk == nil {
-		return
-	}
-	if perr := e.disk.PutProfile(store.ProfileFingerprint(src, train, fo, d), store.FromTrain(tp)); perr != nil {
-		e.logf("profile store write failed: %v\n", perr)
-		return
-	}
-	e.mu.Lock()
-	e.stats.ProfilePuts++
-	e.mu.Unlock()
-}
-
-// MergeProfile folds a just-trained product into the persistent
-// merged-profile record for (src, fo, d) and returns the fold — the
-// decay-weighted sum of this and every previously accumulated training
-// input. The merged fingerprint deliberately ignores the training input
-// and the drift choice, so successive runs over different inputs pile
-// into one record. The updated record is written back best-effort. A nil
-// return means no disk tier is attached and the caller should use the
-// solo product; reused reports whether prior contributions were folded
-// in.
-func (p profileTier) MergeProfile(src string, train []byte, fo pipeline.FrontendOptions, d pipeline.DetectOptions, tp *pipeline.TrainProduct) (*pipeline.TrainProduct, bool) {
-	e := p.e
-	if e.disk == nil {
-		return nil, false
-	}
-	fp := store.MergedFingerprint(src, fo, d)
-	rec, st := e.disk.GetMerged(fp)
-	reused := st == store.Hit // a stored record holds at least one contribution
-	if !reused {
-		rec = &store.MergedRecord{HalfLife: d.Profile.EffectiveHalfLife()}
-	}
-	rec.Merge(store.TrainDigest(train), store.FromTrain(tp))
-	if perr := e.disk.PutMerged(fp, rec); perr != nil {
-		e.logf("profile store write failed: %v\n", perr)
-	} else {
-		e.mu.Lock()
-		e.stats.ProfilePuts++
-		e.mu.Unlock()
-	}
-	return rec.Fold(), reused
 }
 
 // optsSuffix labels non-default configurations in progress output.
@@ -556,21 +453,7 @@ func (e *Engine) Suite(ctx context.Context) (*Suite, error) {
 // set. Results are ordered exactly as ws regardless of which build
 // finishes first, so rendered tables are byte-identical across -j values.
 func (e *Engine) SuiteOf(ctx context.Context, ws []workload.Workload) (*Suite, error) {
-	return e.SuiteOfOpts(ctx, ws, nil)
-}
-
-// SuiteOfOpts is SuiteOf with every job's options passed through mod
-// (when non-nil), so a cross-cutting configuration — profile sampling or
-// merging, say — applies to the whole evaluation matrix without
-// enumerating jobs by hand.
-func (e *Engine) SuiteOfOpts(ctx context.Context, ws []workload.Workload, mod func(pipeline.Options) pipeline.Options) (*Suite, error) {
-	jobs := SuiteJobs(ws)
-	if mod != nil {
-		for i := range jobs {
-			jobs[i].Opts = mod(jobs[i].Opts)
-		}
-	}
-	runs, err := e.RunJobs(ctx, jobs)
+	runs, err := e.RunJobs(ctx, SuiteJobs(ws))
 	if err != nil {
 		return nil, err
 	}

@@ -15,8 +15,7 @@ type Job struct {
 
 // SuiteJobs enumerates the standard evaluation matrix — every heuristic
 // set (in presentation order) × every workload (in the given order) —
-// exactly as SuiteOf and Suite.AllRuns do. The fixed enumeration is what
-// lets distinct machines shard it without coordination.
+// exactly as SuiteOf and Suite.AllRuns do.
 func SuiteJobs(ws []workload.Workload) []Job {
 	sets := Sets()
 	jobs := make([]Job, 0, len(sets)*len(ws))
@@ -26,34 +25,6 @@ func SuiteJobs(ws []workload.Workload) []Job {
 		}
 	}
 	return jobs
-}
-
-// ModJobs returns a copy of jobs with every job's options passed
-// through mod — how a cross-cutting configuration such as -profile-merge
-// applies to an enumerated matrix. A nil mod returns jobs unchanged.
-func ModJobs(jobs []Job, mod func(pipeline.Options) pipeline.Options) []Job {
-	if mod == nil {
-		return jobs
-	}
-	out := make([]Job, len(jobs))
-	for i, j := range jobs {
-		j.Opts = mod(j.Opts)
-		out[i] = j
-	}
-	return out
-}
-
-// ShardJobs returns partition shard of n: job i goes to shard i mod n,
-// so every job lands in exactly one shard, shards differ in size by at
-// most one job, and the assignment depends only on the job order.
-func ShardJobs(jobs []Job, shard, n int) []Job {
-	var out []Job
-	for i, j := range jobs {
-		if i%n == shard {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // RunJobs builds and measures every job on the engine's worker pool,

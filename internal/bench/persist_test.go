@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -9,7 +8,6 @@ import (
 
 	"branchreorder/internal/bench/store"
 	"branchreorder/internal/lower"
-	"branchreorder/internal/workload"
 )
 
 func openStore(t *testing.T, dir string) *store.Store {
@@ -167,88 +165,4 @@ func TestCorruptDiskEntriesRebuild(t *testing.T) {
 	if got, want := renderAll(t, s2), renderAll(t, s1); got != want {
 		t.Errorf("rebuild after corruption rendered differently")
 	}
-}
-
-// Sharding must partition the matrix exactly: every job in exactly one
-// shard, order-deterministic, and reassembling shards via export records
-// plus Seed reproduces the suite byte-for-byte with zero builds.
-func TestShardPartitionAndMerge(t *testing.T) {
-	ws := subset(t, "wc", "sort", "lex")
-	jobs := SuiteJobs(ws)
-	if want := len(Sets()) * len(ws); len(jobs) != want {
-		t.Fatalf("SuiteJobs: %d jobs, want %d", len(jobs), want)
-	}
-	const n = 3
-	seen := map[Key]int{}
-	var shards [][]Job
-	for i := 0; i < n; i++ {
-		shard := ShardJobs(jobs, i, n)
-		shards = append(shards, shard)
-		for _, j := range shard {
-			seen[Key{Workload: j.Workload.Name, Opts: j.Opts}]++
-		}
-	}
-	if len(seen) != len(jobs) {
-		t.Fatalf("shards cover %d distinct jobs, want %d", len(seen), len(jobs))
-	}
-	for k, c := range seen {
-		if c != 1 {
-			t.Errorf("job %+v appears in %d shards", k, c)
-		}
-	}
-
-	// Run each shard on its own engine (as separate machines would),
-	// export, merge into a fresh engine, and compare against a
-	// single-process suite.
-	ctx := context.Background()
-	single, err := NewEngine(4, nil).SuiteOf(ctx, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := NewEngine(4, nil)
-	for i, shard := range shards {
-		e := NewEngine(4, nil)
-		runs, err := e.RunJobs(ctx, shard)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		var buf bytes.Buffer
-		st := e.Stats()
-		if err := store.WriteExport(&buf, Records(runs), &st); err != nil {
-			t.Fatalf("shard %d export: %v", i, err)
-		}
-		recs, shardStats, err := store.ReadExport(&buf)
-		if err == nil && (shardStats == nil || shardStats.Builds != len(shard)) {
-			t.Errorf("shard %d stats did not round-trip: %+v", i, shardStats)
-		}
-		if err != nil {
-			t.Fatalf("shard %d reimport: %v", i, err)
-		}
-		for _, rec := range recs {
-			run, err := RunFromRecord(rec, mustNamed(t, rec.Workload))
-			if err != nil {
-				t.Fatal(err)
-			}
-			merged.Seed(run)
-		}
-	}
-	s, err := merged.SuiteOf(ctx, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := merged.Stats(); st.Builds != 0 {
-		t.Errorf("merged suite executed %d builds, want 0", st.Builds)
-	}
-	if got, want := renderAll(t, s), renderAll(t, single); got != want {
-		t.Errorf("merged output differs from single-process output:\n--- merged ---\n%s\n--- single ---\n%s", got, want)
-	}
-}
-
-func mustNamed(t *testing.T, name string) workload.Workload {
-	t.Helper()
-	w, ok := workload.Named(name)
-	if !ok {
-		t.Fatalf("workload %q missing", name)
-	}
-	return w
 }

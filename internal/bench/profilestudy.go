@@ -43,9 +43,8 @@ func ProfileStudyOptions(drift profile.Drift, rate int, seed, bias uint64) pipel
 }
 
 // ProfileStudyJobs enumerates the study grid in deterministic order —
-// workloads outer, drift arms middle, rates inner — so distinct
-// machines can shard it with ShardJobs exactly like the standard
-// matrix. Rates must include 1: every drift arm needs its reference.
+// workloads outer, drift arms middle, rates inner. Rates must include 1:
+// every drift arm needs its reference.
 func ProfileStudyJobs(ws []workload.Workload, rates []int, seed, bias uint64) []Job {
 	drifts := ProfileStudyDrifts()
 	jobs := make([]Job, 0, len(ws)*len(drifts)*len(rates))
@@ -130,10 +129,7 @@ func intsEqual(a, b []int) bool {
 // RunProfileStudyWith builds the study grid on e's worker pool and
 // scores every cell. Rows come back in grid order regardless of which
 // build finishes first, so the rendered table is byte-identical across
-// -j values. Runs may come from the engine's caches or seeded shards;
-// only the (workload, drift) pairs whose reference and sampled runs are
-// both present can be scored, so a sharded study is merged before
-// scoring (exactly like the ablation grid).
+// -j values.
 func RunProfileStudyWith(ctx context.Context, e *Engine, ws []workload.Workload, rates []int, seed, bias uint64) ([]ProfileStudyRow, error) {
 	hasRef := false
 	for _, r := range rates {

@@ -5,9 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"branchreorder/internal/bench/store"
 	"branchreorder/internal/lower"
-	"branchreorder/internal/pipeline"
 	"branchreorder/internal/profile"
 )
 
@@ -99,64 +97,5 @@ func TestRunProfileStudyRejectsBadRates(t *testing.T) {
 	}
 	if _, err := RunProfileStudyWith(ctx, NewEngine(1, nil), ws, []int{1, 0}, 1, 0); err == nil {
 		t.Error("rate 0 accepted")
-	}
-}
-
-// Two runs over a shared disk store must accumulate profile wisdom: the
-// first run's training product lands in a merged-profile record, and a
-// second run that trains again (different drift arm, so the whole-build
-// and stage-2 keys miss while the merged fingerprint matches) folds it
-// back in as a merge hit.
-func TestMergedProfileWarmStart(t *testing.T) {
-	dir := t.TempDir()
-	w := subset(t, "wc")[0]
-	ctx := context.Background()
-	withMerge := func(drift profile.Drift) pipeline.Options {
-		o := BaseOptions(lower.SetII)
-		o.Profile = profile.Config{Merge: true, Drift: drift}
-		return o
-	}
-
-	run := func(drift profile.Drift) EngineStats {
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(1, nil)
-		e.UseStore(st)
-		if _, err := e.Get(ctx, w, withMerge(drift)); err != nil {
-			t.Fatal(err)
-		}
-		return e.Stats()
-	}
-
-	first := run(profile.DriftCross)
-	if first.TrainRuns != 1 || first.ProfileMergeHits != 0 {
-		t.Fatalf("cold run stats: %+v", first)
-	}
-	if first.ProfilePuts == 0 {
-		t.Fatalf("cold run persisted no merged profile: %+v", first)
-	}
-	second := run(profile.DriftNone)
-	if second.TrainRuns != 1 {
-		t.Fatalf("warm run did not train: %+v", second)
-	}
-	if second.ProfileMergeHits != 1 {
-		t.Errorf("warm run stats: %+v, want 1 merged-profile reuse", second)
-	}
-
-	// The merged record now carries both training inputs.
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := withMerge(profile.DriftNone)
-	fp := store.MergedFingerprint(w.Source, opts.Frontend(), opts.Detection())
-	rec, status := st.GetMerged(fp)
-	if status != store.Hit {
-		t.Fatalf("merged record missing: %v", status)
-	}
-	if len(rec.Contribs) != 2 {
-		t.Errorf("merged record has %d contributions, want 2", len(rec.Contribs))
 	}
 }

@@ -2,13 +2,14 @@ package bench
 
 import (
 	"context"
+	"io/fs"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"branchreorder/internal/bench/store"
 	"branchreorder/internal/lower"
-	"branchreorder/internal/pipeline"
-	"branchreorder/internal/profile"
 	"branchreorder/internal/workload"
 )
 
@@ -79,26 +80,9 @@ func TestSharedSuiteMatchesUnsharedRuns(t *testing.T) {
 	}
 }
 
-// Merging jobs never share: each training run is a contribution to the
-// persistent merged profile, so skipping one would change later builds.
-func TestProfileMergeSuiteSharesNothing(t *testing.T) {
-	ws := subset(t, "wc", "sort")
-	e := NewEngine(4, nil)
-	e.UseStore(openStore(t, t.TempDir()))
-	merge := func(o pipeline.Options) pipeline.Options {
-		o.Profile = profile.Config{Merge: true}
-		return o
-	}
-	if _, err := e.SuiteOfOpts(context.Background(), ws, merge); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.Shared != 0 || st.TrainRuns != 6 {
-		t.Errorf("merge suite: %d shared, %d training runs; want 0, 6", st.Shared, st.TrainRuns)
-	}
-}
-
-// A shared job must still leave its own whole-build and profile records
-// behind, so a warm store serves every job without building.
+// A shared job must still leave its own build entry behind, so a warm
+// store serves every job without building; and build entries are all
+// the store holds.
 func TestSharedJobsPersistTheirOwnRecords(t *testing.T) {
 	dir := t.TempDir()
 	ws := workload.All()
@@ -113,18 +97,28 @@ func TestSharedJobsPersistTheirOwnRecords(t *testing.T) {
 		t.Errorf("cold run: %d shared, want 32", st.Shared)
 	}
 	disk := openStore(t, dir)
-	builds, profiles := 0, 0
-	for _, j := range SuiteJobs(ws) {
-		train := TrainInput(j.Workload, j.Opts)
-		if _, st := disk.Get(store.Fingerprint(j.Workload.Source, train, j.Workload.Test(), j.Opts)); st == store.Hit {
+	jobs := SuiteJobs(ws)
+	if want := len(Sets()) * len(ws); len(jobs) != want {
+		t.Fatalf("SuiteJobs: %d jobs, want %d", len(jobs), want)
+	}
+	builds := 0
+	for _, j := range jobs {
+		if _, st := disk.Get(store.Fingerprint(j.Workload.Source, TrainInput(j.Workload, j.Opts), j.Workload.Test(), j.Opts)); st == store.Hit {
 			builds++
 		}
-		if _, st := disk.GetProfile(store.ProfileFingerprint(j.Workload.Source, train, j.Opts.Frontend(), j.Opts.Detection())); st == store.Hit {
-			profiles++
-		}
 	}
-	if builds != 51 || profiles != 51 {
-		t.Errorf("store holds %d build and %d profile entries for the 51 jobs, want 51 of each", builds, profiles)
+	files := 0
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
+			files++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds != 51 || files != 51 {
+		t.Errorf("store holds %d build entries for the 51 jobs in %d entry files, want 51 of each", builds, files)
 	}
 
 	warm := NewEngine(0, nil)

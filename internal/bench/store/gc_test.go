@@ -108,41 +108,45 @@ func TestGCSweepsOrphanedTempFiles(t *testing.T) {
 	}
 }
 
-// gcProfileStore adds profile-kind entries (one stage-2 profile, one
-// merged profile) to a build-entry store, all backdated to be the
-// oldest files present, and returns the profile fingerprints.
-func gcProfileStore(t *testing.T, builds int) (*Store, []string) {
-	t.Helper()
-	s, _ := gcStore(t, builds)
-	pfp := profileFP()
-	if err := s.PutProfile(pfp, FromTrain(sampleTrain())); err != nil {
-		t.Fatal(err)
-	}
-	mrec := &MergedRecord{HalfLife: 1}
-	mrec.Merge(TrainDigest([]byte("input-a")), FromTrain(sampleTrain()))
-	mfp := mergedFP()
-	if err := s.PutMerged(mfp, mrec); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Duration(builds+2) * time.Hour)
-	for _, fp := range []string{pfp, mfp} {
-		if err := os.Chtimes(s.path(fp), old, old); err != nil {
+// Entries of the retired kinds that an older brbench left in a cache
+// directory are never served, leave the build entries beside them
+// served, and age out under GC like any other entry.
+func TestGCWrapperAgesAllKinds(t *testing.T) {
+	s, fps := gcStore(t, 2) // ages 2h, 1h
+	old := time.Now().Add(-4 * time.Hour)
+	for _, e := range retiredEntries {
+		path := s.path(e.fp)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(path, []byte(e.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
+		if st := entryStatus(s, e.fp); st != Invalid {
+			t.Errorf("%s entry: Get = %v, want invalid", e.kind, st)
+		}
 	}
-	return s, []string{pfp, mfp}
-}
-
-// GC applies its age bound to every entry kind alike.
-func TestGCWrapperAgesAllKinds(t *testing.T) {
-	s, pfps := gcProfileStore(t, 2)
-	if _, err := s.GC(time.Hour); err != nil {
+	for i, fp := range fps {
+		if st := entryStatus(s, fp); st != Hit {
+			t.Errorf("build entry %d beside the retired kinds: %v, want hit", i, st)
+		}
+	}
+	res, err := s.GC(90 * time.Minute)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, st := s.GetProfile(pfps[0]); st != Miss {
-		t.Errorf("GC spared a stale profile entry (%v)", st)
+	if res.Evicted != 3 || res.Scanned != 4 {
+		t.Errorf("GC: %+v, want 3 of 4 evicted", res)
 	}
-	if _, st := s.GetMerged(pfps[1]); st != Miss {
-		t.Errorf("GC spared a stale merged entry (%v)", st)
+	for _, e := range retiredEntries {
+		if st := entryStatus(s, e.fp); st != Miss {
+			t.Errorf("GC spared a stale %s entry (%v)", e.kind, st)
+		}
+	}
+	if st := entryStatus(s, fps[1]); st != Hit {
+		t.Errorf("GC evicted a fresh build entry (%v)", st)
 	}
 }

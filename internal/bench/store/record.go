@@ -128,26 +128,22 @@ func (r *Record) Validate() error {
 	return nil
 }
 
-// Entry kinds. Build records predate the kind field, so theirs encodes
-// as the absent zero value and old entries decode unchanged.
-const (
-	KindBuild   = ""               // a whole build+measure Record
-	KindProfile = "profile"        // a stage-2 ProfileRecord
-	KindMerged  = "merged-profile" // a cross-input MergedRecord
-)
-
 // envelope is the on-disk framing of one store entry: R is the encoded
-// payload (json.RawMessage) when writing and the record (*T) when reading.
+// payload (json.RawMessage) when writing and the *Record when reading.
 type envelope[R any] struct {
-	Schema      int    `json:"schema"`
+	Schema int `json:"schema"`
+	// Kind is absent from the build entries this store writes. A cache
+	// directory filled by an older brbench may also hold entries of two
+	// retired kinds, "profile" and "merged-profile", under the same
+	// schema; Decode rejects them by this field.
 	Kind        string `json:"kind,omitempty"`
 	Fingerprint string `json:"fingerprint"`
 	Sum         string `json:"sum"`
 	Record      R      `json:"record"`
 }
 
-// encodeEnvelope frames an already-validated payload as a store entry.
-func encodeEnvelope(kind, fp string, payload interface{}) ([]byte, error) {
+// encodeEnvelope frames an already-validated payload as a build entry.
+func encodeEnvelope(fp string, payload interface{}) ([]byte, error) {
 	body, err := json.Marshal(payload)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -155,7 +151,6 @@ func encodeEnvelope(kind, fp string, payload interface{}) ([]byte, error) {
 	sum := sha256.Sum256(body)
 	data, err := json.MarshalIndent(envelope[json.RawMessage]{
 		Schema:      SchemaVersion,
-		Kind:        kind,
 		Fingerprint: fp,
 		Sum:         hex.EncodeToString(sum[:]),
 		Record:      body,
@@ -164,40 +159,6 @@ func encodeEnvelope(kind, fp string, payload interface{}) ([]byte, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	return append(data, '\n'), nil
-}
-
-// decodeEnvelope decodes one store entry with its record in one pass,
-// verifies schema, kind and fingerprint, then the checksum by re-encoding
-// the record into the compact payload encodeEnvelope hashed, and last
-// runs check. The sum so certifies values, not formatting, and a record
-// field removed or renamed needs a schema bump. Every malformed input
-// yields an error, never a panic.
-func decodeEnvelope[T any](data []byte, kind, fp string, check func(*T) error) (*T, error) {
-	var env envelope[*T]
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	switch {
-	case env.Schema != SchemaVersion:
-		return nil, fmt.Errorf("store: entry schema %d, want %d", env.Schema, SchemaVersion)
-	case env.Kind != kind:
-		return nil, fmt.Errorf("store: entry kind %q, want %q", env.Kind, kind)
-	case fp != "" && env.Fingerprint != fp:
-		return nil, errors.New("store: entry fingerprint does not match its key")
-	case env.Record == nil:
-		return nil, errors.New("store: entry has no record")
-	}
-	body, err := json.Marshal(env.Record)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != env.Sum {
-		return nil, errors.New("store: payload checksum mismatch")
-	}
-	if err := check(env.Record); err != nil {
-		return nil, err
-	}
-	return env.Record, nil
 }
 
 // Encode serializes rec as the store entry keyed by fp. The outputs are
@@ -209,37 +170,61 @@ func Encode(fp string, rec *Record) ([]byte, error) {
 	stored, reord := *rec, *rec.Reord
 	reord.Output = nil
 	stored.Reord = &reord
-	return encodeEnvelope(KindBuild, fp, &stored)
+	return encodeEnvelope(fp, &stored)
 }
 
-// Decode parses one store entry. fp, when non-empty, must match the
-// fingerprint recorded inside the entry — a file renamed to the wrong
-// key is not a usable result. Every malformed input yields an error,
-// never a panic; callers treat any error as a cache miss.
+// Decode parses one store entry with its record in one pass, verifies
+// schema, kind and fingerprint, then the checksum by re-encoding the
+// record into the compact payload encodeEnvelope hashed, and last the
+// record itself. The sum so certifies values, not formatting, and a
+// record field removed or renamed needs a schema bump. fp, when
+// non-empty, must match the fingerprint recorded inside the entry — a
+// file renamed to the wrong key is not a usable result. Every malformed
+// input yields an error, never a panic; callers treat any error as a
+// cache miss.
 func Decode(data []byte, fp string) (*Record, error) {
-	return decodeEnvelope(data, KindBuild, fp, func(rec *Record) error {
-		if rec.Base == nil || rec.Reord == nil || rec.Reord.Output != nil {
-			return errors.New("store: entry lacks a measurement or stores a second output")
-		}
-		rec.Reord.Output = rec.Base.Output
-		return rec.Validate()
-	})
+	var env envelope[*Record]
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	rec := env.Record
+	switch {
+	case env.Schema != SchemaVersion:
+		return nil, fmt.Errorf("store: entry schema %d, want %d", env.Schema, SchemaVersion)
+	case env.Kind != "":
+		return nil, fmt.Errorf("store: entry kind %q, want a build entry", env.Kind)
+	case fp != "" && env.Fingerprint != fp:
+		return nil, errors.New("store: entry fingerprint does not match its key")
+	case rec == nil:
+		return nil, errors.New("store: entry has no record")
+	}
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != env.Sum {
+		return nil, errors.New("store: payload checksum mismatch")
+	}
+	if rec.Base == nil || rec.Reord == nil || rec.Reord.Output != nil {
+		return nil, errors.New("store: entry lacks a measurement or stores a second output")
+	}
+	rec.Reord.Output = rec.Base.Output
+	if err := rec.Validate(); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
-// exportFile frames a list of records: the -export shard interchange and
-// the -json dump share this format, so a -json dump can also be merged.
-// Stats carries the exporting engine's cache counters so a merge can
-// account for every shard's activity; it is optional, so pre-stats
-// exports still read cleanly (as a nil Stats).
+// exportFile frames a list of records as brbench -json writes them, with
+// the writing engine's cache counters in the optional Stats.
 type exportFile struct {
 	Schema  int        `json:"schema"`
 	Stats   *TierStats `json:"stats,omitempty"`
 	Records []*Record  `json:"records"`
 }
 
-// WriteExport serializes records, preserving their order. stats, when
-// non-nil, rides along so the merging side can total cache activity
-// across shards.
+// WriteExport serializes records, preserving their order, with stats
+// when non-nil. Unlike a build entry, each record keeps both outputs.
 func WriteExport(w io.Writer, recs []*Record, stats *TierStats) error {
 	for i, rec := range recs {
 		if err := rec.Validate(); err != nil {
@@ -252,24 +237,4 @@ func WriteExport(w io.Writer, recs []*Record, stats *TierStats) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// ReadExport parses an exported shard. Unlike store entries — where a
-// bad file is just a cache miss — corruption here is a hard error: the
-// caller asked to merge exactly this data. The returned stats are nil
-// for exports written before stats existed.
-func ReadExport(r io.Reader) ([]*Record, *TierStats, error) {
-	var f exportFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, nil, fmt.Errorf("store: export: %w", err)
-	}
-	if f.Schema != SchemaVersion {
-		return nil, nil, fmt.Errorf("store: export schema %d, want %d", f.Schema, SchemaVersion)
-	}
-	for i, rec := range f.Records {
-		if err := rec.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("store: export record %d: %w", i, err)
-		}
-	}
-	return f.Records, f.Stats, nil
 }

@@ -1,18 +1,18 @@
 // Package store persists build+measure results on disk so repeated
-// brbench invocations skip unchanged builds and shards of the job matrix
-// can run on separate machines and be merged.
+// brbench invocations skip unchanged builds, and writes the -json dump
+// of measured runs.
 //
 // The store is content-addressed: an entry's name is the SHA-256
 // fingerprint of everything that determines its result (workload source,
 // training and test inputs, the full pipeline configuration, and the
 // store schema version), so a change to any input simply misses and
-// rebuilds — there is no invalidation protocol, no locking, and merging
-// two stores is a file copy. Entries are written atomically (temp file +
+// rebuilds — there is no invalidation protocol and no locking. Every
+// entry is one build record. Entries are written atomically (temp file +
 // rename in the same directory) and carry a checksum, verified by
 // re-encoding the decoded record; anything corrupt, truncated,
-// schema-mismatched, or misplaced decodes as a miss, never an error and
-// never a panic. A build entry holds the program's output once; exported
-// and -json records carry it in both measurements.
+// schema-mismatched, of another kind, or misplaced decodes as a miss,
+// never an error and never a panic. A build entry holds the program's
+// output once; -json records carry it in both measurements.
 package store
 
 import (
@@ -30,7 +30,9 @@ import (
 // (changing every fingerprint), SeqStat records the selected ordering,
 // and merged-profile entries are a third record kind.
 // Version 3: a build entry stores the program's output once, writing
-// the reordered measurement's output as null.
+// the reordered measurement's output as null. Retiring the profile and
+// merged-profile kinds later left build entries and fingerprints as
+// they were, so it kept version 3.
 const SchemaVersion = 3
 
 // Status classifies the outcome of a Get.
@@ -88,13 +90,8 @@ func (s *Store) path(fp string) string {
 
 // Get loads the entry for fp. A Hit returns the decoded record; Miss and
 // Invalid return nil, and differ only in whether a file was present.
+// Nothing is cached: every call reads and verifies its own file.
 func (s *Store) Get(fp string) (*Record, Status) {
-	return get(s, fp, Decode)
-}
-
-// get reads the entry for fp and decodes it with decode, which verifies
-// it. Nothing is cached: every call reads and verifies its own file.
-func get[T any](s *Store, fp string, decode func([]byte, string) (*T, error)) (*T, Status) {
 	if len(fp) < 2 {
 		return nil, Miss
 	}
@@ -102,9 +99,9 @@ func get[T any](s *Store, fp string, decode func([]byte, string) (*T, error)) (*
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, Miss
 	}
-	var rec *T
+	var rec *Record
 	if err == nil {
-		rec, err = decode(data, fp)
+		rec, err = Decode(data, fp)
 	}
 	if err != nil {
 		return nil, Invalid
@@ -121,11 +118,6 @@ func (s *Store) Put(fp string, rec *Record) error {
 	if err != nil {
 		return err
 	}
-	return s.write(fp, data)
-}
-
-// write lands already-encoded entry bytes for fp with Put's atomicity.
-func (s *Store) write(fp string, data []byte) error {
 	if len(fp) < 2 {
 		return fmt.Errorf("store: unusable fingerprint %q", fp)
 	}

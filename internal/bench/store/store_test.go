@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -15,6 +17,7 @@ import (
 	"branchreorder/internal/interp"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
+	"branchreorder/internal/profile"
 )
 
 // testRecord is a synthetic but fully-populated record; the output holds
@@ -50,6 +53,65 @@ func testRecord() *Record {
 func testFingerprint() string {
 	return Fingerprint("int main() {}", []byte("train"), []byte("test"),
 		pipeline.Options{Switch: lower.SetI, Optimize: true})
+}
+
+// retiredEntries holds one entry of each kind the store no longer
+// writes, "profile" and "merged-profile", as a brbench from before their
+// retirement left them in a cache directory (indentation aside).
+var retiredEntries = []struct{ kind, fp, data string }{
+	{"profile", "54d59235e8847db8c8f864163da53cff71631b70e98b59d124a2b26c4e8433f9", `{"schema": 3, "kind": "profile",
+	"fingerprint": "54d59235e8847db8c8f864163da53cff71631b70e98b59d124a2b26c4e8433f9",
+	"sum": "7f4a44e4c513f4d6f33459b73ff118bf31648891dc855c0ea4456522c7cf63c0",
+	"record": {"numSeqs": 1, "numOrSeqs": 1,
+		"seqs": [{"id": 0, "total": 10, "counts": [3, 5, 2]}],
+		"orSeqs": [{"id": 1, "n": 2, "total": 10, "combos": [1, 2, 3, 4]}]}}
+`},
+	{"merged-profile", "73bf1378b138873dfd82e31a3ebc3e0d6b18f3e5bccda2c377449d5c3fda41df", `{"schema": 3, "kind": "merged-profile",
+	"fingerprint": "73bf1378b138873dfd82e31a3ebc3e0d6b18f3e5bccda2c377449d5c3fda41df",
+	"sum": "4aaa57827d7cfdea94823387aff50b7541eb1b8cf161fd20eb2915427791845c",
+	"record": {"halfLife": 1, "contribs": [{
+		"trainDigest": "410ea61566cc3693b1be7afd1a77f2597a9164c4a7b3bca5c5522cec9fcdaa04",
+		"generation": 1,
+		"profile": {"numSeqs": 1, "numOrSeqs": 1,
+			"seqs": [{"id": 0, "total": 10, "counts": [3, 5, 2]}],
+			"orSeqs": [{"id": 1, "n": 2, "total": 10, "combos": [1, 2, 3, 4]}]}}]}}
+`},
+}
+
+// relabel marks a build entry as one of another kind. Its record and
+// sum stay valid, so only the kind check can reject it.
+func relabel(entry []byte, kind string) []byte {
+	schema := fmt.Sprintf(`"schema": %d,`, SchemaVersion)
+	return bytes.Replace(entry, []byte(schema), []byte(fmt.Sprintf(`%s "kind": %q,`, schema, kind)), 1)
+}
+
+// The on-disk contract: the fingerprint of one fixed job under plain and
+// under sampled, drifted options, and the SHA-256 of the entry Encode
+// writes for it. Changing any of them renames or rewrites every entry an
+// existing cache directory holds, so it needs a SchemaVersion bump and
+// new constants here.
+func TestOnDiskContractPinned(t *testing.T) {
+	src, train, test := "int main() { return 0; }", []byte("train"), []byte("test")
+	plain := pipeline.Options{Switch: lower.SetII, Optimize: true}
+	sampled := plain
+	sampled.Profile = profile.Config{Mode: profile.EveryNth, Rate: 8, Seed: 1, Drift: profile.DriftNone}
+	fp := Fingerprint(src, train, test, plain)
+	for _, c := range []struct{ name, got, want string }{
+		{"plain", fp, "0aa19baed9c47bb6025a5ef3db7f463b35e49f4365f489fb4bba6b7d5c44a1b4"},
+		{"sampled", Fingerprint(src, train, test, sampled), "221e037bd64200347643eb2ed3224c01b359a318872b0a1fe7e31075ec1cfa3a"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s fingerprint = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+	data, err := Encode(fp, testRecord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got, want := hex.EncodeToString(sum[:]), "7e22a3c87975de9861ab1b093e5df924b7572e2e497eb14c631872c5891d7340"; got != want {
+		t.Errorf("entry SHA-256 = %s, want %s", got, want)
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -101,7 +163,7 @@ func TestDecodeRejectsBadEntries(t *testing.T) {
 	// Entries whose sum is valid for what they hold, written past Encode.
 	framed := func(payload any) []byte {
 		t.Helper()
-		data, err := encodeEnvelope(KindBuild, fp, payload)
+		data, err := encodeEnvelope(fp, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,64 +347,58 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// A -json dump holds every record, both outputs included, and the
+// stats it was given, and reads back unchanged.
 func TestExportRoundTrip(t *testing.T) {
 	recs := []*Record{testRecord(), testRecord()}
 	recs[1].Workload = "sort"
 	stats := &TierStats{Builds: 2, DiskHits: 1, DiskMisses: 3, DiskInvalid: 1}
-	var buf bytes.Buffer
-	if err := WriteExport(&buf, recs, stats); err != nil {
-		t.Fatal(err)
+	for _, st := range []*TierStats{stats, nil} {
+		var buf bytes.Buffer
+		if err := WriteExport(&buf, recs, st); err != nil {
+			t.Fatal(err)
+		}
+		var got exportFile
+		if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Schema != SchemaVersion || !reflect.DeepEqual(got.Records, recs) {
+			t.Errorf("export round trip changed the records")
+		}
+		if !reflect.DeepEqual(got.Stats, st) {
+			t.Errorf("export round trip changed stats: %+v != %+v", got.Stats, st)
+		}
 	}
-	got, gotStats, err := ReadExport(&buf)
+	bad := testRecord()
+	bad.Workload = ""
+	if err := WriteExport(&bytes.Buffer{}, []*Record{bad}, nil); err == nil {
+		t.Error("export of an invalid record succeeded")
+	}
+}
+
+// Decode serves build entries only: it rejects the retired kinds an
+// older cache directory may hold, and a build entry relabelled as one of
+// them, whose record and sum are valid.
+func TestEntryKindDispatch(t *testing.T) {
+	fp := testFingerprint()
+	good, err := Encode(fp, testRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Errorf("export round trip changed records")
+	if _, err := Decode(good, fp); err != nil {
+		t.Fatalf("build entry: %v", err)
 	}
-	if !reflect.DeepEqual(gotStats, stats) {
-		t.Errorf("export round trip changed stats: %+v != %+v", gotStats, stats)
-	}
-
-	// Exports written without stats (including pre-stats files) read
-	// back with nil stats, not zeroes.
-	buf.Reset()
-	if err := WriteExport(&buf, recs, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, s, err := ReadExport(&buf); err != nil || s != nil {
-		t.Errorf("stats-less export: stats=%+v err=%v, want nil,nil", s, err)
-	}
-}
-
-func TestTierStatsAdd(t *testing.T) {
-	a := TierStats{Builds: 1, Hits: 2, DiskHits: 3, DiskMisses: 4, DiskInvalid: 5,
-		BuildSeconds: map[string]float64{"wc": 0.5, "sort": 2}}
-	sum := TierStats{Builds: 1, BuildSeconds: map[string]float64{"wc": 0.25}}
-	sum.Add(a)
-	sum.Add(a)
-	want := TierStats{Builds: 3, Hits: 4, DiskHits: 6, DiskMisses: 8, DiskInvalid: 10,
-		BuildSeconds: map[string]float64{"wc": 1.25, "sort": 4}}
-	if !reflect.DeepEqual(sum, want) {
-		t.Errorf("Add: %+v, want %+v", sum, want)
-	}
-
-	// Adding a stats value without timings must leave the target's nil.
-	var zero TierStats
-	zero.Add(TierStats{Builds: 1})
-	if zero.BuildSeconds != nil {
-		t.Errorf("Add materialized an empty BuildSeconds map")
-	}
-}
-
-func TestReadExportRejects(t *testing.T) {
-	for name, data := range map[string]string{
-		"garbage":    "nope",
-		"bad schema": `{"schema":99,"records":[]}`,
-		"bad record": `{"schema":1,"records":[{"workload":""}]}`,
-	} {
-		if _, _, err := ReadExport(strings.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
+	for _, e := range retiredEntries {
+		for name, c := range map[string]struct {
+			data []byte
+			fp   string
+		}{
+			"stored":     {[]byte(e.data), e.fp},
+			"relabelled": {relabel(good, e.kind), fp},
+		} {
+			if _, err := Decode(c.data, c.fp); err == nil {
+				t.Errorf("%s %s entry decoded as a build entry", name, e.kind)
+			}
 		}
 	}
 }

@@ -27,12 +27,6 @@ import (
 // cloned by every consumer before mutation, and TrainProduct counts are
 // only read. A StageCache is safe for concurrent use.
 type StageCache struct {
-	// Profiles, when non-nil, is a persistent tier behind the in-memory
-	// stage-2 map: memory misses probe it before paying for a training
-	// run, and fresh training products are written back. Set it before
-	// the first Build.
-	Profiles ProfileStore
-
 	// Exec selects the execution engine for training runs (and, via
 	// AutoBuildWith, auto-evaluation runs). It deliberately lives
 	// outside Options and every fingerprint: profiles are byte-identical
@@ -50,28 +44,6 @@ type StageCache struct {
 	stats    StageStats
 }
 
-// ProfileStore is a persistent tier for stage-2 training products —
-// typically content-addressed records in the bench result store's disk
-// tier. Implementations must be safe for
-// concurrent use. PutProfile is best-effort: failures are logged or
-// dropped by the implementation, never surfaced to the build.
-type ProfileStore interface {
-	GetProfile(src string, train []byte, fo FrontendOptions, d DetectOptions) (*TrainProduct, bool)
-	PutProfile(src string, train []byte, fo FrontendOptions, d DetectOptions, tp *TrainProduct)
-}
-
-// ProfileMerger is the optional merging extension of a ProfileStore:
-// fold a fresh training product into the persistent merged profile for
-// (src, fo, d) and return the decayed fold the build should consume.
-// The bool reports whether a previously accumulated record contributed
-// — the warm-start signal surfaced as ProfileMergeHits. Implementations
-// without a persistent tier return (tp, false). Builds use merging when
-// d.Profile.Merge is set and the attached ProfileStore implements this
-// interface.
-type ProfileMerger interface {
-	MergeProfile(src string, train []byte, fo FrontendOptions, d DetectOptions, tp *TrainProduct) (*TrainProduct, bool)
-}
-
 // StageStats counts a cache's per-stage activity.
 type StageStats struct {
 	// FrontendRuns counts stage-1 computations; FrontendHits counts
@@ -79,17 +51,12 @@ type StageStats struct {
 	FrontendRuns int
 	FrontendHits int
 	// TrainRuns counts training runs actually executed; TrainHits counts
-	// lookups served from memory; TrainStoreHits counts training runs
-	// avoided by a ProfileStore record.
-	TrainRuns      int
-	TrainHits      int
-	TrainStoreHits int
+	// lookups served from memory (including joined in-flight runs).
+	TrainRuns int
+	TrainHits int
 	// SampledTrainRuns counts the subset of TrainRuns that collected
-	// sampled (non-exact) counts; ProfileMergeHits counts training runs
-	// whose counts were folded into a pre-existing merged profile record
-	// (warm start).
+	// sampled (non-exact) counts.
 	SampledTrainRuns int
-	ProfileMergeHits int
 }
 
 // stageEntry is one single-flight slot. done is closed once val/err are
@@ -204,9 +171,7 @@ func (c *StageCache) Frontend(src string, fo FrontendOptions) (*FrontendProduct,
 }
 
 // Train returns the stage-2 product for (src, train, fo, d), running the
-// training pass at most once per cached lifetime. Memory misses probe
-// the ProfileStore (when attached) before computing; fresh products are
-// written back to it.
+// training pass at most once per cached lifetime.
 func (c *StageCache) Train(src string, train []byte, fo FrontendOptions, d DetectOptions) (*TrainProduct, error) {
 	key := trainKey(frontendKey(src, fo), train, d)
 	c.mu.Lock()
@@ -238,23 +203,8 @@ func (c *StageCache) Train(src string, train []byte, fo FrontendOptions, d Detec
 	return ent.val, ent.err
 }
 
-// train computes one stage-2 product: persistent tier first, then the
-// real training run (written back to the persistent tier on success).
-//
-// Merge mode inverts the flow: the training run always executes (each
-// run is a fresh contribution, so a cached solo profile must not
-// short-circuit it) and its counts are folded through the persistent
-// merged record, whose decayed fold is what the build consumes.
+// train runs one training pass on the cached frontend of (src, fo).
 func (c *StageCache) train(src string, train []byte, fo FrontendOptions, d DetectOptions) (*TrainProduct, error) {
-	merge := d.Profile.Merge
-	if c.Profiles != nil && !merge {
-		if tp, ok := c.Profiles.GetProfile(src, train, fo, d); ok {
-			c.mu.Lock()
-			c.stats.TrainStoreHits++
-			c.mu.Unlock()
-			return tp, nil
-		}
-	}
 	front, err := c.Frontend(src, fo)
 	if err != nil {
 		return nil, err
@@ -265,28 +215,7 @@ func (c *StageCache) train(src string, train []byte, fo FrontendOptions, d Detec
 		c.stats.SampledTrainRuns++
 	}
 	c.mu.Unlock()
-	tp, err := TrainStageWith(front, train, d, c.Exec)
-	if err != nil {
-		return nil, err
-	}
-	if merge {
-		if merger, ok := c.Profiles.(ProfileMerger); ok {
-			folded, reused := merger.MergeProfile(src, train, fo, d, tp)
-			if folded != nil {
-				if reused {
-					c.mu.Lock()
-					c.stats.ProfileMergeHits++
-					c.mu.Unlock()
-				}
-				return folded, nil
-			}
-		}
-		return tp, nil
-	}
-	if c.Profiles != nil {
-		c.Profiles.PutProfile(src, train, fo, d, tp)
-	}
-	return tp, nil
+	return TrainStageWith(front, train, d, c.Exec)
 }
 
 // Build runs the full staged pipeline through the cache: stage 1 and

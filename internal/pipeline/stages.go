@@ -89,9 +89,8 @@ func BuildFrontend(src string, fo FrontendOptions) (*FrontendProduct, error) {
 // TrainProduct is the cached stage-2 result: the training-run counts for
 // every detected sequence, plus the detection shape they were collected
 // under so a finalize against a diverging detector fails loudly instead
-// of silently misattributing counts. It is plain data — serializable,
-// safe to share between concurrent finalizes, and convertible to a
-// content-addressed store record.
+// of silently misattributing counts. It is plain data, safe to share
+// between concurrent finalizes.
 type TrainProduct struct {
 	SeqProfiles   map[int]*core.SeqProfile
 	OrSeqProfiles map[int]*core.OrSeqProfile

@@ -131,72 +131,6 @@ func TestStageCacheInvalidation(t *testing.T) {
 	mustStage(base, trainA, StageStats{FrontendRuns: 2, FrontendHits: 8, TrainRuns: 4, TrainHits: 2})
 }
 
-// memProfiles is an in-memory ProfileStore for tests.
-type memProfiles struct {
-	mu      sync.Mutex
-	entries map[string]*TrainProduct
-	gets    int
-	puts    int
-}
-
-func profilesKey(src string, train []byte, fo FrontendOptions, d DetectOptions) string {
-	return fmt.Sprintf("%q %q %+v %+v", src, train, fo, d)
-}
-
-func (m *memProfiles) GetProfile(src string, train []byte, fo FrontendOptions, d DetectOptions) (*TrainProduct, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gets++
-	tp, ok := m.entries[profilesKey(src, train, fo, d)]
-	return tp, ok
-}
-
-func (m *memProfiles) PutProfile(src string, train []byte, fo FrontendOptions, d DetectOptions, tp *TrainProduct) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.puts++
-	if m.entries == nil {
-		m.entries = map[string]*TrainProduct{}
-	}
-	m.entries[profilesKey(src, train, fo, d)] = tp
-}
-
-// A warm ProfileStore must let a fresh cache skip the training run
-// entirely, and the resulting build must still be byte-identical to the
-// monolithic path.
-func TestStageCacheProfileStoreWarm(t *testing.T) {
-	w, ok := workload.Named("wc")
-	if !ok {
-		t.Fatal("wc workload missing")
-	}
-	train := w.Train()
-	o := Options{Switch: lower.SetI, Optimize: true}
-	profiles := &memProfiles{}
-
-	cold := NewStageCache(0)
-	cold.Profiles = profiles
-	if _, err := cold.Build(w.Source, train, o); err != nil {
-		t.Fatalf("cold Build: %v", err)
-	}
-	if profiles.puts != 1 {
-		t.Fatalf("cold build wrote %d profiles, want 1", profiles.puts)
-	}
-	if st := cold.Stats(); st.TrainRuns != 1 || st.TrainStoreHits != 0 {
-		t.Fatalf("cold stats: %+v", st)
-	}
-
-	// A fresh cache (new process, same persistent tier) must not train.
-	warm := NewStageCache(0)
-	warm.Profiles = profiles
-	buildPair(t, warm, w.Source, train, o)
-	if st := warm.Stats(); st.TrainRuns != 0 || st.TrainStoreHits != 1 {
-		t.Fatalf("warm stats: %+v (training run not skipped)", st)
-	}
-	if profiles.puts != 1 {
-		t.Fatalf("warm build re-uploaded the profile: %d puts", profiles.puts)
-	}
-}
-
 // Concurrent builds of one configuration must share single-flight stage
 // computations: exactly one frontend and one training run.
 func TestStageCacheSingleFlight(t *testing.T) {

@@ -1,15 +1,14 @@
-// Package profile owns the production side of the paper's profile
-// lifecycle: collect → sample → merge/decay → persist → select.
+// Package profile owns the collection side of the paper's profile:
+// how training-run events become the counts that selection reads.
 //
 // The paper trains reordering on exact head-of-sequence counts from one
 // training input. Production PGO lives with less: counters are sampled
-// (full instrumentation is too expensive to leave on), profiles are
-// merged across many training inputs (no single input is
-// representative), and the merged profile is stale by the time it is
-// consumed. This package provides the sampled-collection layer (Sampler)
-// behind the existing core.Profile/core.OrProfile hooks and the
-// configuration (Config) that the build pipeline, the content-addressed
-// store, and the brbench -profile-study quality harness all key on.
+// (full instrumentation is too expensive to leave on), and the profile
+// is stale by the time it is consumed. This package provides the
+// sampled-collection layer (Sampler) behind the existing
+// core.Profile/core.OrProfile hooks and the configuration (Config) that
+// the build pipeline, the content-addressed store, and the brbench
+// -profile-study quality harness all key on.
 //
 // Everything is deterministic by construction: sampling decisions come
 // from a seeded splitmix64 stream per sequence, never from time or
@@ -83,8 +82,8 @@ const DefaultReservoirCapacity = 4096
 // Config is the profile-lifecycle configuration of one build. It is a
 // flat comparable struct so it can ride inside pipeline option keys,
 // engine memo keys, and store fingerprints; every field is omitempty so
-// the zero value — the paper's exact, single-input, unmerged profile —
-// encodes as an empty object and perturbs nothing.
+// the zero value — the paper's exact, single-input profile — encodes as
+// an empty object and perturbs nothing.
 type Config struct {
 	// Mode and Rate configure sampled collection. Rate r means one event
 	// in r is kept (EveryNth) or the acceptance budget is tuned for a
@@ -98,16 +97,6 @@ type Config struct {
 	Capacity int `json:"capacity,omitempty"`
 	// Drift selects the training input (see Drift).
 	Drift Drift `json:"drift,omitempty"`
-	// Merge folds this build's training counts through the persistent
-	// merged profile for the same (source, frontend, detection) instead
-	// of using them alone: older training inputs contribute with
-	// exponentially decayed weight. Requires a persistent profile tier;
-	// without one the solo counts are used.
-	Merge bool `json:"merge,omitempty"`
-	// HalfLife is the decay rate for Merge: a contribution's weight
-	// halves every HalfLife generations it falls behind the newest
-	// contribution (1 when unset).
-	HalfLife int `json:"halfLife,omitempty"`
 	// Bias corrupts the scaled counts (added to each sequence's first
 	// arm) — the quality harness's injected-bias proof that the study
 	// actually measures selection quality. Never set it outside tests
@@ -136,12 +125,4 @@ func (c Config) EffectiveCapacity() uint64 {
 		return DefaultReservoirCapacity
 	}
 	return uint64(c.Capacity)
-}
-
-// EffectiveHalfLife is the merge decay rate with the >= 1 floor applied.
-func (c Config) EffectiveHalfLife() int {
-	if c.HalfLife < 1 {
-		return 1
-	}
-	return c.HalfLife
 }
