@@ -207,9 +207,9 @@ func BenchmarkBuildReordered(b *testing.B) {
 
 // BenchmarkBuild contrasts the monolithic pipeline with the staged one.
 // cold builds from source every iteration — frontend, detection,
-// training run, finalize. staged-warm builds through a warmed
-// StageCache, so each iteration pays only the finalize stage; the gap
-// between the two is the work the ablation grid and AutoBuild amortize
+// training run, finalize. staged-warm finalizes a prebuilt frontend and
+// training product, so each iteration pays only the finalize stage; the
+// gap between the two is the work the engine's stage memos amortize
 // across Transform variants.
 func BenchmarkBuild(b *testing.B) {
 	w := wcSource(b)
@@ -225,13 +225,17 @@ func BenchmarkBuild(b *testing.B) {
 	})
 	b.Run("wc/staged-warm", func(b *testing.B) {
 		b.ReportAllocs()
-		cache := pipeline.NewStageCache(0)
-		if _, err := cache.Build(w.Source, train, opts); err != nil {
+		front, err := pipeline.BuildFrontend(w.Source, opts.Frontend())
+		if err != nil {
+			b.Fatal(err)
+		}
+		tp, err := pipeline.TrainStage(front, train, opts.Detection())
+		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cache.Build(w.Source, train, opts); err != nil {
+			if _, err := pipeline.FinalizeStages(front, tp, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -568,8 +572,16 @@ func itoa(n int) string {
 // mechanisms and the Section 10 extension) on three representative
 // workloads.
 func BenchmarkAblation(b *testing.B) {
+	var ws []workload.Workload
+	for _, name := range []string{"wc", "ctags", "cpp"} {
+		w, ok := workload.Named(name)
+		if !ok {
+			b.Fatalf("%s workload missing", name)
+		}
+		ws = append(ws, w)
+	}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunAblation(lower.SetIII, []string{"wc", "ctags", "cpp"})
+		rows, err := bench.RunAblation(lower.SetIII, ws)
 		if err != nil {
 			b.Fatal(err)
 		}

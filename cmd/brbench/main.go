@@ -2,9 +2,10 @@
 // runs the full suite (17 workloads × 3 heuristic sets) and prints every
 // table and figure; -table and -figure select individual experiments.
 // Builds and measurements run on a bounded worker pool (-j, default
-// GOMAXPROCS) and are memoized, so the full suite compiles each
-// (workload, heuristic set) pair exactly once and every table and figure
-// renders from the shared cache; output is byte-identical for any -j.
+// GOMAXPROCS) and every build stage is memoized by content, so the full
+// suite compiles each (workload, heuristic set) pair exactly once and
+// every table and figure renders from the same runs; output is
+// byte-identical for any -j.
 //
 // With -cache-dir, results also persist in a content-addressed on-disk
 // store, so a second invocation over unchanged inputs executes zero
@@ -141,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	names, ws, err := selectWorkloads(*workloads)
+	ws, err := selectWorkloads(*workloads)
 	if err != nil {
 		return fail(err)
 	}
@@ -161,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress = nil
 	}
 	engine := bench.NewEngine(*jobs, progress)
-	engine.SetMeasure(sim.Options{NoFuse: *noFuse, Engine: measureEngine})
+	engine.Measure = sim.Options{NoFuse: *noFuse, Engine: measureEngine}
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		if err != nil {
@@ -188,23 +189,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if st.Shared > 0 {
 				fmt.Fprintf(stderr, ", %d shared", st.Shared)
 			}
-			fmt.Fprintf(stderr, ", %d cache hits", st.Hits)
 			if *cacheDir != "" {
 				fmt.Fprintf(stderr, ", %d disk hits, %d disk misses, %d disk invalidated",
 					st.DiskHits, st.DiskMisses, st.DiskInvalid)
 			}
 			fmt.Fprintf(stderr, ", %.2fs elapsed (-j %d)\n", time.Since(start).Seconds(), engine.Jobs())
-			if st.FrontendRuns+st.FrontendHits+st.TrainRuns+st.TrainHits > 0 {
+			if st.Builds > 0 {
 				fmt.Fprintf(stderr, "brbench: stages: %d frontend runs (%d reused), %d training runs (%d reused), %d baseline runs (%d reused)",
 					st.FrontendRuns, st.FrontendHits, st.TrainRuns, st.TrainHits, st.BaselineRuns, st.BaselineHits)
 				if st.SampledTrainRuns > 0 {
 					fmt.Fprintf(stderr, ", %d sampled training runs", st.SampledTrainRuns)
 				}
 				fmt.Fprintf(stderr, "\n")
-			}
-			if st.DecodedOps > 0 {
-				fmt.Fprintf(stderr, "brbench: superinstructions: %d fused sites absorbing %d of %d decoded ops (%.1f%% static coverage) across fresh builds\n",
-					st.FusedSites, st.FusedOps, st.DecodedOps, 100*float64(st.FusedOps)/float64(st.DecodedOps))
 			}
 			if len(st.BuildSeconds) > 0 {
 				names := make([]string, 0, len(st.BuildSeconds))
@@ -237,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *ablation {
-		rows, err := bench.RunAblationWith(ctx, engine, lower.SetIII, names)
+		rows, err := bench.RunAblationWith(ctx, engine, lower.SetIII, ws)
 		if err != nil {
 			return fail(err)
 		}
@@ -324,15 +320,13 @@ func writeRecords(path string, recs []*store.Record, stats *store.TierStats) err
 }
 
 // selectWorkloads resolves the -workloads flag: empty means the whole
-// roster (nil names, so the ablation's default applies too). An unknown
-// name fails listing the valid roster, so a typo is self-correcting. A
-// repeated name fails too: it would repeat rows and weight every
-// average.
-func selectWorkloads(flagVal string) ([]string, []workload.Workload, error) {
+// roster. An unknown name fails listing the valid roster, so a typo is
+// self-correcting. A repeated name fails too: it would repeat rows and
+// weight every average.
+func selectWorkloads(flagVal string) ([]workload.Workload, error) {
 	if flagVal == "" {
-		return nil, workload.All(), nil
+		return workload.All(), nil
 	}
-	var names []string
 	var ws []workload.Workload
 	for _, n := range strings.Split(flagVal, ",") {
 		n = strings.TrimSpace(n)
@@ -341,18 +335,17 @@ func selectWorkloads(flagVal string) ([]string, []workload.Workload, error) {
 		}
 		w, ok := workload.Named(n)
 		if !ok {
-			return nil, nil, fmt.Errorf("unknown workload %q; valid workloads: %s", n, rosterNames())
+			return nil, fmt.Errorf("unknown workload %q; valid workloads: %s", n, rosterNames())
 		}
-		if slices.Contains(names, n) {
-			return nil, nil, fmt.Errorf("-workloads lists %q twice", n)
+		if slices.ContainsFunc(ws, func(o workload.Workload) bool { return o.Name == n }) {
+			return nil, fmt.Errorf("-workloads lists %q twice", n)
 		}
-		names = append(names, n)
 		ws = append(ws, w)
 	}
 	if len(ws) == 0 {
-		return nil, nil, fmt.Errorf("-workloads selected nothing")
+		return nil, fmt.Errorf("-workloads selected nothing")
 	}
-	return names, ws, nil
+	return ws, nil
 }
 
 // rosterNames lists every workload name, comma-separated.

@@ -45,17 +45,17 @@ type AblationRow struct {
 	Baseline uint64
 }
 
-// RunAblation measures the given workloads (all when names is empty)
-// under every variant on a fresh GOMAXPROCS-wide engine.
-func RunAblation(set lower.HeuristicSet, names []string) ([]AblationRow, error) {
-	return RunAblationWith(context.Background(), NewEngine(0, nil), set, names)
+// RunAblation measures the given workloads under every variant on a
+// fresh GOMAXPROCS-wide engine.
+func RunAblation(set lower.HeuristicSet, ws []workload.Workload) ([]AblationRow, error) {
+	return RunAblationWith(context.Background(), NewEngine(0, nil), set, ws)
 }
 
 // AblationJobs enumerates the (workload × variant) grid in deterministic
 // order — workloads outer, variants inner — the way SuiteJobs enumerates
 // the standard matrix. The "full" variant's options equal BaseOptions, so
-// its jobs hit the same memo slots (and the same disk-store fingerprints)
-// as the standard evaluation builds.
+// its jobs share the standard evaluation builds' runs (and disk-store
+// fingerprints).
 func AblationJobs(set lower.HeuristicSet, ws []workload.Workload) []Job {
 	variants := AblationVariants(set)
 	jobs := make([]Job, 0, len(ws)*len(variants))
@@ -68,23 +68,11 @@ func AblationJobs(set lower.HeuristicSet, ws []workload.Workload) []Job {
 }
 
 // RunAblationWith measures every (workload, variant) pair on e's worker
-// pool. The "full" variant shares its cache slot with the standard
-// evaluation builds, so running the ablation after the suite recompiles
-// nothing for it. Rows come back in workload order regardless of which
-// build finishes first.
-func RunAblationWith(ctx context.Context, e *Engine, set lower.HeuristicSet, names []string) ([]AblationRow, error) {
-	var ws []workload.Workload
-	if len(names) == 0 {
-		ws = workload.All()
-	} else {
-		for _, n := range names {
-			w, ok := workload.Named(n)
-			if !ok {
-				return nil, fmt.Errorf("unknown workload %q", n)
-			}
-			ws = append(ws, w)
-		}
-	}
+// pool. The "full" variant's options equal the standard evaluation's,
+// so running the ablation after the suite measures nothing again for
+// it. Rows come back in workload order regardless of which build
+// finishes first.
+func RunAblationWith(ctx context.Context, e *Engine, set lower.HeuristicSet, ws []workload.Workload) ([]AblationRow, error) {
 	variants := AblationVariants(set)
 	jobs := AblationJobs(set, ws)
 	grid := make([]*ProgramRun, len(jobs))

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAblation(t *testing.T) {
-	rows, err := RunAblation(lower.SetIII, []string{"wc", "sort", "lex"})
+	rows, err := RunAblation(lower.SetIII, subset(t, "wc", "sort", "lex"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -62,7 +63,7 @@ func TestFailedJobJoinsItsBaseline(t *testing.T) {
 		{trapWorkload("trains-badly", "ab!", long),
 			"trains-badly (set II): training run: runtime error in main: division by zero"},
 		{trapWorkload("tests-badly", "aab", long+"!"),
-			"tests-badly (set II) baseline: sim: runtime error in main: division by zero"},
+			"tests-badly (set II): baseline: sim: runtime error in main: division by zero"},
 	}
 	start := runtime.NumGoroutine()
 	for _, c := range cases {
@@ -73,8 +74,8 @@ func TestFailedJobJoinsItsBaseline(t *testing.T) {
 			if err == nil || err.Error() != c.want {
 				t.Errorf("%s/%s: error %v, want %q", c.w.Name, v.Name, err, c.want)
 			}
-			for _, bl := range e.baselines {
-				for _, b := range bl {
+			for _, bucket := range e.baselines.slots {
+				for _, b := range bucket {
 					select {
 					case <-b.done:
 					default:
@@ -97,13 +98,31 @@ func TestFailedJobJoinsItsBaseline(t *testing.T) {
 	}
 }
 
+// A failed stage keeps its error, and every job that shares it names
+// itself: trapSrc has no switch, so it lowers to one program under every
+// heuristic set, and the three jobs share one failed training run.
+func TestSharedFailureNamesEachSet(t *testing.T) {
+	w := trapWorkload("trains-badly", "ab!", "aab")
+	e := NewEngine(1, nil)
+	for _, set := range Sets() {
+		_, err := e.Get(context.Background(), w, BaseOptions(set))
+		want := fmt.Sprintf("trains-badly (set %v): training run: runtime error in main: division by zero", set)
+		if err == nil || err.Error() != want {
+			t.Errorf("set %v: error %v, want %q", set, err, want)
+		}
+	}
+	if st := e.Stats(); st.TrainRuns != 1 || st.Shared != 2 {
+		t.Errorf("%d training runs, %d shared; want 1, 2", st.TrainRuns, st.Shared)
+	}
+}
+
 // The ablation variants of one program wait on one baseline measurement,
 // and it is the measurement a serial build of each variant takes.
 func TestAblationMeasuresEachBaselineOnce(t *testing.T) {
 	ws := subset(t, "wc", "sort")
 	ctx := context.Background()
 	e := NewEngine(4, nil)
-	if _, err := RunAblationWith(ctx, e, lower.SetII, []string{"wc", "sort"}); err != nil {
+	if _, err := RunAblationWith(ctx, e, lower.SetII, ws); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.BaselineRuns != 2 || st.BaselineHits != 8 {

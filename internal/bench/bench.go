@@ -4,8 +4,8 @@
 // executables on the test inputs, and renders rows shaped like the
 // paper's.
 //
-// Build+measure jobs run through Engine: a bounded worker pool with a
-// per-(workload, options) memo cache, so every table, figure and the
+// Build+measure jobs run through Engine: a bounded worker pool whose
+// build stages are memoized by content, so every table, figure and the
 // ablation study share one set of builds, results aggregate in roster
 // order regardless of completion order, and the first failure cancels
 // the rest.
@@ -13,6 +13,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -79,56 +80,47 @@ func Run(w workload.Workload, set lower.HeuristicSet) (*ProgramRun, error) {
 
 // RunOpts builds and measures one workload under a full pipeline
 // configuration (ablation variants and the Section 10 extension
-// included), using the monolithic pipeline.Build.
+// included), using the monolithic pipeline.Build. It is the serial
+// oracle of Engine.Get and labels its errors the same way.
 func RunOpts(w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
 	b, err := pipeline.Build(w.Source, TrainInput(w, opts), opts)
+	var run *ProgramRun
+	if err == nil {
+		bl := newSlot[*sim.Measurement]()
+		measureBaseline(bl, b.Baseline, w.Test(), sim.Options{})
+		run, err = measureBuild(w, opts, b, bl, w.Test(), sim.Options{})
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, err)
 	}
-	return measureBuild(w, opts, b, startBaseline(b.Baseline, w.Test(), sim.Options{}), sim.Options{})
+	return run, nil
 }
 
-// baseline is the measurement of a baseline program on a test input,
-// taken on its own goroutine: the paper's Original executable is the
-// output of pass 1 (Figure 2), so measuring it needs neither the training
-// run nor the reordering. done is closed once m and err are final.
-type baseline struct {
-	test []byte
-	done chan struct{}
-	m    *sim.Measurement
-	err  error
-}
-
-// startBaseline starts measuring prog on test. prog must not change
-// until the measurement is joined.
-func startBaseline(prog *ir.Program, test []byte, mo sim.Options) *baseline {
-	l := &baseline{test: test, done: make(chan struct{})}
-	go func() {
-		defer close(l.done)
-		l.m, l.err = sim.RunWith(prog, test, nil, mo)
-	}()
-	return l
+// measureBaseline measures prog on test into bl on a goroutine of its
+// own: the paper's Original executable is the output of pass 1 (Figure
+// 2), so measuring it needs neither the training run nor the
+// reordering. prog must not change until bl is filled.
+func measureBaseline(bl *slot[*sim.Measurement], prog *ir.Program, test []byte, mo sim.Options) {
+	go func() { bl.fill(sim.RunWith(prog, test, nil, mo)) }()
 }
 
 // measureBuild measures the reordered executable of a finished build on
-// the baseline's test input, joins the started baseline measurement,
-// and assembles the ProgramRun every table and figure consumes. The
+// test, joins the baseline measurement bl of the same test input, and
+// assembles the ProgramRun every table and figure consumes. The
 // baseline error wins over the reordered one, whichever ended first.
 // Measured results are identical for any mo; only wall-clock and the
 // engine-descriptive Fusion report change.
-func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult, bl *baseline, mo sim.Options) (*ProgramRun, error) {
-	set := opts.Switch
-	reord, rerr := sim.RunWith(b.Reordered, bl.test, nil, mo)
-	<-bl.done
-	if bl.err != nil {
-		return nil, fmt.Errorf("%s (set %v) baseline: %w", w.Name, set, bl.err)
+func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult, bl *slot[*sim.Measurement], test []byte, mo sim.Options) (*ProgramRun, error) {
+	reord, rerr := sim.RunWith(b.Reordered, test, nil, mo)
+	base, err := bl.wait()
+	if err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	if rerr != nil {
-		return nil, fmt.Errorf("%s (set %v) reordered: %w", w.Name, set, rerr)
+		return nil, fmt.Errorf("reordered: %w", rerr)
 	}
-	base := bl.m
 	if base.Output != reord.Output || base.Ret != reord.Ret {
-		return nil, fmt.Errorf("%s (set %v): reordered output differs from baseline", w.Name, set)
+		return nil, errors.New("reordered output differs from baseline")
 	}
 	seqs := make([]SeqStat, len(b.Results))
 	for i, res := range b.Results {
@@ -149,7 +141,7 @@ func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildR
 	}
 	return &ProgramRun{
 		Workload:    w,
-		Set:         set,
+		Set:         opts.Switch,
 		Opts:        opts,
 		Build:       b,
 		Base:        base,
@@ -198,8 +190,8 @@ func Sets() []lower.HeuristicSet {
 }
 
 // RunSuite executes the full evaluation on a GOMAXPROCS-wide worker pool
-// (use NewEngine directly to pick the parallelism or share the cache with
-// other experiments). Progress lines go to progress when non-nil.
+// (use NewEngine directly to pick the parallelism or share the stages
+// with other experiments). Progress lines go to progress when non-nil.
 func RunSuite(progress io.Writer) (*Suite, error) {
 	return NewEngine(0, progress).Suite(context.Background())
 }

@@ -66,14 +66,14 @@ func TestDiskCacheWarmAblation(t *testing.T) {
 
 	cold := NewEngine(4, nil)
 	cold.UseStore(openStore(t, dir))
-	r1, err := RunAblationWith(ctx, cold, lower.SetIII, []string{"wc"})
+	r1, err := RunAblationWith(ctx, cold, lower.SetIII, subset(t, "wc"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	warm := NewEngine(4, nil)
 	warm.UseStore(openStore(t, dir))
-	r2, err := RunAblationWith(ctx, warm, lower.SetIII, []string{"wc"})
+	r2, err := RunAblationWith(ctx, warm, lower.SetIII, subset(t, "wc"))
 	if err != nil {
 		t.Fatal(err)
 	}

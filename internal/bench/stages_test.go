@@ -2,10 +2,14 @@ package bench
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"testing"
 
+	"branchreorder/internal/core"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
+	"branchreorder/internal/workload"
 )
 
 // The ablation grid is the staged pipeline's reason to exist: five
@@ -14,7 +18,7 @@ import (
 // needs its own).
 func TestAblationGridSharesStages(t *testing.T) {
 	e := NewEngine(4, nil)
-	rows, err := RunAblationWith(context.Background(), e, lower.SetIII, []string{"wc"})
+	rows, err := RunAblationWith(context.Background(), e, lower.SetIII, subset(t, "wc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,37 +30,101 @@ func TestAblationGridSharesStages(t *testing.T) {
 	if st.Builds != nvar {
 		t.Errorf("builds: %d, want %d", st.Builds, nvar)
 	}
-	if st.FrontendRuns != 1 {
-		t.Errorf("frontend runs: %d, want 1 (variants did not share stage 1)", st.FrontendRuns)
+	if st.FrontendRuns != 1 || st.FrontendHits != nvar-1 {
+		t.Errorf("frontend: %d runs (%d reused), want 1 (%d)", st.FrontendRuns, st.FrontendHits, nvar-1)
 	}
-	if st.TrainRuns != 2 {
-		t.Errorf("training runs: %d, want 2 (one per detection config)", st.TrainRuns)
-	}
-	if st.FrontendHits == 0 || st.TrainHits == 0 {
-		t.Errorf("no stage hits recorded: %+v", st)
+	if st.TrainRuns != 2 || st.TrainHits != nvar-2 {
+		t.Errorf("training: %d runs (%d reused), want 2 (%d)", st.TrainRuns, st.TrainHits, nvar-2)
 	}
 }
 
-// AutoBuild's three candidate sets share one stage cache; handing it a
-// pre-warmed cache must skip every frontend and training run.
-func TestAutoBuildSharesStageCache(t *testing.T) {
-	ws := subset(t, "wc")
-	w := ws[0]
-	cache := pipeline.NewStageCache(0)
-	for _, set := range Sets() {
-		if _, err := cache.Build(w.Source, w.Train(), BaseOptions(set)); err != nil {
-			t.Fatal(err)
+// stageCounts is the part of EngineStats the stage memos count.
+type stageCounts struct {
+	Builds, Shared             int
+	FrontendRuns, FrontendHits int
+	TrainRuns, TrainHits       int
+	BaselineRuns, BaselineHits int
+}
+
+func countsOf(st EngineStats) stageCounts {
+	return stageCounts{st.Builds, st.Shared, st.FrontendRuns, st.FrontendHits,
+		st.TrainRuns, st.TrainHits, st.BaselineRuns, st.BaselineHits}
+}
+
+// Stage reuse must be exact: a Transform change reruns only finalize and
+// the reordered measurement, a new training input or detection option
+// trains again, a program that lowers differently runs every stage, and
+// one that lowers the same under another set runs only its frontend.
+func TestStageMemoInvalidation(t *testing.T) {
+	ws := subset(t, "wc", "lex")
+	wc, lex := ws[0], ws[1]
+	e := NewEngine(1, nil)
+	step := func(name string, w workload.Workload, o pipeline.Options, want stageCounts) {
+		t.Helper()
+		if _, err := e.Get(context.Background(), w, o); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := countsOf(e.Stats()); got != want {
+			t.Fatalf("%s: got %+v, want %+v", name, got, want)
 		}
 	}
-	warm := cache.Stats()
-	if _, err := pipeline.AutoBuildWith(cache, w.Source, w.Train(), pipeline.Options{Optimize: true}); err != nil {
-		t.Fatal(err)
+	base := BaseOptions(lower.SetI)
+	step("cold", wc, base, stageCounts{Builds: 1, FrontendRuns: 1, TrainRuns: 1, BaselineRuns: 1})
+
+	vary := base
+	vary.Transform = core.TransformOptions{NoTailDup: true}
+	step("Transform variant", wc, vary, stageCounts{Builds: 2, FrontendRuns: 1, FrontendHits: 1,
+		TrainRuns: 1, TrainHits: 1, BaselineRuns: 1, BaselineHits: 1})
+
+	retrained := wc
+	retrained.Train = wc.Test
+	step("new training input", retrained, base, stageCounts{Builds: 3, FrontendRuns: 1, FrontendHits: 2,
+		TrainRuns: 2, TrainHits: 1, BaselineRuns: 1, BaselineHits: 2})
+
+	cs := base
+	cs.CommonSuccessor = true
+	step("CommonSuccessor", wc, cs, stageCounts{Builds: 4, FrontendRuns: 1, FrontendHits: 3,
+		TrainRuns: 3, TrainHits: 1, BaselineRuns: 1, BaselineHits: 3})
+
+	// lex's token switch lowers to a different program under Set III
+	// than under Set II.
+	step("lex, Set II", lex, BaseOptions(lower.SetII), stageCounts{Builds: 5, FrontendRuns: 2, FrontendHits: 3,
+		TrainRuns: 4, TrainHits: 1, BaselineRuns: 2, BaselineHits: 3})
+	step("lex, Set III", lex, BaseOptions(lower.SetIII), stageCounts{Builds: 6, FrontendRuns: 3, FrontendHits: 3,
+		TrainRuns: 5, TrainHits: 1, BaselineRuns: 3, BaselineHits: 3})
+
+	// wc lowers identically under every set: only its frontend runs.
+	step("wc, Set II", wc, BaseOptions(lower.SetII), stageCounts{Builds: 7, Shared: 1, FrontendRuns: 4, FrontendHits: 3,
+		TrainRuns: 5, TrainHits: 1, BaselineRuns: 3, BaselineHits: 3})
+}
+
+// Concurrent requests for one job share single-flight stages: one
+// frontend, training and baseline run, and one owner whose run the
+// other seven share.
+func TestStageMemoSingleFlight(t *testing.T) {
+	w := subset(t, "wc")[0]
+	e := NewEngine(8, nil)
+	runs := make([]*ProgramRun, 8)
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			runs[i], errs[i] = e.Get(context.Background(), w, BaseOptions(lower.SetI))
+		}(i)
 	}
-	st := cache.Stats()
-	if st.FrontendRuns != warm.FrontendRuns || st.TrainRuns != warm.TrainRuns {
-		t.Errorf("AutoBuild recomputed warmed stages: before %+v, after %+v", warm, st)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("Get %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(runs[i].Record(), runs[0].Record()) {
+			t.Errorf("Get %d returned a different run", i)
+		}
 	}
-	if st.TrainHits <= warm.TrainHits {
-		t.Errorf("AutoBuild did not consult the shared cache: before %+v, after %+v", warm, st)
+	want := stageCounts{Builds: 8, Shared: 7, FrontendRuns: 1, FrontendHits: 7, TrainRuns: 1, BaselineRuns: 1}
+	if got := countsOf(e.Stats()); got != want {
+		t.Errorf("got %+v, want %+v", got, want)
 	}
 }

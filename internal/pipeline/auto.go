@@ -29,21 +29,10 @@ type AutoResult struct {
 }
 
 // AutoBuild picks the switch translation method by profile. The three
-// candidates build and evaluate concurrently on a private stage cache;
-// use AutoBuildWith to share stages with other builds (an engine that
-// already compiled some sets reuses their frontends and training runs).
-func AutoBuild(src string, train []byte, base Options) (*AutoResult, error) {
-	return AutoBuildWith(nil, src, train, base)
-}
-
-// AutoBuildWith is AutoBuild on an explicit stage cache (nil means a
-// fresh private one). Candidates run concurrently; the winner is chosen
+// candidates build and evaluate concurrently; the winner is chosen
 // deterministically — lowest training cost, ties broken by set order —
 // so the result never depends on scheduling.
-func AutoBuildWith(cache *StageCache, src string, train []byte, base Options) (*AutoResult, error) {
-	if cache == nil {
-		cache = NewStageCache(0)
-	}
+func AutoBuild(src string, train []byte, base Options) (*AutoResult, error) {
 	sets := []lower.HeuristicSet{lower.SetI, lower.SetII, lower.SetIII}
 	type candidate struct {
 		build *BuildResult
@@ -58,12 +47,12 @@ func AutoBuildWith(cache *StageCache, src string, train []byte, base Options) (*
 			defer wg.Done()
 			o := base
 			o.Switch = set
-			b, err := cache.Build(src, train, o)
+			b, err := Build(src, train, o)
 			if err != nil {
 				cands[i].err = fmt.Errorf("auto build (set %v): %w", set, err)
 				return
 			}
-			_, st, _, err := interp.Exec(cache.Exec, b.Reordered, nil, train, nil, nil)
+			_, st, _, err := interp.Exec(interp.EngineClosure, b.Reordered, nil, train, nil, nil)
 			if err != nil {
 				cands[i].err = fmt.Errorf("auto evaluation (set %v): %w", set, err)
 				return

@@ -12,22 +12,23 @@ import (
 )
 
 // The staged build pipeline. Build runs the paper's Figure 2 scheme
-// monolithically; the ablation grid and AutoBuild instead compose it from
-// three explicitly keyed stages so identical work is done once and reused
-// everywhere (see StageCache):
+// monolithically; the experiment engine (bench.Engine) instead composes
+// it from three explicitly keyed stages, memoizing the first two by
+// content, so identical work is done once and reused everywhere:
 //
 //	stage 1 (frontend):     lex/parse/lower/opt — keyed by the source and
 //	                        the lowering-relevant options (Switch,
-//	                        Optimize). Product: an immutable ir.Program.
+//	                        Optimize). Product: an immutable ir.Program
+//	                        and its digest.
 //	stage 2 (detect+train): sequence/common-successor detection,
 //	                        instrumentation, and the training run — keyed
-//	                        by (frontend key, training input,
-//	                        CommonSuccessor). Product: the serializable
+//	                        by (program digest, training input,
+//	                        DetectOptions). Product: the serializable
 //	                        profile counts.
 //	stage 3 (finalize):     ordering selection, transformation, cleanup,
 //	                        delay slots — the only stage that depends on
-//	                        the full TransformOptions. Never cached: it is
-//	                        cheap and every variant differs.
+//	                        the full TransformOptions. Cheap, and every
+//	                        variant differs.
 //
 // Detection is deterministic, so stages 2 and 3 re-detect identical
 // sequences (same IDs, same arms) on fresh clones of the stage-1 program;
@@ -37,10 +38,10 @@ import (
 // yields output byte-identical to the monolithic Build — CI-enforced.
 
 // FrontendOptions is the subset of Options that determines the stage-1
-// product. It is comparable, so it can key caches directly.
+// product. It is comparable, so it can key memos directly.
 type FrontendOptions struct {
-	Switch   lower.HeuristicSet `json:"switch"`
-	Optimize bool               `json:"optimize"`
+	Switch   lower.HeuristicSet
+	Optimize bool
 }
 
 // Frontend returns the lowering-relevant subset of o — the stage-1 key.
@@ -52,18 +53,19 @@ func (o Options) Frontend() FrontendOptions {
 // determines the stage-2 product. The profile configuration belongs
 // here: sampled or biased counts are a different product than exact
 // ones, so they must never share a stage-2 key or store fingerprint.
+// It is comparable, so it can key memos directly.
 type DetectOptions struct {
-	CommonSuccessor bool           `json:"commonSuccessor"`
-	Profile         profile.Config `json:"profile"`
+	CommonSuccessor bool
+	Profile         profile.Config
 }
 
 // Detection returns the detection-relevant subset of o — the stage-2 key
-// (combined with the frontend key and the training input).
+// (combined with the program digest and the training input).
 func (o Options) Detection() DetectOptions {
 	return DetectOptions{CommonSuccessor: o.CommonSuccessor, Profile: o.Profile}
 }
 
-// FrontendProduct is the cached stage-1 result. Prog is immutable by
+// FrontendProduct is the stage-1 result. Prog is immutable by
 // contract: every consumer must ir.CloneProgram it before mutating
 // (detection instruments blocks in place, reordering rewrites them).
 // SwitchKinds is likewise shared and must be treated as read-only.
@@ -86,7 +88,7 @@ func BuildFrontend(src string, fo FrontendOptions) (*FrontendProduct, error) {
 	return &FrontendProduct{Prog: res.Prog, SwitchKinds: res.SwitchKinds, Digest: res.Prog.Digest()}, nil
 }
 
-// TrainProduct is the cached stage-2 result: the training-run counts for
+// TrainProduct is the stage-2 result: the training-run counts for
 // every detected sequence, plus the detection shape they were collected
 // under so a finalize against a diverging detector fails loudly instead
 // of silently misattributing counts. It is plain data, safe to share
@@ -173,7 +175,7 @@ func TrainStageWith(front *FrontendProduct, train []byte, d DetectOptions, e int
 }
 
 // FinalizeStages runs stage 3 on a fresh clone of the frontend product:
-// re-detect the (identical) sequences, attach the cached counts, select
+// re-detect the (identical) sequences, attach the trained counts, select
 // and apply orderings, clean up, fill delay slots. The mutation sequence
 // mirrors the monolithic Build step for step (including the
 // post-instrumentation linearize+verify), so the resulting programs are

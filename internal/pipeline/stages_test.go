@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"branchreorder/internal/core"
@@ -11,15 +10,51 @@ import (
 	"branchreorder/internal/workload"
 )
 
+// stages composes the three build stages on one source and training
+// input, reusing each frontend and training product across the
+// configurations it builds, as the experiment engine's stage memos do.
+type stages struct {
+	src    string
+	train  []byte
+	fronts map[FrontendOptions]*FrontendProduct
+	trains map[Options]*TrainProduct // keyed by the options but Transform
+}
+
+func newStages(src string, train []byte) *stages {
+	return &stages{src: src, train: train, fronts: map[FrontendOptions]*FrontendProduct{}, trains: map[Options]*TrainProduct{}}
+}
+
+func (s *stages) build(o Options) (*BuildResult, error) {
+	front := s.fronts[o.Frontend()]
+	if front == nil {
+		var err error
+		if front, err = BuildFrontend(s.src, o.Frontend()); err != nil {
+			return nil, err
+		}
+		s.fronts[o.Frontend()] = front
+	}
+	key := o
+	key.Transform = core.TransformOptions{}
+	tp := s.trains[key]
+	if tp == nil {
+		var err error
+		if tp, err = TrainStage(front, s.train, o.Detection()); err != nil {
+			return nil, err
+		}
+		s.trains[key] = tp
+	}
+	return FinalizeStages(front, tp, o)
+}
+
 // buildPair builds one configuration both ways — monolithic Build and
-// staged through cache — and fails unless the outputs are byte-identical.
-func buildPair(t *testing.T, cache *StageCache, src string, train []byte, o Options) *BuildResult {
+// through the stages — and fails unless the outputs are byte-identical.
+func buildPair(t *testing.T, st *stages, o Options) *BuildResult {
 	t.Helper()
-	mono, err := Build(src, train, o)
+	mono, err := Build(st.src, st.train, o)
 	if err != nil {
 		t.Fatalf("monolithic Build: %v", err)
 	}
-	staged, err := cache.Build(src, train, o)
+	staged, err := st.build(o)
 	if err != nil {
 		t.Fatalf("staged Build: %v", err)
 	}
@@ -48,23 +83,22 @@ func TestStagedBuildMatchesMonolithicRoster(t *testing.T) {
 		w, set := w, sets[i%len(sets)]
 		t.Run(fmt.Sprintf("%s/set%v", w.Name, set), func(t *testing.T) {
 			t.Parallel()
-			cache := NewStageCache(0)
-			buildPair(t, cache, w.Source, w.Train(), Options{Switch: set, Optimize: true})
+			buildPair(t, newStages(w.Source, w.Train()), Options{Switch: set, Optimize: true})
 		})
 	}
 }
 
 // Randomized TransformOptions (and the Section 10 extension) must stay
-// byte-identical too — every variant shares the cached stages, which is
-// exactly where divergence would creep in.
+// byte-identical too — every variant shares the earlier variants'
+// frontend and training products, which is exactly where divergence
+// would creep in.
 func TestStagedBuildMatchesMonolithicRandomOptions(t *testing.T) {
 	w, ok := workload.Named("wc")
 	if !ok {
 		t.Fatal("wc workload missing")
 	}
-	train := w.Train()
 	rng := rand.New(rand.NewSource(7))
-	cache := NewStageCache(0)
+	st := newStages(w.Source, w.Train())
 	for i := 0; i < 12; i++ {
 		o := Options{
 			Switch:          []lower.HeuristicSet{lower.SetI, lower.SetII, lower.SetIII}[rng.Intn(3)],
@@ -77,114 +111,8 @@ func TestStagedBuildMatchesMonolithicRandomOptions(t *testing.T) {
 			},
 		}
 		t.Run(fmt.Sprintf("variant%d", i), func(t *testing.T) {
-			buildPair(t, cache, w.Source, train, o)
+			buildPair(t, st, o)
 		})
-	}
-}
-
-// Stage invalidation must be exact: a Transform change reruns only the
-// finalize stage, a training-input change recomputes only stage 2, a
-// frontend-option change recomputes everything.
-func TestStageCacheInvalidation(t *testing.T) {
-	w, ok := workload.Named("wc")
-	if !ok {
-		t.Fatal("wc workload missing")
-	}
-	trainA, trainB := w.Train(), w.Test()
-	cache := NewStageCache(0)
-	base := Options{Switch: lower.SetI, Optimize: true}
-	mustStage := func(o Options, train []byte, want StageStats) {
-		t.Helper()
-		if _, err := cache.Build(w.Source, train, o); err != nil {
-			t.Fatalf("Build: %v", err)
-		}
-		if got := cache.Stats(); got != want {
-			t.Fatalf("stats after build: got %+v, want %+v", got, want)
-		}
-	}
-
-	// Cold: one frontend, one training run. Build consults the frontend
-	// cache twice per call (once directly, once from Train), so the
-	// second consult is already a hit.
-	mustStage(base, trainA, StageStats{FrontendRuns: 1, FrontendHits: 1, TrainRuns: 1})
-
-	// Transform variant: stage 3 only — no new frontend or training runs.
-	vary := base
-	vary.Transform = core.TransformOptions{NoTailDup: true}
-	mustStage(vary, trainA, StageStats{FrontendRuns: 1, FrontendHits: 2, TrainRuns: 1, TrainHits: 1})
-
-	// New training input: stage 2 recomputes, stage 1 is reused.
-	mustStage(base, trainB, StageStats{FrontendRuns: 1, FrontendHits: 4, TrainRuns: 2, TrainHits: 1})
-
-	// New detection config: stage 2 recomputes, stage 1 is reused.
-	cs := base
-	cs.CommonSuccessor = true
-	mustStage(cs, trainA, StageStats{FrontendRuns: 1, FrontendHits: 6, TrainRuns: 3, TrainHits: 1})
-
-	// New heuristic set: everything recomputes.
-	set3 := base
-	set3.Switch = lower.SetIII
-	mustStage(set3, trainA, StageStats{FrontendRuns: 2, FrontendHits: 7, TrainRuns: 4, TrainHits: 1})
-
-	// Full repeat: every stage hits (a stage-2 memory hit skips the inner
-	// frontend lookup, so only Build's own consult counts).
-	mustStage(base, trainA, StageStats{FrontendRuns: 2, FrontendHits: 8, TrainRuns: 4, TrainHits: 2})
-}
-
-// Concurrent builds of one configuration must share single-flight stage
-// computations: exactly one frontend and one training run.
-func TestStageCacheSingleFlight(t *testing.T) {
-	w, ok := workload.Named("wc")
-	if !ok {
-		t.Fatal("wc workload missing")
-	}
-	train := w.Train()
-	o := Options{Switch: lower.SetI, Optimize: true}
-	cache := NewStageCache(0)
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = cache.Build(w.Source, train, o)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("build %d: %v", i, err)
-		}
-	}
-	st := cache.Stats()
-	if st.FrontendRuns != 1 || st.TrainRuns != 1 {
-		t.Fatalf("concurrent builds did not share stages: %+v", st)
-	}
-}
-
-// Eviction must bound the maps but never lose correctness: an evicted
-// stage recomputes on next use.
-func TestStageCacheEviction(t *testing.T) {
-	w, ok := workload.Named("wc")
-	if !ok {
-		t.Fatal("wc workload missing")
-	}
-	cache := NewStageCache(1)
-	sets := []lower.HeuristicSet{lower.SetI, lower.SetII, lower.SetIII}
-	for _, set := range sets {
-		if _, err := cache.Frontend(w.Source, FrontendOptions{Switch: set, Optimize: true}); err != nil {
-			t.Fatalf("frontend set %v: %v", set, err)
-		}
-	}
-	if st := cache.Stats(); st.FrontendRuns != 3 {
-		t.Fatalf("stats after fills: %+v", st)
-	}
-	// Set I was evicted long ago; using it again must recompute, not fail.
-	if _, err := cache.Frontend(w.Source, FrontendOptions{Switch: lower.SetI, Optimize: true}); err != nil {
-		t.Fatalf("re-frontend: %v", err)
-	}
-	if st := cache.Stats(); st.FrontendRuns != 4 {
-		t.Fatalf("evicted frontend was not recomputed: %+v", st)
 	}
 }
 
