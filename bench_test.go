@@ -244,9 +244,8 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkInterp times raw, hook-free execution of optimized binaries
 // on every engine: the closure engine (the measurement path), the
-// flat-decoded fast engine (with its default superinstruction fusion and
-// with fusion off) and the block-walking reference interpreter the
-// others are differentially tested against. sort is the suite's
+// flat-decoded fast engine and the block-walking reference interpreter
+// the others are differentially tested against. sort is the suite's
 // heaviest workload by dynamic instruction count (Table 4); wc is the
 // classic light one.
 func BenchmarkInterp(b *testing.B) {
@@ -264,10 +263,6 @@ func BenchmarkInterp(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		unfused, err := interp.DecodeWith(front.Prog, interp.DecodeOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(name+"/fast", func(b *testing.B) {
 			b.SetBytes(int64(len(input)))
 			m := &interp.FastMachine{Code: code, Input: input}
@@ -275,19 +270,6 @@ func BenchmarkInterp(b *testing.B) {
 			// data memory, output buffer) so their one-time growth does
 			// not smear bytes/op over small b.N; steady state is
 			// allocation-free.
-			if _, err := m.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/fast-nofuse", func(b *testing.B) {
-			b.SetBytes(int64(len(input)))
-			m := &interp.FastMachine{Code: unfused, Input: input}
 			if _, err := m.Run(); err != nil {
 				b.Fatal(err)
 			}
@@ -382,7 +364,7 @@ func BenchmarkStoreGet(b *testing.B) {
 // BenchmarkSimWithPredictors times measurement with the full predictor
 // battery attached, decode (and the closure compile) included each
 // iteration: sim.Run on its default closure engine, and the same run
-// pinned to the fast engine, fused and unfused.
+// pinned to the fast engine.
 func BenchmarkSimWithPredictors(b *testing.B) {
 	w := wcSource(b)
 	front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
@@ -400,13 +382,6 @@ func BenchmarkSimWithPredictors(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineFast}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fast-nofuse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineFast, NoFuse: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

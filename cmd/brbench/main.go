@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -66,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheGC   = fs.Duration("cache-gc", 0, "before running, evict -cache-dir entries older than this age")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		noFuse    = fs.Bool("no-fuse", false, "measure on the unfused decode (superinstructions off) — a differential-debugging escape hatch; results are byte-identical, only speed changes")
 		engName   = fs.String("engine", "closure", "execution backend for measurements and training runs: closure, fast, or reference — results are byte-identical, only speed changes")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -162,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress = nil
 	}
 	engine := bench.NewEngine(*jobs, progress)
-	engine.Measure = sim.Options{NoFuse: *noFuse, Engine: measureEngine}
+	engine.Measure = sim.Options{Engine: measureEngine}
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		if err != nil {
@@ -201,24 +199,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 					fmt.Fprintf(stderr, ", %d sampled training runs", st.SampledTrainRuns)
 				}
 				fmt.Fprintf(stderr, "\n")
-			}
-			if len(st.BuildSeconds) > 0 {
-				names := make([]string, 0, len(st.BuildSeconds))
-				total := 0.0
-				for name, sec := range st.BuildSeconds {
-					names = append(names, name)
-					total += sec
-				}
-				sort.Strings(names)
-				fmt.Fprintf(stderr, "brbench: build+measure wall-clock:")
-				for i, name := range names {
-					sep := " "
-					if i > 0 {
-						sep = ", "
-					}
-					fmt.Fprintf(stderr, "%s%s %.2fs", sep, name, st.BuildSeconds[name])
-				}
-				fmt.Fprintf(stderr, " (total %.2fs)\n", total)
 			}
 		}
 	}()

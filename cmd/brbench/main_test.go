@@ -65,6 +65,11 @@ func TestSummaryLine(t *testing.T) {
 	if !strings.Contains(errw, "brbench: 3 builds, 2 shared,") {
 		t.Errorf("summary does not count the 2 shared jobs: %q", errw)
 	}
+	// Per-workload build seconds counted time spent waiting on other
+	// jobs' stages, so the summary no longer prints them.
+	if strings.Contains(errw, "wall-clock") {
+		t.Errorf("summary still prints per-workload build seconds: %q", errw)
+	}
 	// Each drift arm of the study trains wc once sampled at 1/64.
 	_, errw, code = capture(t, "-profile-study", "-profile-rates", "1,64", "-workloads", "wc")
 	if code != 0 {

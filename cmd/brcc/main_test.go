@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"branchreorder/internal/lower"
@@ -65,6 +66,25 @@ int main() {
 	}
 	if _, err := runSecondPass(src, opts, filepath.Join(dir, "nope.txt")); err == nil {
 		t.Error("second pass with missing profile succeeded")
+	}
+	// A profile that does not match the program: a sequence the source
+	// lacks, and a valid profile with its first line repeated after it.
+	valid, err := os.ReadFile(profPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(string(valid), "\n")
+	for name, body := range map[string]string{
+		"unknown.txt":  "seq 99 total 5 counts 5\n",
+		"repeated.txt": string(valid) + first + "\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runSecondPass(src, opts, path); err == nil {
+			t.Errorf("second pass accepted the mismatched profile %s", name)
+		}
 	}
 }
 

@@ -280,30 +280,10 @@ func run(out string) error {
 		if err != nil {
 			return err
 		}
-		unfused, err := interp.DecodeWith(front.Prog, interp.DecodeOptions{})
-		if err != nil {
-			return err
-		}
 		record("Interp/"+name+"/fast", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			m := &interp.FastMachine{Code: code, Input: input}
 			if _, err := m.Run(); err != nil { // warm-up sizes the arenas
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		// Same engine without superinstruction fusion (cmp+br folding
-		// only): the within-document pair fast vs fast-nofuse carries the
-		// fusion speedup claim and is machine-independent.
-		record("Interp/"+name+"/fast-nofuse", testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			m := &interp.FastMachine{Code: unfused, Input: input}
-			if _, err := m.Run(); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -416,7 +396,7 @@ func run(out string) error {
 	}))
 	// End-to-end measurement, decode + compile included each iteration:
 	// sim.Run on its default closure engine against the same run pinned
-	// to the fast engine, fused and unfused.
+	// to the fast engine.
 	fast := sim.Options{Engine: sim.EngineFast}
 	record("SimWithPredictors/wc", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -430,17 +410,6 @@ func run(out string) error {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.RunWith(front.Prog, input, nil, fast); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	// The fast pair records the fusion win on the full sim.Run path
-	// (decode + execute + predictor bank), not just the bare dispatch
-	// loop.
-	record("SimWithPredictors/wc-fast-nofuse", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineFast, NoFuse: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

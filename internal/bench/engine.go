@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"branchreorder/internal/bench/store"
 	"branchreorder/internal/lower"
@@ -55,10 +53,10 @@ type Engine struct {
 	sem      chan struct{}
 	disk     *store.Store // optional disk tier; nil means memory-only
 
-	// Measure configures the execution engine of every measurement and
-	// training run (e.g. superinstruction fusion off, for `brbench
-	// -no-fuse`). Set it before the first Get; results are identical
-	// for any value, so stored entries stay valid across settings.
+	// Measure selects the execution engine of every measurement and
+	// training run (`brbench -engine`). Set it before the first Get;
+	// results are identical for any value, so stored entries stay valid
+	// across settings.
 	Measure sim.Options
 
 	fronts    memo[frontKey, *pipeline.FrontendProduct]
@@ -67,7 +65,7 @@ type Engine struct {
 	runs      memo[runKey, *ProgramRun]
 
 	mu    sync.Mutex  // guards stats and progress writes
-	stats EngineStats // the disk, sampled-training and time counters
+	stats EngineStats // the disk and sampled-training counters
 }
 
 // frontKey, trainKey and runKey are the stage keys beside the input
@@ -113,7 +111,6 @@ func (e *Engine) UseStore(s *store.Store) { e.disk = s }
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	s := e.stats
-	s.BuildSeconds = maps.Clone(e.stats.BuildSeconds)
 	e.mu.Unlock()
 	s.FrontendRuns, s.FrontendHits = e.fronts.counts()
 	s.TrainRuns, s.TrainHits = e.trains.counts()
@@ -238,7 +235,6 @@ func (e *Engine) build(ctx context.Context, w workload.Workload, opts pipeline.O
 // and measure the reordered program. It returns only after the baseline
 // measurement has ended, on every path.
 func (e *Engine) measure(front *pipeline.FrontendProduct, w workload.Workload, opts pipeline.Options, train, test []byte) (*ProgramRun, error) {
-	start := time.Now()
 	bl, owner := e.baselines.claim(front.Digest, test)
 	if owner {
 		// front.Prog is immutable, so the measurement reads it in place.
@@ -261,16 +257,7 @@ func (e *Engine) measure(front *pipeline.FrontendProduct, w workload.Workload, o
 		<-bl.done
 		return nil, err
 	}
-	run, err := measureBuild(w, opts, b, bl, test, e.Measure)
-	if err == nil {
-		e.mu.Lock()
-		if e.stats.BuildSeconds == nil {
-			e.stats.BuildSeconds = map[string]float64{}
-		}
-		e.stats.BuildSeconds[w.Name] += time.Since(start).Seconds()
-		e.mu.Unlock()
-	}
-	return run, err
+	return measureBuild(w, opts, b, bl, test, e.Measure)
 }
 
 // optsSuffix labels non-default configurations in progress output.

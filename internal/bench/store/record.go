@@ -45,7 +45,8 @@ type Measurement struct {
 	// Fusion describes the measuring engine's superinstruction fusion,
 	// not the measured program — results are byte-identical with fusion
 	// on or off, which is why records written before the field existed
-	// (or with fusion off) remain valid without a schema bump.
+	// (or by the reference engine, which decodes nothing) remain valid
+	// without a schema bump.
 	Fusion *interp.FusionStats `json:"fusion,omitempty"`
 }
 

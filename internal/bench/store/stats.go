@@ -32,11 +32,4 @@ type TierStats struct {
 	SampledTrainRuns int `json:"sampledTrainRuns,omitempty"`
 	BaselineRuns     int `json:"baselineRuns,omitempty"` // baseline measurements actually run
 	BaselineHits     int `json:"baselineHits,omitempty"` // jobs served another job's baseline of the same program and test input
-
-	// BuildSeconds is the wall-clock cost of the fresh measurements
-	// behind Builds, keyed by workload and summed over every
-	// configuration built for it. Disk hits and shared jobs add nothing,
-	// so a BENCH trajectory over -json dumps tracks engine speed
-	// separately from cache effectiveness.
-	BuildSeconds map[string]float64 `json:"buildSeconds,omitempty"`
 }

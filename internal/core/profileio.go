@@ -58,7 +58,8 @@ func (p *OrProfile) Write(w io.Writer) error {
 }
 
 // ReadProfiles parses a profile file, returning range-sequence and
-// or-sequence counts keyed by sequence ID.
+// or-sequence counts keyed by sequence ID. An ID may appear once per
+// record kind.
 func ReadProfiles(r io.Reader) (map[int]*SeqProfile, map[int]*OrSeqProfile, error) {
 	seqs := map[int]*SeqProfile{}
 	orseqs := map[int]*OrSeqProfile{}
@@ -101,6 +102,9 @@ func ReadProfiles(r io.Reader) (map[int]*SeqProfile, map[int]*OrSeqProfile, erro
 			if fields[4] != "counts" {
 				return nil, nil, fmt.Errorf("profile line %d: expected 'counts'", lineNo)
 			}
+			if seqs[id] != nil {
+				return nil, nil, fmt.Errorf("profile line %d: repeated seq %d", lineNo, id)
+			}
 			seqs[id] = &SeqProfile{Counts: counts, Total: total}
 		case "orseq":
 			if fields[4] != "combos" {
@@ -112,6 +116,9 @@ func ReadProfiles(r io.Reader) (map[int]*SeqProfile, map[int]*OrSeqProfile, erro
 			}
 			if 1<<n != len(counts) {
 				return nil, nil, fmt.Errorf("profile line %d: combo count %d is not a power of two", lineNo, len(counts))
+			}
+			if orseqs[id] != nil {
+				return nil, nil, fmt.Errorf("profile line %d: repeated orseq %d", lineNo, id)
 			}
 			orseqs[id] = &OrSeqProfile{N: n, Combos: counts, Total: total}
 		default:

@@ -89,30 +89,22 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 		}
 	}
 
-	// Third side of the oracle: the closure engine — fused and unfused —
-	// must reproduce the fast measurement byte for byte.
-	for _, mo := range []sim.Options{
-		{Engine: sim.EngineClosure},
-		{Engine: sim.EngineClosure, NoFuse: true},
-	} {
-		tag := label + "/closure"
-		if mo.NoFuse {
-			tag += "-nofuse"
-		}
-		clos, err := sim.RunWith(prog, input, nil, mo)
-		if err != nil {
-			t.Fatalf("%s: sim.RunWith: %v", tag, err)
-		}
-		if clos.Ret != got.Ret || clos.Output != got.Output {
-			t.Errorf("%s: result diverged from fast engine", tag)
-		}
-		if clos.Stats != got.Stats {
-			t.Errorf("%s: stats\nclosure: %+v\nfast:    %+v", tag, clos.Stats, got.Stats)
-		}
-		for name, w := range got.Mispredicts {
-			if clos.Mispredicts[name] != w {
-				t.Errorf("%s: %s mispredicts closure=%d fast=%d", tag, name, clos.Mispredicts[name], w)
-			}
+	// Third side of the oracle: the closure engine must reproduce the
+	// fast measurement byte for byte.
+	tag := label + "/closure"
+	clos, err := sim.RunWith(prog, input, nil, sim.Options{Engine: sim.EngineClosure})
+	if err != nil {
+		t.Fatalf("%s: sim.RunWith: %v", tag, err)
+	}
+	if clos.Ret != got.Ret || clos.Output != got.Output {
+		t.Errorf("%s: result diverged from fast engine", tag)
+	}
+	if clos.Stats != got.Stats {
+		t.Errorf("%s: stats\nclosure: %+v\nfast:    %+v", tag, clos.Stats, got.Stats)
+	}
+	for name, w := range got.Mispredicts {
+		if clos.Mispredicts[name] != w {
+			t.Errorf("%s: %s mispredicts closure=%d fast=%d", tag, name, clos.Mispredicts[name], w)
 		}
 	}
 

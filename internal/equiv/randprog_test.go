@@ -52,8 +52,8 @@ func runBoth(t testing.TB, p *ir.Program, input []byte) (ref, fast engineRun) {
 	// fuzz input the suite explores.
 	unfused := runOn(t, p, input, nofuse, interp.EngineFast, true)
 	compareRuns(t, "fused-vs-unfused", fast, unfused)
-	// Closure engine, -no-fuse × engine cross-product: the compiled
-	// graph must replicate the fast engine exactly — same trap text and
+	// Closure engine on both decodes: the compiled graph must replicate
+	// the fast engine of the same decode exactly — same trap text and
 	// PC, same trap-point stats, same hook streams.
 	compareSame(t, "closure-vs-fast",
 		fast, runOn(t, p, input, fused, interp.EngineClosure, true))

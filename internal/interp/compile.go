@@ -30,11 +30,10 @@
 //
 // Compilation rules:
 //
-//   - Superinstructions are decomposed back into their base-op
-//     sequences (fusedDopSeq); the fused first dinst supplies the first
-//     op's operands, the shadowed dinsts their own. Dispatch cost is
-//     already zero either way, so fused and unfused Code compile to
-//     observably identical closure graphs.
+//   - Every dinst compiles as the op baseOp maps it to, as FastMachine
+//     dispatches it: a superinstruction as the first op of its run, whose
+//     other dinsts compile as themselves. So fused and unfused Code
+//     compile to observably identical closure graphs.
 //   - One graph per Code, compiled lazily and cached, serves hooked and
 //     hook-free runs alike: every branch outcome stores its event
 //     behind the m.log.on test, exactly where FastMachine does, and
@@ -369,8 +368,8 @@ type cunit struct {
 }
 
 // compileBlock compiles one non-empty block. A first left-to-right
-// pass expands superinstruction runs into their base ops and computes
-// each op's accumulated segment delta (the Stats its trap or transfer
+// pass maps each dinst to its base op and computes each op's
+// accumulated segment delta (the Stats its trap or transfer
 // must credit for the straight-line ops already executed); the second
 // pass compiles right to left so each op's closure captures its
 // continuation directly.
@@ -382,12 +381,7 @@ func (cc *funcCompiler) compileBlock(bi int) blockFn {
 	var seg Stats
 	for i := lo; i < hi; i++ {
 		d := &f.code[i]
-		op := d.op
-		if seq := fusedDopSeq[op]; seq != nil {
-			// Fusion overwrote the run's first opcode; the shadowed
-			// dinsts that follow keep their own.
-			op = seq[0]
-		}
+		op := baseOp[d.op]
 		units = append(units, cunit{op: op, d: d, pre: seg})
 		if op == opCall || isTransfer(op) {
 			seg = Stats{}

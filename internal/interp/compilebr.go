@@ -5,8 +5,8 @@
 // instead, so each branch closure executes one native compare-and-branch
 // on the operands; the six relations give six distinct host branch sites
 // (plus six more per operand shape), which also stops every interpreted
-// branch from aliasing onto a single host predictor slot — the same
-// replication effect superinstructions buy FastMachine's dispatch switch.
+// branch from aliasing onto a single host predictor slot, as all of
+// FastMachine's conditional branches do in its two branch cases.
 //
 // The relation selector convention (maskHolds): rs is 2 when a < b, 1
 // when a == b, 0 when a > b, and relMask bit rs set means the branch is

@@ -78,12 +78,12 @@ const (
 
 	nBaseDop // count of unfused opcodes; fused superinstructions follow
 
-	// Superinstructions: each replaces an adjacent in-block run of 2-5
-	// ops. The fused opcode overwrites the run's FIRST dinst; the
-	// remaining dinsts keep their full original contents and are read as
-	// the operand/charge source by the fused dispatch case (which then
-	// advances pc past the whole run, or performs the final op's
-	// transfer). The curated set lives in fusedPatterns (superinst.go).
+	// Superinstructions: each marks an adjacent in-block run of 2-5 ops.
+	// The fused opcode overwrites the run's FIRST dinst, whose other
+	// fields keep the first op's operands; the remaining dinsts keep
+	// their full original contents. Engines dispatch every opcode through
+	// baseOp (superinst.go), so a fused run executes op by op, exactly as
+	// its unfused form. The curated set lives in fusedPatterns.
 	opMovMov              // Mov ; Mov
 	opMovAdd              // Mov ; Add
 	opAddMov              // Add ; Mov
@@ -183,10 +183,7 @@ type dcall struct {
 
 // dfunc is one decoded function. blockStart maps each block's layout
 // index to its first PC (with one extra sentinel entry at len(code));
-// the fusion pass uses it to bound in-block runs,
-// and it is what structurally prevents fusing across a block boundary:
-// every branch, jump and jump-table target is a block start, so no
-// transfer can land on the hidden second half of a fused pair.
+// the fusion pass uses it to keep every fused run inside one block.
 type dfunc struct {
 	name       string
 	nParams    int
@@ -214,22 +211,21 @@ type Code struct {
 // Prog returns the program the code was decoded from.
 func (c *Code) Prog() *ir.Program { return c.prog }
 
-// DecodeOptions configures Decode.
+// DecodeOptions configures DecodeWith.
 type DecodeOptions struct {
-	// Fuse enables superinstruction fusion: curated adjacent-op runs
-	// within a block collapse into single dispatch ops. Execution is
-	// observably identical either way (same Stats, output, traps and
-	// event streams); the escape hatch exists so differential debugging
-	// can bisect fused vs unfused execution (`brbench -no-fuse`).
+	// Fuse marks curated adjacent-op runs within a block as
+	// superinstructions, which Code.FusionStats counts. Engines dispatch
+	// a fused run op by op, so execution is identical either way (same
+	// Stats, output, traps and event streams); tests decode with Fuse
+	// off as the reference the fused decode is held to.
 	Fuse bool
 }
 
-// Decode compiles a linearized program for the fast engine with the
-// default options (superinstruction fusion on). It fails if any
-// function's block slice disagrees with its layout indices (i.e.
-// Program.Linearize has not run since the last CFG change); everything
-// else the reference interpreter would only trap on at runtime decodes
-// to an equivalent runtime trap.
+// Decode compiles a linearized program for the decoded engines with
+// superinstruction fusion on. It fails if any function's block slice
+// disagrees with its layout indices (i.e. Program.Linearize has not run
+// since the last CFG change); everything else the reference interpreter
+// would only trap on at runtime decodes to an equivalent runtime trap.
 func Decode(p *ir.Program) (*Code, error) {
 	return DecodeWith(p, DecodeOptions{Fuse: true})
 }

@@ -165,7 +165,7 @@ func (m *FastMachine) run() (int64, error) {
 
 	for {
 		in := &code[pc]
-		switch in.op {
+		switch baseOp[in.op] {
 		case opEnter:
 			m.Stats.Insts += uint64(in.cost)
 			steps += uint64(in.stepCost)
@@ -403,951 +403,6 @@ func (m *FastMachine) run() (int64, error) {
 				m.Stats.SlotNops += uint64(in.slotFall)
 				pc = in.t2
 			}
-
-		// Superinstructions. Each fused case executes its run's
-		// sub-effects strictly in original order — register writes, Stats
-		// increments, output bytes, branch events, trap checks — reading
-		// the later ops' operands and charges from their intact dinsts at
-		// pc+1.., then advances past the whole run (or performs the final
-		// op's transfer). Equivalence with unfused execution is enforced
-		// by internal/equiv across every workload and fuzz seed.
-		case opMovMov:
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win)
-			pc += 2
-		case opMovAdd:
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			pc += 2
-		case opAddMov:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win)
-			pc += 2
-		case opAddAdd:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			pc += 2
-		case opAddLd:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			pc += 2
-		case opLdAdd:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			pc += 2
-		case opAddSt:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			pc += 2
-		case opStAdd:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			pc += 2
-		case opPutCharAdd:
-			m.Output.WriteByte(byte(in.a.val(win)))
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			pc += 2
-		case opSubMov:
-			win[in.dst] = in.a.val(win) - in.b.val(win)
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win)
-			pc += 2
-		case opEnterMov:
-			m.Stats.Insts += uint64(in.cost)
-			steps += uint64(in.stepCost)
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win)
-			pc += 2
-
-		case opAddCmpBr:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opLdCmpBr:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+1]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opStCmpBr:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			in = &code[pc+1]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opMovCmpBr:
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+1]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opGetCharCmpBr:
-			if m.inPos < len(m.Input) {
-				win[in.dst] = int64(m.Input[m.inPos])
-				m.inPos++
-			} else {
-				win[in.dst] = -1
-			}
-			in = &code[pc+1]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opXorCmpBr:
-			win[in.dst] = in.a.val(win) ^ in.b.val(win)
-			in = &code[pc+1]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opShlCmpBr:
-			win[in.dst] = in.a.val(win) << (uint64(in.b.val(win)) & 63)
-			in = &code[pc+1]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-
-		case opMovJump:
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+1]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
-		case opAddJump:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
-
-		case opLdCall:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+1]
-			call := &f.calls[in.t1]
-			if call.fn < 0 {
-				return 0, &RuntimeError{f.name, "call to unknown function " + call.name}
-			}
-			m.Stats.Calls++
-			m.frames = append(m.frames, fastFrame{
-				fn: fn, pc: pc + 2, base: base, dst: call.dst,
-				cmpA: cmpA, cmpB: cmpB, flags: flags,
-			})
-			callee := &c.funcs[call.fn]
-			newBase := base + int32(len(win))
-			m.regs = growWindow(m.regs, int(newBase)+callee.nRegs)
-			neww := m.regs[newBase:]
-			n := len(call.args)
-			if n > len(neww) {
-				n = len(neww)
-			}
-			for i := 0; i < n; i++ {
-				neww[i] = call.args[i].val(win)
-			}
-			fn = call.fn
-			f = callee
-			code = f.code
-			pc = 0
-			base = newBase
-			win = neww
-			cmpA, cmpB, flags = 0, 0, false
-
-		case opLdAddSt:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+2]
-			a = in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			pc += 3
-		case opAddLdAdd:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			pc += 3
-		case opAddLdCmpBr:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+2]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opAddLdCall:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+2]
-			call := &f.calls[in.t1]
-			if call.fn < 0 {
-				return 0, &RuntimeError{f.name, "call to unknown function " + call.name}
-			}
-			m.Stats.Calls++
-			m.frames = append(m.frames, fastFrame{
-				fn: fn, pc: pc + 3, base: base, dst: call.dst,
-				cmpA: cmpA, cmpB: cmpB, flags: flags,
-			})
-			callee := &c.funcs[call.fn]
-			newBase := base + int32(len(win))
-			m.regs = growWindow(m.regs, int(newBase)+callee.nRegs)
-			neww := m.regs[newBase:]
-			n := len(call.args)
-			if n > len(neww) {
-				n = len(neww)
-			}
-			for i := 0; i < n; i++ {
-				neww[i] = call.args[i].val(win)
-			}
-			fn = call.fn
-			f = callee
-			code = f.code
-			pc = 0
-			base = newBase
-			win = neww
-			cmpA, cmpB, flags = 0, 0, false
-		case opAddMovJump:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+2]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
-		case opStAddMov:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win)
-			pc += 3
-		case opPutCharAddJump:
-			m.Output.WriteByte(byte(in.a.val(win)))
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+2]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
-		case opStMovJump:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+2]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
-		case opMovAddMov:
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win)
-			pc += 3
-		case opEnterMovMov:
-			m.Stats.Insts += uint64(in.cost)
-			steps += uint64(in.stepCost)
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win)
-			pc += 3
-
-		case opLdAddStCmpBr:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+2]
-			a = in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			in = &code[pc+3]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opAddLdAddLd:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+3]
-			a = in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			pc += 4
-		case opStSub:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) - in.b.val(win)
-			pc += 2
-		case opMovAddMovCmpBr:
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+3]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opAddLdAddLdCall:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+3]
-			a = in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+4]
-			call := &f.calls[in.t1]
-			if call.fn < 0 {
-				return 0, &RuntimeError{f.name, "call to unknown function " + call.name}
-			}
-			m.Stats.Calls++
-			m.frames = append(m.frames, fastFrame{
-				fn: fn, pc: pc + 5, base: base, dst: call.dst,
-				cmpA: cmpA, cmpB: cmpB, flags: flags,
-			})
-			callee := &c.funcs[call.fn]
-			newBase := base + int32(len(win))
-			m.regs = growWindow(m.regs, int(newBase)+callee.nRegs)
-			neww := m.regs[newBase:]
-			n := len(call.args)
-			if n > len(neww) {
-				n = len(neww)
-			}
-			for i := 0; i < n; i++ {
-				neww[i] = call.args[i].val(win)
-			}
-			fn = call.fn
-			f = callee
-			code = f.code
-			pc = 0
-			base = newBase
-			win = neww
-			cmpA, cmpB, flags = 0, 0, false
-		case opAddAddAddLdSt:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+3]
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+4]
-			a = in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			pc += 5
-		case opPcOrShlPcJump:
-			m.Stats.ProfHits++
-			if m.OnProf != nil {
-				v := int64(0)
-				if maskHolds(in.relMask, in.a.val(win), in.b.val(win)) {
-					v = 1
-				}
-				m.OnProf(int(in.seqID), int(in.sub), v)
-			}
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) | in.b.val(win)
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win) << (uint64(in.b.val(win)) & 63)
-			in = &code[pc+3]
-			m.Stats.ProfHits++
-			if m.OnProf != nil {
-				v := int64(0)
-				if maskHolds(in.relMask, in.a.val(win), in.b.val(win)) {
-					v = 1
-				}
-				m.OnProf(int(in.seqID), int(in.sub), v)
-			}
-			in = &code[pc+4]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
-		case opLdAddStMovJump:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+2]
-			a = in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			in = &code[pc+3]
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+4]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
-		case opCmpMulCmpAndBr:
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) * in.b.val(win)
-			in = &code[pc+2]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			m.Stats.Cmps++
-			in = &code[pc+3]
-			win[in.dst] = in.a.val(win) & in.b.val(win)
-			in = &code[pc+4]
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opSubMovJump:
-			win[in.dst] = in.a.val(win) - in.b.val(win)
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+2]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
-		case opLdAddStJump:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+2]
-			a = in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			in = &code[pc+3]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
-		case opStAddMovJump:
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("store address %d out of range", a)}
-			}
-			m.mem[a] = in.b.val(win)
-			m.Stats.Stores++
-			in = &code[pc+1]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win)
-			in = &code[pc+3]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
-		case opAddLdAddLdCmpBr:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+2]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+3]
-			a = in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+4]
-			cmpA, cmpB = in.a.val(win), in.b.val(win)
-			flags = true
-			m.Stats.Cmps++
-			m.Stats.CondBranches++
-			m.Stats.Insts += uint64(in.cost) + 1
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			rs := 0
-			if cmpA < cmpB {
-				rs = 2
-			} else if cmpA == cmpB {
-				rs = 1
-			}
-			taken := in.relMask>>rs&1 != 0
-			if m.log.on && m.log.add(uint32(in.branchID)<<1|uint32(in.relMask>>rs&1)) {
-				m.log.flush()
-			}
-			if taken {
-				m.Stats.SlotNops += uint64(in.slotTaken)
-				m.Stats.TakenBranches++
-				pc = in.t1
-			} else {
-				m.Stats.SlotNops += uint64(in.slotFall)
-				pc = in.t2
-			}
-		case opAddLdPutCharAddJump:
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+1]
-			a := in.a.val(win)
-			if a < 0 || a >= int64(len(m.mem)) {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("load address %d out of range", a)}
-			}
-			win[in.dst] = m.mem[a]
-			m.Stats.Loads++
-			in = &code[pc+2]
-			m.Output.WriteByte(byte(in.a.val(win)))
-			in = &code[pc+3]
-			win[in.dst] = in.a.val(win) + in.b.val(win)
-			in = &code[pc+4]
-			m.Stats.Jumps++
-			m.Stats.Insts += uint64(in.cost) + 1
-			m.Stats.SlotNops += uint64(in.slotTaken)
-			steps += uint64(in.stepCost) + 1
-			if steps > maxSteps {
-				return 0, &RuntimeError{f.name, fmt.Sprintf("exceeded step limit %d", maxSteps)}
-			}
-			pc = in.t1
 
 		case opIJmp:
 			idx := in.a.val(win)

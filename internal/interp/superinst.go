@@ -1,31 +1,27 @@
 // Superinstruction support: the curated fusion pattern table applied by
-// Decode and the structured fusion report (Code.FusionStats).
+// Decode, the baseOp table both decoded engines dispatch through, and
+// the structured fusion report (Code.FusionStats).
 package interp
 
 // maxFuseLen is the longest curated pattern. The in-place fusion scheme
 // supports any length: the fused opcode overwrites the run's first
-// dinst, slots 1..n-1 keep their full original contents as the
-// operand/charge source, and the dispatch case advances past all n (or
-// performs the final op's transfer).
+// dinst and slots 1..n-1 keep their full original contents.
 const maxFuseLen = 5
 
-// fusedPattern is one curated superinstruction: the adjacent in-block
-// opcode run seq collapses into the single dispatch op.
+// fusedPattern is one curated superinstruction: decode marks the
+// adjacent in-block opcode run seq with op.
 type fusedPattern struct {
 	op  dop
 	seq []dop
 }
 
-// fusedPatterns is the curated set, and it is fixed: these were the
-// highest-weight dynamic runs over the 17-workload roster plus 40
-// random CFGs when the set was chosen, with one structural
-// restriction: Call may only be a pattern's final op, because
-// execution resumes at the op after the call site and a return landing
-// mid-pattern would skip the fused prefix. ProfCond may fuse — the
-// fused body replicates the hook call at its original position in the
-// effect order. Longer patterns shadow their prefixes in the greedy
-// scan, so e.g. ld+add+st+cmpbr (the counter idiom `g[i]++` followed by
-// a loop test) wins over ld+add where both apply.
+// fusedPatterns is the curated set, and it is fixed, so Code.FusionStats
+// stays comparable between builds: these were the highest-weight
+// dynamic runs over the 17-workload roster plus 40 random CFGs when the
+// set was chosen, with Call only ever a pattern's final op. Longer
+// patterns shadow their prefixes in the greedy scan, so e.g.
+// ld+add+st+cmpbr (the counter idiom `g[i]++` followed by a loop test)
+// wins over ld+add where both apply.
 var fusedPatterns = []fusedPattern{
 	// Straight pairs.
 	{opMovMov, []dop{opMov, opMov}},
@@ -50,8 +46,7 @@ var fusedPatterns = []fusedPattern{
 	// Jump tails.
 	{opMovJump, []dop{opMov, opJump}},
 	{opAddJump, []dop{opAdd, opJump}},
-	// Call tail: the call is the final slot, so the saved return PC is
-	// simply the end of the whole fused run.
+	// Call tail.
 	{opLdCall, []dop{opLd, opCall}},
 	{opStSub, []dop{opSt, opSub}},
 	// Triples.
@@ -130,18 +125,27 @@ var baseDopName = [nBaseDop]string{
 	opRet:      "ret",
 }
 
-// fusedDopName labels fused opcodes ("add+ld+cmpbr"), fusedDopLen
-// records each one's pattern length, and fusedDopSeq its base-op
-// sequence (the closure compiler reads a run's overwritten first op
-// from it), all derived from the pattern list.
+// fusedDopName labels fused opcodes ("add+ld+cmpbr") and fusedDopLen
+// records each one's pattern length, both derived from the pattern list.
 var (
 	fusedDopName = map[dop]string{}
 	fusedDopLen  = map[dop]int{}
-	fusedDopSeq  = map[dop][]dop{}
 )
 
+// baseOp maps each decoded opcode to the op an engine dispatches: a
+// superinstruction to the first op of its run, whose other dinsts
+// fusion leaves in place to dispatch as themselves, and any other
+// opcode to itself (so an engine still sees, and traps on, one Decode
+// never emits). Fused and unfused Code therefore execute identically.
+// It covers every dop value, so indexing it needs no bounds check.
+var baseOp [1 << 8]dop
+
 func init() {
+	for i := range baseOp {
+		baseOp[i] = dop(i)
+	}
 	for _, p := range fusedPatterns {
+		baseOp[p.op] = p.seq[0]
 		g := patGram(p.seq)
 		switch len(p.seq) {
 		case 2:
@@ -152,7 +156,6 @@ func init() {
 		}
 		fusedDopName[p.op] = g.String()
 		fusedDopLen[p.op] = len(p.seq)
-		fusedDopSeq[p.op] = p.seq
 	}
 }
 
@@ -163,17 +166,15 @@ func patGram(seq []dop) gram {
 }
 
 // FusionStats summarizes superinstruction fusion over a decoded body:
-// how many dispatch slots it has pre-fusion, how many superinstruction
-// sites were formed, how many original ops those sites absorb, and the
+// how many dispatch slots it has, how many superinstruction sites were
+// formed, how many original ops those sites absorb, and the
 // per-pattern site counts.
 type FusionStats struct {
-	// Ops is the number of decoded dispatch slots before fusion. Fusion
-	// never changes it: a fused run still occupies all its slots, it
-	// just dispatches once.
+	// Ops is the number of decoded dispatch slots. Fusion never changes
+	// it: a fused run still occupies all its slots.
 	Ops int `json:"ops"`
 
-	// Fused is the number of superinstruction sites. Each saves its
-	// pattern length minus one dispatches per execution.
+	// Fused is the number of superinstruction sites.
 	Fused int `json:"fused"`
 
 	// Inside is the number of original ops absorbed into
@@ -198,7 +199,7 @@ func (s *FusionStats) Merge(o *FusionStats) {
 }
 
 // FusionStats reports whole-program fusion totals for the decoded code.
-// All zeroes when the code was decoded with Fuse off.
+// With Fuse off only Ops is non-zero.
 func (c *Code) FusionStats() FusionStats {
 	var total FusionStats
 	for i := range c.funcs {

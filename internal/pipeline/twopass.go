@@ -101,7 +101,8 @@ func WriteProfile(w io.Writer, prof *core.Profile, orProf *core.OrProfile) error
 
 // Finalize runs the second compilation pass: it recompiles the source,
 // re-detects the (identical) sequences, and applies the reordering
-// decisions under the stored profile data.
+// decisions under the stored profile data. A profile entry for a
+// sequence the source does not have is an error.
 func Finalize(src string, o Options, seqProfiles map[int]*core.SeqProfile, orProfiles map[int]*core.OrSeqProfile) (*BuildResult, error) {
 	front, err := Frontend(src, o)
 	if err != nil {
@@ -121,6 +122,22 @@ func Finalize(src string, o Options, seqProfiles map[int]*core.SeqProfile, orPro
 	}
 	if o.CommonSuccessor {
 		out.OrSequences = core.DetectCommonSucc(prog, len(out.Sequences), consumedBlocks(out.Sequences))
+	}
+	seqIDs := map[int]bool{}
+	for _, s := range out.Sequences {
+		seqIDs[s.ID] = true
+	}
+	if id, ok := unknownID(seqProfiles, seqIDs); ok {
+		return nil, fmt.Errorf("profile has counts for sequence %d, which the source does not have "+
+			"(was the profile produced from the same source and options?)", id)
+	}
+	orIDs := map[int]bool{}
+	for _, s := range out.OrSequences {
+		orIDs[s.ID] = true
+	}
+	if id, ok := unknownID(orProfiles, orIDs); ok {
+		return nil, fmt.Errorf("profile has counts for or-sequence %d, which the source does not have "+
+			"(was the profile produced from the same source and options?)", id)
 	}
 	for _, s := range out.Sequences {
 		sp := seqProfiles[s.ID]
@@ -148,4 +165,16 @@ func Finalize(src string, o Options, seqProfiles map[int]*core.SeqProfile, orPro
 	}
 	out.Reordered = prog
 	return out, nil
+}
+
+// unknownID returns the smallest ID in profiles that known lacks, if
+// there is one.
+func unknownID[P any](profiles map[int]P, known map[int]bool) (int, bool) {
+	first, found := 0, false
+	for id := range profiles {
+		if !known[id] && (!found || id < first) {
+			first, found = id, true
+		}
+	}
+	return first, found
 }

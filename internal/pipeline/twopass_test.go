@@ -109,10 +109,12 @@ func TestReadProfilesErrors(t *testing.T) {
 	bad := []string{
 		"bogus 1 total 2 counts 1 1",
 		"seq x total 2 counts 1 1",
-		"seq 1 total 3 counts 1 1",     // sum mismatch
-		"seq 1 total 2 combos 1 1",     // wrong keyword
-		"orseq 1 total 3 combos 1 1 1", // not a power of two
-		"seq 1 sum 2 counts 1 1",       // bad structure
+		"seq 1 total 3 counts 1 1",                               // sum mismatch
+		"seq 1 total 2 combos 1 1",                               // wrong keyword
+		"orseq 1 total 3 combos 1 1 1",                           // not a power of two
+		"seq 1 sum 2 counts 1 1",                                 // bad structure
+		"seq 1 total 2 counts 1 1\nseq 1 total 1 counts 1 0",     // repeated seq ID
+		"orseq 4 total 1 combos 1 0\norseq 4 total 1 combos 0 1", // repeated orseq ID
 	}
 	for _, src := range bad {
 		if _, _, err := core.ReadProfiles(strings.NewReader(src)); err == nil {
@@ -133,5 +135,18 @@ func TestFinalizeRejectsMismatchedProfile(t *testing.T) {
 	seqs := map[int]*core.SeqProfile{0: {Counts: []uint64{1}, Total: 1}}
 	if _, err := Finalize(w.Source, opts, seqs, nil); err == nil {
 		t.Error("mismatched profile accepted")
+	}
+	// A sequence ID the source does not have.
+	seqs = map[int]*core.SeqProfile{99: {Counts: []uint64{5}, Total: 5}}
+	if _, err := Finalize(w.Source, opts, seqs, nil); err == nil ||
+		!strings.Contains(err.Error(), "sequence 99") {
+		t.Errorf("unknown sequence ID: err = %v", err)
+	}
+	// An or-sequence entry while the common-successor extension, and so
+	// every or-sequence, is off.
+	ors := map[int]*core.OrSeqProfile{0: {N: 1, Combos: []uint64{1, 2}, Total: 3}}
+	if _, err := Finalize(w.Source, opts, nil, ors); err == nil ||
+		!strings.Contains(err.Error(), "or-sequence 0") {
+		t.Errorf("or-sequence entry without or-sequences: err = %v", err)
 	}
 }

@@ -29,11 +29,6 @@ const (
 	// sampling with a seeded per-sequence phase), then scales the kept
 	// counts back up by Rate.
 	EveryNth
-	// Reservoir bounds each sequence's retained count mass: events are
-	// accepted with probability 2^-level, and whenever a sequence's
-	// retained total reaches Capacity its counts are halved and the
-	// level increases. Final counts are scaled back up by 2^level.
-	Reservoir
 )
 
 func (m Mode) String() string {
@@ -42,8 +37,6 @@ func (m Mode) String() string {
 		return "exact"
 	case EveryNth:
 		return "nth"
-	case Reservoir:
-		return "reservoir"
 	default:
 		return "mode?"
 	}
@@ -73,12 +66,6 @@ func (d Drift) String() string {
 	}
 }
 
-// DefaultReservoirCapacity bounds a sequence's retained count mass when
-// Config.Capacity is unset: small enough that a hot loop's counters halve
-// several times over a training run, large enough that the halving error
-// stays far below the P/C-ratio gaps Theorem 3 discriminates.
-const DefaultReservoirCapacity = 4096
-
 // Config is the profile-lifecycle configuration of one build. It is a
 // flat comparable struct so it can ride inside pipeline option keys,
 // engine memo keys, and store fingerprints; every field is omitempty so
@@ -86,15 +73,11 @@ const DefaultReservoirCapacity = 4096
 // an empty object and perturbs nothing.
 type Config struct {
 	// Mode and Rate configure sampled collection. Rate r means one event
-	// in r is kept (EveryNth) or the acceptance budget is tuned for a
-	// 1/r stream (Reservoir); values <= 1 keep every event.
+	// in r is kept; values <= 1 keep every event.
 	Mode Mode `json:"mode,omitempty"`
 	Rate int  `json:"rate,omitempty"`
 	// Seed drives every sampling decision. Same seed, same counts.
 	Seed uint64 `json:"seed,omitempty"`
-	// Capacity is the Reservoir mode's per-sequence retained-count bound
-	// (DefaultReservoirCapacity when 0).
-	Capacity int `json:"capacity,omitempty"`
 	// Drift selects the training input (see Drift).
 	Drift Drift `json:"drift,omitempty"`
 	// Bias corrupts the scaled counts (added to each sequence's first
@@ -106,9 +89,9 @@ type Config struct {
 
 // Sampling reports whether the configuration actually samples — i.e.
 // whether the training-run hook differs from exact collection. An
-// EveryNth or Reservoir config at rate <= 1 still runs the sampling
-// path (it keeps every event and scales by 1), which the differential
-// tests rely on being bit-identical to Exact.
+// EveryNth config at rate <= 1 still runs the sampling path (it keeps
+// every event and scales by 1), which the differential tests rely on
+// being bit-identical to Exact.
 func (c Config) Sampling() bool { return c.Mode != Exact }
 
 // EffectiveRate is the sampling rate with the <= 1 floor applied.
@@ -117,12 +100,4 @@ func (c Config) EffectiveRate() uint64 {
 		return 1
 	}
 	return uint64(c.Rate)
-}
-
-// EffectiveCapacity is the reservoir bound with the default applied.
-func (c Config) EffectiveCapacity() uint64 {
-	if c.Capacity <= 0 {
-		return DefaultReservoirCapacity
-	}
-	return uint64(c.Capacity)
 }

@@ -23,9 +23,7 @@ func mix(seed uint64, seqID int) uint64 {
 type seqState struct {
 	keep   bool   // latched decision for the event group in flight
 	events uint64 // head executions seen so far
-	phase  uint64 // EveryNth: which residue mod rate is kept
-	level  uint   // Reservoir: acceptance probability is 2^-level
-	rng    uint64 // Reservoir: per-sequence splitmix64 state
+	phase  uint64 // which residue mod rate is kept
 }
 
 // Sampler thins the training-run profile event stream according to a
@@ -42,30 +40,22 @@ type seqState struct {
 // outcome mask, so the sampler decides keep/drop once per group — at
 // sub == 0 — and latches that decision for the group's remaining subs.
 // Dropping individual subs would corrupt the mask assembly.
-//
-// For the same reason, Reservoir halving is deferred to the next
-// sub == 0 event of the over-capacity sequence: between groups the
-// pending mask is fully committed and the count arrays are safe to
-// rewrite in place.
 type Sampler struct {
-	cfg      Config
-	rate     uint64
-	capacity uint64
-	prof     map[int]*core.SeqProfile
-	orProf   map[int]*core.OrSeqProfile
-	seqs     map[int]*seqState
+	cfg    Config
+	rate   uint64
+	prof   map[int]*core.SeqProfile
+	orProf map[int]*core.OrSeqProfile
+	seqs   map[int]*seqState
 }
 
 // NewSampler builds a sampler over the training profiles about to be
-// filled. The maps are retained: Reservoir mode rewrites counts in place
-// when a sequence overflows its capacity, and Scale rewrites them at the
-// end of the run.
+// filled. The maps are retained: Scale rewrites their counts at the end
+// of the run.
 func NewSampler(cfg Config, prof *core.Profile, orProf *core.OrProfile) *Sampler {
 	s := &Sampler{
-		cfg:      cfg,
-		rate:     cfg.EffectiveRate(),
-		capacity: cfg.EffectiveCapacity(),
-		seqs:     map[int]*seqState{},
+		cfg:  cfg,
+		rate: cfg.EffectiveRate(),
+		seqs: map[int]*seqState{},
 	}
 	if prof != nil {
 		s.prof = prof.Seqs
@@ -76,25 +66,10 @@ func NewSampler(cfg Config, prof *core.Profile, orProf *core.OrProfile) *Sampler
 	return s
 }
 
-// initLevel is the Reservoir starting level: the smallest L with
-// 2^L >= rate, so the initial acceptance probability matches the
-// configured 1-in-rate budget before any capacity-driven escalation.
-func (s *Sampler) initLevel() uint {
-	var l uint
-	for uint64(1)<<l < s.rate {
-		l++
-	}
-	return l
-}
-
 func (s *Sampler) state(seqID int) *seqState {
 	st := s.seqs[seqID]
 	if st == nil {
-		st = &seqState{phase: mix(s.cfg.Seed, seqID), rng: mix(s.cfg.Seed+1, seqID)}
-		if s.cfg.Mode == Reservoir {
-			st.level = s.initLevel()
-		}
-		st.phase %= s.rate
+		st = &seqState{phase: mix(s.cfg.Seed, seqID) % s.rate}
 		s.seqs[seqID] = st
 	}
 	return st
@@ -110,7 +85,7 @@ func (s *Sampler) Hook(next func(seqID, sub int, v int64)) func(seqID, sub int, 
 	return func(seqID, sub int, v int64) {
 		st := s.state(seqID)
 		if sub == 0 {
-			st.keep = s.decide(seqID, st)
+			st.keep = s.decide(st)
 		}
 		if st.keep {
 			next(seqID, sub, v)
@@ -118,69 +93,25 @@ func (s *Sampler) Hook(next func(seqID, sub int, v int64)) func(seqID, sub int, 
 	}
 }
 
-// decide runs once per event group (head execution) of a sequence.
-func (s *Sampler) decide(seqID int, st *seqState) bool {
-	switch s.cfg.Mode {
-	case EveryNth:
-		keep := st.events%s.rate == st.phase
-		st.events++
-		return keep
-	case Reservoir:
-		if sp := s.prof[seqID]; sp != nil && sp.Total >= s.capacity {
-			halveSeq(sp)
-			st.level++
-		} else if op := s.orProf[seqID]; op != nil && op.Total >= s.capacity {
-			halveOr(op)
-			st.level++
-		}
-		if st.level == 0 {
-			return true
-		}
-		st.rng = splitmix64(st.rng)
-		return st.rng&(1<<st.level-1) == 0
-	default:
-		return true
-	}
-}
-
-func halveSeq(sp *core.SeqProfile) {
-	var total uint64
-	for i, c := range sp.Counts {
-		sp.Counts[i] = c >> 1
-		total += c >> 1
-	}
-	sp.Total = total
-}
-
-func halveOr(op *core.OrSeqProfile) {
-	var total uint64
-	for i, c := range op.Combos {
-		op.Combos[i] = c >> 1
-		total += c >> 1
-	}
-	op.Total = total
+// decide runs once per event group (head execution) of a sequence and
+// keeps one group in rate.
+func (s *Sampler) decide(st *seqState) bool {
+	keep := st.events%s.rate == st.phase
+	st.events++
+	return keep
 }
 
 // Scale rewrites the retained counts back to exact-profile magnitude
-// after the training run: EveryNth multiplies by the sampling rate;
-// Reservoir multiplies by 2^level (an event retained at level j survived
-// the j-level acceptance test and was then halved level−j times, so
-// every retained unit represents 2^level original events — the scaling
-// is unbiased). Totals are recomputed as the sum of the scaled counts so
-// the count/total invariant the selection code divides by still holds.
+// after the training run, multiplying them by the sampling rate. Totals
+// are recomputed as the sum of the scaled counts so the count/total
+// invariant the selection code divides by still holds.
 // Finally the configured Bias, if any, corrupts each executed sequence's
 // first counter — the quality harness's proof that its metrics react to
 // profile damage.
 func (s *Sampler) Scale() {
-	if s.cfg.Sampling() {
-		for id, st := range s.seqs {
-			factor := s.rate
-			if s.cfg.Mode == Reservoir {
-				factor = 1 << st.level
-			}
-			if factor <= 1 {
-				continue
-			}
+	if s.cfg.Sampling() && s.rate > 1 {
+		factor := s.rate
+		for id := range s.seqs {
 			if sp := s.prof[id]; sp != nil {
 				var total uint64
 				for i, c := range sp.Counts {

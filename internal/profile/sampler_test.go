@@ -100,28 +100,26 @@ func TestEveryNthRateOneMatchesExact(t *testing.T) {
 }
 
 func TestSamplingDeterministic(t *testing.T) {
-	for _, mode := range []Mode{EveryNth, Reservoir} {
-		cfg := Config{Mode: mode, Rate: 8, Seed: 42, Capacity: 256}
-		run := func() *core.SeqProfile {
-			prof, orProf := testProfiles()
-			s := NewSampler(cfg, prof, orProf)
-			drive(s, prof, orProf, 20000)
-			s.Scale()
-			return prof.Seqs[0]
-		}
-		a, b := run(), run()
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%v: same seed produced different counts: %v vs %v", mode, a, b)
-		}
-		other := cfg
-		other.Seed = 43
+	cfg := Config{Mode: EveryNth, Rate: 8, Seed: 42}
+	run := func() *core.SeqProfile {
 		prof, orProf := testProfiles()
-		s := NewSampler(other, prof, orProf)
+		s := NewSampler(cfg, prof, orProf)
 		drive(s, prof, orProf, 20000)
 		s.Scale()
-		if reflect.DeepEqual(a, prof.Seqs[0]) {
-			t.Fatalf("%v: different seeds produced identical sampled counts", mode)
-		}
+		return prof.Seqs[0]
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed produced different counts: %v vs %v", a, b)
+	}
+	other := cfg
+	other.Seed = 43
+	prof, orProf := testProfiles()
+	s := NewSampler(other, prof, orProf)
+	drive(s, prof, orProf, 20000)
+	s.Scale()
+	if reflect.DeepEqual(a, prof.Seqs[0]) {
+		t.Fatal("different seeds produced identical sampled counts")
 	}
 }
 
@@ -129,7 +127,6 @@ func TestScaledCountsUnbiased(t *testing.T) {
 	const events = 200000
 	for _, cfg := range []Config{
 		{Mode: EveryNth, Rate: 64, Seed: 3},
-		{Mode: Reservoir, Rate: 8, Seed: 3, Capacity: 512},
 	} {
 		prof, orProf := testProfiles()
 		s := NewSampler(cfg, prof, orProf)
@@ -154,28 +151,6 @@ func TestScaledCountsUnbiased(t *testing.T) {
 				t.Fatalf("%v: arm %d share %.3f vs true %.3f", cfg, i, got, want)
 			}
 		}
-	}
-}
-
-func TestReservoirBoundsRetainedMass(t *testing.T) {
-	cfg := Config{Mode: Reservoir, Rate: 1, Seed: 5, Capacity: 128}
-	prof, orProf := testProfiles()
-	s := NewSampler(cfg, prof, orProf)
-	hook := s.Hook(func(seqID, sub int, v int64) {
-		sp := prof.Seqs[0]
-		sp.Counts[int(v)%4]++
-		sp.Total++
-		if sp.Total > 128 {
-			t.Fatalf("retained total %d exceeded capacity before next decision", sp.Total)
-		}
-	})
-	r := uint64(1)
-	for i := 0; i < 100000; i++ {
-		r = splitmix64(r)
-		hook(0, 0, int64(r%16))
-	}
-	if s.seqs[0].level == 0 {
-		t.Fatal("reservoir never escalated its level despite 100k events into capacity 128")
 	}
 }
 

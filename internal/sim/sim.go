@@ -46,10 +46,11 @@ type Measurement struct {
 	// Cycles maps machine name to modelled execution cycles.
 	Cycles map[string]uint64
 
-	// Fusion reports the executable's superinstruction fusion (all zero
-	// when decoded with fusion off). It describes the measurement
-	// engine, not the measured program: Stats/Cycles are identical
-	// either way.
+	// Fusion reports the superinstruction fusion of the decoded
+	// executable (all zero under the reference engine, which decodes
+	// nothing). It describes the decode, not the measured program: the
+	// engines dispatch fused runs op by op, so Stats and Cycles do not
+	// depend on it.
 	Fusion interp.FusionStats
 }
 
@@ -70,15 +71,10 @@ const (
 func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
 
 // Options configures how a measurement executes. The zero value is the
-// default (fused, closure-engine) configuration. Options never enters
-// result fingerprints: engine selection must not invalidate caches,
-// because results are engine-independent.
+// default (closure-engine) configuration. Options never enters result
+// fingerprints: engine selection must not invalidate caches, because
+// results are engine-independent.
 type Options struct {
-	// NoFuse decodes without superinstruction fusion — the differential
-	// debugging escape hatch (`brbench -no-fuse`). Results are
-	// byte-identical either way; only wall-clock and Fusion change.
-	NoFuse bool
-
 	// Engine selects the execution backend.
 	Engine Engine
 }
@@ -180,7 +176,7 @@ func (r *runner) exec(prog *ir.Program, input []byte, opts Options) (interp.Stat
 		ret, err := m.Run()
 		return m.Stats, m.Output.String(), ret, interp.FusionStats{}, err
 	}
-	code, err := interp.DecodeWith(prog, interp.DecodeOptions{Fuse: !opts.NoFuse})
+	code, err := interp.Decode(prog)
 	if err != nil {
 		return interp.Stats{}, "", 0, interp.FusionStats{}, err
 	}

@@ -164,7 +164,6 @@ func TestDefaultEngineIsClosure(t *testing.T) {
 		clos, fast bool
 	}{
 		{Options{}, true, false},
-		{Options{NoFuse: true}, true, false},
 		{Options{Engine: EngineClosure}, true, false},
 		{Options{Engine: EngineFast}, false, true},
 		{Options{Engine: EngineReference}, false, false},
