@@ -243,9 +243,9 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkInterp times raw, hook-free execution of optimized binaries
-// on every engine: the closure engine (the measurement path), the
-// flat-decoded fast engine and the block-walking reference interpreter
-// the others are differentially tested against. sort is the suite's
+// on both engines: the closure engine (the measurement path) and the
+// block-walking reference interpreter it is differentially tested
+// against. sort is the suite's
 // heaviest workload by dynamic instruction count (Table 4); wc is the
 // classic light one.
 func BenchmarkInterp(b *testing.B) {
@@ -263,28 +263,14 @@ func BenchmarkInterp(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name+"/fast", func(b *testing.B) {
-			b.SetBytes(int64(len(input)))
-			m := &interp.FastMachine{Code: code, Input: input}
-			// Warm the machine's arenas (register window, frame stack,
-			// data memory, output buffer) so their one-time growth does
-			// not smear bytes/op over small b.N; steady state is
-			// allocation-free.
-			if _, err := m.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(name+"/closure", func(b *testing.B) {
 			b.SetBytes(int64(len(input)))
 			m := &interp.ClosureMachine{Code: code, Input: input}
-			// The warm-up run also compiles the closure graph, so the
-			// timed loop measures pure execution.
+			// Warm the machine's arenas (register window, frame stack,
+			// data memory, output buffer) so their one-time growth does
+			// not smear bytes/op over small b.N; steady state is
+			// allocation-free. The warm-up run also compiles the closure
+			// graph, so the timed loop measures pure execution.
 			if _, err := m.Run(); err != nil {
 				b.Fatal(err)
 			}
@@ -307,7 +293,7 @@ func BenchmarkInterp(b *testing.B) {
 	}
 }
 
-// BenchmarkDecode times the pre-decoding step the fast engine amortizes
+// BenchmarkDecode times the pre-decoding step the closure engine amortizes
 // across runs.
 func BenchmarkDecode(b *testing.B) {
 	w := wcSource(b)
@@ -363,8 +349,7 @@ func BenchmarkStoreGet(b *testing.B) {
 
 // BenchmarkSimWithPredictors times measurement with the full predictor
 // battery attached, decode (and the closure compile) included each
-// iteration: sim.Run on its default closure engine, and the same run
-// pinned to the fast engine.
+// iteration: sim.Run on its default closure engine.
 func BenchmarkSimWithPredictors(b *testing.B) {
 	w := wcSource(b)
 	front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
@@ -375,13 +360,6 @@ func BenchmarkSimWithPredictors(b *testing.B) {
 	b.Run("closure", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.Run(front.Prog, input, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineFast}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -475,7 +453,7 @@ func grepBranchStream(b *testing.B) ([]int, []bool) {
 	}
 	var ids []int
 	var taken []bool
-	m := &interp.FastMachine{Code: code, Input: w.Test(), OnBranch: func(id int, t bool) {
+	m := &interp.ClosureMachine{Code: code, Input: w.Test(), OnBranch: func(id int, t bool) {
 		ids = append(ids, id)
 		taken = append(taken, t)
 	}}

@@ -15,7 +15,7 @@ import (
 // the profile-quality study on the default engine.
 func TestGoldenResults(t *testing.T) {
 	want := readGolden(t, "../../results.txt")
-	for _, engine := range []string{"fast", "closure", "reference"} {
+	for _, engine := range []string{"closure", "reference"} {
 		t.Run(engine, func(t *testing.T) {
 			if _, err := sim.ParseEngine(engine); err != nil {
 				t.Fatal(err)

@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheGC   = fs.Duration("cache-gc", 0, "before running, evict -cache-dir entries older than this age")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		engName   = fs.String("engine", "closure", "execution backend for measurements and training runs: closure, fast, or reference — results are byte-identical, only speed changes")
+		engName   = fs.String("engine", "closure", "execution backend for measurements and training runs: closure or reference — results are byte-identical, only speed changes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -110,6 +110,7 @@ func TestBadInputs(t *testing.T) {
 		"ablation and json":     {"-workloads", "wc", "-ablation", "-json", filepath.Join(cache, "x.json")},
 		"gc without cache dir":  {"-workloads", "wc", "-cache-gc", "1h"},
 		"negative gc age":       {"-workloads", "wc", "-cache-dir", cache, "-cache-gc", "-1h"},
+		"deleted fast engine":   {"-workloads", "wc", "-table", "4", "-engine", "fast"},
 	} {
 		_, stderr, code := capture(t, args...)
 		if code != 1 {
@@ -194,6 +195,31 @@ func TestJSONDump(t *testing.T) {
 		if r.Workload == "" || r.Base == nil || r.Reord == nil || r.Static <= 0 {
 			t.Errorf("incomplete record: %+v", r)
 		}
+	}
+}
+
+// Both engines write the same -json bytes: a record describes the
+// measured program, not the engine that measured it.
+func TestJSONSameUnderEveryEngine(t *testing.T) {
+	var docs [][]byte
+	for _, engine := range []string{"closure", "reference"} {
+		path := filepath.Join(t.TempDir(), "runs.json")
+		if _, stderr, code := capture(t, "-q", "-workloads", "wc", "-table", "4", "-json", path, "-engine", engine); code != 0 {
+			t.Fatalf("-engine %s exited %d: %s", engine, code, stderr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, data)
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		i := 0
+		for i < min(len(docs[0]), len(docs[1])) && docs[0][i] == docs[1][i] {
+			i++
+		}
+		t.Errorf("-json differs between the closure and reference engines from byte %d: %.60q vs %.60q",
+			i, docs[0][i:], docs[1][i:])
 	}
 }
 

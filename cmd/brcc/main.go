@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,46 +33,83 @@ import (
 	"branchreorder/internal/workload"
 )
 
-func main() {
-	var (
-		setName      = flag.String("set", "I", "switch heuristic set: I, II, or III (paper Table 2)")
-		optimize     = flag.Bool("O", true, "apply conventional optimizations")
-		dump         = flag.Bool("dump", false, "print the program's IR")
-		seqs         = flag.Bool("seqs", false, "list detected reorderable sequences")
-		trainFile    = flag.String("train", "", "training input file; enables branch reordering")
-		profileOut   = flag.String("profile-out", "", "first pass: train and write the profile data file (Figure 2)")
-		profileIn    = flag.String("profile-in", "", "second pass: reorder using a stored profile data file")
-		commonSucc   = flag.Bool("common-succ", false, "also reorder common-successor branch sequences (Section 10 extension)")
-		runFile      = flag.String("run", "", "execute the program on this input file")
-		wl           = flag.String("workload", "", "compile a built-in workload instead of a file")
-		trainBuiltin = flag.Bool("train-builtin", false, "use the workload's built-in training input")
-		runBuiltin   = flag.Bool("run-builtin", false, "execute on the workload's built-in test input")
-		compare      = flag.Bool("compare", false, "run both baseline and reordered and report both")
-		engName      = flag.String("engine", "closure", "execution backend for training and -run: closure, fast, or reference — results are byte-identical, only speed changes")
-	)
-	flag.Parse()
+// cmdLine is brcc's parsed command line.
+type cmdLine struct {
+	setName, trainFile, profileOut, profileIn, runFile, workload, engine string
+	optimize, dump, seqs, commonSucc, trainBuiltin, runBuiltin, compare  bool
 
-	set, err := parseSet(*setName)
+	files []string // the arguments after the flags
+}
+
+// parseFlags parses brcc's command line; a bad flag exits 2 with the
+// usage.
+func parseFlags(args []string) *cmdLine {
+	c := &cmdLine{}
+	fs := flag.NewFlagSet("brcc", flag.ExitOnError)
+	fs.StringVar(&c.setName, "set", "I", "switch heuristic set: I, II, or III (paper Table 2)")
+	fs.BoolVar(&c.optimize, "O", true, "apply conventional optimizations")
+	fs.BoolVar(&c.dump, "dump", false, "print the program's IR")
+	fs.BoolVar(&c.seqs, "seqs", false, "list detected reorderable sequences")
+	fs.StringVar(&c.trainFile, "train", "", "training input file; enables branch reordering")
+	fs.StringVar(&c.profileOut, "profile-out", "", "first pass: train and write the profile data file (Figure 2)")
+	fs.StringVar(&c.profileIn, "profile-in", "", "second pass: reorder using a stored profile data file")
+	fs.BoolVar(&c.commonSucc, "common-succ", false, "also reorder common-successor branch sequences (Section 10 extension)")
+	fs.StringVar(&c.runFile, "run", "", "execute the program on this input file")
+	fs.StringVar(&c.workload, "workload", "", "compile a built-in workload instead of a file")
+	fs.BoolVar(&c.trainBuiltin, "train-builtin", false, "use the workload's built-in training input")
+	fs.BoolVar(&c.runBuiltin, "run-builtin", false, "execute on the workload's built-in test input")
+	fs.BoolVar(&c.compare, "compare", false, "run both baseline and reordered and report both")
+	fs.StringVar(&c.engine, "engine", "closure", "execution backend for training and -run: closure or reference — results are byte-identical, only speed changes")
+	fs.Parse(args)
+	c.files = fs.Args()
+	return c
+}
+
+// check rejects a flag that the selected mode would ignore: the first
+// pass (-profile-out) trains, writes the profile and stops; the second
+// pass (-profile-in) takes its counts from the file instead of a
+// training run; -compare runs a build on an input; and -common-succ
+// changes only what a build detects and reorders.
+func (c *cmdLine) check() error {
+	train, run := c.trainFile != "" || c.trainBuiltin, c.runFile != "" || c.runBuiltin
+	switch {
+	case c.profileOut != "" && (c.profileIn != "" || run || c.dump || c.seqs || c.compare):
+		return errors.New("-profile-out only trains and writes the profile; it cannot take -profile-in, -run, -run-builtin, -dump, -seqs or -compare")
+	case c.profileIn != "" && train:
+		return errors.New("-profile-in reorders by the stored profile; it cannot take -train or -train-builtin")
+	case c.compare && (!run || !train && c.profileIn == ""):
+		return errors.New("-compare needs a build (-train, -train-builtin or -profile-in) and an input (-run or -run-builtin)")
+	case c.commonSucc && !train && c.profileIn == "":
+		return errors.New("-common-succ only changes a reordering build: it needs -train, -train-builtin or -profile-in")
+	}
+	return nil
+}
+
+func main() {
+	c := parseFlags(os.Args[1:])
+	check(c.check())
+
+	set, err := parseSet(c.setName)
 	check(err)
 
-	eng, err := interp.ParseEngine(*engName)
+	eng, err := interp.ParseEngine(c.engine)
 	check(err)
 	execEngine = eng
 
-	src, train, test, err := loadInputs(*wl, *trainFile, *runFile, *trainBuiltin, *runBuiltin)
+	src, train, test, err := loadInputs(c.workload, c.files, c.trainFile, c.runFile, c.trainBuiltin, c.runBuiltin)
 	check(err)
 
-	opts := pipeline.Options{Switch: set, Optimize: *optimize, CommonSuccessor: *commonSucc}
+	opts := pipeline.Options{Switch: set, Optimize: c.optimize, CommonSuccessor: c.commonSucc}
 
 	// Explicit two-pass workflow with the profile stored in a file.
-	if *profileOut != "" {
-		check(runFirstPass(src, opts, train, *profileOut))
+	if c.profileOut != "" {
+		check(runFirstPass(src, opts, train, c.profileOut))
 		return
 	}
-	if *profileIn != "" {
-		build, err := runSecondPass(src, opts, *profileIn)
+	if c.profileIn != "" {
+		build, err := runSecondPass(src, opts, c.profileIn)
 		check(err)
-		report(build, *seqs, *dump, test, *compare)
+		report(build, c.seqs, c.dump, test, c.compare)
 		return
 	}
 
@@ -79,10 +117,10 @@ func main() {
 		// Single-pass compile only.
 		front, err := pipeline.Frontend(src, opts)
 		check(err)
-		if *seqs {
+		if c.seqs {
 			listSequences(front.Prog)
 		}
-		if *dump {
+		if c.dump {
 			fmt.Print(front.Prog.Dump())
 		}
 		if test != nil {
@@ -93,7 +131,7 @@ func main() {
 
 	build, err := pipeline.BuildWith(src, train, opts, eng)
 	check(err)
-	report(build, *seqs, *dump, test, *compare)
+	report(build, c.seqs, c.dump, test, c.compare)
 }
 
 // execEngine is the -engine selection, consulted by every program
@@ -188,7 +226,7 @@ func parseSet(s string) (lower.HeuristicSet, error) {
 	}
 }
 
-func loadInputs(wl, trainFile, runFile string, trainBuiltin, runBuiltin bool) (src string, train, test []byte, err error) {
+func loadInputs(wl string, files []string, trainFile, runFile string, trainBuiltin, runBuiltin bool) (src string, train, test []byte, err error) {
 	if wl != "" {
 		w, ok := workload.Named(wl)
 		if !ok {
@@ -202,11 +240,10 @@ func loadInputs(wl, trainFile, runFile string, trainBuiltin, runBuiltin bool) (s
 			test = w.Test()
 		}
 	} else {
-		args := flag.Args()
-		if len(args) != 1 {
+		if len(files) != 1 {
 			return "", nil, nil, fmt.Errorf("expected exactly one source file (or -workload)")
 		}
-		data, err := os.ReadFile(args[0])
+		data, err := os.ReadFile(files[0])
 		if err != nil {
 			return "", nil, nil, err
 		}

@@ -89,11 +89,56 @@ int main() {
 }
 
 func TestLoadInputsWorkload(t *testing.T) {
-	src, train, test, err := loadInputs("wc", "", "", true, true)
+	src, train, test, err := loadInputs("wc", nil, "", "", true, true)
 	if err != nil || src == "" || len(train) == 0 || len(test) == 0 {
 		t.Fatalf("loadInputs(wc): %v", err)
 	}
-	if _, _, _, err := loadInputs("nonesuch", "", "", false, false); err == nil {
+	if _, _, _, err := loadInputs("nonesuch", nil, "", "", false, false); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// TestRejectsIgnoredFlags: each row gives a flag that its mode would
+// ignore, and must be rejected with an error naming it.
+func TestRejectsIgnoredFlags(t *testing.T) {
+	firstPass := []string{"-workload", "wc", "-train-builtin", "-profile-out", "p.txt"}
+	secondPass := []string{"-workload", "wc", "-profile-in", "p.txt"}
+	for _, c := range []struct {
+		args []string
+		want []string // the flags the error must name
+	}{
+		{append(firstPass, "-run-builtin"), []string{"-profile-out", "-run-builtin"}},
+		{append(firstPass, "-run", "in.txt"), []string{"-profile-out", "-run"}},
+		{append(firstPass, "-dump"), []string{"-profile-out", "-dump"}},
+		{append(firstPass, "-seqs"), []string{"-profile-out", "-seqs"}},
+		{append(firstPass, "-compare"), []string{"-profile-out", "-compare"}},
+		{append(firstPass, "-profile-in", "q.txt"), []string{"-profile-out", "-profile-in"}},
+		{append(secondPass, "-train-builtin"), []string{"-profile-in", "-train-builtin"}},
+		{append(secondPass, "-train", "t.txt"), []string{"-profile-in", "-train"}},
+		{[]string{"-workload", "wc", "-compare"}, []string{"-compare", "-run-builtin", "-train-builtin"}},
+		{[]string{"-workload", "wc", "-train-builtin", "-compare"}, []string{"-compare", "-run-builtin"}},
+		{[]string{"-workload", "wc", "-run-builtin", "-compare"}, []string{"-compare", "-profile-in"}},
+		{[]string{"-workload", "lex", "-seqs", "-common-succ"}, []string{"-common-succ", "-train-builtin"}},
+	} {
+		err := parseFlags(c.args).check()
+		if err == nil {
+			t.Errorf("%q accepted", c.args)
+			continue
+		}
+		for _, flag := range c.want {
+			if !strings.Contains(err.Error(), flag) {
+				t.Errorf("%q: error %q does not name %s", c.args, err, flag)
+			}
+		}
+	}
+	for _, args := range [][]string{
+		{"-workload", "wc", "-dump", "-seqs", "-run-builtin"},
+		{"-workload", "wc", "-train-builtin", "-run-builtin", "-compare", "-dump", "-seqs", "-common-succ"},
+		firstPass,
+		append(secondPass, "-run-builtin", "-compare", "-dump", "-seqs"),
+	} {
+		if err := parseFlags(args).check(); err != nil {
+			t.Errorf("%q rejected: %v", args, err)
+		}
 	}
 }

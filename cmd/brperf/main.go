@@ -212,7 +212,7 @@ func grepBranchStream() ([]int, []bool, error) {
 	}
 	var ids []int
 	var taken []bool
-	m := &interp.FastMachine{Code: code, Input: w.Test(), OnBranch: func(id int, t bool) {
+	m := &interp.ClosureMachine{Code: code, Input: w.Test(), OnBranch: func(id int, t bool) {
 		ids = append(ids, id)
 		taken = append(taken, t)
 	}}
@@ -280,23 +280,8 @@ func run(out string) error {
 		if err != nil {
 			return err
 		}
-		record("Interp/"+name+"/fast", testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			m := &interp.FastMachine{Code: code, Input: input}
-			if _, err := m.Run(); err != nil { // warm-up sizes the arenas
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		// The closure-compiled engine on the same decoded code. The
-		// warm-up run also compiles the closure graph, so the loop times
-		// steady-state execution — the fast vs closure pair within one
-		// document is the dispatch-elimination speedup claim.
+		// The warm-up run sizes the arenas and compiles the closure
+		// graph, so the loop times steady-state execution.
 		record("Interp/"+name+"/closure", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			m := &interp.ClosureMachine{Code: code, Input: input}
@@ -395,9 +380,7 @@ func run(out string) error {
 		}
 	}))
 	// End-to-end measurement, decode + compile included each iteration:
-	// sim.Run on its default closure engine against the same run pinned
-	// to the fast engine.
-	fast := sim.Options{Engine: sim.EngineFast}
+	// sim.Run on its default closure engine.
 	record("SimWithPredictors/wc", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -406,15 +389,7 @@ func run(out string) error {
 			}
 		}
 	}))
-	record("SimWithPredictors/wc-fast", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(front.Prog, input, nil, fast); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	// The same end-to-end pair on the suite's heaviest workload, where
+	// The same end-to-end run on the suite's heaviest workload, where
 	// execution (not the predictor bank) dominates the measurement.
 	sortFront, sortW, err := frontend("sort")
 	if err != nil {
@@ -425,14 +400,6 @@ func run(out string) error {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.Run(sortFront.Prog, sortInput, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	record("SimWithPredictors/sort-fast", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(sortFront.Prog, sortInput, nil, fast); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -24,13 +24,13 @@ func writeDoc(t *testing.T, name string, benches map[string]result) string {
 
 func TestCompareWithinThreshold(t *testing.T) {
 	old := writeDoc(t, "old.json", map[string]result{
-		"Interp/wc/fast": {NsPerOp: 1000},
-		"Build/wc/cold":  {NsPerOp: 2000},
+		"Interp/wc/closure": {NsPerOp: 1000},
+		"Build/wc/cold":     {NsPerOp: 2000},
 	})
 	// +10% and -50%: both inside a 25% threshold.
 	new := writeDoc(t, "new.json", map[string]result{
-		"Interp/wc/fast": {NsPerOp: 1100},
-		"Build/wc/cold":  {NsPerOp: 1000},
+		"Interp/wc/closure": {NsPerOp: 1100},
+		"Build/wc/cold":     {NsPerOp: 1000},
 	})
 	if err := compare(old, new, 25); err != nil {
 		t.Errorf("within-threshold compare failed: %v", err)
@@ -39,18 +39,18 @@ func TestCompareWithinThreshold(t *testing.T) {
 
 func TestCompareFlagsRegressions(t *testing.T) {
 	old := writeDoc(t, "old.json", map[string]result{
-		"Interp/wc/fast": {NsPerOp: 1000},
-		"Build/wc/cold":  {NsPerOp: 2000},
+		"Interp/wc/closure": {NsPerOp: 1000},
+		"Build/wc/cold":     {NsPerOp: 2000},
 	})
 	new := writeDoc(t, "new.json", map[string]result{
-		"Interp/wc/fast": {NsPerOp: 2000}, // +100%
-		"Build/wc/cold":  {NsPerOp: 2100}, // +5%
+		"Interp/wc/closure": {NsPerOp: 2000}, // +100%
+		"Build/wc/cold":     {NsPerOp: 2100}, // +5%
 	})
 	err := compare(old, new, 25)
 	if err == nil {
 		t.Fatal("regression not flagged")
 	}
-	if !strings.Contains(err.Error(), "Interp/wc/fast") {
+	if !strings.Contains(err.Error(), "Interp/wc/closure") {
 		t.Errorf("error does not name the regressed benchmark: %v", err)
 	}
 	if strings.Contains(err.Error(), "Build/wc/cold") {

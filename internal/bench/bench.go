@@ -108,8 +108,9 @@ func measureBaseline(bl *slot[*sim.Measurement], prog *ir.Program, test []byte, 
 // test, joins the baseline measurement bl of the same test input, and
 // assembles the ProgramRun every table and figure consumes. The
 // baseline error wins over the reordered one, whichever ended first.
-// Measured results are identical for any mo; only wall-clock and the
-// engine-descriptive Fusion report change.
+// Measured results are identical for any mo; only wall-clock and sim's
+// engine-descriptive Fusion report, which no table or record keeps,
+// change.
 func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult, bl *slot[*sim.Measurement], test []byte, mo sim.Options) (*ProgramRun, error) {
 	reord, rerr := sim.RunWith(b.Reordered, test, nil, mo)
 	base, err := bl.wait()

@@ -41,47 +41,34 @@ type Measurement struct {
 	Ret         int64             `json:"ret"`
 	Mispredicts map[string]uint64 `json:"mispredicts"`
 	Cycles      map[string]uint64 `json:"cycles"`
-
-	// Fusion describes the measuring engine's superinstruction fusion,
-	// not the measured program — results are byte-identical with fusion
-	// on or off, which is why records written before the field existed
-	// (or by the reference engine, which decodes nothing) remain valid
-	// without a schema bump.
-	Fusion *interp.FusionStats `json:"fusion,omitempty"`
 }
 
-// FromSim converts a measurement to its serializable form.
+// FromSim converts a measurement to its serializable form. It keeps
+// what the measured program did and drops sim's Fusion report, which
+// describes the measuring engine's decode, so a record's bytes do not
+// depend on the engine.
 func FromSim(m *sim.Measurement) *Measurement {
 	if m == nil {
 		return nil
 	}
-	out := &Measurement{
+	return &Measurement{
 		Stats:       m.Stats,
 		Output:      []byte(m.Output),
 		Ret:         m.Ret,
 		Mispredicts: m.Mispredicts,
 		Cycles:      m.Cycles,
 	}
-	if m.Fusion.Ops > 0 {
-		f := m.Fusion
-		out.Fusion = &f
-	}
-	return out
 }
 
 // Sim converts the measurement back for the tables and figures.
 func (m *Measurement) Sim() *sim.Measurement {
-	out := &sim.Measurement{
+	return &sim.Measurement{
 		Stats:       m.Stats,
 		Output:      string(m.Output),
 		Ret:         m.Ret,
 		Mispredicts: m.Mispredicts,
 		Cycles:      m.Cycles,
 	}
-	if m.Fusion != nil {
-		out.Fusion = *m.Fusion
-	}
-	return out
 }
 
 // Record is the serializable form of one build+measure result: a
@@ -119,11 +106,6 @@ func (r *Record) Validate() error {
 	for _, s := range r.Seqs {
 		if s.Order != nil && len(s.Order) == 0 || s.Omitted != nil && len(s.Omitted) == 0 {
 			return errors.New("store: record holds an empty ordering list")
-		}
-	}
-	for _, m := range []*Measurement{r.Base, r.Reord} {
-		if m.Fusion != nil && m.Fusion.Patterns != nil && len(m.Fusion.Patterns) == 0 {
-			return errors.New("store: record holds an empty fusion pattern map")
 		}
 	}
 	return nil

@@ -33,7 +33,9 @@ import (
 // the reordered measurement's output as null. Retiring the profile and
 // merged-profile kinds later left build entries and fingerprints as
 // they were, so it kept version 3.
-const SchemaVersion = 3
+// Version 4: a measurement no longer records the measuring engine's
+// fusion report, so every engine writes the same bytes.
+const SchemaVersion = 4
 
 // Status classifies the outcome of a Get.
 type Status int

@@ -97,8 +97,8 @@ func TestOnDiskContractPinned(t *testing.T) {
 	sampled.Profile = profile.Config{Mode: profile.EveryNth, Rate: 8, Seed: 1, Drift: profile.DriftNone}
 	fp := Fingerprint(src, train, test, plain)
 	for _, c := range []struct{ name, got, want string }{
-		{"plain", fp, "0aa19baed9c47bb6025a5ef3db7f463b35e49f4365f489fb4bba6b7d5c44a1b4"},
-		{"sampled", Fingerprint(src, train, test, sampled), "221e037bd64200347643eb2ed3224c01b359a318872b0a1fe7e31075ec1cfa3a"},
+		{"plain", fp, "25d75777d2e7edb4fcbbf8f7407a43e31193a8986f272cb0e4cba0c3878841cc"},
+		{"sampled", Fingerprint(src, train, test, sampled), "1991e8dcf8f5fd7df7f123c2d54498f468e6caa665419c809bb55f611d831f19"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s fingerprint = %s, want %s", c.name, c.got, c.want)
@@ -109,7 +109,7 @@ func TestOnDiskContractPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(data)
-	if got, want := hex.EncodeToString(sum[:]), "7e22a3c87975de9861ab1b093e5df924b7572e2e497eb14c631872c5891d7340"; got != want {
+	if got, want := hex.EncodeToString(sum[:]), "cb885031307766e9516ae126ad2e349e4117f2540cd40de66f8372bf17098493"; got != want {
 		t.Errorf("entry SHA-256 = %s, want %s", got, want)
 	}
 }
@@ -169,12 +169,6 @@ func TestDecodeRejectsBadEntries(t *testing.T) {
 		}
 		return data
 	}
-	withFusion := testRecord()
-	withFusion.Base.Fusion = &interp.FusionStats{Ops: 9}
-	fused, err := Encode(fp, withFusion)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// As Encode stores rec: the reordered output is null.
 	stored, reord := *rec, *rec.Reord
 	reord.Output = nil
@@ -201,8 +195,7 @@ func TestDecodeRejectsBadEntries(t *testing.T) {
 		"mispredicts":  bytes.Replace(good, []byte(`"(0,2)x2048": 55`), []byte(`"(0,2)x2048": 56`), 1),
 		"reord output": bytes.Replace(good, []byte(`"output": null`), []byte(`"output": "NDEgbGluZXM="`), 1),
 		// Each adds an empty list or map that a real run leaves nil.
-		"empty order":    bytes.Replace(good, []byte(`"applied": true,`), []byte(`"applied": true, "order": [],`), 1),
-		"empty patterns": bytes.Replace(fused, []byte(`"fusion": {`), []byte(`"fusion": {"patterns": {},`), 1),
+		"empty order": bytes.Replace(good, []byte(`"applied": true,`), []byte(`"applied": true, "order": [],`), 1),
 		// Each has a valid sum but is no record Encode writes.
 		"null record":     framed(nil),
 		"no base":         framed(&noBase),

@@ -67,50 +67,32 @@ func referenceMeasure(t *testing.T, prog *ir.Program, input []byte) *measurement
 func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte) {
 	t.Helper()
 	want := referenceMeasure(t, prog, input)
-	got, err := sim.RunWith(prog, input, nil, sim.Options{Engine: sim.EngineFast})
+	got, err := sim.Run(prog, input, nil)
 	if err != nil {
-		t.Fatalf("%s: sim.RunWith: %v", label, err)
+		t.Fatalf("%s: sim.Run: %v", label, err)
 	}
 	if got.Ret != want.ret {
-		t.Errorf("%s: ret fast=%d ref=%d", label, got.Ret, want.ret)
+		t.Errorf("%s: ret closure=%d ref=%d", label, got.Ret, want.ret)
 	}
 	if got.Output != want.output {
 		t.Errorf("%s: output diverged (%d vs %d bytes)", label, len(got.Output), len(want.output))
 	}
 	if got.Stats != want.stats {
-		t.Errorf("%s: stats\nfast: %+v\nref:  %+v", label, got.Stats, want.stats)
+		t.Errorf("%s: stats\nclosure: %+v\nref:     %+v", label, got.Stats, want.stats)
 	}
 	if len(got.Mispredicts) != len(want.mispredicts) {
 		t.Fatalf("%s: %d predictor configs, want %d", label, len(got.Mispredicts), len(want.mispredicts))
 	}
 	for name, w := range want.mispredicts {
 		if got.Mispredicts[name] != w {
-			t.Errorf("%s: %s mispredicts fast=%d ref=%d", label, name, got.Mispredicts[name], w)
+			t.Errorf("%s: %s mispredicts closure=%d ref=%d", label, name, got.Mispredicts[name], w)
 		}
 	}
 
-	// Third side of the oracle: the closure engine must reproduce the
-	// fast measurement byte for byte.
-	tag := label + "/closure"
-	clos, err := sim.RunWith(prog, input, nil, sim.Options{Engine: sim.EngineClosure})
-	if err != nil {
-		t.Fatalf("%s: sim.RunWith: %v", tag, err)
-	}
-	if clos.Ret != got.Ret || clos.Output != got.Output {
-		t.Errorf("%s: result diverged from fast engine", tag)
-	}
-	if clos.Stats != got.Stats {
-		t.Errorf("%s: stats\nclosure: %+v\nfast:    %+v", tag, clos.Stats, got.Stats)
-	}
-	for name, w := range got.Mispredicts {
-		if clos.Mispredicts[name] != w {
-			t.Errorf("%s: %s mispredicts closure=%d fast=%d", tag, name, clos.Mispredicts[name], w)
-		}
-	}
-
-	// sim.RunWith always installs a branch hook, so the runs above log
-	// every branch; a hook-free run takes the closures' log-off path.
-	// Each must compile every function of the program.
+	// sim.Run always installs a branch hook, so the run above logs every
+	// branch; a hook-free run takes the closures' log-off path. On
+	// either decode it must reproduce the measured run, and compile
+	// every function of the program.
 	for _, fuse := range []bool{true, false} {
 		tag := label + "/closure-plain"
 		if !fuse {
@@ -124,11 +106,11 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
-		if ret != got.Ret || string(output) != got.Output {
-			t.Errorf("%s: result diverged from fast engine", tag)
+		if ret != want.ret || string(output) != want.output {
+			t.Errorf("%s: result diverged from the reference engine", tag)
 		}
-		if stats != got.Stats {
-			t.Errorf("%s: stats\nclosure: %+v\nfast:    %+v", tag, stats, got.Stats)
+		if stats != want.stats {
+			t.Errorf("%s: stats\nclosure: %+v\nref:     %+v", tag, stats, want.stats)
 		}
 		if st := code.CompileStats(); st.CompiledFuncs != len(prog.Funcs) {
 			t.Errorf("%s: closure compiler did not engage: compiled %d of %d funcs", tag, st.CompiledFuncs, len(prog.Funcs))
@@ -137,9 +119,9 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 }
 
 // TestWorkloadSuiteEquivalence measures every workload's baseline and
-// reordered executables through sim.RunWith on the fast and closure
-// engines (predictor bank replaying the branch-log batches) and through
-// a replica of the old Machine+Bimodal loop fed per event, demanding
+// reordered executables through sim.Run on the closure engine
+// (predictor bank replaying the branch-log batches) and through a
+// replica of the old Machine+Bimodal loop fed per event, demanding
 // identical Stats, Output, Ret and per-predictor Mispredicts.
 func TestWorkloadSuiteEquivalence(t *testing.T) {
 	all := workload.All()
@@ -188,7 +170,7 @@ func TestBankAgainstBimodalsOnRealStreams(t *testing.T) {
 	}
 	bank := predictor.NewTable6Bank()
 	preds := sim.PredictorSweep()
-	m := &interp.FastMachine{Code: code, Input: w.Test(),
+	m := &interp.ClosureMachine{Code: code, Input: w.Test(),
 		OnBranch: func(id int, taken bool) {
 			bank.Observe(id, taken)
 			for _, p := range preds {

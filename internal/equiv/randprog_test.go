@@ -35,34 +35,26 @@ func hooks(r *engineRun) (func(int, bool), func(int, int, int64)) {
 		}
 }
 
-// runBoth executes p on every engine and decode variant, applying the
-// full three-way oracle: the reference machine against the fast engine
-// under the lenient contract (compareRuns), the fast engine against
-// itself across decodes, and the closure engine against the fast engine
-// of the same decode under strict identity (compareSame) — for both
-// hooked runs (branch/prof streams attached) and hook-free runs, whose
-// closure bodies take the log-off path.
-func runBoth(t testing.TB, p *ir.Program, input []byte) (ref, fast engineRun) {
+// runBoth executes p on both engines and both decodes and applies the
+// two-way oracle: the caller compares the reference machine against the
+// closure engine under the lenient contract (compareRuns), and runBoth
+// holds the closure engine on the fused decode to itself on the unfused
+// decode, and a hooked run to a hook-free one, under strict identity
+// (compareSame). The hook-free run's closure bodies take the log-off
+// path.
+func runBoth(t testing.TB, p *ir.Program, input []byte) (ref, clos engineRun) {
 	fused := interp.DecodeOptions{Fuse: true}
-	nofuse := interp.DecodeOptions{}
 	ref = runOn(t, p, input, fused, interp.EngineReference, true)
-	fast = runOn(t, p, input, fused, interp.EngineFast, true)
+	clos = runOn(t, p, input, fused, interp.EngineClosure, true)
 	// The unfused decode must behave identically to the fused one; any
 	// divergence is a fusion bug, caught here across every seed and every
 	// fuzz input the suite explores.
-	unfused := runOn(t, p, input, nofuse, interp.EngineFast, true)
-	compareRuns(t, "fused-vs-unfused", fast, unfused)
-	// Closure engine on both decodes: the compiled graph must replicate
-	// the fast engine of the same decode exactly — same trap text and
-	// PC, same trap-point stats, same hook streams.
-	compareSame(t, "closure-vs-fast",
-		fast, runOn(t, p, input, fused, interp.EngineClosure, true))
-	compareSame(t, "closure-vs-fast/nofuse",
-		unfused, runOn(t, p, input, nofuse, interp.EngineClosure, true))
-	compareSame(t, "closure-vs-fast/plain",
-		runOn(t, p, input, fused, interp.EngineFast, false),
-		runOn(t, p, input, fused, interp.EngineClosure, false))
-	return ref, fast
+	compareSame(t, "fused-vs-unfused", clos, runOn(t, p, input, interp.DecodeOptions{}, interp.EngineClosure, true))
+	// A hook-free run records no streams; everything else must match.
+	plain := runOn(t, p, input, fused, interp.EngineClosure, false)
+	plain.branches, plain.profs = clos.branches, clos.profs
+	compareSame(t, "hooked-vs-plain", clos, plain)
+	return ref, clos
 }
 
 // runOn executes p once on the chosen engine. hooked attaches the
@@ -86,17 +78,10 @@ func runOn(t testing.TB, p *ir.Program, input []byte, opts interp.DecodeOptions,
 		if derr != nil {
 			t.Fatalf("decode: %v", derr)
 		}
-		if e == interp.EngineClosure {
-			m := &interp.ClosureMachine{Code: code, Input: input, MaxSteps: randMaxSteps,
-				OnBranch: onBranch, OnProf: onProf}
-			ret, err = m.Run()
-			r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
-		} else {
-			m := &interp.FastMachine{Code: code, Input: input, MaxSteps: randMaxSteps,
-				OnBranch: onBranch, OnProf: onProf}
-			ret, err = m.Run()
-			r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
-		}
+		m := &interp.ClosureMachine{Code: code, Input: input, MaxSteps: randMaxSteps,
+			OnBranch: onBranch, OnProf: onProf}
+		ret, err = m.Run()
+		r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
 	}
 	if err != nil {
 		r.err = err.Error()
@@ -118,62 +103,62 @@ func eqInt64s(a, b []int64) bool {
 
 // compareRuns applies the engine contract: completed runs agree on
 // everything; trapped runs agree on the error, except around a step-limit
-// abort, where the fast engine's block-granular budget may surface as a
-// different abort point (both sides must still abort).
-func compareRuns(t testing.TB, label string, ref, fast engineRun) {
+// abort, where the closure engine's block-granular budget may surface as
+// a different abort point (both sides must still abort).
+func compareRuns(t testing.TB, label string, ref, clos engineRun) {
 	t.Helper()
-	stepLimited := strings.Contains(ref.err, "step limit") || strings.Contains(fast.err, "step limit")
+	stepLimited := strings.Contains(ref.err, "step limit") || strings.Contains(clos.err, "step limit")
 	if stepLimited {
-		if ref.err == "" || fast.err == "" {
-			t.Errorf("%s: step-limit abort on one engine only: ref=%q fast=%q",
-				label, ref.err, fast.err)
+		if ref.err == "" || clos.err == "" {
+			t.Errorf("%s: step-limit abort on one engine only: ref=%q closure=%q",
+				label, ref.err, clos.err)
 		}
 		return
 	}
-	if ref.err != fast.err {
-		t.Errorf("%s: errors differ: ref=%q fast=%q", label, ref.err, fast.err)
+	if ref.err != clos.err {
+		t.Errorf("%s: errors differ: ref=%q closure=%q", label, ref.err, clos.err)
 		return
 	}
 	// Same trap (or none): the executed effect sequence is identical.
-	if ref.ret != fast.ret && ref.err == "" {
-		t.Errorf("%s: ret ref=%d fast=%d", label, ref.ret, fast.ret)
+	if ref.ret != clos.ret && ref.err == "" {
+		t.Errorf("%s: ret ref=%d closure=%d", label, ref.ret, clos.ret)
 	}
-	if ref.out != fast.out {
-		t.Errorf("%s: output ref=%q fast=%q", label, ref.out, fast.out)
+	if ref.out != clos.out {
+		t.Errorf("%s: output ref=%q closure=%q", label, ref.out, clos.out)
 	}
-	if !eqInt64s(ref.branches, fast.branches) {
+	if !eqInt64s(ref.branches, clos.branches) {
 		t.Errorf("%s: branch streams differ (%d vs %d events)",
-			label, len(ref.branches)/2, len(fast.branches)/2)
+			label, len(ref.branches)/2, len(clos.branches)/2)
 	}
-	if !eqInt64s(ref.profs, fast.profs) {
+	if !eqInt64s(ref.profs, clos.profs) {
 		t.Errorf("%s: prof streams differ", label)
 	}
 	// Stats are only exact on completed runs (trap-point charges are
-	// block-granular on the fast engine).
-	if ref.err == "" && ref.stats != fast.stats {
-		t.Errorf("%s: stats\nref:  %+v\nfast: %+v", label, ref.stats, fast.stats)
+	// block-granular on the closure engine).
+	if ref.err == "" && ref.stats != clos.stats {
+		t.Errorf("%s: stats\nref:     %+v\nclosure: %+v", label, ref.stats, clos.stats)
 	}
 }
 
 // compareSame demands full identity — return value, output, error text
 // (trap kind and PC included), hook streams, and Stats even at trap
-// points. The fast and closure engines share one execution contract
+// points. Two closure runs of one program share one execution contract
 // down to the block-granular step budget, so unlike compareRuns nothing
 // is forgiven.
 func compareSame(t testing.TB, label string, a, b engineRun) {
 	t.Helper()
 	if a.err != b.err {
-		t.Errorf("%s: errors differ: fast=%q closure=%q", label, a.err, b.err)
+		t.Errorf("%s: errors differ: %q vs %q", label, a.err, b.err)
 		return
 	}
 	if a.ret != b.ret {
-		t.Errorf("%s: ret fast=%d closure=%d", label, a.ret, b.ret)
+		t.Errorf("%s: ret %d vs %d", label, a.ret, b.ret)
 	}
 	if a.out != b.out {
-		t.Errorf("%s: output fast=%q closure=%q", label, a.out, b.out)
+		t.Errorf("%s: output %q vs %q", label, a.out, b.out)
 	}
 	if a.stats != b.stats {
-		t.Errorf("%s: stats\nfast:    %+v\nclosure: %+v", label, a.stats, b.stats)
+		t.Errorf("%s: stats\n%+v\n%+v", label, a.stats, b.stats)
 	}
 	if !eqInt64s(a.branches, b.branches) {
 		t.Errorf("%s: branch streams differ (%d vs %d events)",
@@ -195,12 +180,12 @@ func TestRandomProgramEquivalence(t *testing.T) {
 	for seed := 0; seed < n; seed++ {
 		p := randprog.New(uint64(seed))
 		for _, input := range [][]byte{nil, workload.FuzzInput(uint64(seed)+1000, 200)} {
-			ref, fast := runBoth(t, p, input)
-			compareRuns(t, labelFor(seed, input), ref, fast)
+			ref, clos := runBoth(t, p, input)
+			compareRuns(t, labelFor(seed, input), ref, clos)
 			if ref.err == "" {
 				completed++
 			}
-			if len(fast.branches)/2 > interp.BranchChunk {
+			if len(clos.branches)/2 > interp.BranchChunk {
 				multiChunk++
 			}
 		}
@@ -211,7 +196,7 @@ func TestRandomProgramEquivalence(t *testing.T) {
 		t.Errorf("only %d/%d runs completed; generator too trap-happy", completed, 2*n)
 	}
 	// It must also keep producing streams longer than one branch-log
-	// chunk, or the fast engines' OnBranch delivery of full chunks
+	// chunk, or the closure engine's OnBranch delivery of full chunks
 	// mid-run goes untested.
 	if multiChunk < n/40 {
 		t.Errorf("only %d/%d runs filled a branch-log chunk", multiChunk, 2*n)
@@ -258,7 +243,7 @@ func FuzzEngines(f *testing.F) {
 			input = input[:4096]
 		}
 		p := randprog.New(seed)
-		ref, fast := runBoth(t, p, input)
-		compareRuns(t, "fuzz", ref, fast)
+		ref, clos := runBoth(t, p, input)
+		compareRuns(t, "fuzz", ref, clos)
 	})
 }

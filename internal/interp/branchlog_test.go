@@ -16,8 +16,8 @@ type streamEngine struct {
 	run  func(t *testing.T, p *ir.Program, input []byte, maxSteps uint64) (events []uint32, chunks [][]uint32, errText string)
 }
 
-// streamEngines covers every engine and decode: the reference Machine,
-// FastMachine fused and unfused, and ClosureMachine fused and unfused.
+// streamEngines covers both engines and both decodes: the reference
+// Machine, and ClosureMachine fused and unfused.
 var streamEngines = []streamEngine{
 	{"reference", func(t *testing.T, p *ir.Program, input []byte, maxSteps uint64) ([]uint32, [][]uint32, string) {
 		var r streamRecorder
@@ -25,13 +25,11 @@ var streamEngines = []streamEngine{
 		_, err := m.Run()
 		return r.events, r.chunks, errText(err)
 	}},
-	{"fast", decodedStreamEngine(EngineFast, DecodeOptions{Fuse: true})},
-	{"fast-nofuse", decodedStreamEngine(EngineFast, DecodeOptions{})},
-	{"closure", decodedStreamEngine(EngineClosure, DecodeOptions{Fuse: true})},
-	{"closure-nofuse", decodedStreamEngine(EngineClosure, DecodeOptions{})},
+	{"closure", closureStreamEngine(DecodeOptions{Fuse: true})},
+	{"closure-nofuse", closureStreamEngine(DecodeOptions{})},
 }
 
-func decodedStreamEngine(e Engine, opts DecodeOptions) func(*testing.T, *ir.Program, []byte, uint64) ([]uint32, [][]uint32, string) {
+func closureStreamEngine(opts DecodeOptions) func(*testing.T, *ir.Program, []byte, uint64) ([]uint32, [][]uint32, string) {
 	return func(t *testing.T, p *ir.Program, input []byte, maxSteps uint64) ([]uint32, [][]uint32, string) {
 		t.Helper()
 		code, err := DecodeWith(p, opts)
@@ -39,13 +37,8 @@ func decodedStreamEngine(e Engine, opts DecodeOptions) func(*testing.T, *ir.Prog
 			t.Fatalf("decode: %v", err)
 		}
 		var r streamRecorder
-		if e == EngineClosure {
-			m := &ClosureMachine{Code: code, Input: input, MaxSteps: maxSteps, OnBranch: r.onBranch, OnBranches: r.onBranches}
-			_, err = m.Run()
-		} else {
-			m := &FastMachine{Code: code, Input: input, MaxSteps: maxSteps, OnBranch: r.onBranch, OnBranches: r.onBranches}
-			_, err = m.Run()
-		}
+		m := &ClosureMachine{Code: code, Input: input, MaxSteps: maxSteps, OnBranch: r.onBranch, OnBranches: r.onBranches}
+		_, err = m.Run()
 		return r.events, r.chunks, errText(err)
 	}
 }
@@ -119,9 +112,9 @@ func trapAfterLoopProg(n int64) *ir.Program {
 // TestBranchChunks runs streams shorter than a chunk, an exact multiple
 // of it, one event past it, a trapped run and a step-limit abort on
 // every engine with both hooks set. Both must carry the reference
-// Machine's per-event stream — FastMachine and ClosureMachine deliver
-// OnBranch from their chunks too — in full chunks but the last, which
-// arrives before Run returns.
+// Machine's per-event stream — ClosureMachine delivers OnBranch from
+// its chunks too — in full chunks but the last, which arrives before
+// Run returns.
 func TestBranchChunks(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -147,8 +140,8 @@ func TestBranchChunks(t *testing.T) {
 			}
 			checkChunks(t, label, events, chunks)
 			if c.events < 0 {
-				// The fast engines' step budget is block-granular, so
-				// only the reference must abort where the oracle did.
+				// The closure engine's step budget is block-granular,
+				// so only the reference must abort where the oracle did.
 				if len(events) <= BranchChunk || (e.name == "reference" && !slices.Equal(events, want)) {
 					t.Errorf("%s: aborted after %d events (oracle %d), want more than one chunk",
 						label, len(events), len(want))
@@ -163,15 +156,15 @@ func TestBranchChunks(t *testing.T) {
 	}
 }
 
-// TestFastMachineReuseWithChunksAllocatesNothing: the chunk is the
+// TestClosureMachineReuseWithChunksAllocatesNothing: the chunk is the
 // machine's, allocated on its first hooked Run and reused after.
-func TestFastMachineReuseWithChunksAllocatesNothing(t *testing.T) {
+func TestClosureMachineReuseWithChunksAllocatesNothing(t *testing.T) {
 	code, err := Decode(countLoopProg(3 * BranchChunk))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var events int
-	m := &FastMachine{Code: code, OnBranches: func(ev []uint32) { events += len(ev) }}
+	m := &ClosureMachine{Code: code, OnBranches: func(ev []uint32) { events += len(ev) }}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +174,7 @@ func TestFastMachineReuseWithChunksAllocatesNothing(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("a reused FastMachine allocates %.1f times per Run", allocs)
+		t.Errorf("a reused ClosureMachine allocates %.1f times per Run", allocs)
 	}
 	if want := 7 * (3*BranchChunk + 1); events != want {
 		t.Errorf("%d events over 7 runs, want %d", events, want)

@@ -1,4 +1,4 @@
-// Closure-chain compilation: the third execution engine. Compile
+// Closure-chain compilation: the decoded execution engine. Compile
 // translates each decoded function into a graph of pre-bound Go
 // closures — one closure per executed operation, operands resolved at
 // compile time, control transfers resolved to direct *blockFn successor
@@ -11,33 +11,44 @@
 //   - The machine's hot state (the register window, condition codes and
 //     step counter) is threaded through every closure's arguments and
 //     results instead of living on the ClosureMachine, so it stays in
-//     CPU registers across an entire straight-line run exactly as
-//     FastMachine's dispatch-loop locals do.
+//     CPU registers across an entire straight-line run.
 //   - Stats are derived, not charged eagerly. Every control transfer
 //     (branch outcome, jump, call, ret, indirect jump, fall-through)
 //     owns a counter; executing it is one increment. The charges of the
 //     straight-line segment it terminates are a compile-time Stats
 //     delta, and Run's finalizer folds count×delta into m.Stats. Trap
 //     closures add their own statically-known partial-segment delta
-//     before trapping, so even aborted runs account instructions at
-//     exactly the position FastMachine charges them.
+//     before trapping, so even aborted runs account every charge made
+//     before the trap point.
 //
-// Contract: a ClosureMachine is observably identical to FastMachine —
-// same Stats (including on trapped runs), same Output, return value,
-// branch/profile event streams, and byte-identical RuntimeError traps.
-// FastMachine and the reference Machine remain the differential oracles
-// (internal/equiv exercises all three pairwise).
+// Contract: a ClosureMachine is observably equivalent to the reference
+// Machine — same Stats, Output, return value, branch/profile event
+// streams and byte-identical RuntimeError traps. The differences are
+// confined to resource accounting on aborted runs:
+//
+//   - The step budget (MaxSteps) is charged block-granularly, so a
+//     step-limit abort stops at a block edge of the basic block in which
+//     the reference interpreter stops, not mid-block. The error text is
+//     the same trap either way. Runs that stay within the budget —
+//     everything the evaluation measures — are unaffected.
+//   - A block's Insts are charged at its terminator (or by its opEnter),
+//     so on a runtime trap Stats miss the Insts of the partially
+//     executed block; its other counters are charged as each op runs.
+//     Stats of completed runs are exact.
+//
+// The reference Machine is the differential oracle (internal/equiv),
+// and the tests pin the trap-point and step-abort Stats.
 //
 // Compilation rules:
 //
-//   - Every dinst compiles as the op baseOp maps it to, as FastMachine
-//     dispatches it: a superinstruction as the first op of its run, whose
-//     other dinsts compile as themselves. So fused and unfused Code
-//     compile to observably identical closure graphs.
+//   - Every dinst compiles as the op baseOp maps it to: a
+//     superinstruction as the first op of its run, whose other dinsts
+//     compile as themselves. So fused and unfused Code compile to
+//     observably identical closure graphs.
 //   - One graph per Code, compiled lazily and cached, serves hooked and
 //     hook-free runs alike: every branch outcome stores its event
-//     behind the m.log.on test, exactly where FastMachine does, and
-//     Prof/ProfCond closures test OnProf at run time.
+//     behind the m.log.on test, and Prof/ProfCond closures test OnProf
+//     at run time.
 //   - Calls split a block: the call closure pushes a frame whose resume
 //     continuation is the already-compiled rest of the block, then
 //     returns the callee's entry closure; Ret pops and returns the
@@ -90,8 +101,8 @@ type closFrame struct {
 }
 
 // ClosureMachine executes pre-compiled closure graphs. It is
-// observably identical to FastMachine (see the package comment above)
-// and may be reused: Run resets all execution state and recycles the
+// observably equivalent to Machine (see the package comment above) and
+// may be reused: Run resets all execution state and recycles the
 // register arena, frame stack and data memory from the previous run.
 // The compiled closure graphs live on the Code and are shared by all
 // machines running it.
@@ -99,8 +110,11 @@ type ClosureMachine struct {
 	Code  *Code
 	Input []byte
 
-	// OnBranch, if non-nil, observes the branch events in batches,
-	// exactly as FastMachine.OnBranch does.
+	// OnBranch, if non-nil, observes the events Machine.OnBranch does,
+	// in the same order, but delivered in batches from the machine's
+	// chunk: the closures only record each event, and every flush of
+	// the chunk — when it fills and before Run returns, on every path —
+	// replays it through OnBranch.
 	OnBranch func(id int, taken bool)
 
 	// OnBranches, if non-nil, observes the same events in chunks,
@@ -115,9 +129,9 @@ type ClosureMachine struct {
 	// DefaultIJmpInsts if zero.
 	IJmpInsts uint64
 
-	// MaxSteps aborts execution after (block-granularly, exactly as
-	// FastMachine) this many dynamic instructions; DefaultMaxSteps if
-	// zero.
+	// MaxSteps aborts execution after (block-granularly — see the
+	// package comment above) this many dynamic instructions;
+	// DefaultMaxSteps if zero.
 	MaxSteps uint64
 
 	// Stats is complete after Run returns; during a run the per-op
@@ -137,6 +151,19 @@ type ClosureMachine struct {
 	ret       int64
 	err       error
 	numBuf    [24]byte
+}
+
+// growWindow extends regs to length n, zeroing the new window.
+func growWindow(regs []int64, n int) []int64 {
+	old := len(regs)
+	if n <= cap(regs) {
+		regs = regs[:n]
+		clear(regs[old:])
+		return regs
+	}
+	grown := make([]int64, n, n+n/2+16)
+	copy(grown, regs[:old])
+	return grown
 }
 
 // statsAddScaled adds n executions' worth of d to dst.
@@ -422,8 +449,8 @@ func plus(s Stats, add Stats) Stats {
 
 // compileUnit compiles one base op into a closure continuing with
 // next. pre is the segment delta accumulated before this op; trap
-// closures credit it (plus any of their own charges FastMachine applies
-// before its trap) so aborted-run Stats stay identical too.
+// closures credit it (plus the op's own charges that precede its trap)
+// so aborted-run Stats hold every charge made before the trap point.
 func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) blockFn {
 	fname := cc.fname
 	switch op {
@@ -651,7 +678,7 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 		stepCost := uint64(d.stepCost) + 1
 		full := plus(pre, Stats{Insts: uint64(d.cost) + 1, SlotNops: uint64(d.slotTaken)})
 		id := cc.newCounter(full)
-		partial := &full // FastMachine charges all of it before its step check
+		partial := &full // all of it is charged before the step check
 		a := d.a
 		return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
 			steps += stepCost
@@ -682,7 +709,7 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 		stepCost := uint64(d.stepCost) + 1
 		full := plus(pre, Stats{Jumps: 1, Insts: uint64(d.cost) + 1, SlotNops: uint64(d.slotTaken)})
 		id := cc.newCounter(full)
-		partial := &full // FastMachine charges all of it before its step check
+		partial := &full // all of it is charged before the step check
 		takenFb, takenp := cc.succ(d.t1)
 		if takenFb != nil {
 			return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {

@@ -1,12 +1,12 @@
-// Specialized conditional-branch closures. FastMachine's branch tails
-// interpret relMask at run time: derive a relation selector rs from the
-// compare, shift the mask, test a bit — a five-instruction dependent
-// chain ending in a branch. Here the mask is decoded at compile time
-// instead, so each branch closure executes one native compare-and-branch
-// on the operands; the six relations give six distinct host branch sites
-// (plus six more per operand shape), which also stops every interpreted
-// branch from aliasing onto a single host predictor slot, as all of
-// FastMachine's conditional branches do in its two branch cases.
+// Specialized conditional-branch closures. Interpreting relMask at run
+// time means deriving a relation selector rs from the compare, shifting
+// the mask and testing a bit — a five-instruction dependent chain
+// ending in a branch. Here the mask is decoded at compile time instead,
+// so each branch closure executes one native compare-and-branch on the
+// operands; the six relations give six distinct host branch sites (plus
+// six more per operand shape), which also stops every interpreted
+// branch from aliasing onto a single host predictor slot, as a dispatch
+// loop's branch case does.
 //
 // The relation selector convention (maskHolds): rs is 2 when a < b, 1
 // when a == b, 0 when a > b, and relMask bit rs set means the branch is
@@ -15,11 +15,10 @@
 // shapes keep a mask-table body.
 package interp
 
-// compileBranch compiles opBr/opCmpBr. The accounting mirrors
-// FastMachine exactly: branch (+compare for CmpBr) charges precede the
-// step check, the outcome's TakenBranches/SlotNops ride in the
-// per-outcome counters, and each outcome then stores its branch event
-// while the machine's log is on.
+// compileBranch compiles opBr/opCmpBr. Branch (+compare for CmpBr)
+// charges precede the step check, the outcome's TakenBranches/SlotNops
+// ride in the per-outcome counters, and each outcome then stores its
+// branch event while the machine's log is on.
 func (cc *funcCompiler) compileBranch(op dop, d *dinst, pre Stats) blockFn {
 	fname := cc.fname
 	isCmp := op == opCmpBr

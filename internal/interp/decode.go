@@ -1,9 +1,9 @@
-// Flat pre-decoding for the fast execution engine. Decode compiles a
+// Flat pre-decoding for the closure engine. Decode compiles a
 // linearized ir.Program into contiguous per-function instruction arrays
 // with every operand, branch target, call and jump-table entry resolved
-// to array indices, so the run loop (fast.go) is a tight dispatch with
-// no pointer chasing, no per-call name lookups, and no per-instruction
-// cost bookkeeping.
+// to array indices, so the closure compiler (compile.go) binds no
+// pointer chases, no per-call name lookups and no per-instruction cost
+// bookkeeping into the closures it builds.
 //
 // Decode rules:
 //
@@ -11,14 +11,14 @@
 //     instruction and step charges are precomputed and folded into its
 //     terminator's cost/stepCost fields — every executed block reaches
 //     its terminator, so Insts and the step budget are maintained
-//     block-granularly with zero extra dispatches. A block whose
+//     block-granularly with no per-instruction work. A block whose
 //     terminator decodes to nothing (an adjacent goto) instead opens
 //     with one opEnter op carrying the charge, when it is non-zero.
 //   - Nop decodes to nothing. Prof/ProfCond decode to zero-cost ops.
 //   - A Cmp that is the last effective instruction of a block ending in
 //     a conditional branch fuses with it into one opCmpBr: it still
 //     sets the frame's condition codes (later branches may reuse them)
-//     but costs one dispatch instead of two.
+//     but compiles to one closure instead of two.
 //   - A goto whose target is the physically following block decodes to
 //     nothing — pure fall-through, exactly the adjacency rule the
 //     reference interpreter applies dynamically. Any other goto decodes
@@ -81,9 +81,9 @@ const (
 	// Superinstructions: each marks an adjacent in-block run of 2-5 ops.
 	// The fused opcode overwrites the run's FIRST dinst, whose other
 	// fields keep the first op's operands; the remaining dinsts keep
-	// their full original contents. Engines dispatch every opcode through
-	// baseOp (superinst.go), so a fused run executes op by op, exactly as
-	// its unfused form. The curated set lives in fusedPatterns.
+	// their full original contents. The closure compiler maps every
+	// opcode through baseOp (superinst.go), so a fused run executes op by
+	// op, exactly as its unfused form. The curated set lives in fusedPatterns.
 	opMovMov              // Mov ; Mov
 	opMovAdd              // Mov ; Add
 	opAddMov              // Add ; Mov
@@ -139,7 +139,7 @@ type darg struct {
 }
 
 // val reads the operand against a register window. Small enough to
-// inline into the dispatch loop.
+// inline into every closure body.
 func (a darg) val(win []int64) int64 {
 	if a.reg < 0 {
 		return a.imm
@@ -173,6 +173,29 @@ type dinst struct {
 	sub       int32
 }
 
+// relTruth encodes each ir.Rel as a bitmask over the three-way compare
+// outcome (bit 4: a<b, bit 2: a==b, bit 1: a>b); Decode bakes it into
+// dinst.relMask. maskHolds evaluates the relation against the mask with
+// at most two compares instead of ir.Rel.Holds' six-way switch.
+var relTruth = [...]uint8{
+	ir.EQ: 0b010,
+	ir.NE: 0b101,
+	ir.LT: 0b100,
+	ir.LE: 0b110,
+	ir.GT: 0b001,
+	ir.GE: 0b011,
+}
+
+func maskHolds(mask uint8, a, b int64) bool {
+	s := 0
+	if a < b {
+		s = 2
+	} else if a == b {
+		s = 1
+	}
+	return mask>>s&1 != 0
+}
+
 // dcall is the side-table payload of one call site.
 type dcall struct {
 	fn   int32 // callee function index; -1 for an unknown callee
@@ -194,11 +217,10 @@ type dfunc struct {
 	blockStart []int32
 }
 
-// Code is a whole program compiled for the fast engine. A Code is
-// immutable after Decode and safe for concurrent FastMachines. The
-// closure engine's compiled graph (compile.go) is cached here lazily
-// under closOnce, so a Code stays safe for concurrent ClosureMachines
-// too.
+// Code is a whole program decoded for the closure engine. A Code is
+// immutable after Decode; the compiled closure graph (compile.go) is
+// cached here lazily under closOnce, so a Code is safe for concurrent
+// ClosureMachines.
 type Code struct {
 	prog  *ir.Program
 	funcs []dfunc
@@ -214,10 +236,10 @@ func (c *Code) Prog() *ir.Program { return c.prog }
 // DecodeOptions configures DecodeWith.
 type DecodeOptions struct {
 	// Fuse marks curated adjacent-op runs within a block as
-	// superinstructions, which Code.FusionStats counts. Engines dispatch
-	// a fused run op by op, so execution is identical either way (same
-	// Stats, output, traps and event streams); tests decode with Fuse
-	// off as the reference the fused decode is held to.
+	// superinstructions, which Code.FusionStats counts. The closure
+	// engine runs a fused run op by op, so execution is identical
+	// either way (same Stats, output, traps and event streams); tests
+	// decode with Fuse off as the reference the fused decode is held to.
 	Fuse bool
 }
 

@@ -8,11 +8,12 @@ import (
 	"branchreorder/internal/ir"
 )
 
-// Engine names one of the package's execution backends. All engines are
-// observably equivalent — same Stats, Output, return value, hook
-// sequences and traps — so the choice never affects results, only
-// wall-clock speed. The zero value is the closure engine, the package's
-// default backend for measurement, training, auto-evaluation and brcc.
+// Engine names one of the package's two execution backends. Both give
+// the same Output, return value, hook sequences and trap text, and the
+// same Stats on every completed run, so the choice never affects
+// results, only wall-clock speed. The zero value is the closure engine,
+// the package's default backend for measurement, training,
+// auto-evaluation and brcc.
 type Engine int
 
 const (
@@ -20,18 +21,23 @@ const (
 	// each decoded function is translated once into a graph of
 	// pre-bound closures executed past the dispatch loop.
 	EngineClosure Engine = iota
-	// EngineFast is the flat-decoded direct interpreter (FastMachine).
-	EngineFast
 	// EngineReference is the block-walking reference interpreter
-	// (Machine), the slow semantic baseline.
+	// (Machine), the slow semantic baseline and the oracle the closure
+	// engine is tested against.
 	EngineReference
 )
 
+// The two declarations below give the closure engine the names of the
+// flat-decoded interpreter it replaced. They are a bridge for the
+// benchmark module's trace, which still uses those names: the benchmark
+// change that moves the trace onto the production engine deletes them,
+// and nothing in this module uses them.
+type FastMachine = ClosureMachine
+
+const EngineFast = EngineClosure
+
 func (e Engine) String() string {
-	switch e {
-	case EngineFast:
-		return "fast"
-	case EngineReference:
+	if e == EngineReference {
 		return "reference"
 	}
 	return "closure"
@@ -51,8 +57,8 @@ const MaxBranchID = 1<<31 - 1
 // BranchEvent encodes one executed conditional branch as OnBranches
 // delivers it: uint32(id)<<1 | taken, taken being 1 if the branch was
 // taken. id must lie in [0, MaxBranchID]; the event decodes as
-// id = int(e>>1), taken = e&1 == 1. The engines' dispatch loops store
-// the same encoding from the branch's taken bit directly.
+// id = int(e>>1), taken = e&1 == 1. The engines store the same
+// encoding from the branch's taken bit directly.
 func BranchEvent(id int, taken bool) uint32 {
 	e := uint32(id) << 1
 	if taken {
@@ -62,10 +68,9 @@ func BranchEvent(id int, taken bool) uint32 {
 }
 
 // branchLog is a machine's chunk of undelivered branch events. While on,
-// the run loops store each event into it inline (add is cheap enough to
-// inline into a dispatch loop past the big-function threshold) and
-// flush it whenever it fills; Run flushes the rest before returning, on
-// every path.
+// the engines store each event into it inline (add is cheap enough to
+// inline into every branch body) and flush it whenever it fills; Run
+// flushes the rest before returning, on every path.
 type branchLog struct {
 	on         bool
 	buf        *[BranchChunk]uint32
@@ -125,12 +130,10 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "closure":
 		return EngineClosure, nil
-	case "fast":
-		return EngineFast, nil
 	case "reference":
 		return EngineReference, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want closure, fast, or reference)", s)
+	return 0, fmt.Errorf("unknown engine %q (want closure or reference)", s)
 }
 
 // closureMachines recycles Exec's closure machines, so their arenas and
@@ -139,9 +142,9 @@ var closureMachines = sync.Pool{New: func() any { return new(ClosureMachine) }}
 
 // Exec runs prog once under the selected engine with the given hooks
 // and returns the run's result, statistics and program output. The
-// reference engine walks prog directly; the fast and closure engines
-// execute code, decoding prog (with fusion) when code is nil. Exec is
-// the one-shot form shared by training runs, auto-evaluation and CLI
+// reference engine walks prog directly; the closure engine executes
+// code, decoding prog (with fusion) when code is nil. Exec is the
+// one-shot form shared by training runs, auto-evaluation and CLI
 // execution; callers that need fusion/compile reports construct the
 // machines themselves. The returned output is the caller's to keep.
 func Exec(e Engine, prog *ir.Program, code *Code, input []byte,
@@ -157,11 +160,6 @@ func Exec(e Engine, prog *ir.Program, code *Code, input []byte,
 		if err != nil {
 			return 0, Stats{}, nil, err
 		}
-	}
-	if e == EngineFast {
-		m := &FastMachine{Code: code, Input: input, OnBranch: onBranch, OnProf: onProf}
-		ret, err := m.Run()
-		return ret, m.Stats, m.Output.Bytes(), err
 	}
 	m := closureMachines.Get().(*ClosureMachine)
 	m.Code, m.Input, m.OnBranch, m.OnProf = code, input, onBranch, onProf

@@ -1,39 +1,11 @@
 package interp
 
 import (
+	"slices"
 	"testing"
 
 	"branchreorder/internal/ir"
 )
-
-// runFastOpts is runFast with an explicit decode configuration, for
-// pitting the fused and unfused decodes of one program against each
-// other.
-func runFastOpts(t *testing.T, p *ir.Program, input []byte, opts DecodeOptions) engineResult {
-	t.Helper()
-	code, err := DecodeWith(p, opts)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	var r engineResult
-	m := &FastMachine{Code: code, Input: input,
-		OnBranch: func(id int, taken bool) {
-			tk := int64(0)
-			if taken {
-				tk = 1
-			}
-			r.branches = append(r.branches, int64(id), tk)
-		},
-		OnProf: func(seq, sub int, v int64) {
-			r.profs = append(r.profs, int64(seq), int64(sub), v)
-		}}
-	ret, err := m.Run()
-	r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
-	if err != nil {
-		r.err = err.Error()
-	}
-	return r
-}
 
 // opAt returns the decoded opcode at code index i of main, which
 // structural assertions below use to pin exactly which sites fused.
@@ -222,15 +194,15 @@ func TestFusionEdgeCases(t *testing.T) {
 			tc.check(t, fused)
 			for _, input := range tc.inputs {
 				ref := runReference(p, input, 0)
-				fast := runFastOpts(t, p, input, DecodeOptions{Fuse: true})
-				plain := runFastOpts(t, p, input, DecodeOptions{})
-				// Fused and unfused fast runs share the engine's
+				fused := runClosureWith(t, p, input, 0, DecodeOptions{Fuse: true})
+				plain := runClosureWith(t, p, input, 0, DecodeOptions{})
+				// Fused and unfused runs share the engine's
 				// block-granular accounting, so every field must match —
 				// trapped or not.
-				compareEngineResults(t, "fused-vs-unfused", plain, fast, true)
+				compareEngineResults(t, "fused-vs-unfused", plain, fused, true)
 				// Against the reference, trapped runs compare error text
 				// and effects; stats only when the run completed.
-				compareEngineResults(t, "fused-vs-reference", ref, fast, ref.err == "")
+				compareEngineResults(t, "fused-vs-reference", ref, fused, ref.err == "")
 			}
 		})
 	}
@@ -250,10 +222,10 @@ func compareEngineResults(t *testing.T, label string, want, got engineResult, wa
 	if wantStats && want.stats != got.stats {
 		t.Errorf("%s: stats\ngot:  %+v\nwant: %+v", label, got.stats, want.stats)
 	}
-	if !int64SlicesEqual(want.branches, got.branches) {
+	if !slices.Equal(want.branches, got.branches) {
 		t.Errorf("%s: branch event streams differ", label)
 	}
-	if !int64SlicesEqual(want.profs, got.profs) {
+	if !slices.Equal(want.profs, got.profs) {
 		t.Errorf("%s: prof event streams differ", label)
 	}
 }

@@ -96,9 +96,9 @@ func TestRosterFusedUnfusedIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fm := &interp.FastMachine{Code: fused, Input: w.Test()}
+			fm := &interp.ClosureMachine{Code: fused, Input: w.Test()}
 			fret, ferr := fm.Run()
-			um := &interp.FastMachine{Code: unfused, Input: w.Test()}
+			um := &interp.ClosureMachine{Code: unfused, Input: w.Test()}
 			uret, uerr := um.Run()
 			if (ferr == nil) != (uerr == nil) || (ferr != nil && ferr.Error() != uerr.Error()) {
 				t.Fatalf("errors differ: fused=%v unfused=%v", ferr, uerr)

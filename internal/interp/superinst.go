@@ -1,6 +1,6 @@
 // Superinstruction support: the curated fusion pattern table applied by
-// Decode, the baseOp table both decoded engines dispatch through, and
-// the structured fusion report (Code.FusionStats).
+// Decode, the baseOp table the closure compiler maps every opcode
+// through, and the structured fusion report (Code.FusionStats).
 package interp
 
 // maxFuseLen is the longest curated pattern. The in-place fusion scheme
@@ -132,11 +132,11 @@ var (
 	fusedDopLen  = map[dop]int{}
 )
 
-// baseOp maps each decoded opcode to the op an engine dispatches: a
-// superinstruction to the first op of its run, whose other dinsts
-// fusion leaves in place to dispatch as themselves, and any other
-// opcode to itself (so an engine still sees, and traps on, one Decode
-// never emits). Fused and unfused Code therefore execute identically.
+// baseOp maps each decoded opcode to the op the closure compiler
+// compiles: a superinstruction to the first op of its run, whose other
+// dinsts fusion leaves in place to compile as themselves, and any other
+// opcode to itself (so the compiler still sees, and traps on, one
+// Decode never emits). Fused and unfused Code therefore execute identically.
 // It covers every dop value, so indexing it needs no bounds check.
 var baseOp [1 << 8]dop
 

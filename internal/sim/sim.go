@@ -49,20 +49,21 @@ type Measurement struct {
 	// Fusion reports the superinstruction fusion of the decoded
 	// executable (all zero under the reference engine, which decodes
 	// nothing). It describes the decode, not the measured program: the
-	// engines dispatch fused runs op by op, so Stats and Cycles do not
-	// depend on it.
+	// closure engine runs a fused run op by op, so Stats and Cycles do
+	// not depend on it, and store records do not keep it.
 	Fusion interp.FusionStats
 }
 
-// Engine selects the execution backend for a measurement. All engines
-// produce byte-identical Measurements; they differ only in wall-clock
-// speed. The enum lives in interp — where the machines do — and is
-// aliased here so measurement callers need only this package.
+// Engine selects the execution backend for a measurement. Both engines
+// produce the same Stats, Output, Ret, Mispredicts and Cycles and
+// differ only in wall-clock speed (and in Fusion, which only the
+// decoding closure engine reports). The enum lives in interp — where
+// the machines do — and is aliased here so measurement callers need
+// only this package.
 type Engine = interp.Engine
 
 const (
 	EngineClosure   = interp.EngineClosure
-	EngineFast      = interp.EngineFast
 	EngineReference = interp.EngineReference
 )
 
@@ -84,8 +85,8 @@ type Options struct {
 // model.
 //
 // Execution is on the closure engine (interp.Decode +
-// interp.ClosureMachine); RunWith's Options.Engine selects the fast or
-// reference backend instead. Every engine records the branch stream in
+// interp.ClosureMachine); RunWith's Options.Engine selects the
+// reference backend instead. Both engines record the branch stream in
 // chunks (OnBranches); the chunks are gathered into batches that one
 // goroutine replays through a predictor.Bank while execution goes on.
 // Run is safe for concurrent use: each call takes its own machine, bank
@@ -109,13 +110,12 @@ const batchEvents = 4 * interp.BranchChunk
 // filling, one queued and one replaying.
 const nBatches = 3
 
-// runner is the reusable state of one measurement: the machines of the
-// decoded engines, the Table-6 bank and the replay batches. Every field
+// runner is the reusable state of one measurement: the closure engine's
+// machine, the Table-6 bank and the replay batches. Every field
 // that refers to the measured program is cleared when the run ends, so
 // the pool keeps no program alive.
 type runner struct {
 	clos       interp.ClosureMachine
-	fast       interp.FastMachine
 	table6     *predictor.Bank
 	onBranches func(events []uint32) // r.add, bound once
 
@@ -179,13 +179,6 @@ func (r *runner) exec(prog *ir.Program, input []byte, opts Options) (interp.Stat
 	code, err := interp.Decode(prog)
 	if err != nil {
 		return interp.Stats{}, "", 0, interp.FusionStats{}, err
-	}
-	if opts.Engine == EngineFast {
-		m := &r.fast
-		m.Code, m.Input, m.OnBranches = code, input, r.onBranches
-		ret, err := m.Run()
-		m.Code, m.Input, m.OnBranches = nil, nil, nil
-		return m.Stats, m.Output.String(), ret, code.FusionStats(), err
 	}
 	m := &r.clos
 	m.Code, m.Input, m.OnBranches = code, input, r.onBranches

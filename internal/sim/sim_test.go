@@ -160,21 +160,19 @@ func TestDefaultEngineIsClosure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		opts       Options
-		clos, fast bool
+		opts Options
+		clos bool
 	}{
-		{Options{}, true, false},
-		{Options{Engine: EngineClosure}, true, false},
-		{Options{Engine: EngineFast}, false, true},
-		{Options{Engine: EngineReference}, false, false},
+		{Options{}, true},
+		{Options{Engine: EngineClosure}, true},
+		{Options{Engine: EngineReference}, false},
 	} {
 		r := runners.New().(*runner)
 		if _, err := r.measure(front.Prog, []byte("xyx"), nil, c.opts); err != nil {
 			t.Fatal(err)
 		}
-		clos, fast := r.clos.Stats.Insts > 0, r.fast.Stats.Insts > 0
-		if clos != c.clos || fast != c.fast {
-			t.Errorf("%+v ran closure=%v fast=%v, want closure=%v fast=%v", c.opts, clos, fast, c.clos, c.fast)
+		if clos := r.clos.Stats.Insts > 0; clos != c.clos {
+			t.Errorf("%+v ran closure=%v, want %v", c.opts, clos, c.clos)
 		}
 	}
 }
@@ -250,13 +248,13 @@ func TestReplayJoinsOnEveryPath(t *testing.T) {
 		{"div-by-zero", trap, "", 0, "sim: runtime error in main: division by zero"},
 		{"step-limit", endless, "", 100000, "sim: runtime error in main: exceeded step limit 100000"},
 	} {
-		for _, opts := range []Options{{}, {Engine: EngineFast}, {Engine: EngineReference}} {
+		for _, opts := range []Options{{}, {Engine: EngineReference}} {
 			if c.maxSteps != 0 && opts.Engine == EngineReference {
 				continue // the reference Machine is built per run
 			}
 			before := settledGoroutines()
 			r := runners.New().(*runner)
-			r.clos.MaxSteps, r.fast.MaxSteps = c.maxSteps, c.maxSteps
+			r.clos.MaxSteps = c.maxSteps
 			m, err := r.measure(c.prog, []byte(c.input), nil, opts)
 			if got := fmt.Sprint(err); (c.err == "" && err != nil) || (c.err != "" && got != c.err) {
 				t.Errorf("%s %v: error %q, want %q", c.name, opts.Engine, got, c.err)
