@@ -61,9 +61,13 @@ func TestSummaryLine(t *testing.T) {
 	if !strings.Contains(errw, "builds") || !strings.Contains(errw, "elapsed") {
 		t.Errorf("missing timing summary on stderr: %q", errw)
 	}
-	// wc lowers identically under all three sets: one job measures it.
+	// wc lowers identically under all three sets: one job lowers and
+	// measures it.
 	if !strings.Contains(errw, "brbench: 3 builds, 2 shared,") {
 		t.Errorf("summary does not count the 2 shared jobs: %q", errw)
+	}
+	if !strings.Contains(errw, "brbench: stages: 1 frontend runs (2 reused),") {
+		t.Errorf("summary does not count the 2 shared frontends: %q", errw)
 	}
 	// Per-workload build seconds counted time spent waiting on other
 	// jobs' stages, so the summary no longer prints them.

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"branchreorder/internal/bench/store"
+	"branchreorder/internal/cminus"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
 	"branchreorder/internal/profile"
@@ -29,11 +30,13 @@ func BaseOptions(set lower.HeuristicSet) pipeline.Options {
 type EngineStats = store.TierStats
 
 // Engine runs build+measure jobs on a bounded worker pool. A job the
-// disk tier does not serve runs the paper's Figure 2 scheme in four
+// disk tier does not serve runs the paper's Figure 2 scheme in five
 // content-keyed stages, each memoized in one memo instance, so a stage
 // runs once for every distinct key however many jobs need it:
 //
-//   - fronts: the frontend, by source and frontend options;
+//   - checked: parse and semantic analysis, by source;
+//   - fronts: lowering and optimization, by source, the switch plan
+//     (lower.Plan) and Optimize;
 //   - trains: detection and the training run, by frontend digest,
 //     detection options and training input;
 //   - baselines: the baseline measurement, by frontend digest and test
@@ -41,12 +44,12 @@ type EngineStats = store.TierStats
 //   - runs: finalize and the reordered measurement, by frontend digest,
 //     every option but Switch, and both inputs.
 //
-// The heuristic sets differ only in switch lowering, so most programs
-// lower identically under all three, and a job whose program another
-// job measured on the same inputs and options gets that run relabelled.
-// A job's baseline measurement runs on its own goroutine beside its
-// training, finalize and reordered measurement, outside the worker
-// pool. An Engine is safe for concurrent use.
+// The heuristic sets differ only in switch lowering, so sets that give a
+// program's switches the same translations share its frontend, and a
+// job whose program another job measured on the same inputs and options
+// gets that run relabelled. A job's baseline measurement runs on its own
+// goroutine beside its training, finalize and reordered measurement,
+// outside the worker pool. An Engine is safe for concurrent use.
 type Engine struct {
 	jobs     int
 	progress io.Writer
@@ -59,6 +62,7 @@ type Engine struct {
 	// across settings.
 	Measure sim.Options
 
+	checked   memo[string, *cminus.Info]
 	fronts    memo[frontKey, *pipeline.FrontendProduct]
 	trains    memo[trainKey, *pipeline.TrainProduct]
 	baselines memo[[32]byte, *sim.Measurement]
@@ -70,10 +74,12 @@ type Engine struct {
 
 // frontKey, trainKey and runKey are the stage keys beside the input
 // bytes: the frontend reads no input, training reads the training
-// input, and the run reads both.
+// input, and the run reads both. A frontend reads the heuristic set only
+// through the plan, so frontKey holds the plan instead of the set.
 type frontKey struct {
-	src  string
-	opts pipeline.FrontendOptions
+	src      string
+	plan     lower.SwitchPlan
+	optimize bool
 }
 
 type trainKey struct {
@@ -201,10 +207,7 @@ func (e *Engine) acquire(ctx context.Context) error {
 // run relabelled. Everything after the frontend is deterministic in its
 // key, so the shared run is exactly the one a fresh build would produce.
 func (e *Engine) build(ctx context.Context, w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
-	fo := opts.Frontend()
-	front, err := e.fronts.get(frontKey{w.Source, fo}, func() (*pipeline.FrontendProduct, error) {
-		return pipeline.BuildFrontend(w.Source, fo)
-	})
+	front, err := e.frontend(w.Source, opts.Frontend())
 	if err != nil {
 		<-e.sem
 		return nil, err
@@ -228,6 +231,21 @@ func (e *Engine) build(ctx context.Context, w workload.Workload, opts pipeline.O
 		return nil, s.err
 	}
 	return s.val.relabel(w, opts, front.SwitchKinds), nil
+}
+
+// frontend returns the stage-1 product of src under fo: the checked
+// program is shared by every job of src, and the lowered one by every
+// job whose set gives src's switches the same plan.
+func (e *Engine) frontend(src string, fo pipeline.FrontendOptions) (*pipeline.FrontendProduct, error) {
+	info, err := e.checked.get(src, func() (*cminus.Info, error) {
+		return pipeline.Check(src)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e.fronts.get(frontKey{src, lower.Plan(info, fo.Switch), fo.Optimize}, func() (*pipeline.FrontendProduct, error) {
+		return pipeline.LowerChecked(info, fo)
+	})
 }
 
 // measure runs a job whose run no other job owns: start the baseline

@@ -64,6 +64,13 @@ func TestSharedSuiteMatchesUnsharedRuns(t *testing.T) {
 	if st.Builds != 51 || st.Shared != 32 || st.TrainRuns != 19 {
 		t.Errorf("stats: %d builds, %d shared, %d training runs; want 51, 32, 19", st.Builds, st.Shared, st.TrainRuns)
 	}
+	// Each of the 17 sources is checked once, and lowered once per plan.
+	if runs, reused := e.checked.counts(); runs != 17 || reused != 34 {
+		t.Errorf("checked programs: %d runs (%d reused), want 17 (34)", runs, reused)
+	}
+	if st.FrontendRuns != 19 || st.FrontendHits != 32 {
+		t.Errorf("frontends: %d runs (%d reused), want 19 (32)", st.FrontendRuns, st.FrontendHits)
+	}
 	// A shared run carries its owner's measurements; distinct programs
 	// never do.
 	same := func(name string, a, b lower.HeuristicSet) bool {

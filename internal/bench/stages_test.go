@@ -53,8 +53,8 @@ func countsOf(st EngineStats) stageCounts {
 
 // Stage reuse must be exact: a Transform change reruns only finalize and
 // the reordered measurement, a new training input or detection option
-// trains again, a program that lowers differently runs every stage, and
-// one that lowers the same under another set runs only its frontend.
+// trains again, a program that lowers differently runs every stage but
+// the check, and one that lowers the same under another set runs none.
 func TestStageMemoInvalidation(t *testing.T) {
 	ws := subset(t, "wc", "lex")
 	wc, lex := ws[0], ws[1]
@@ -93,9 +93,63 @@ func TestStageMemoInvalidation(t *testing.T) {
 	step("lex, Set III", lex, BaseOptions(lower.SetIII), stageCounts{Builds: 6, FrontendRuns: 3, FrontendHits: 3,
 		TrainRuns: 5, TrainHits: 1, BaselineRuns: 3, BaselineHits: 3})
 
-	// wc lowers identically under every set: only its frontend runs.
-	step("wc, Set II", wc, BaseOptions(lower.SetII), stageCounts{Builds: 7, Shared: 1, FrontendRuns: 4, FrontendHits: 3,
+	// lex's switch plan is the same under Sets I and II, and wc has one
+	// plan under every set: each job reuses a frontend and a run.
+	step("lex, Set I", lex, BaseOptions(lower.SetI), stageCounts{Builds: 7, Shared: 1, FrontendRuns: 3, FrontendHits: 4,
 		TrainRuns: 5, TrainHits: 1, BaselineRuns: 3, BaselineHits: 3})
+	step("wc, Set II", wc, BaseOptions(lower.SetII), stageCounts{Builds: 8, Shared: 2, FrontendRuns: 3, FrontendHits: 5,
+		TrainRuns: 5, TrainHits: 1, BaselineRuns: 3, BaselineHits: 3})
+
+	// Parse and check run once per source.
+	if runs, reused := e.checked.counts(); runs != 2 || reused != 6 {
+		t.Errorf("checked programs: %d runs (%d reused), want 2 (6)", runs, reused)
+	}
+}
+
+// One source under Sets I-III at once: every job reads the one checked
+// program while the frontends of its two plans lower it, and each job
+// gets the run it gets alone.
+func TestOneSourceUnderEverySetConcurrently(t *testing.T) {
+	w := subset(t, "lex")[0]
+	want := map[lower.HeuristicSet]*ProgramRun{}
+	for _, set := range Sets() {
+		r, err := RunOpts(w, BaseOptions(set))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[set] = r
+	}
+	e := NewEngine(6, nil)
+	const perSet = 4
+	runs := make([]*ProgramRun, perSet*len(Sets()))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			runs[i], errs[i] = e.Get(context.Background(), w, BaseOptions(Sets()[i%len(Sets())]))
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		set := Sets()[i%len(Sets())]
+		if err != nil {
+			t.Fatalf("set %v: %v", set, err)
+		}
+		if !reflect.DeepEqual(runs[i].Record(), want[set].Record()) {
+			t.Errorf("set %v: the concurrent run differs from the job's own", set)
+		}
+		if !reflect.DeepEqual(runs[i].Build.SwitchKinds, want[set].Build.SwitchKinds) {
+			t.Errorf("set %v: switch census %v, want %v", set, runs[i].Build.SwitchKinds, want[set].Build.SwitchKinds)
+		}
+	}
+	if n, reused := e.checked.counts(); n != 1 || reused != len(runs)-1 {
+		t.Errorf("checked programs: %d runs (%d reused), want 1 (%d)", n, reused, len(runs)-1)
+	}
+	if st := e.Stats(); st.FrontendRuns != 2 || st.FrontendHits != len(runs)-2 {
+		t.Errorf("frontends: %d runs (%d reused), want 2 (%d)", st.FrontendRuns, st.FrontendHits, len(runs)-2)
+	}
 }
 
 // Concurrent requests for one job share single-flight stages: one

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -61,6 +65,63 @@ func FuzzStoreDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readSeed returns the input a checked-in fuzz corpus file holds.
+func readSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, value, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit, isBytes := strings.CutPrefix(value, "[]byte(")
+	if !ok || header != "go test fuzz v1" || !isBytes || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s: not a one-value []byte corpus file", path)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(data)
+}
+
+// The checked-in FuzzStoreDecode seeds must reach the paths they are
+// named for. Only seed-badschema may stop at the schema check, and
+// seed-valid must decode and round-trip, so a schema bump that leaves
+// the seeds behind fails here.
+func TestCheckedInSeedsPassTheSchemaCheck(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzStoreDecode")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range entries {
+		name := e.Name()
+		seen[name] = true
+		rec, err := Decode(readSeed(t, filepath.Join(dir, name)), "")
+		atSchema := err != nil && strings.Contains(err.Error(), "entry schema")
+		switch name {
+		case "seed-badschema":
+			if !atSchema {
+				t.Errorf("%s: %v, want a schema error", name, err)
+			}
+		case "seed-valid":
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				continue
+			}
+			roundTrip(t, "", rec)
+		default:
+			if atSchema {
+				t.Errorf("%s stops at the schema check: %v", name, err)
+			}
+		}
+	}
+	if !seen["seed-valid"] || !seen["seed-badschema"] {
+		t.Errorf("corpus lacks seed-valid or seed-badschema: %v", seen)
+	}
 }
 
 // FuzzProfileDecode drives Decode with entries of the retired profile

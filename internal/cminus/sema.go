@@ -2,8 +2,14 @@ package cminus
 
 // Semantic analysis: resolves every identifier to a symbol, checks call
 // arity (including the builtins), validates break/continue placement and
-// switch-case uniqueness, and assigns local-variable slots that lowering
-// maps onto virtual registers.
+// switch-case uniqueness, bounds the data memory, lists the switch
+// statements, and assigns local-variable slots that lowering maps onto
+// virtual registers.
+
+// MaxDataWords bounds a program's data memory, the words its globals take
+// together. Lowering allocates every word at compile time and the
+// machines again on every run; the roster's largest program takes 25,602.
+const MaxDataWords = 1 << 24
 
 // SymKind classifies resolved symbols.
 type SymKind int
@@ -54,6 +60,7 @@ type Info struct {
 	NumLocals map[*FuncDecl]int
 	DeclSlots map[*DeclStmt][]int // slot per declared name
 	ParamSlot map[*FuncDecl][]int // slot per parameter
+	Switches  []*SwitchStmt       // every switch, in source order
 }
 
 type checker struct {
@@ -83,6 +90,7 @@ func Check(f *File) (*Info, error) {
 		globals: map[string]*GlobalDecl{},
 		funcs:   map[string]*FuncDecl{},
 	}
+	var words int64
 	for _, g := range f.Globals {
 		if g.Name == "EOF" {
 			return nil, errf(g.Pos, "cannot redeclare predefined constant EOF")
@@ -90,6 +98,10 @@ func Check(f *File) (*Info, error) {
 		if _, dup := c.globals[g.Name]; dup {
 			return nil, errf(g.Pos, "duplicate global %s", g.Name)
 		}
+		if g.Size > MaxDataWords-words {
+			return nil, errf(g.Pos, "global %s takes the data memory past its bound of %d words", g.Name, MaxDataWords)
+		}
+		words += g.Size
 		c.globals[g.Name] = g
 	}
 	for _, fn := range f.Funcs {
@@ -246,6 +258,7 @@ func (c *checker) stmt(s Stmt) error {
 		if err := c.expr(s.Tag); err != nil {
 			return err
 		}
+		c.info.Switches = append(c.info.Switches, s)
 		seen := map[int64]bool{}
 		hasDefault := false
 		c.swDepth++

@@ -99,10 +99,18 @@ func TestCheckErrors(t *testing.T) {
 		{`int main() { switch (1) { default: break; default: break; } return 0; }`, "duplicate default"},
 		{`int EOF; int main() { return 0; }`, "EOF"},
 		{`int main() { int EOF; return 0; }`, "EOF"},
+		{`int a[4611686018427387904]; int main() { return 0; }`, "global a takes the data memory past its bound of 16777216 words"},
+		{`int a[16777216]; int b[1]; int main() { return 0; }`, "global b takes the data memory past its bound of 16777216 words"},
 	}
 	for _, c := range cases {
 		checkErr(t, c.src, c.want)
 	}
+}
+
+// Globals that fill the data memory exactly are accepted. Check only:
+// lowering would allocate all 2^24 words.
+func TestCheckDataMemoryBoundInclusive(t *testing.T) {
+	checkOK(t, `int a[16777215]; int b; int main() { return 0; }`)
 }
 
 func TestCheckBreakInsideSwitchOK(t *testing.T) {

@@ -77,9 +77,6 @@ type Result struct {
 
 // Program lowers a semantically checked file.
 func Program(info *cminus.Info, opts Options) (*Result, error) {
-	if opts.Switch == 0 {
-		opts.Switch = SetI
-	}
 	res := &Result{
 		Prog:        &ir.Program{},
 		SwitchKinds: map[SwitchKind]int{},

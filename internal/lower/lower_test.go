@@ -238,6 +238,43 @@ func TestSwitchKindSelection(t *testing.T) {
 	}
 }
 
+// A switch whose cases span more than 2^63 values is sparse under every
+// set. hi-lo+1 wraps negative for it, and a wrapped span would pass Set
+// I's density test and size a jump table of negative length.
+func TestSwitchSpanBeyondInt64(t *testing.T) {
+	for _, src := range []string{`
+int main() {
+	int x;
+	x = getchar();
+	switch (x) {
+	case 0: putchar(65); break;
+	case 1: putchar(66); break;
+	case 2: putchar(67); break;
+	case 9223372036854775807: putchar(68); break;
+	}
+	return 0;
+}`, `
+int main() {
+	switch (getchar()) {
+	case -9223372036854775807 - 1: putchar(68); break;
+	case 0: putchar(65); break;
+	case 1: putchar(66); break;
+	case 2: putchar(67); break;
+	case 9223372036854775807: putchar(68); break;
+	}
+	return 0;
+}`} {
+		for _, h := range []HeuristicSet{SetI, SetII, SetIII} {
+			prog := compile(t, src, Options{Switch: h})
+			for in, want := range map[string]string{"\x00": "A", "\x01": "B", "\x02": "C", "\x03": ""} {
+				if _, out, _ := run(t, prog, in); out != want {
+					t.Errorf("set %v, input %q: output %q, want %q", h, in, out, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSwitchKindsRecorded(t *testing.T) {
 	file, err := cminus.Parse(switchSrc)
 	if err != nil {

@@ -1,6 +1,7 @@
 package lower
 
 import (
+	"math"
 	"sort"
 
 	"branchreorder/internal/cminus"
@@ -33,6 +34,58 @@ func ChooseSwitchKind(h HeuristicSet, n int, m int64) SwitchKind {
 	}
 }
 
+// switchKind returns the translation s gets under h (zero means Set I):
+// Table 2 applied to its case count n and span m. Lowering reads the
+// heuristic set here and nowhere else, and Plan calls it too, so a plan
+// and the program lowered under it cannot disagree.
+func switchKind(h HeuristicSet, s *cminus.SwitchStmt) SwitchKind {
+	if h == 0 {
+		h = SetI
+	}
+	n := 0
+	var lo, hi int64
+	for _, cs := range s.Cases {
+		if cs.IsDefault {
+			continue
+		}
+		if n == 0 || cs.Value < lo {
+			lo = cs.Value
+		}
+		if n == 0 || cs.Value > hi {
+			hi = cs.Value
+		}
+		n++
+	}
+	if n == 0 {
+		return SwitchLinear
+	}
+	// hi-lo+1 wraps negative once the cases span more than 2^63 values,
+	// and would pass the density test; the unsigned difference cannot
+	// wrap, and saturating it leaves such a switch sparse.
+	m := int64(math.MaxInt64)
+	if d := uint64(hi) - uint64(lo); d < math.MaxInt64 {
+		m = int64(d) + 1
+	}
+	return ChooseSwitchKind(h, n, m)
+}
+
+// SwitchPlan is the translation each switch statement of a checked
+// program gets under one heuristic set, one letter per switch in source
+// order: the first letter of the SwitchKind's name. The heuristic sets
+// differ only in these choices, so sets whose plans are equal lower a
+// program to the same IR. A plan is comparable and can key a memo.
+type SwitchPlan string
+
+// Plan returns the switch plan of a checked program under h. It only
+// reads info, so it may run beside lowerings of the same program.
+func Plan(info *cminus.Info, h HeuristicSet) SwitchPlan {
+	plan := make([]byte, len(info.Switches))
+	for i, s := range info.Switches {
+		plan[i] = switchKind(h, s).String()[0]
+	}
+	return SwitchPlan(plan)
+}
+
 // switchStmt lowers a switch statement with C fall-through semantics.
 func (l *lowerer) switchStmt(s *cminus.SwitchStmt) {
 	tag := l.expr(s.Tag)
@@ -56,19 +109,11 @@ func (l *lowerer) switchStmt(s *cminus.SwitchStmt) {
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].val < cases[j].val })
 
-	n := len(cases)
-	var m int64
-	if n > 0 {
-		m = cases[n-1].val - cases[0].val + 1
-	}
-	kind := SwitchLinear
-	if n > 0 {
-		kind = ChooseSwitchKind(l.opts.Switch, n, m)
-	}
+	kind := switchKind(l.opts.Switch, s)
 	l.res.SwitchKinds[kind]++
 
 	switch {
-	case n == 0:
+	case len(cases) == 0:
 		l.jumpTo(defaultB)
 	case kind == SwitchIndirect:
 		l.lowerIndirect(tagReg, cases2vals(cases), cases2blks(cases), defaultB)

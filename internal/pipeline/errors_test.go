@@ -14,6 +14,8 @@ func TestFrontendErrorPaths(t *testing.T) {
 		{"parse", "int main( {", "parse"},
 		{"check", "int main() { return nope; }", "check"},
 		{"no main", "int helper() { return 1; }", "no main"},
+		{"huge array", "int a[4611686018427387904]; int main() { return 0; }", "check: 1:1: global a takes the data memory past its bound"},
+		{"arrays too big together", "int a[16777216]; int b[1]; int main() { return 0; }", "check: 1:18: global b takes the data memory past its bound"},
 	}
 	for _, c := range cases {
 		_, err := Frontend(c.src, Options{Switch: lower.SetI, Optimize: true})

@@ -47,8 +47,21 @@ type Options struct {
 
 // Frontend parses, checks and lowers source, returning an optimized,
 // linearized, verified program — the paper's "all conventional
-// optimizations applied" baseline.
+// optimizations applied" baseline. Like BuildFrontend, it is Check
+// followed by lowerAndOptimize.
 func Frontend(src string, o Options) (*lower.Result, error) {
+	info, err := Check(src)
+	if err != nil {
+		return nil, err
+	}
+	return lowerAndOptimize(info, o.Frontend())
+}
+
+// Check runs the frontend's first step, parse and semantic analysis. Its
+// product depends on the source alone, and every later step only reads
+// it, so one checked program may be lowered under any options, from any
+// number of goroutines at once.
+func Check(src string) (*cminus.Info, error) {
 	file, err := cminus.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
@@ -57,14 +70,20 @@ func Frontend(src string, o Options) (*lower.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check: %w", err)
 	}
-	res, err := lower.Program(info, lower.Options{Switch: o.Switch})
+	return info, nil
+}
+
+// lowerAndOptimize runs the frontend's second step on a checked
+// program: lower, optimize, linearize, fill delay slots and verify.
+func lowerAndOptimize(info *cminus.Info, fo FrontendOptions) (*lower.Result, error) {
+	res, err := lower.Program(info, lower.Options{Switch: fo.Switch})
 	if err != nil {
 		return nil, fmt.Errorf("lower: %w", err)
 	}
 	if res.Prog.Func("main") == nil {
 		return nil, fmt.Errorf("program has no main function")
 	}
-	if o.Optimize {
+	if fo.Optimize {
 		opt.Program(res.Prog)
 	}
 	res.Prog.Linearize()

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 
+	"branchreorder/internal/cminus"
 	"branchreorder/internal/core"
 	"branchreorder/internal/interp"
 	"branchreorder/internal/ir"
@@ -16,9 +17,11 @@ import (
 // it from three explicitly keyed stages, memoizing the first two by
 // content, so identical work is done once and reused everywhere:
 //
-//	stage 1 (frontend):     lex/parse/lower/opt — keyed by the source and
-//	                        the lowering-relevant options (Switch,
-//	                        Optimize). Product: an immutable ir.Program
+//	stage 1 (frontend):     lex/parse/check (Check), then lower/opt
+//	                        (LowerChecked). The check is keyed by the
+//	                        source alone; lowering by the source, the
+//	                        switch plan the set gives it (lower.Plan) and
+//	                        Optimize. Product: an immutable ir.Program
 //	                        and its digest.
 //	stage 2 (detect+train): sequence/common-successor detection,
 //	                        instrumentation, and the training run — keyed
@@ -81,7 +84,18 @@ type FrontendProduct struct {
 // verify. The result is the paper's "all conventional optimizations
 // applied" baseline, wrapped as an immutable product.
 func BuildFrontend(src string, fo FrontendOptions) (*FrontendProduct, error) {
-	res, err := Frontend(src, Options{Switch: fo.Switch, Optimize: fo.Optimize})
+	info, err := Check(src)
+	if err != nil {
+		return nil, err
+	}
+	return LowerChecked(info, fo)
+}
+
+// LowerChecked runs the rest of stage 1 on a program Check returned. It
+// only reads info, and the heuristic set only through info's
+// lower.Plan: options whose plans are equal give equal products.
+func LowerChecked(info *cminus.Info, fo FrontendOptions) (*FrontendProduct, error) {
+	res, err := lowerAndOptimize(info, fo)
 	if err != nil {
 		return nil, err
 	}
