@@ -183,14 +183,29 @@ func wcSource(b *testing.B) workload.Workload {
 	return w
 }
 
-// BenchmarkCompile times the front end plus conventional optimizer.
+// BenchmarkCompile times the front end plus conventional optimizer: on
+// wc under Set I, and once per (source, set) frontend of the suite's 51
+// jobs, the frontend work of a cold suite without the engine's sharing.
 func BenchmarkCompile(b *testing.B) {
 	w := wcSource(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true}); err != nil {
-			b.Fatal(err)
+	b.Run("wc", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("roster", func(b *testing.B) {
+		jobs := bench.SuiteJobs(workload.All())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, j := range jobs {
+				if _, err := pipeline.Frontend(j.Workload.Source, j.Opts); err != nil {
+					b.Fatalf("%s (set %v): %v", j.Workload.Name, j.Opts.Switch, err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkBuildReordered times the full two-pass scheme (compile,

@@ -95,7 +95,7 @@ func detectFunc(f *ir.Func) []*Sequence {
 	d := &detector{
 		f:         f,
 		preds:     ir.Preds(f),
-		needFlags: needFlagsIn(f),
+		needFlags: ir.NeedFlags(f),
 		marked:    map[*ir.Block]bool{},
 	}
 	var seqs []*Sequence
@@ -122,10 +122,14 @@ func detectFunc(f *ir.Func) []*Sequence {
 	return seqs
 }
 
+// detector holds the analyses of one function, taken before any head is
+// split: preds and needFlags are indexed by Block.ID (ir.Preds,
+// ir.NeedFlags), and read through ir.At, so a block split off later has
+// no predecessors and needs no flags.
 type detector struct {
 	f         *ir.Func
-	preds     map[*ir.Block][]*ir.Block
-	needFlags map[*ir.Block]bool
+	preds     [][]*ir.Block
+	needFlags []bool
 	marked    map[*ir.Block]bool
 	budget    int
 }
@@ -157,7 +161,7 @@ func (d *detector) trySequence(head *ir.Block) *Sequence {
 		return nil
 	}
 	last := best[len(best)-1]
-	if d.needFlags[last.next] {
+	if ir.At(d.needFlags, last.next) {
 		return nil // default target consumes flags set inside the sequence
 	}
 	return &Sequence{
@@ -173,7 +177,7 @@ func (d *detector) trySequence(head *ir.Block) *Sequence {
 // its continuation, returning the longest chain found (nil if c itself is
 // unusable).
 func (d *detector) chain(c parse, acc []Range, visited map[*ir.Block]bool) []*Cond {
-	if d.needFlags[c.cond.Exit] {
+	if ir.At(d.needFlags, c.cond.Exit) {
 		// The exit target consumes flags set inside the sequence;
 		// reordering would change what it sees.
 		return nil
@@ -221,11 +225,12 @@ func (d *detector) extendable(b *ir.Block, sources []*ir.Block, visited map[*ir.
 // source blocks, or an empty goto block (a layout trampoline) itself
 // entered only from the sources.
 func (d *detector) enteredOnlyFrom(b *ir.Block, sources []*ir.Block, depth int) bool {
-	if len(d.preds[b]) == 0 {
+	preds := ir.At(d.preds, b)
+	if len(preds) == 0 {
 		return false // entry block or unreachable
 	}
 predLoop:
-	for _, p := range d.preds[b] {
+	for _, p := range preds {
 		for _, s := range sources {
 			if p == s {
 				continue predLoop
@@ -281,7 +286,7 @@ func (d *detector) parseBlock(b *ir.Block, v ir.Reg, vFixed, isHead bool, acc []
 		if prefix[i].Op == ir.Prof || prefix[i].Op == ir.ProfCond {
 			return nil
 		}
-		if !isHead && instWrites(&prefix[i], reg) {
+		if !isHead && prefix[i].Def() == reg {
 			return nil
 		}
 	}
@@ -467,62 +472,6 @@ func intersect(a, b Range) Range {
 		hi = b.Hi
 	}
 	return Range{lo, hi}
-}
-
-func instWrites(in *ir.Inst, r ir.Reg) bool {
-	switch in.Op {
-	case ir.Mov, ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Rem, ir.And, ir.Or,
-		ir.Xor, ir.Shl, ir.Shr, ir.Neg, ir.Not, ir.Ld, ir.GetChar:
-		return in.Dst == r
-	case ir.Call:
-		return in.Dst == r
-	default:
-		return false
-	}
-}
-
-// needFlagsIn computes, per block, whether the condition codes on entry
-// may be consumed before being redefined: true when the block (or some
-// successor path with no intervening Cmp) ends in a conditional branch.
-// Sequence exit targets with this property cannot be accepted, because
-// reordering changes which comparison's flags they would inherit.
-func needFlagsIn(f *ir.Func) map[*ir.Block]bool {
-	hasCmp := map[*ir.Block]bool{}
-	for _, b := range f.Blocks {
-		for i := range b.Insts {
-			if b.Insts[i].Op == ir.Cmp {
-				hasCmp[b] = true
-				break
-			}
-		}
-	}
-	need := map[*ir.Block]bool{}
-	changed := true
-	for changed {
-		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			v := false
-			if !hasCmp[b] {
-				if b.Term.Kind == ir.TermBr {
-					v = true
-				} else {
-					var succs []*ir.Block
-					for _, s := range b.Term.Succs(succs) {
-						if need[s] {
-							v = true
-							break
-						}
-					}
-				}
-			}
-			if v != need[b] {
-				need[b] = v
-				changed = true
-			}
-		}
-	}
-	return need
 }
 
 // splitHead separates the head block's instruction prefix from its

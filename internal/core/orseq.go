@@ -72,7 +72,7 @@ func detectOrFunc(f *ir.Func, consumed map[*ir.Block]bool) []*OrSequence {
 	d := &detector{
 		f:         f,
 		preds:     ir.Preds(f),
-		needFlags: needFlagsIn(f),
+		needFlags: ir.NeedFlags(f),
 		marked:    map[*ir.Block]bool{},
 	}
 	for b := range consumed {
@@ -148,7 +148,7 @@ func (d *detector) growOrChain(head *ir.Block, headCmp ir.Inst, commonOnTaken bo
 		common, cont = cont, common
 		rel = rel.Negate()
 	}
-	if d.needFlags[common] {
+	if ir.At(d.needFlags, common) {
 		return nil
 	}
 	conds := []*OrCond{{Block: head, A: headCmp.A, B: headCmp.B, Rel: rel}}
@@ -183,7 +183,7 @@ func (d *detector) growOrChain(head *ir.Block, headCmp ir.Inst, commonOnTaken bo
 	if len(conds) < 2 {
 		return nil
 	}
-	if d.needFlags[cont] {
+	if ir.At(d.needFlags, cont) {
 		return nil
 	}
 	return &OrSequence{F: d.f, Head: head, Conds: conds, Common: common, Fall: cont}

@@ -23,4 +23,9 @@
 // replica of the pre-rewrite measurement loop), and randomized IR
 // programs from a CFG generator, on held-out and fuzzed inputs, with a
 // go-fuzz entry point (FuzzEngines) for continued exploration.
+//
+// FuzzOptimize turns the same generator on the conventional optimizer:
+// a generated program that verifies must still verify once optimized and
+// relinearized, and must compute what it did on every input it completes
+// on.
 package equiv

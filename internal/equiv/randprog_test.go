@@ -6,6 +6,7 @@ import (
 
 	"branchreorder/internal/interp"
 	"branchreorder/internal/ir"
+	"branchreorder/internal/opt"
 	"branchreorder/internal/randprog"
 	"branchreorder/internal/workload"
 )
@@ -225,8 +226,9 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// FuzzEngines explores program and input space beyond the fixed seeds.
-func FuzzEngines(f *testing.F) {
+// addFuzzSeeds gives a fuzz target over (generator seed, input) the
+// suite's seed corpus.
+func addFuzzSeeds(f *testing.F) {
 	f.Add(uint64(1), []byte("hello\n42 "))
 	f.Add(uint64(77), []byte{0, 255, '\n'})
 	f.Add(uint64(123456), []byte("a-b c.d 9/0"))
@@ -238,6 +240,11 @@ func FuzzEngines(f *testing.F) {
 	f.Add(uint64(42), []byte("9/0"))
 	f.Add(uint64(2026), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint64(31337), []byte("-1 -1"))
+}
+
+// FuzzEngines explores program and input space beyond the fixed seeds.
+func FuzzEngines(f *testing.F) {
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, seed uint64, input []byte) {
 		if len(input) > 4096 {
 			input = input[:4096]
@@ -245,5 +252,42 @@ func FuzzEngines(f *testing.F) {
 		p := randprog.New(seed)
 		ref, clos := runBoth(t, p, input)
 		compareRuns(t, "fuzz", ref, clos)
+	})
+}
+
+// FuzzOptimize fuzzes the conventional optimizer on generated programs
+// that verify: optimized, relinearized and delay-slot filled, a program
+// must still verify, and an input the original completes on (within
+// randMaxSteps, on the reference Machine) must give the same output and
+// return value. Layout may add jumps, so the optimized run gets a larger
+// step budget. A trapping original may lose its trap: dead-code
+// elimination deletes dead loads and divisions.
+func FuzzOptimize(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, seed uint64, input []byte) {
+		if len(input) > 4096 {
+			input = input[:4096]
+		}
+		p := randprog.New(seed)
+		if p.Verify() != nil {
+			return
+		}
+		q := ir.CloneProgram(p)
+		opt.Program(q)
+		q.Linearize()
+		q.FillDelaySlots()
+		if err := q.Verify(); err != nil {
+			t.Fatalf("seed %d: optimized program does not verify: %v\n%s", seed, err, q.Dump())
+		}
+		want := runOn(t, p, input, interp.DecodeOptions{}, interp.EngineReference, false)
+		if want.err != "" {
+			return
+		}
+		m := &interp.Machine{Prog: q, Input: input, MaxSteps: 4 * randMaxSteps}
+		ret, err := m.Run()
+		if err != nil || ret != want.ret || m.Output.String() != want.out {
+			t.Fatalf("seed %d: optimized run: ret %d, output %q, error %v; original ret %d, output %q",
+				seed, ret, m.Output.String(), err, want.ret, want.out)
+		}
 	})
 }

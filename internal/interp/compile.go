@@ -635,9 +635,9 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 
 	case opCall:
 		call := &cc.f.calls[d.t1]
+		partial := &pre // a trapped call charges only the segment before it
 		if call.fn < 0 {
 			name := call.name
-			partial := &pre
 			return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
 				return m.trap(partial, fname, "call to unknown function "+name)
 			}
@@ -650,6 +650,9 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 		entryp := &cc.cp.entries[call.fn]
 		resume := next
 		return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
+			if len(m.frames) == MaxCallDepth {
+				return m.trap(partial, fname, callDepthMsg)
+			}
 			m.counts[id]++
 			// The arena tail is exactly the current window, so the
 			// caller's base is the arena length minus the window size.

@@ -357,6 +357,26 @@ func trapCases() []trapCase {
 		return p
 	}()
 
+	// main calls rec, which adds one to a register and calls itself
+	// until a call past MaxCallDepth traps.
+	endless := func() *ir.Program {
+		p := &ir.Program{}
+		rec := &ir.Func{Name: "rec", NRegs: 1}
+		rb := rec.NewBlock()
+		rb.Insts = []ir.Inst{
+			{Op: ir.Add, Dst: 0, A: ir.R(0), B: ir.Imm(1)},
+			{Op: ir.Call, Dst: 0, Callee: "rec"},
+		}
+		rb.Term = ir.Term{Kind: ir.TermRet, Val: ir.R(0)}
+		mainFn := &ir.Func{Name: "main", NRegs: 1}
+		mb := mainFn.NewBlock()
+		mb.Insts = []ir.Inst{{Op: ir.Call, Dst: 0, Callee: "rec"}}
+		mb.Term = ir.Term{Kind: ir.TermRet, Val: ir.R(0)}
+		p.Funcs = []*ir.Func{mainFn, rec}
+		p.Linearize()
+		return p
+	}()
+
 	// Every trap in the first block charges only the synthetic call of
 	// main.
 	entryTrap := Stats{Insts: 1, Calls: 1}
@@ -367,6 +387,8 @@ func trapCases() []trapCase {
 		{"oob-ijmp", oobIJmp, "indirect jump index 7 out of range [0,1)", entryTrap},
 		{"unknown-callee", unknownCallee, "call to unknown function nowhere", entryTrap},
 		{"undef-flags", undefFlags, "conditional branch with undefined condition codes", entryTrap},
+		{"call-depth", endless, "runtime error in rec: exceeded call depth 16384",
+			Stats{Insts: 1, Calls: 16385}},
 		{"mid-block", midBlock, "load address 9 out of range",
 			Stats{Insts: 4, CondBranches: 1, TakenBranches: 1, Loads: 1, Stores: 1, Calls: 1, Cmps: 2, SlotNops: 1}},
 	}

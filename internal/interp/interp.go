@@ -52,6 +52,14 @@ const DefaultIJmpInsts = 3
 // DefaultMaxSteps bounds runaway executions.
 const DefaultMaxSteps = 1 << 33
 
+// MaxCallDepth bounds the calls active at once, main's not counted. A call
+// charges no step, so without it unbounded recursion would exhaust memory
+// (or the reference Machine's Go stack) before the step limit; past it,
+// every engine traps with the same error.
+const MaxCallDepth = 1 << 14
+
+var callDepthMsg = fmt.Sprintf("exceeded call depth %d", MaxCallDepth)
+
 // Machine executes a program.
 type Machine struct {
 	Prog  *ir.Program
@@ -91,6 +99,7 @@ type Machine struct {
 	log    branchLog
 	inPos  int
 	steps  uint64
+	depth  int // calls active, main's not counted
 	numBuf [24]byte
 }
 
@@ -133,6 +142,7 @@ func (m *Machine) Run() (int64, error) {
 	}
 	m.inPos = 0
 	m.steps = 0
+	m.depth = 0
 	// OnBranch is called as each branch executes; the log feeds only
 	// OnBranches.
 	m.log.start(nil, m.OnBranches)
@@ -276,11 +286,16 @@ func (m *Machine) exec(fr *frame, in *ir.Inst) error {
 		if callee == nil {
 			return &RuntimeError{fr.f.Name, "call to unknown function " + in.Callee}
 		}
+		if m.depth == MaxCallDepth {
+			return &RuntimeError{fr.f.Name, callDepthMsg}
+		}
 		args := make([]int64, len(in.Args))
 		for i, a := range in.Args {
 			args[i] = m.val(fr, a)
 		}
+		m.depth++
 		ret, err := m.call(callee, args)
+		m.depth--
 		if err != nil {
 			return err
 		}

@@ -1,42 +1,81 @@
 package ir
 
-// Preds computes the predecessor map for a function. Edges are
-// deduplicated: a block appears at most once in another block's
-// predecessor list even if several terminator edges join them.
-func Preds(f *Func) map[*Block][]*Block {
-	preds := make(map[*Block][]*Block, len(f.Blocks))
+// The CFG analyses keep per-block data in slices indexed by Block.ID.
+// Within a function IDs are unique and non-negative (Verify checks both),
+// so such a slice has IDBound(f) entries; ID gaps left by deleted blocks
+// cost one unused entry each. A block created after a slice was computed
+// (a split sequence head, a layout trampoline) has an ID past its end,
+// and At reads it as the zero value.
+
+// IDBound returns one more than the largest block ID in f, taken from the
+// blocks themselves rather than the allocator, so a function built by hand
+// without SyncNextID sizes its analyses correctly.
+func IDBound(f *Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		n = max(n, b.ID+1)
+	}
+	return n
+}
+
+// At returns s[b.ID], or the zero value when b is nil or its ID lies
+// outside s.
+func At[T any](s []T, b *Block) (v T) {
+	if b != nil && uint(b.ID) < uint(len(s)) {
+		v = s[b.ID]
+	}
+	return v
+}
+
+// Preds returns each block's predecessors, indexed by Block.ID. A list
+// follows f.Blocks order and names a block at most once, even if several
+// of its terminator edges lead to the same successor. All lists share
+// one backing array.
+func Preds(f *Func) [][]*Block {
+	preds := make([][]*Block, IDBound(f))
+	count := make([]int, len(preds))
+	total := 0
 	var succs []*Block
 	for _, b := range f.Blocks {
 		succs = b.Term.Succs(succs[:0])
-		seen := map[*Block]bool{}
 		for _, s := range succs {
-			if !seen[s] {
-				seen[s] = true
-				preds[s] = append(preds[s], b)
+			count[s.ID]++
+		}
+		total += len(succs)
+	}
+	all := make([]*Block, total)
+	for id, n := range count {
+		preds[id], all = all[:0:n], all[n:]
+	}
+	for _, b := range f.Blocks {
+		succs = b.Term.Succs(succs[:0])
+		for _, s := range succs {
+			// b's edges are listed together, so an earlier edge from b
+			// to s left b last in s's list.
+			if p := preds[s.ID]; len(p) == 0 || p[len(p)-1] != b {
+				preds[s.ID] = append(p, b)
 			}
 		}
 	}
 	return preds
 }
 
-// Reachable returns the set of blocks reachable from the entry.
-func Reachable(f *Func) map[*Block]bool {
-	seen := map[*Block]bool{}
-	var stack []*Block
-	push := func(b *Block) {
-		if b != nil && !seen[b] {
-			seen[b] = true
-			stack = append(stack, b)
-		}
-	}
-	push(f.Entry())
+// Reachable reports, indexed by Block.ID, which blocks the entry reaches.
+func Reachable(f *Func) []bool {
+	seen := make([]bool, IDBound(f))
+	entry := f.Entry()
+	seen[entry.ID] = true
+	stack := []*Block{entry}
 	var succs []*Block
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		succs = b.Term.Succs(succs[:0])
 		for _, s := range succs {
-			push(s)
+			if !seen[s.ID] {
+				seen[s.ID] = true
+				stack = append(stack, s)
+			}
 		}
 	}
 	return seen
@@ -46,15 +85,58 @@ func Reachable(f *Func) map[*Block]bool {
 // reports whether anything was removed.
 func RemoveUnreachable(f *Func) bool {
 	live := Reachable(f)
-	if len(live) == len(f.Blocks) {
-		return false
-	}
 	kept := f.Blocks[:0]
 	for _, b := range f.Blocks {
-		if live[b] {
+		if live[b.ID] {
 			kept = append(kept, b)
 		}
 	}
+	removed := len(kept) < len(f.Blocks)
 	f.Blocks = kept
-	return true
+	return removed
+}
+
+// hasCmp reports whether b sets the condition codes.
+func hasCmp(b *Block) bool {
+	for i := range b.Insts {
+		if b.Insts[i].Op == Cmp {
+			return true
+		}
+	}
+	return false
+}
+
+// NeedFlags reports, indexed by Block.ID, whether the condition codes on
+// entry to each block may be consumed before a Cmp redefines them: the
+// block sets no flags and ends in a conditional branch, or leads without
+// one to a block that needs them. Dead-comparison elimination deletes a
+// block's last Cmp when no successor needs its flags, and detection
+// refuses a sequence whose exits need the flags it sets, because
+// reordering changes which comparison they would inherit.
+func NeedFlags(f *Func) []bool {
+	need := make([]bool, IDBound(f))
+	sets := make([]bool, len(need))
+	for _, b := range f.Blocks {
+		sets[b.ID] = hasCmp(b)
+	}
+	var succs []*Block
+	for changed := true; changed; {
+		changed = false
+		for i := len(f.Blocks) - 1; i >= 0; i-- {
+			b := f.Blocks[i]
+			v := false
+			if !sets[b.ID] {
+				v = b.Term.Kind == TermBr
+				succs = b.Term.Succs(succs[:0])
+				for _, s := range succs {
+					v = v || need[s.ID]
+				}
+			}
+			if v != need[b.ID] {
+				need[b.ID] = v
+				changed = true
+			}
+		}
+	}
+	return need
 }

@@ -10,69 +10,36 @@ func CloneInst(in Inst) Inst {
 	return out
 }
 
-// CloneBlocks deep-copies the given blocks into f (allocating fresh IDs)
-// and returns the mapping from original to clone. Terminator edges whose
-// target is inside the cloned set are redirected to the corresponding
-// clone; edges leaving the set keep their original target. Blocks must all
-// belong to f.
-func CloneBlocks(f *Func, blocks []*Block) map[*Block]*Block {
-	m := make(map[*Block]*Block, len(blocks))
-	for _, b := range blocks {
-		nb := f.NewBlock()
-		nb.Insts = make([]Inst, len(b.Insts))
-		for i := range b.Insts {
-			nb.Insts[i] = CloneInst(b.Insts[i])
-		}
-		nb.Term = b.Term
-		if b.Term.Targets != nil {
-			nb.Term.Targets = append([]*Block(nil), b.Term.Targets...)
-		}
-		m[b] = nb
-	}
-	redirect := func(t **Block) {
-		if *t != nil {
-			if c, ok := m[*t]; ok {
-				*t = c
-			}
-		}
-	}
-	for _, b := range blocks {
-		nb := m[b]
-		redirect(&nb.Term.Taken)
-		redirect(&nb.Term.Next)
-		for i := range nb.Term.Targets {
-			redirect(&nb.Term.Targets[i])
-		}
-	}
-	return m
-}
-
-// CloneFunc returns a deep copy of a function.
+// CloneFunc returns a deep copy of a function whose edges stay inside
+// it, as Verify checks.
 func CloneFunc(f *Func) *Func {
-	nf := &Func{Name: f.Name, NParams: f.NParams, NRegs: f.NRegs}
-	m := make(map[*Block]*Block, len(f.Blocks))
+	nf := &Func{Name: f.Name, NParams: f.NParams, NRegs: f.NRegs, Blocks: make([]*Block, len(f.Blocks))}
+	clones := make([]*Block, IDBound(f)) // by Block.ID
+	blocks := make([]Block, len(f.Blocks))
+	n := 0
 	for _, b := range f.Blocks {
-		nb := &Block{ID: b.ID, LayoutIndex: b.LayoutIndex}
-		nb.Insts = make([]Inst, len(b.Insts))
-		for i := range b.Insts {
-			nb.Insts[i] = CloneInst(b.Insts[i])
-		}
-		m[b] = nb
-		nf.Blocks = append(nf.Blocks, nb)
+		n += len(b.Insts)
 	}
-	for _, b := range f.Blocks {
-		nb := m[b]
+	insts := make([]Inst, n)
+	for i, b := range f.Blocks {
+		nb := &blocks[i]
+		nb.ID, nb.LayoutIndex = b.ID, b.LayoutIndex
+		nb.Insts, insts = insts[:len(b.Insts):len(b.Insts)], insts[len(b.Insts):]
+		for j := range b.Insts {
+			nb.Insts[j] = CloneInst(b.Insts[j])
+		}
+		clones[b.ID] = nb
+		nf.Blocks[i] = nb
+	}
+	for i, b := range f.Blocks {
+		nb := nf.Blocks[i]
 		nb.Term = b.Term
-		if b.Term.Taken != nil {
-			nb.Term.Taken = m[b.Term.Taken]
-		}
-		if b.Term.Next != nil {
-			nb.Term.Next = m[b.Term.Next]
-		}
+		nb.Term.Taken = At(clones, b.Term.Taken)
+		nb.Term.Next = At(clones, b.Term.Next)
 		if b.Term.Targets != nil {
 			nb.Term.Targets = make([]*Block, len(b.Term.Targets))
-			for i, t := range b.Term.Targets {
-				nb.Term.Targets[i] = m[t]
+			for j, t := range b.Term.Targets {
+				nb.Term.Targets[j] = At(clones, t)
 			}
 		}
 	}

@@ -111,19 +111,19 @@ func candidateFromBlock(b *Block) bool {
 		// The instruction must not define a register the terminator
 		// still needs.
 		if b.Term.Kind == TermIJmp && !b.Term.Index.IsImm {
-			if d := instSlotDef(in); d == b.Term.Index.Reg {
+			if d := in.Def(); d == b.Term.Index.Reg {
 				return false
 			}
 		}
 		if b.Term.Kind == TermRet && !b.Term.Val.IsImm {
-			if d := instSlotDef(in); d == b.Term.Val.Reg {
+			if d := in.Def(); d == b.Term.Val.Reg {
 				return false
 			}
 		}
 		if b.Term.Kind == TermBr {
 			// Moving the instruction across the compare requires it not
 			// to define the compared registers.
-			if d := instSlotDef(in); d != NoReg {
+			if d := in.Def(); d != NoReg {
 				for j := i + 1; j < len(insts); j++ {
 					if insts[j].Op != Cmp {
 						continue
@@ -138,18 +138,6 @@ func candidateFromBlock(b *Block) bool {
 		return true
 	}
 	return false
-}
-
-// instSlotDef mirrors the optimizer's def computation without importing
-// it (ir must stay dependency-free).
-func instSlotDef(in *Inst) Reg {
-	switch in.Op {
-	case Mov, Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr,
-		Neg, Not, Ld, GetChar, Call:
-		return in.Dst
-	default:
-		return NoReg
-	}
 }
 
 // firstUsefulInst reports whether the successor starts with an

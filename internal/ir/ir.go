@@ -131,6 +131,15 @@ type Inst struct {
 	Rel   Rel
 }
 
+// Def returns the register the instruction writes, or NoReg.
+func (in *Inst) Def() Reg {
+	switch in.Op {
+	case Mov, Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Neg, Not, Ld, GetChar, Call:
+		return in.Dst // NoReg for a call whose result is discarded
+	}
+	return NoReg
+}
+
 // Rel is a comparison relation evaluated by a conditional branch against
 // the current condition codes.
 type Rel int
@@ -277,8 +286,9 @@ func (t *Term) ReplaceSucc(from, to *Block) int {
 // Block is a basic block: a run of straight-line instructions ended by a
 // single terminator.
 type Block struct {
-	// ID is unique within the function and stable across passes; new
-	// blocks get fresh IDs from Func.NewBlock.
+	// ID is unique within the function, non-negative and stable across
+	// passes; new blocks get fresh IDs from Func.NewBlock, and a deleted
+	// block's ID is never reused. The CFG analyses index slices by it.
 	ID    int
 	Insts []Inst
 	Term  Term
@@ -317,27 +327,9 @@ func (f *Func) NewReg() Reg {
 	return r
 }
 
-// ResetIDs renumbers block IDs densely in current Blocks order. Passes
-// that delete many blocks may call this to keep IDs small; it must not be
-// called while any external structure holds block IDs.
-func (f *Func) ResetIDs() {
-	for i, b := range f.Blocks {
-		b.ID = i
-	}
-	f.nextID = len(f.Blocks)
-}
-
 // SyncNextID must be called after constructing a Func by hand (tests) so
 // NewBlock never reuses an ID.
-func (f *Func) SyncNextID() {
-	max := -1
-	for _, b := range f.Blocks {
-		if b.ID > max {
-			max = b.ID
-		}
-	}
-	f.nextID = max + 1
-}
+func (f *Func) SyncNextID() { f.nextID = IDBound(f) }
 
 // Global is a datum in the flat data memory: a scalar (Size 1) or array.
 type Global struct {

@@ -28,7 +28,7 @@ func linearizeFunc(f *Func, branchID *int) {
 	RemoveUnreachable(f)
 	stripNops(f)
 
-	placed := make(map[*Block]bool, len(f.Blocks))
+	placed := make([]bool, IDBound(f)) // by Block.ID
 	order := make([]*Block, 0, len(f.Blocks))
 
 	// Greedy fall-through chaining. The seed loop walks the existing
@@ -36,19 +36,19 @@ func linearizeFunc(f *Func, branchID *int) {
 	numSeeds := len(f.Blocks) // NewBlock below must not extend this walk
 	for seed := 0; seed < numSeeds; seed++ {
 		b := f.Blocks[seed]
-		for b != nil && !placed[b] {
-			placed[b] = true
+		for b != nil && !placed[b.ID] {
+			placed[b.ID] = true
 			order = append(order, b)
 			var next *Block
 			switch b.Term.Kind {
 			case TermGoto:
-				if !placed[b.Term.Taken] {
+				if !placed[b.Term.Taken.ID] {
 					next = b.Term.Taken
 				}
 			case TermBr:
-				if !placed[b.Term.Next] {
+				if !placed[b.Term.Next.ID] {
 					next = b.Term.Next
-				} else if !placed[b.Term.Taken] {
+				} else if !placed[b.Term.Taken.ID] {
 					// Invert the branch so the unplaced
 					// successor becomes the fall-through.
 					b.Term.Rel = b.Term.Rel.Negate()

@@ -57,15 +57,21 @@ func (p *Program) verifyFunc(f *Func) error {
 	if f.NRegs < f.NParams {
 		return fmt.Errorf("NRegs %d < NParams %d", f.NRegs, f.NParams)
 	}
-	member := make(map[*Block]bool, len(f.Blocks))
-	ids := make(map[int]bool, len(f.Blocks))
 	for _, b := range f.Blocks {
-		if ids[b.ID] {
+		if b.ID < 0 {
+			return fmt.Errorf("negative block ID %d", b.ID)
+		}
+	}
+	byID := make([]*Block, IDBound(f))
+	for _, b := range f.Blocks {
+		if byID[b.ID] != nil {
 			return fmt.Errorf("duplicate block ID %d", b.ID)
 		}
-		ids[b.ID] = true
-		member[b] = true
+		byID[b.ID] = b
 	}
+	// A block outside f may share a member's ID, so membership compares
+	// the block itself.
+	member := func(b *Block) bool { return b != nil && At(byID, b) == b }
 
 	checkOp := func(b *Block, o Operand) error {
 		if !o.IsImm && (o.Reg < 0 || int(o.Reg) >= f.NRegs) {
@@ -143,11 +149,11 @@ func (p *Program) verifyFunc(f *Func) error {
 		t := &b.Term
 		switch t.Kind {
 		case TermGoto:
-			if t.Taken == nil || !member[t.Taken] {
+			if !member(t.Taken) {
 				return fmt.Errorf("B%d: goto target not in function", b.ID)
 			}
 		case TermBr:
-			if t.Taken == nil || !member[t.Taken] || t.Next == nil || !member[t.Next] {
+			if !member(t.Taken) || !member(t.Next) {
 				return fmt.Errorf("B%d: branch successor not in function", b.ID)
 			}
 		case TermIJmp:
@@ -155,7 +161,7 @@ func (p *Program) verifyFunc(f *Func) error {
 				return fmt.Errorf("B%d: indirect jump with empty table", b.ID)
 			}
 			for _, tgt := range t.Targets {
-				if tgt == nil || !member[tgt] {
+				if !member(tgt) {
 					return fmt.Errorf("B%d: indirect jump target not in function", b.ID)
 				}
 			}
@@ -176,55 +182,37 @@ func (p *Program) verifyFunc(f *Func) error {
 // verifyFlags checks that the condition codes are defined on every path
 // reaching a conditional branch. A block's exit has flags available if it
 // contains a Cmp or if flags were available on entry; entry availability is
-// the conjunction over predecessors (unreachable blocks are skipped).
+// the conjunction over predecessors (unreachable blocks are skipped), and
+// the entry block, which may be reached from outside, starts without them.
 func verifyFlags(f *Func) error {
 	reach := Reachable(f)
-	hasCmp := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for i := range b.Insts {
-			if b.Insts[i].Op == Cmp {
-				hasCmp[b] = true
-				break
-			}
-		}
-	}
-	// Forward dataflow, initialized optimistically (true) and iterated to
-	// a fixed point; the entry block starts pessimistically.
-	availOut := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		availOut[b] = true
-	}
 	preds := Preds(f)
-	changed := true
-	for changed {
+	// Forward dataflow, initialized optimistically (true) and iterated to
+	// a fixed point.
+	sets := make([]bool, len(reach))
+	availOut := make([]bool, len(reach))
+	for _, b := range f.Blocks {
+		sets[b.ID] = hasCmp(b)
+		availOut[b.ID] = true
+	}
+	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {
-			if !reach[b] {
+			if !reach[b.ID] {
 				continue
 			}
-			in := true
-			if b == f.Entry() && len(preds[b]) == 0 {
-				in = false
-			} else {
-				if b == f.Entry() {
-					in = false // entry may be reached from outside with no flags
-				}
-				for _, p := range preds[b] {
-					if reach[p] && !availOut[p] {
-						in = false
-						break
-					}
-				}
+			in := b != f.Entry()
+			for _, p := range preds[b.ID] {
+				in = in && (!reach[p.ID] || availOut[p.ID])
 			}
-			out := in || hasCmp[b]
-			if out != availOut[b] {
-				availOut[b] = out
+			if out := in || sets[b.ID]; out != availOut[b.ID] {
+				availOut[b.ID] = out
 				changed = true
 			}
 		}
 	}
 	for _, b := range f.Blocks {
-		if reach[b] && b.Term.Kind == TermBr && !availOut[b] {
+		if reach[b.ID] && b.Term.Kind == TermBr && !availOut[b.ID] {
 			return fmt.Errorf("B%d: conditional branch with undefined condition codes", b.ID)
 		}
 	}

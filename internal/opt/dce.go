@@ -15,21 +15,22 @@ func DeadCodeElim(f *ir.Func) bool {
 
 func deadInsts(f *ir.Func) bool {
 	changed := false
+	live := newBitset(f.NRegs)
+	var regs []ir.Reg
+	var succs []*ir.Block
 	// Iterate: removing one instruction can make another dead.
 	for {
-		_, liveOut := liveness(f)
+		liveIn := liveness(f)
 		any := false
-		var regs []ir.Reg
 		for _, b := range f.Blocks {
-			live := newBitset(f.NRegs)
-			live.copyFrom(liveOut[b])
+			liveOut(live, liveIn, b, &succs)
 			regs = termUses(&b.Term, regs[:0])
 			for _, r := range regs {
 				live.set(r)
 			}
 			for j := len(b.Insts) - 1; j >= 0; j-- {
 				inst := &b.Insts[j]
-				d := instDef(inst)
+				d := inst.Def()
 				dead := d != ir.NoReg && !live.get(d) && sideEffectFree(inst)
 				if dead {
 					inst.Op = ir.Nop
@@ -57,45 +58,22 @@ func deadInsts(f *ir.Func) bool {
 
 // deadCmps removes comparisons whose flags are never consumed: any Cmp
 // followed by another Cmp in the same block is dead, and the last Cmp of a
-// block is dead when no path from the block's end reaches a conditional
-// branch before another Cmp.
+// block is dead when the block ends in no conditional branch and no
+// successor needs flags on entry (ir.NeedFlags).
 func deadCmps(f *ir.Func) bool {
-	// needIn[b]: flags value at entry of b may be consumed.
-	// needIn[b] = no Cmp in b && needOut(b); needOut(b) = Term is Br or
-	// any successor needs flags on entry.
-	hasCmp := map[*ir.Block]bool{}
-	for _, b := range f.Blocks {
-		for i := range b.Insts {
-			if b.Insts[i].Op == ir.Cmp {
-				hasCmp[b] = true
-				break
-			}
-		}
-	}
-	needIn := map[*ir.Block]bool{}
+	needIn := ir.NeedFlags(f)
+	var succs []*ir.Block
 	needOut := func(b *ir.Block) bool {
 		if b.Term.Kind == ir.TermBr {
 			return true
 		}
-		var succs []*ir.Block
-		for _, s := range b.Term.Succs(succs) {
-			if needIn[s] {
+		succs = b.Term.Succs(succs[:0])
+		for _, s := range succs {
+			if needIn[s.ID] {
 				return true
 			}
 		}
 		return false
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			v := !hasCmp[b] && needOut(b)
-			if v != needIn[b] {
-				needIn[b] = v
-				changed = true
-			}
-		}
 	}
 	any := false
 	for _, b := range f.Blocks {

@@ -4,57 +4,41 @@ import "branchreorder/internal/ir"
 
 // domInfo answers dominance queries over a function's CFG.
 type domInfo struct {
-	idx map[*ir.Block]int
-	dom []bitset // dom[i] = set of block indices dominating block i
+	dom bitsets // set id: IDs of the blocks dominating the block with that ID
 }
 
-// computeDominators runs the classic iterative dominator dataflow.
-func computeDominators(f *ir.Func) *domInfo {
-	n := len(f.Blocks)
-	d := &domInfo{idx: make(map[*ir.Block]int, n), dom: make([]bitset, n)}
-	for i, b := range f.Blocks {
-		d.idx[b] = i
+// computeDominators runs the classic iterative dominator dataflow over the
+// predecessor lists preds (ir.Preds of f).
+func computeDominators(f *ir.Func, preds [][]*ir.Block) *domInfo {
+	n := len(preds)
+	d := &domInfo{dom: newBitsets(n+2, n)}
+	all, nd := d.dom.at(n), d.dom.at(n+1)
+	for id := 0; id < n; id++ {
+		all.set(ir.Reg(id))
 	}
-	all := newBitset(n)
-	for i := 0; i < n; i++ {
-		all.set(ir.Reg(i))
+	for _, b := range f.Blocks {
+		d.dom.at(b.ID).copyFrom(all)
 	}
-	for i := range d.dom {
-		d.dom[i] = newBitset(n)
-		d.dom[i].copyFrom(all)
-	}
-	entry := d.idx[f.Entry()]
-	d.dom[entry] = newBitset(n)
-	d.dom[entry].set(ir.Reg(entry))
+	entry := f.Entry()
+	clear(d.dom.at(entry.ID))
+	d.dom.at(entry.ID).set(ir.Reg(entry.ID))
 
-	preds := ir.Preds(f)
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for i, b := range f.Blocks {
-			if i == entry {
+		for _, b := range f.Blocks {
+			if b == entry {
 				continue
 			}
-			nd := newBitset(n)
-			first := true
-			for _, p := range preds[b] {
-				pi := d.idx[p]
-				if first {
-					nd.copyFrom(d.dom[pi])
-					first = false
-				} else {
-					for w := range nd {
-						nd[w] &= d.dom[pi][w]
-					}
+			// No predecessors: unreachable; dominated by everything.
+			nd.copyFrom(all)
+			for _, p := range preds[b.ID] {
+				for w, pw := range d.dom.at(p.ID) {
+					nd[w] &= pw
 				}
 			}
-			if first {
-				// No predecessors: unreachable; dominated by everything.
-				nd.copyFrom(all)
-			}
-			nd.set(ir.Reg(i))
-			if !bitsetEqual(nd, d.dom[i]) {
-				d.dom[i] = nd
+			nd.set(ir.Reg(b.ID))
+			if dom := d.dom.at(b.ID); !bitsetEqual(nd, dom) {
+				dom.copyFrom(nd)
 				changed = true
 			}
 		}
@@ -78,5 +62,5 @@ func (d *domInfo) dominates(db *ir.Block, di int, ub *ir.Block, ui int) bool {
 	if db == ub {
 		return di < ui
 	}
-	return d.dom[d.idx[ub]].get(ir.Reg(d.idx[db]))
+	return d.dom.at(ub.ID).get(ir.Reg(db.ID))
 }

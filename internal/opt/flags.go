@@ -13,8 +13,8 @@ import "branchreorder/internal/ir"
 // flagsDesc describes what the condition codes hold: a comparison of two
 // operand expressions whose registers have not been redefined since.
 type flagsDesc struct {
-	state int // 0 = unset (top), 1 = known, 2 = unknown (bottom)
-	a, b  ir.Operand
+	state int      // 0 = unset (top), 1 = known, 2 = unknown (bottom)
+	cmp   *ir.Inst // when known: a Cmp of those operands (only its A and B are read)
 }
 
 var (
@@ -22,15 +22,17 @@ var (
 	descUnknown = flagsDesc{state: 2}
 )
 
-func descOf(a, b ir.Operand) flagsDesc { return flagsDesc{state: 1, a: a, b: b} }
+// same reports whether two descriptors describe the same flags: two known
+// ones compare their operands, not which Cmp they name.
+func (d flagsDesc) same(o flagsDesc) bool {
+	return d.state == o.state && (d.state != 1 || d.cmp.A == o.cmp.A && d.cmp.B == o.cmp.B)
+}
 
 func (d flagsDesc) meet(o flagsDesc) flagsDesc {
 	switch {
 	case d.state == 0:
 		return o
-	case o.state == 0:
-		return d
-	case d.state == 1 && o.state == 1 && d.a == o.a && d.b == o.b:
+	case o.state == 0 || d.same(o):
 		return d
 	default:
 		return descUnknown
@@ -42,63 +44,71 @@ func (d flagsDesc) usesReg(r ir.Reg) bool {
 	if d.state != 1 {
 		return false
 	}
-	return (!d.a.IsImm && d.a.Reg == r) || (!d.b.IsImm && d.b.Reg == r)
+	a, b := d.cmp.A, d.cmp.B
+	return (!a.IsImm && a.Reg == r) || (!b.IsImm && b.Reg == r)
 }
 
-// transfer runs the block's instructions over an incoming descriptor and
-// returns the outgoing one. When kill is non-nil it records (by index)
-// comparisons made redundant by the incoming state.
-func flagsTransfer(b *ir.Block, in flagsDesc, kill func(i int)) flagsDesc {
-	d := in
+// flagsTransfer runs the block's instructions over an incoming descriptor
+// and returns the outgoing one. When kill is set it turns each comparison
+// the incoming state makes redundant into a Nop, and reports whether it
+// did.
+func flagsTransfer(b *ir.Block, in flagsDesc, kill bool) (flagsDesc, bool) {
+	d, killed := in, false
 	for i := range b.Insts {
 		inst := &b.Insts[i]
 		if inst.Op == ir.Cmp {
-			nd := descOf(inst.A, inst.B)
-			if kill != nil && d.state == 1 && d.a == nd.a && d.b == nd.b {
-				kill(i)
+			nd := flagsDesc{state: 1, cmp: inst}
+			if kill && d.same(nd) {
+				inst.Op = ir.Nop // A and B stay for descriptors naming it
+				killed = true
 				continue // flags unchanged; d already equals nd
 			}
 			d = nd
 			continue
 		}
-		if r := instDef(inst); r != ir.NoReg && d.usesReg(r) {
+		if r := inst.Def(); r != ir.NoReg && d.usesReg(r) {
 			d = descUnknown
 		}
 	}
-	return d
+	return d, killed
 }
 
 // RedundantCmpElim removes comparisons whose result is already in the
 // condition codes. It reports whether anything changed.
 func RedundantCmpElim(f *ir.Func) bool {
-	in := make(map[*ir.Block]flagsDesc, len(f.Blocks))
+	// in and out hold each block's entry and exit descriptors by
+	// Block.ID; out is recomputed only when in changes.
+	n := ir.IDBound(f)
+	in, out := make([]flagsDesc, n), make([]flagsDesc, n)
+	entry := f.Entry()
 	for _, b := range f.Blocks {
-		in[b] = descTop
+		in[b.ID] = descTop
+		if b == entry {
+			in[b.ID] = descUnknown
+		}
+		out[b.ID], _ = flagsTransfer(b, in[b.ID], false)
 	}
-	in[f.Entry()] = descUnknown
 	preds := ir.Preds(f)
 	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {
-			d := in[b]
-			if b != f.Entry() {
-				d = descTop
-				for _, p := range preds[b] {
-					d = d.meet(flagsTransfer(p, in[p], nil))
-				}
+			if b == entry {
+				continue
 			}
-			if d != in[b] {
-				in[b] = d
+			d := descTop
+			for _, p := range preds[b.ID] {
+				d = d.meet(out[p.ID])
+			}
+			if !d.same(in[b.ID]) {
+				in[b.ID] = d
+				out[b.ID], _ = flagsTransfer(b, d, false)
 				changed = true
 			}
 		}
 	}
 	any := false
 	for _, b := range f.Blocks {
-		var dead []int
-		flagsTransfer(b, in[b], func(i int) { dead = append(dead, i) })
-		for _, i := range dead {
-			b.Insts[i].Op = ir.Nop
+		if _, killed := flagsTransfer(b, in[b.ID], true); killed {
 			any = true
 		}
 	}

@@ -9,11 +9,25 @@ import "branchreorder/internal/ir"
 // dominated by the definition can read a directly. Beyond shrinking code,
 // this pass is what keeps a branch variable in one register across an
 // if-else chain, which the sequence detector depends on.
+//
+// The rounds rewrite uses only: no definition, terminator or edge
+// changes, so the definition sites are found once per call, and the
+// dominators are computed once, when first needed.
 func GlobalPropagate(f *ir.Func) bool {
+	g := &globalProp{f: f, defCount: make([]int, f.NRegs), defAt: make([]defSite, f.NRegs),
+		repl: make([]ir.Operand, f.NRegs), hasRepl: make([]bool, f.NRegs)}
+	for _, b := range f.Blocks {
+		for i := range b.Insts {
+			if d := b.Insts[i].Def(); d != ir.NoReg {
+				g.defCount[d]++
+				g.defAt[d] = defSite{b, i}
+			}
+		}
+	}
 	changed := false
 	// A handful of rounds lets copy chains collapse.
 	for round := 0; round < 4; round++ {
-		if !globalPropagateOnce(f) {
+		if !g.round() {
 			break
 		}
 		changed = true
@@ -26,25 +40,34 @@ type defSite struct {
 	i int // instruction index; terminators never define registers
 }
 
-func globalPropagateOnce(f *ir.Func) bool {
-	defCount := make([]int, f.NRegs)
-	defAt := make([]defSite, f.NRegs)
-	for _, b := range f.Blocks {
-		for i := range b.Insts {
-			if d := instDef(&b.Insts[i]); d != ir.NoReg {
-				defCount[d]++
-				defAt[d] = defSite{b, i}
-			}
-		}
+// globalProp is the state of one GlobalPropagate call.
+type globalProp struct {
+	f        *ir.Func
+	defCount []int
+	defAt    []defSite
+	dom      *domInfo     // nil until first needed
+	repl     []ir.Operand // the round's replacement for each register
+	hasRepl  []bool
+}
+
+// dominates reports whether d dominates u (see domInfo.dominates).
+func (g *globalProp) dominates(d, u defSite) bool {
+	if g.dom == nil {
+		g.dom = computeDominators(g.f, ir.Preds(g.f))
 	}
+	return g.dom.dominates(d.b, d.i, u.b, u.i)
+}
+
+// round rewrites every use a single-def copy dominates, and reports
+// whether it rewrote any.
+func (g *globalProp) round() bool {
+	f, defCount, defAt := g.f, g.defCount, g.defAt
 	// stable(r) at a point after r's single def: r never changes again.
 	// Parameters with zero defs are stable everywhere.
 	isParam := func(r ir.Reg) bool { return int(r) < f.NParams }
 
-	dom := computeDominators(f)
-
 	// For each single-def "mov d, a", decide the replacement operand.
-	repl := make([]*ir.Operand, f.NRegs)
+	clear(g.hasRepl)
 	for r := 0; r < f.NRegs; r++ {
 		if defCount[r] != 1 {
 			continue
@@ -64,31 +87,21 @@ func globalPropagateOnce(f *ir.Func) bool {
 			// ok: parameter, constant for the whole invocation
 		case defCount[a.Reg] == 1:
 			// Source must already hold its final value at d's def.
-			src := defAt[a.Reg]
-			if !dom.dominates(src.b, src.i, site.b, site.i) {
+			if !g.dominates(defAt[a.Reg], site) {
 				continue
 			}
 		default:
 			continue
 		}
-		av := a
-		repl[r] = &av
+		g.repl[r], g.hasRepl[r] = a, true
 	}
 
 	changed := false
 	replaceOp := func(b *ir.Block, pos int, o *ir.Operand) {
-		if o.IsImm {
+		if o.IsImm || !g.hasRepl[o.Reg] || !g.dominates(defAt[o.Reg], defSite{b, pos}) {
 			return
 		}
-		r := o.Reg
-		if repl[r] == nil {
-			return
-		}
-		site := defAt[r]
-		if !dom.dominates(site.b, site.i, b, pos) {
-			return
-		}
-		*o = *repl[r]
+		*o = g.repl[o.Reg]
 		changed = true
 	}
 

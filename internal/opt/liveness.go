@@ -18,33 +18,28 @@ func (b bitset) set(i ir.Reg) { b[i/64] |= 1 << (uint(i) % 64) }
 
 func (b bitset) clear(i ir.Reg) { b[i/64] &^= 1 << (uint(i) % 64) }
 
-// orInto ors src into b, reporting whether b changed.
-func (b bitset) orInto(src bitset) bool {
-	changed := false
+// orInto ors src into b.
+func (b bitset) orInto(src bitset) {
 	for i := range b {
-		n := b[i] | src[i]
-		if n != b[i] {
-			b[i] = n
-			changed = true
-		}
+		b[i] |= src[i]
 	}
-	return changed
 }
 
 func (b bitset) copyFrom(src bitset) { copy(b, src) }
 
-// instDef returns the register defined by an instruction, or ir.NoReg.
-func instDef(in *ir.Inst) ir.Reg {
-	switch in.Op {
-	case ir.Mov, ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Rem, ir.And, ir.Or,
-		ir.Xor, ir.Shl, ir.Shr, ir.Neg, ir.Not, ir.Ld, ir.GetChar:
-		return in.Dst
-	case ir.Call:
-		return in.Dst // may be NoReg
-	default:
-		return ir.NoReg
-	}
+// bitsets is n bitsets of one width in one allocation.
+type bitsets struct {
+	w    int // words per set
+	bits []uint64
 }
+
+func newBitsets(n, nbits int) bitsets {
+	w := (nbits + 63) / 64
+	return bitsets{w, make([]uint64, n*w)}
+}
+
+// at returns set i, which aliases the arena.
+func (s bitsets) at(i int) bitset { return s.bits[i*s.w : (i+1)*s.w : (i+1)*s.w] }
 
 // instUses appends the registers read by an instruction.
 func instUses(in *ir.Inst, dst []ir.Reg) []ir.Reg {
@@ -98,49 +93,60 @@ func sideEffectFree(in *ir.Inst) bool {
 	}
 }
 
-// liveness computes live-in/live-out register sets per block.
-func liveness(f *ir.Func) (liveIn, liveOut map[*ir.Block]bitset) {
-	liveIn = make(map[*ir.Block]bitset, len(f.Blocks))
-	liveOut = make(map[*ir.Block]bitset, len(f.Blocks))
-	for _, b := range f.Blocks {
-		liveIn[b] = newBitset(f.NRegs)
-		liveOut[b] = newBitset(f.NRegs)
-	}
+// liveness computes the live-in register set of every block, indexed by
+// Block.ID. Each block's transfer is summarized first as the registers it
+// reads before writing (use) and the registers it writes (def), so the
+// fixpoint iterates over whole words: in = use ∪ (out − def), where out
+// is the union of the successors' live-in sets.
+func liveness(f *ir.Func) bitsets {
+	n := ir.IDBound(f)
+	sets := newBitsets(3*n+1, f.NRegs)
 	var regs []ir.Reg
-	changed := true
-	for changed {
+	for _, b := range f.Blocks {
+		use, def := sets.at(n+b.ID), sets.at(2*n+b.ID)
+		regs = termUses(&b.Term, regs[:0])
+		for _, r := range regs {
+			use.set(r)
+		}
+		for j := len(b.Insts) - 1; j >= 0; j-- {
+			inst := &b.Insts[j]
+			if r := inst.Def(); r != ir.NoReg {
+				use.clear(r)
+				def.set(r)
+			}
+			regs = instUses(inst, regs[:0])
+			for _, r := range regs {
+				use.set(r)
+			}
+		}
+	}
+	out := sets.at(3 * n)
+	var succs []*ir.Block
+	for changed := true; changed; {
 		changed = false
 		// Reverse block order converges faster for mostly-forward CFGs.
 		for i := len(f.Blocks) - 1; i >= 0; i-- {
 			b := f.Blocks[i]
-			out := liveOut[b]
-			var succs []*ir.Block
-			succs = b.Term.Succs(succs)
-			for _, s := range succs {
-				if out.orInto(liveIn[s]) {
+			liveOut(out, sets, b, &succs)
+			in, use, def := sets.at(b.ID), sets.at(n+b.ID), sets.at(2*n+b.ID)
+			for w := range in {
+				if nw := in[w] | use[w] | out[w]&^def[w]; nw != in[w] {
+					in[w] = nw
 					changed = true
 				}
 			}
-			in := newBitset(f.NRegs)
-			in.copyFrom(out)
-			regs = termUses(&b.Term, regs[:0])
-			for _, r := range regs {
-				in.set(r)
-			}
-			for j := len(b.Insts) - 1; j >= 0; j-- {
-				inst := &b.Insts[j]
-				if d := instDef(inst); d != ir.NoReg {
-					in.clear(d)
-				}
-				regs = instUses(inst, regs[:0])
-				for _, r := range regs {
-					in.set(r)
-				}
-			}
-			if liveIn[b].orInto(in) {
-				changed = true
-			}
 		}
 	}
-	return liveIn, liveOut
+	sets.bits = sets.bits[:n*sets.w]
+	return sets
+}
+
+// liveOut sets out to the union of the live-in sets of b's successors;
+// succs is scratch space.
+func liveOut(out bitset, liveIn bitsets, b *ir.Block, succs *[]*ir.Block) {
+	clear(out)
+	*succs = b.Term.Succs((*succs)[:0])
+	for _, s := range *succs {
+		out.orInto(liveIn.at(s.ID))
+	}
 }

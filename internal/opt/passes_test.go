@@ -1,9 +1,11 @@
 package opt
 
 import (
+	"fmt"
 	"testing"
 
 	"branchreorder/internal/ir"
+	"branchreorder/internal/randprog"
 )
 
 // IR-level unit tests for individual passes (the end-to-end behaviour is
@@ -23,10 +25,10 @@ func TestDominators(t *testing.T) {
 	join.Term = ir.Term{Kind: ir.TermGoto, Taken: tail}
 	tail.Term = ir.Term{Kind: ir.TermRet, Val: ir.Imm(0)}
 
-	dom := computeDominators(f)
+	dom := computeDominators(f, ir.Preds(f))
 	check := func(a, b *ir.Block, want bool) {
 		t.Helper()
-		got := dom.dom[dom.idx[b]].get(ir.Reg(dom.idx[a]))
+		got := dom.dom.at(b.ID).get(ir.Reg(a.ID))
 		if got != want {
 			t.Errorf("dominates(B%d, B%d) = %v, want %v", a.ID, b.ID, got, want)
 		}
@@ -43,6 +45,57 @@ func TestDominators(t *testing.T) {
 	}
 	if dom.dominates(entry, 1, entry, 1) {
 		t.Error("a point must not strictly dominate itself")
+	}
+}
+
+// TestDominatorsMatchDefinition checks computeDominators against the
+// definition on generated CFGs: for a reachable block b, d dominates b
+// exactly when removing d leaves b unreachable from the entry. Some
+// functions get an unreachable block with an edge into the live ones, and
+// every function is checked again with its IDs respaced by hand, so the
+// ID-indexed sets have gaps the allocator never saw.
+func TestDominatorsMatchDefinition(t *testing.T) {
+	reachWithout := func(f *ir.Func, skip *ir.Block) map[*ir.Block]bool {
+		seen := map[*ir.Block]bool{}
+		stack := []*ir.Block{f.Entry()}
+		for len(stack) > 0 {
+			b := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if b == skip || seen[b] {
+				continue
+			}
+			seen[b] = true
+			stack = b.Term.Succs(stack)
+		}
+		return seen
+	}
+	check := func(label string, f *ir.Func) {
+		dom := computeDominators(f, ir.Preds(f))
+		reach := reachWithout(f, nil)
+		for _, b := range f.Blocks {
+			if !reach[b] {
+				continue
+			}
+			for _, d := range f.Blocks {
+				want := !reachWithout(f, d)[b]
+				if got := dom.dom.at(b.ID).get(ir.Reg(d.ID)); got != want {
+					t.Fatalf("%s: B%d dominates B%d = %v, want %v", label, d.ID, b.ID, got, want)
+				}
+			}
+		}
+	}
+	for seed := 0; seed < 300; seed++ {
+		for i, f := range randprog.New(uint64(seed)).Funcs {
+			if (seed+i)%3 == 0 {
+				dead := f.NewBlock()
+				dead.Term = ir.Term{Kind: ir.TermGoto, Taken: f.Blocks[seed%len(f.Blocks)]}
+			}
+			check(fmt.Sprintf("seed %d", seed), f)
+			for _, b := range f.Blocks {
+				b.ID = 3*b.ID + 1
+			}
+			check(fmt.Sprintf("seed %d, respaced", seed), f)
+		}
 	}
 }
 

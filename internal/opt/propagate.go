@@ -6,34 +6,40 @@ import "branchreorder/internal/ir"
 // constant folding. It reports whether anything changed.
 func Propagate(f *ir.Func) bool {
 	changed := false
+	var known []knownVal // each block's, in turn
 	for _, b := range f.Blocks {
-		if propagateBlock(f, b) {
+		if propagateBlock(b, &known) {
 			changed = true
 		}
 	}
 	return changed
 }
 
-func propagateBlock(f *ir.Func, b *ir.Block) bool {
-	// value[r] is the known operand for register r: an immediate or a
-	// copy of another register.
-	value := map[ir.Reg]ir.Operand{}
+// knownVal records that register r holds v: an immediate or a copy of
+// another register.
+type knownVal struct {
+	r ir.Reg
+	v ir.Operand
+}
+
+func propagateBlock(b *ir.Block, scratch *[]knownVal) bool {
+	known := (*scratch)[:0]
 	changed := false
 
 	invalidate := func(d ir.Reg) {
-		delete(value, d)
-		for r, v := range value {
-			if !v.IsImm && v.Reg == d {
-				delete(value, r)
+		kept := known[:0]
+		for _, kv := range known {
+			if kv.r != d && (kv.v.IsImm || kv.v.Reg != d) {
+				kept = append(kept, kv)
 			}
 		}
+		known = kept
 	}
 	subst := func(o ir.Operand) ir.Operand {
-		if o.IsImm {
-			return o
-		}
-		if v, ok := value[o.Reg]; ok {
-			return v
+		for _, kv := range known {
+			if !o.IsImm && kv.r == o.Reg {
+				return kv.v
+			}
 		}
 		return o
 	}
@@ -74,7 +80,7 @@ func propagateBlock(f *ir.Func, b *ir.Block) bool {
 			changed = true
 		}
 		// Update the value map.
-		d := instDef(in)
+		d := in.Def()
 		if d == ir.NoReg {
 			continue
 		}
@@ -82,7 +88,7 @@ func propagateBlock(f *ir.Func, b *ir.Block) bool {
 		if in.Op == ir.Mov {
 			src := in.A
 			if src.IsImm || src.Reg != d {
-				value[d] = src
+				known = append(known, knownVal{d, src})
 			}
 		}
 	}
@@ -99,6 +105,7 @@ func propagateBlock(f *ir.Func, b *ir.Block) bool {
 			changed = true
 		}
 	}
+	*scratch = known
 	return changed
 }
 

@@ -29,41 +29,35 @@ func SimplifyControl(f *ir.Func) bool {
 	return changed
 }
 
-// chainTarget follows chains of empty goto blocks, stopping at cycles.
-func chainTarget(b *ir.Block) *ir.Block {
-	seen := map[*ir.Block]bool{}
-	for len(b.Insts) == 0 && b.Term.Kind == ir.TermGoto && !seen[b] {
-		seen[b] = true
-		b = b.Term.Taken
-	}
-	return b
-}
-
+// chainBranches retargets every edge through a chain of empty goto
+// blocks to the chain's end, stopping where a chain runs into a cycle.
 func chainBranches(f *ir.Func) bool {
+	seen := make([]int, ir.IDBound(f)) // by Block.ID: the last walk that passed the block
+	walk := 0
 	changed := false
+	retarget := func(t **ir.Block) {
+		walk++
+		b := *t
+		for len(b.Insts) == 0 && b.Term.Kind == ir.TermGoto && seen[b.ID] != walk {
+			seen[b.ID] = walk
+			b = b.Term.Taken
+		}
+		if b != *t {
+			*t = b
+			changed = true
+		}
+	}
 	for _, b := range f.Blocks {
 		t := &b.Term
 		switch t.Kind {
 		case ir.TermGoto:
-			if n := chainTarget(t.Taken); n != t.Taken {
-				t.Taken = n
-				changed = true
-			}
+			retarget(&t.Taken)
 		case ir.TermBr:
-			if n := chainTarget(t.Taken); n != t.Taken {
-				t.Taken = n
-				changed = true
-			}
-			if n := chainTarget(t.Next); n != t.Next {
-				t.Next = n
-				changed = true
-			}
+			retarget(&t.Taken)
+			retarget(&t.Next)
 		case ir.TermIJmp:
-			for i, tgt := range t.Targets {
-				if n := chainTarget(tgt); n != tgt {
-					t.Targets[i] = n
-					changed = true
-				}
+			for i := range t.Targets {
+				retarget(&t.Targets[i])
 			}
 		}
 	}
@@ -114,38 +108,35 @@ func collapseTrivialBranches(f *ir.Func) bool {
 }
 
 // mergeBlocks merges b -> c when b ends in a goto to c and c has no other
-// predecessors.
+// predecessors. A merge leaves every other block's predecessor count as
+// it was (c's successors trade c for b, which had no other edge), so the
+// counts are taken once; the merged b is tried again at once, and no
+// block before it can have become mergeable.
 func mergeBlocks(f *ir.Func) bool {
+	preds := ir.Preds(f)
+	gone := make([]bool, len(preds)) // by Block.ID
+	entry := f.Entry()
 	changed := false
-	for {
-		preds := ir.Preds(f)
-		merged := false
-		for _, b := range f.Blocks {
-			if b.Term.Kind != ir.TermGoto {
-				continue
-			}
+	for _, b := range f.Blocks {
+		for !gone[b.ID] && b.Term.Kind == ir.TermGoto {
 			c := b.Term.Taken
-			if c == b || c == f.Entry() {
-				continue
-			}
-			if len(preds[c]) != 1 {
-				continue
+			if c == b || c == entry || len(preds[c.ID]) != 1 {
+				break
 			}
 			b.Insts = append(b.Insts, c.Insts...)
 			b.Term = c.Term
-			// Delete c.
-			for i, blk := range f.Blocks {
-				if blk == c {
-					f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-					break
-				}
-			}
-			merged = true
+			gone[c.ID] = true
 			changed = true
-			break // preds map is stale; recompute
-		}
-		if !merged {
-			return changed
 		}
 	}
+	if changed {
+		kept := f.Blocks[:0]
+		for _, b := range f.Blocks {
+			if !gone[b.ID] {
+				kept = append(kept, b)
+			}
+		}
+		f.Blocks = kept
+	}
+	return changed
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"branchreorder/internal/interp"
 	"branchreorder/internal/lower"
 )
 
@@ -35,6 +36,67 @@ func TestBuildPropagatesTrainingErrors(t *testing.T) {
 	_, err := Build(src, []byte("x"), Options{Switch: lower.SetI, Optimize: true})
 	if err == nil || !strings.Contains(err.Error(), "training run") {
 		t.Errorf("training trap not reported: %v", err)
+	}
+}
+
+// TestCallDepthBound runs Mini-C recursion against interp.MaxCallDepth:
+// recursion without end traps on both engines with one error, and so
+// fails the build's training run, while a recursion whose deepest call
+// reaches the bound exactly completes.
+func TestCallDepthBound(t *testing.T) {
+	o := Options{Switch: lower.SetI, Optimize: true}
+	const endless = `
+int down(int n) { return down(n + 1) + 1; }
+int main() { return down(0); }`
+	const want = "runtime error in down: exceeded call depth 16384"
+	if _, err := Build(endless, nil, o); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Build: error %v, want %q", err, want)
+	}
+	front, err := Frontend(endless, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Trap-point Stats: the reference counts each executed instruction,
+	// the closure engine charges a block's Insts at its terminator.
+	for e, stats := range map[interp.Engine]interp.Stats{
+		interp.EngineReference: {Insts: 32769, Calls: 16385},
+		interp.EngineClosure:   {Insts: 1, Calls: 16385},
+	} {
+		_, st, _, err := interp.Exec(e, front.Prog, nil, nil, nil, nil)
+		if err == nil || err.Error() != want {
+			t.Errorf("%v: error %v, want %q", e, err, want)
+		}
+		if st != stats {
+			t.Errorf("%v: trap-point stats\ngot:  %+v\nwant: %+v", e, st, stats)
+		}
+	}
+
+	// depth(n) is active n+1 times at its deepest, so depth(16383)
+	// reaches the bound, one call short of a trap, and depth(16384)
+	// traps. main reads n as two base-128 digits.
+	const deep = `
+int depth(int n) { if (n == 0) return 0; return depth(n - 1) + 1; }
+int main() { putint(depth(getchar() * 128 + getchar())); return 0; }`
+	front, err = Frontend(deep, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atBound, past := []byte{127, 127}, []byte{128, 0}
+	for _, e := range []interp.Engine{interp.EngineReference, interp.EngineClosure} {
+		_, _, out, err := interp.Exec(e, front.Prog, nil, atBound, nil, nil)
+		if err != nil || string(out) != "16383" {
+			t.Errorf("%v: depth at the bound: output %q, error %v", e, out, err)
+		}
+		if _, _, _, err := interp.Exec(e, front.Prog, nil, past, nil, nil); err == nil || err.Error() != "runtime error in depth: exceeded call depth 16384" {
+			t.Errorf("%v: depth one past the bound: error %v", e, err)
+		}
+	}
+	r, err := Build(deep, atBound, o)
+	if err != nil {
+		t.Fatalf("Build at the bound: %v", err)
+	}
+	if _, out, _ := runProg(t, r.Reordered, string(atBound)); out != "16383" {
+		t.Errorf("reordered program at the bound: output %q", out)
 	}
 }
 
