@@ -172,17 +172,17 @@ func appliedOr(build *pipeline.BuildResult) int {
 	return n
 }
 
-// runFirstPass instruments, trains, and writes the profile data file.
+// runFirstPass compiles, instruments and trains, and writes the profile
+// data file.
 func runFirstPass(src string, opts pipeline.Options, train []byte, path string) error {
 	if train == nil {
 		return fmt.Errorf("-profile-out requires -train (or -train-builtin)")
 	}
-	ins, err := pipeline.Instrument(src, opts)
+	front, err := pipeline.BuildFrontend(src, opts.Frontend())
 	if err != nil {
 		return err
 	}
-	ins.Exec = execEngine
-	prof, orProf, err := ins.Train(train)
+	tp, err := pipeline.TrainStageWith(front, train, opts.Detection(), execEngine)
 	if err != nil {
 		return err
 	}
@@ -191,11 +191,11 @@ func runFirstPass(src string, opts pipeline.Options, train []byte, path string) 
 		return err
 	}
 	defer f.Close()
-	if err := pipeline.WriteProfile(f, prof, orProf); err != nil {
+	if err := pipeline.WriteProfile(f, tp); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote profile for %d sequence(s) to %s\n",
-		len(ins.Sequences)+len(ins.OrSequences), path)
+		tp.NumSeqs+tp.NumOrSeqs, path)
 	return f.Close()
 }
 

@@ -15,7 +15,9 @@ import (
 // per-sequence decisions.
 type BuildResult struct {
 	// Baseline has all conventional optimizations applied and no
-	// reordering — the "Original" measurements of Tables 4-8.
+	// reordering — the "Original" measurements of Tables 4-8. It may be
+	// a frontend product's program, shared with other builds, and must
+	// not be mutated.
 	Baseline *ir.Program
 	// Reordered additionally has the branch-reordering transformation
 	// applied, trained on the training input.
@@ -31,6 +33,7 @@ type BuildResult struct {
 	OrResults   []core.OrResult
 	OrProfile   *core.OrProfile
 
+	// SwitchKinds may be shared like Baseline, and is read-only too.
 	SwitchKinds map[lower.SwitchKind]int
 }
 
@@ -60,62 +63,179 @@ func Build(src string, train []byte, o Options) (*BuildResult, error) {
 // engine. Every engine replays the identical OnProf hook sequence, so
 // the resulting build is byte-for-byte the same for any choice.
 func BuildWith(src string, train []byte, o Options, e interp.Engine) (*BuildResult, error) {
-	front, err := Frontend(src, o)
+	out, prog, err := detectSource(src, o)
 	if err != nil {
 		return nil, err
 	}
-	out := &BuildResult{
-		Baseline:    ir.CloneProgram(front.Prog),
-		SwitchKinds: front.SwitchKinds,
+	if err := out.train(prog, train, o.Profile, e); err != nil {
+		return nil, err
 	}
+	if err := out.finalize(prog, o.Transform); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
-	prog := front.Prog
-	out.Sequences = core.Detect(prog, 0)
-	for _, s := range out.Sequences {
+// The passes of Figure 2. They mutate prog, a program the caller owns,
+// and record what they find in the BuildResult: Build and the two-pass
+// Finalize run them on the frontend's program itself, TrainStage and
+// FinalizeStages on clones of a shared FrontendProduct.
+
+// detectSource runs the frontend on src and, after cloning its program
+// as the Baseline, detect on that program in place.
+func detectSource(src string, o Options) (*BuildResult, *ir.Program, error) {
+	front, err := Frontend(src, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := &BuildResult{Baseline: ir.CloneProgram(front.Prog), SwitchKinds: front.SwitchKinds}
+	if err := out.detect(front.Prog, o.CommonSuccessor); err != nil {
+		return nil, nil, err
+	}
+	return out, front.Prog, nil
+}
+
+// detect finds prog's reorderable sequences and builds their arms, then
+// (with commonSucc) the common-successor sequences among the blocks
+// those left unclaimed, and instruments, linearizes and verifies prog.
+// Detection is deterministic, so every pass that detects on the same
+// program finds the same sequences, IDs and arms.
+func (r *BuildResult) detect(prog *ir.Program, commonSucc bool) error {
+	r.Sequences = core.Detect(prog, 0)
+	for _, s := range r.Sequences {
 		s.BuildArms()
 	}
-	if o.CommonSuccessor {
-		// Range-condition sequences take precedence; the extension only
-		// sees what they left unclaimed.
-		out.OrSequences = core.DetectCommonSucc(prog, len(out.Sequences), consumedBlocks(out.Sequences))
+	if commonSucc {
+		r.OrSequences = core.DetectCommonSucc(prog, len(r.Sequences), consumedBlocks(r.Sequences))
 	}
-	out.Profile = core.NewProfile(out.Sequences)
-	out.OrProfile = core.NewOrProfile(out.OrSequences)
-
-	// Training pass on the instrumented executable.
 	prog.Linearize()
 	if err := prog.Verify(); err != nil {
-		return nil, fmt.Errorf("verify after instrumentation: %w", err)
+		return fmt.Errorf("verify after instrumentation: %w", err)
 	}
+	return nil
+}
+
+// consumedBlocks collects the blocks claimed by range-condition
+// sequences, which take precedence over the common-successor extension.
+func consumedBlocks(seqs []*core.Sequence) map[*ir.Block]bool {
+	consumed := map[*ir.Block]bool{}
+	for _, s := range seqs {
+		consumed[s.Head] = true
+		for _, c := range s.Conds {
+			for _, b := range c.Blocks {
+				consumed[b] = true
+			}
+		}
+	}
+	return consumed
+}
+
+// train runs prog, as detect instrumented it, on input under engine e,
+// and records the counts of r's sequences as r.Profile and r.OrProfile.
+// The sampler thins the event stream per pc and scales the surviving
+// counts back to exact shape after the run; a zero config leaves the
+// hook untouched.
+func (r *BuildResult) train(prog *ir.Program, input []byte, pc profile.Config, e interp.Engine) error {
+	r.Profile, r.OrProfile = core.NewProfile(r.Sequences), core.NewOrProfile(r.OrSequences)
 	code, err := interp.Decode(prog)
 	if err != nil {
-		return nil, fmt.Errorf("training run: %w", err)
+		return fmt.Errorf("training run: %w", err)
 	}
-	// Most builds have no common-successor sequences; profHook collapses
-	// the merged two-closure dispatch to a single hook (or none) then.
-	// Sampling mirrors TrainStage exactly so staged and monolithic builds
-	// stay byte-identical under every profile configuration.
-	sampler := profile.NewSampler(o.Profile, out.Profile, out.OrProfile)
-	if _, _, _, err := interp.Exec(e, prog, code, train, nil,
-		sampler.Hook(profHook(out.Profile, out.OrProfile))); err != nil {
-		return nil, fmt.Errorf("training run: %w", err)
+	sampler := profile.NewSampler(pc, r.Profile, r.OrProfile)
+	if _, _, _, err := interp.Exec(e, prog, code, input, nil,
+		sampler.Hook(profHook(r.Profile, r.OrProfile))); err != nil {
+		return fmt.Errorf("training run: %w", err)
 	}
 	sampler.Scale()
+	return nil
+}
 
-	// Second pass: reorder each sequence that profits.
-	for _, s := range out.Sequences {
-		out.Results = append(out.Results, core.ReorderWith(s, out.Profile.Seqs[s.ID], o.Transform))
+// profHook fuses the range- and or-profile hooks into the single OnProf
+// callback the interpreter dispatches. Most builds have no
+// common-successor sequences (the extension is off for the
+// paper-fidelity experiments), so the merged two-closure dispatch is
+// skipped whenever either side has nothing to count.
+func profHook(prof *core.Profile, orProf *core.OrProfile) func(seqID, sub int, v int64) {
+	rangeHook, orHook := prof.Hook(), orProf.Hook()
+	switch {
+	case len(prof.Seqs) == 0 && len(orProf.Seqs) == 0:
+		return nil
+	case len(orProf.Seqs) == 0:
+		return rangeHook
+	case len(prof.Seqs) == 0:
+		return orHook
+	default:
+		return func(seqID, sub int, v int64) {
+			rangeHook(seqID, sub, v)
+			orHook(seqID, sub, v)
+		}
 	}
-	for _, s := range out.OrSequences {
-		out.OrResults = append(out.OrResults, core.ReorderOr(s, out.OrProfile.Seqs[s.ID]))
+}
+
+// finalize runs the second pass on prog, as detect left it: it checks
+// r's profiles against r's sequences, reorders each sequence by its
+// counts, strips the instrumentation, cleans up with the conventional
+// optimizer, fills delay slots, and stores prog as r.Reordered.
+func (r *BuildResult) finalize(prog *ir.Program, t core.TransformOptions) error {
+	if err := r.checkProfile(); err != nil {
+		return err
+	}
+	for _, s := range r.Sequences {
+		r.Results = append(r.Results, core.ReorderWith(s, r.Profile.Seqs[s.ID], t))
+	}
+	for _, s := range r.OrSequences {
+		r.OrResults = append(r.OrResults, core.ReorderOr(s, r.OrProfile.Seqs[s.ID]))
 	}
 	core.StripProf(prog)
 	opt.Program(prog)
 	prog.Linearize()
 	prog.FillDelaySlots()
 	if err := prog.Verify(); err != nil {
-		return nil, fmt.Errorf("verify after reordering: %w", err)
+		return fmt.Errorf("verify after reordering: %w", err)
 	}
-	out.Reordered = prog
-	return out, nil
+	r.Reordered = prog
+	return nil
+}
+
+// checkProfile rejects counts that do not fit r's sequences: an ID that
+// no sequence of its kind has, or counts of the wrong length. A
+// sequence without counts is no error: finalize leaves it as it leaves
+// one the training input never ran.
+func (r *BuildResult) checkProfile() error {
+	const hint = "(was the profile produced from the same source and options?)"
+	if id, ok := unknownID(r.Profile.Seqs, r.Sequences, func(s *core.Sequence) int { return s.ID }); ok {
+		return fmt.Errorf("profile has counts for sequence %d, which the source does not have %s", id, hint)
+	}
+	if id, ok := unknownID(r.OrProfile.Seqs, r.OrSequences, func(s *core.OrSequence) int { return s.ID }); ok {
+		return fmt.Errorf("profile has counts for or-sequence %d, which the source does not have %s", id, hint)
+	}
+	for _, s := range r.Sequences {
+		if sp := r.Profile.Seqs[s.ID]; sp != nil && len(sp.Counts) != len(s.Arms) {
+			return fmt.Errorf("profile for sequence %d has %d counts, expected %d %s",
+				s.ID, len(sp.Counts), len(s.Arms), hint)
+		}
+	}
+	for _, s := range r.OrSequences {
+		if sp := r.OrProfile.Seqs[s.ID]; sp != nil && sp.N != len(s.Conds) {
+			return fmt.Errorf("profile for or-sequence %d has %d conditions, expected %d %s",
+				s.ID, sp.N, len(s.Conds), hint)
+		}
+	}
+	return nil
+}
+
+// unknownID returns the smallest ID in profiles that no sequence in
+// seqs has, if there is one.
+func unknownID[P, S any](profiles map[int]P, seqs []S, id func(S) int) (int, bool) {
+	known := make(map[int]bool, len(seqs))
+	for _, s := range seqs {
+		known[id(s)] = true
+	}
+	first, found := 0, false
+	for i := range profiles {
+		if !known[i] && (!found || i < first) {
+			first, found = i, true
+		}
+	}
+	return first, found
 }

@@ -8,13 +8,12 @@ import (
 	"branchreorder/internal/interp"
 	"branchreorder/internal/ir"
 	"branchreorder/internal/lower"
-	"branchreorder/internal/opt"
 	"branchreorder/internal/profile"
 )
 
-// The staged build pipeline. Build runs the paper's Figure 2 scheme
-// monolithically; the experiment engine (bench.Engine) instead composes
-// it from three explicitly keyed stages, memoizing the first two by
+// The staged build pipeline. Build runs the paper's Figure 2 scheme on
+// one program; the experiment engine (bench.Engine) instead composes it
+// from three explicitly keyed stages, memoizing the first two by
 // content, so identical work is done once and reused everywhere:
 //
 //	stage 1 (frontend):     lex/parse/check (Check), then lower/opt
@@ -33,12 +32,13 @@ import (
 //	                        the full TransformOptions. Cheap, and every
 //	                        variant differs.
 //
-// Detection is deterministic, so stages 2 and 3 re-detect identical
-// sequences (same IDs, same arms) on fresh clones of the stage-1 program;
-// the counts stage 2 collects line up index-for-index with the arms stage
-// 3 rebuilds. That is the same separate-compilation discipline the
-// explicit two-pass workflow (twopass.go) relies on. Composing the stages
-// yields output byte-identical to the monolithic Build — CI-enforced.
+// Stages 2 and 3 run Build's own passes (detect, train and finalize in
+// build.go) on clones of the stage-1 program: stage 2 detects and
+// trains, stage 3 detects again and finalizes. Detection is
+// deterministic, so stage 3 finds the sequences, IDs and arms stage 2
+// counted, as the two-pass workflow's second pass (twopass.go) does for
+// a profile file; composed, the stages give Build's output byte for
+// byte, which the tests check over the roster.
 
 // FrontendOptions is the subset of Options that determines the stage-1
 // product. It is comparable, so it can key memos directly.
@@ -102,47 +102,25 @@ func LowerChecked(info *cminus.Info, fo FrontendOptions) (*FrontendProduct, erro
 	return &FrontendProduct{Prog: res.Prog, SwitchKinds: res.SwitchKinds, Digest: res.Prog.Digest()}, nil
 }
 
-// TrainProduct is the stage-2 result: the training-run counts for
+// TrainProduct is the stage-2 result: the training-run counts of
 // every detected sequence, plus the detection shape they were collected
-// under so a finalize against a diverging detector fails loudly instead
+// under, so a finalize against a diverging detector fails loudly instead
 // of silently misattributing counts. It is plain data, safe to share
 // between concurrent finalizes.
 type TrainProduct struct {
 	SeqProfiles   map[int]*core.SeqProfile
 	OrSeqProfiles map[int]*core.OrSeqProfile
-	// NumSeqs and NumOrSeqs record how many sequences the detector found
-	// (counts exist only for executed sequences, so map sizes are not
-	// enough to validate against).
+	// NumSeqs and NumOrSeqs record how many sequences of each kind the
+	// detector found. The profile check lets a sequence go without
+	// counts, as a profile file may, so it alone would not notice a
+	// finalize that detects more sequences than training did.
 	NumSeqs   int
 	NumOrSeqs int
 }
 
-// profHook fuses the range- and or-profile hooks into the single OnProf
-// callback the interpreter dispatches. Most builds have no
-// common-successor sequences (the extension is off for the
-// paper-fidelity experiments), so the merged two-closure dispatch is
-// skipped whenever either side has nothing to count.
-func profHook(prof *core.Profile, orProf *core.OrProfile) func(seqID, sub int, v int64) {
-	rangeHook, orHook := prof.Hook(), orProf.Hook()
-	switch {
-	case len(prof.Seqs) == 0 && len(orProf.Seqs) == 0:
-		return nil
-	case len(orProf.Seqs) == 0:
-		return rangeHook
-	case len(prof.Seqs) == 0:
-		return orHook
-	default:
-		return func(seqID, sub int, v int64) {
-			rangeHook(seqID, sub, v)
-			orHook(seqID, sub, v)
-		}
-	}
-}
-
-// TrainStage runs stage 2 on a clone of the frontend product: detect
-// both sequence kinds, instrument, and execute the training input,
-// mirroring the monolithic Build's first pass exactly so the counts are
-// identical to the ones an in-place build would collect.
+// TrainStage runs stage 2 on a clone of the frontend product: Build's
+// detect and train passes, so the counts are the ones an in-place build
+// collects.
 func TrainStage(front *FrontendProduct, train []byte, d DetectOptions) (*TrainProduct, error) {
 	return TrainStageWith(front, train, d, interp.EngineClosure)
 }
@@ -152,64 +130,30 @@ func TrainStage(front *FrontendProduct, train []byte, d DetectOptions) (*TrainPr
 // profile — and every build derived from it — is byte-identical for any
 // choice; only the training run's wall-clock changes.
 func TrainStageWith(front *FrontendProduct, train []byte, d DetectOptions, e interp.Engine) (*TrainProduct, error) {
+	var b BuildResult
 	prog := ir.CloneProgram(front.Prog)
-	seqs := core.Detect(prog, 0)
-	for _, s := range seqs {
-		s.BuildArms()
+	if err := b.detect(prog, d.CommonSuccessor); err != nil {
+		return nil, err
 	}
-	var orSeqs []*core.OrSequence
-	if d.CommonSuccessor {
-		orSeqs = core.DetectCommonSucc(prog, len(seqs), consumedBlocks(seqs))
+	if err := b.train(prog, train, d.Profile, e); err != nil {
+		return nil, err
 	}
-	prof := core.NewProfile(seqs)
-	orProf := core.NewOrProfile(orSeqs)
-
-	prog.Linearize()
-	if err := prog.Verify(); err != nil {
-		return nil, fmt.Errorf("verify after instrumentation: %w", err)
-	}
-	code, err := interp.Decode(prog)
-	if err != nil {
-		return nil, fmt.Errorf("training run: %w", err)
-	}
-	// The sampler thins the event stream per d.Profile and scales the
-	// surviving counts back to exact shape after the run; a zero config
-	// leaves the hook untouched.
-	sampler := profile.NewSampler(d.Profile, prof, orProf)
-	if _, _, _, err := interp.Exec(e, prog, code, train, nil, sampler.Hook(profHook(prof, orProf))); err != nil {
-		return nil, fmt.Errorf("training run: %w", err)
-	}
-	sampler.Scale()
 	return &TrainProduct{
-		SeqProfiles:   prof.Seqs,
-		OrSeqProfiles: orProf.Seqs,
-		NumSeqs:       len(seqs),
-		NumOrSeqs:     len(orSeqs),
+		SeqProfiles:   b.Profile.Seqs,
+		OrSeqProfiles: b.OrProfile.Seqs,
+		NumSeqs:       len(b.Sequences),
+		NumOrSeqs:     len(b.OrSequences),
 	}, nil
 }
 
-// FinalizeStages runs stage 3 on a fresh clone of the frontend product:
-// re-detect the (identical) sequences, attach the trained counts, select
-// and apply orderings, clean up, fill delay slots. The mutation sequence
-// mirrors the monolithic Build step for step (including the
-// post-instrumentation linearize+verify), so the resulting programs are
-// byte-identical to an in-place build's.
+// FinalizeStages runs stage 3: Build's detect and finalize passes on a
+// clone of the frontend product, with the trained counts. The result's
+// Baseline and SwitchKinds are the product's own, shared, not copies.
 func FinalizeStages(front *FrontendProduct, tp *TrainProduct, o Options) (*BuildResult, error) {
-	kinds := make(map[lower.SwitchKind]int, len(front.SwitchKinds))
-	for k, v := range front.SwitchKinds {
-		kinds[k] = v
-	}
-	out := &BuildResult{
-		Baseline:    ir.CloneProgram(front.Prog),
-		SwitchKinds: kinds,
-	}
+	out := &BuildResult{Baseline: front.Prog, SwitchKinds: front.SwitchKinds}
 	prog := ir.CloneProgram(front.Prog)
-	out.Sequences = core.Detect(prog, 0)
-	for _, s := range out.Sequences {
-		s.BuildArms()
-	}
-	if o.CommonSuccessor {
-		out.OrSequences = core.DetectCommonSucc(prog, len(out.Sequences), consumedBlocks(out.Sequences))
+	if err := out.detect(prog, o.CommonSuccessor); err != nil {
+		return nil, err
 	}
 	if len(out.Sequences) != tp.NumSeqs || len(out.OrSequences) != tp.NumOrSeqs {
 		return nil, fmt.Errorf("stage mismatch: finalize detected %d/%d sequences, training saw %d/%d "+
@@ -218,35 +162,8 @@ func FinalizeStages(front *FrontendProduct, tp *TrainProduct, o Options) (*Build
 	}
 	out.Profile = &core.Profile{Seqs: tp.SeqProfiles}
 	out.OrProfile = &core.OrProfile{Seqs: tp.OrSeqProfiles}
-
-	prog.Linearize()
-	if err := prog.Verify(); err != nil {
-		return nil, fmt.Errorf("verify after instrumentation: %w", err)
+	if err := out.finalize(prog, o.Transform); err != nil {
+		return nil, err
 	}
-
-	for _, s := range out.Sequences {
-		sp := tp.SeqProfiles[s.ID]
-		if sp != nil && len(sp.Counts) != len(s.Arms) {
-			return nil, fmt.Errorf("stage mismatch: profile for sequence %d has %d counts, expected %d",
-				s.ID, len(sp.Counts), len(s.Arms))
-		}
-		out.Results = append(out.Results, core.ReorderWith(s, sp, o.Transform))
-	}
-	for _, s := range out.OrSequences {
-		sp := tp.OrSeqProfiles[s.ID]
-		if sp != nil && sp.N != len(s.Conds) {
-			return nil, fmt.Errorf("stage mismatch: profile for or-sequence %d has %d conditions, expected %d",
-				s.ID, sp.N, len(s.Conds))
-		}
-		out.OrResults = append(out.OrResults, core.ReorderOr(s, sp))
-	}
-	core.StripProf(prog)
-	opt.Program(prog)
-	prog.Linearize()
-	prog.FillDelaySlots()
-	if err := prog.Verify(); err != nil {
-		return nil, fmt.Errorf("verify after reordering: %w", err)
-	}
-	out.Reordered = prog
 	return out, nil
 }

@@ -2,6 +2,10 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,96 +14,78 @@ import (
 	"branchreorder/internal/workload"
 )
 
-// The explicit two-pass workflow with the profile externalized must
-// produce an executable equivalent to the in-memory Build, for every
-// workload (exercising the paper's Figure 2 with a profile data file).
+// firstPass runs the two-pass workflow's first pass on w under o, as
+// brcc -profile-out does, and returns its training product and the
+// profile file it writes.
+func firstPass(t *testing.T, w workload.Workload, o Options) (*TrainProduct, []byte) {
+	t.Helper()
+	front, err := BuildFrontend(w.Source, o.Frontend())
+	if err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
+	}
+	tp, err := TrainStage(front, w.Train(), o.Detection())
+	if err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
+	}
+	var buf bytes.Buffer
+	if err := WriteProfile(&buf, tp); err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
+	}
+	return tp, buf.Bytes()
+}
+
+// The explicit two-pass workflow, with the profile stored in a file
+// between the passes, must build exactly what the in-memory Build does:
+// the same baseline and reordered programs for every workload, heuristic
+// set and common-successor setting.
 func TestTwoPassMatchesBuild(t *testing.T) {
-	opts := Options{Switch: lower.SetI, Optimize: true, CommonSuccessor: true}
-	for _, name := range []string{"wc", "cpp", "yacc", "sort"} {
-		w, _ := workload.Named(name)
-		train, test := w.Train(), w.Test()
-
-		// Pass 1: instrument, train, serialize the profile.
-		ins, err := Instrument(w.Source, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		prof, orProf, err := ins.Train(train)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var buf bytes.Buffer
-		if err := WriteProfile(&buf, prof, orProf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-
-		// Pass 2: fresh compilation driven by the stored profile.
-		seqs, ors, err := core.ReadProfiles(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: parse profile: %v\n%s", name, err, buf.String())
-		}
-		twoPass, err := Finalize(w.Source, opts, seqs, ors)
-		if err != nil {
-			t.Fatalf("%s: finalize: %v", name, err)
-		}
-
-		// Reference: the all-in-memory build.
-		ref, err := Build(w.Source, train, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-
-		_, out2, s2 := runProg(t, twoPass.Reordered, string(test))
-		_, outR, sR := runProg(t, ref.Reordered, string(test))
-		if out2 != outR {
-			t.Errorf("%s: two-pass output differs from Build", name)
-		}
-		if s2.Insts != sR.Insts || s2.CondBranches != sR.CondBranches {
-			t.Errorf("%s: two-pass counts differ: insts %d vs %d, branches %d vs %d",
-				name, s2.Insts, sR.Insts, s2.CondBranches, sR.CondBranches)
+	for _, w := range workload.All() {
+		for _, set := range []lower.HeuristicSet{lower.SetI, lower.SetII, lower.SetIII} {
+			for _, commonSucc := range []bool{false, true} {
+				o := Options{Switch: set, Optimize: true, CommonSuccessor: commonSucc}
+				name := fmt.Sprintf("%s (set %v, common successor %v)", w.Name, set, commonSucc)
+				_, file := firstPass(t, w, o)
+				seqs, ors, err := core.ReadProfiles(bytes.NewReader(file))
+				if err != nil {
+					t.Fatalf("%s: parse profile: %v\n%s", name, err, file)
+				}
+				twoPass, err := Finalize(w.Source, o, seqs, ors)
+				if err != nil {
+					t.Fatalf("%s: finalize: %v", name, err)
+				}
+				ref, err := Build(w.Source, w.Train(), o)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if twoPass.Baseline.Digest() != ref.Baseline.Digest() ||
+					twoPass.Reordered.Digest() != ref.Reordered.Digest() {
+					t.Errorf("%s: two-pass build differs from Build", name)
+				}
+			}
 		}
 	}
 }
 
 func TestProfileRoundTrip(t *testing.T) {
 	w, _ := workload.Named("lex")
-	opts := Options{Switch: lower.SetIII, Optimize: true, CommonSuccessor: true}
-	ins, err := Instrument(w.Source, opts)
+	tp, file := firstPass(t, w, Options{Switch: lower.SetIII, Optimize: true, CommonSuccessor: true})
+	if len(tp.SeqProfiles) == 0 || len(tp.OrSeqProfiles) == 0 {
+		t.Fatalf("lex has %d sequences and %d or-sequences; the test needs both",
+			len(tp.SeqProfiles), len(tp.OrSeqProfiles))
+	}
+	seqs, ors, err := core.ReadProfiles(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, orProf, err := ins.Train(w.Train())
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(seqs, tp.SeqProfiles) {
+		t.Errorf("round trip changed the sequence counts:\n%s", file)
 	}
-	var buf bytes.Buffer
-	if err := WriteProfile(&buf, prof, orProf); err != nil {
-		t.Fatal(err)
+	if len(ors) != len(tp.OrSeqProfiles) {
+		t.Errorf("round trip lost or-sequences: %d vs %d", len(ors), len(tp.OrSeqProfiles))
 	}
-	seqs, ors, err := core.ReadProfiles(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) != len(prof.Seqs) {
-		t.Errorf("round trip lost sequences: %d vs %d", len(seqs), len(prof.Seqs))
-	}
-	if len(ors) != len(orProf.Seqs) {
-		t.Errorf("round trip lost or-sequences: %d vs %d", len(ors), len(orProf.Seqs))
-	}
-	for id, sp := range prof.Seqs {
-		got := seqs[id]
-		if got == nil || got.Total != sp.Total || len(got.Counts) != len(sp.Counts) {
-			t.Fatalf("sequence %d mangled", id)
-		}
-		for i := range sp.Counts {
-			if got.Counts[i] != sp.Counts[i] {
-				t.Fatalf("sequence %d count %d changed", id, i)
-			}
-		}
-	}
-	for id, sp := range orProf.Seqs {
+	for id, sp := range tp.OrSeqProfiles {
 		got := ors[id]
-		if got == nil || got.Total != sp.Total || got.N != sp.N {
+		if got == nil || got.Total != sp.Total || got.N != sp.N || !slices.Equal(got.Combos, sp.Combos) {
 			t.Fatalf("or-sequence %d mangled", id)
 		}
 	}
@@ -148,5 +134,56 @@ func TestFinalizeRejectsMismatchedProfile(t *testing.T) {
 	if _, err := Finalize(w.Source, opts, nil, ors); err == nil ||
 		!strings.Contains(err.Error(), "or-sequence 0") {
 		t.Errorf("or-sequence entry without or-sequences: err = %v", err)
+	}
+}
+
+// One profile check guards every finalize: counts that do not fit the
+// detected sequences are rejected alike from a profile file (Finalize)
+// and from a training product (FinalizeStages).
+func TestFinalizeChecksProfile(t *testing.T) {
+	w, _ := workload.Named("lex")
+	o := Options{Switch: lower.SetIII, Optimize: true, CommonSuccessor: true}
+	front, err := BuildFrontend(w.Source, o.Frontend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := TrainStage(front, w.Train(), o.Detection())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tp.NumSeqs == 0 || tp.NumOrSeqs == 0 {
+		t.Fatalf("lex has %d sequences and %d or-sequences; the test needs both", tp.NumSeqs, tp.NumOrSeqs)
+	}
+	seq, orSeq := 0, tp.NumSeqs // the first ID of each kind
+	arms, conds := len(tp.SeqProfiles[seq].Counts), tp.OrSeqProfiles[orSeq].N
+	for _, c := range []struct {
+		name string
+		edit func(map[int]*core.SeqProfile, map[int]*core.OrSeqProfile)
+		want string
+	}{
+		{"unknown sequence", func(seqs map[int]*core.SeqProfile, _ map[int]*core.OrSeqProfile) {
+			seqs[99] = &core.SeqProfile{Counts: []uint64{5}, Total: 5}
+		}, "profile has counts for sequence 99, which the source does not have"},
+		// A range sequence's ID is no or-sequence's.
+		{"unknown or-sequence", func(_ map[int]*core.SeqProfile, ors map[int]*core.OrSeqProfile) {
+			ors[seq] = &core.OrSeqProfile{N: 1, Combos: []uint64{2, 3}, Total: 5}
+		}, fmt.Sprintf("profile has counts for or-sequence %d, which the source does not have", seq)},
+		{"wrong count length", func(seqs map[int]*core.SeqProfile, _ map[int]*core.OrSeqProfile) {
+			seqs[seq] = &core.SeqProfile{Counts: make([]uint64, arms+1)}
+		}, fmt.Sprintf("profile for sequence %d has %d counts, expected %d", seq, arms+1, arms)},
+		{"wrong condition count", func(_ map[int]*core.SeqProfile, ors map[int]*core.OrSeqProfile) {
+			ors[orSeq] = &core.OrSeqProfile{N: conds + 1, Combos: make([]uint64, 1<<(conds+1))}
+		}, fmt.Sprintf("profile for or-sequence %d has %d conditions, expected %d", orSeq, conds+1, conds)},
+	} {
+		seqs, ors := maps.Clone(tp.SeqProfiles), maps.Clone(tp.OrSeqProfiles)
+		c.edit(seqs, ors)
+		_, fileErr := Finalize(w.Source, o, seqs, ors)
+		_, productErr := FinalizeStages(front, &TrainProduct{seqs, ors, tp.NumSeqs, tp.NumOrSeqs}, o)
+		for via, err := range map[string]error{"Finalize": fileErr, "FinalizeStages": productErr} {
+			if err == nil || !strings.Contains(err.Error(), c.want) ||
+				!strings.HasSuffix(err.Error(), "(was the profile produced from the same source and options?)") {
+				t.Errorf("%s: %s: error %v, want %q and the hint", c.name, via, err, c.want)
+			}
+		}
 	}
 }
