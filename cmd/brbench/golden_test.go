@@ -12,23 +12,33 @@ import (
 // results byte for byte under every execution engine, so "the tables did
 // not change" is a test result rather than a manual diff. results.txt is
 // the suite followed by the ablation study; results_profile_study.txt is
-// the profile-quality study on the default engine.
+// the profile-quality study, whose sampled profiles each engine counts in
+// its own arm tables.
 func TestGoldenResults(t *testing.T) {
 	want := readGolden(t, "../../results.txt")
+	forEachEngine(t, func(t *testing.T, engine string) {
+		got := goldenRun(t, "-q", "-engine", engine) + goldenRun(t, "-q", "-ablation", "-engine", engine)
+		checkGolden(t, "results.txt", got, want)
+	})
+}
+
+func TestGoldenProfileStudy(t *testing.T) {
+	want := readGolden(t, "../../results_profile_study.txt")
+	forEachEngine(t, func(t *testing.T, engine string) {
+		checkGolden(t, "results_profile_study.txt", goldenRun(t, "-q", "-profile-study", "-engine", engine), want)
+	})
+}
+
+// forEachEngine runs f as a subtest per execution engine.
+func forEachEngine(t *testing.T, f func(t *testing.T, engine string)) {
 	for _, engine := range []string{"closure", "reference"} {
 		t.Run(engine, func(t *testing.T) {
 			if _, err := sim.ParseEngine(engine); err != nil {
 				t.Fatal(err)
 			}
-			got := goldenRun(t, "-q", "-engine", engine) + goldenRun(t, "-q", "-ablation", "-engine", engine)
-			checkGolden(t, "results.txt", got, want)
+			f(t, engine)
 		})
 	}
-}
-
-func TestGoldenProfileStudy(t *testing.T) {
-	want := readGolden(t, "../../results_profile_study.txt")
-	checkGolden(t, "results_profile_study.txt", goldenRun(t, "-q", "-profile-study"), want)
 }
 
 func readGolden(t *testing.T, path string) string {

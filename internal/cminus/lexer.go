@@ -88,12 +88,18 @@ func isIdentCont(c byte) bool { return isIdentStart(c) || (c >= '0' && c <= '9')
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// multi-character punctuation, longest first.
-var punct3 = []string{"<<=", ">>="}
-var punct2 = []string{
-	"==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
-}
+// punctByFirst lists the multi-character punctuation by its first byte,
+// longest first.
+var punctByFirst = func() (t [256][]string) {
+	for _, p := range []string{
+		"<<=", ">>=",
+		"==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
+		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
+	} {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return t
+}()
 
 const punct1 = "+-*/%&|^~!<>=(){}[];,?:"
 
@@ -211,15 +217,7 @@ func (l *Lexer) Next() (Tok, error) {
 
 	// Punctuation, longest match first.
 	rest := l.src[l.pos:]
-	for _, p := range punct3 {
-		if strings.HasPrefix(rest, p) {
-			for range p {
-				l.advance()
-			}
-			return Tok{Kind: TokPunct, Text: p, Pos: pos}, nil
-		}
-	}
-	for _, p := range punct2 {
+	for _, p := range punctByFirst[c] {
 		if strings.HasPrefix(rest, p) {
 			for range p {
 				l.advance()

@@ -94,6 +94,18 @@ func NewProfile(seqs []*Sequence) *Profile {
 	return p
 }
 
+// ArmsByLo returns sequence id's arm lower bounds in ascending order and
+// the arm each starts, as Hook searches them. A training run's
+// interp.ArmTable counts from them.
+func (p *Profile) ArmsByLo(id int) (los []int64, arms []int) {
+	tbl := p.lookup[id].entries
+	los, arms = make([]int64, len(tbl)), make([]int, len(tbl))
+	for i, e := range tbl {
+		los[i], arms[i] = e.r.Lo, e.arm
+	}
+	return los, arms
+}
+
 // byID returns m's values in a slice indexed by key minus the least key,
 // and that key. Detection numbers sequences densely from its firstID, so
 // a training hook finds a sequence's counts without a map lookup.
@@ -116,7 +128,9 @@ func byID[T any](m map[int]T) ([]T, int) {
 // a sequence head to the arm whose range contains the branch variable's
 // value. The arms of a sequence cover the whole domain, so every value
 // lands in exactly one arm. The sub index is unused for range-condition
-// sequences (common-successor sequences use OrProfile instead).
+// sequences (common-successor sequences use OrProfile instead). Training
+// counts in the engine's arm tables instead (interp.ArmTable); the hook
+// is the reference the tests hold those counts to.
 func (p *Profile) Hook() func(seqID, sub int, v int64) {
 	lookup, firstID := byID(p.lookup)
 	return func(seqID, sub int, v int64) {

@@ -1,6 +1,9 @@
 package equiv
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,6 +25,56 @@ type engineRun struct {
 	stats    interp.Stats
 	branches []int64
 	profs    []int64
+	counts   [][]uint64 // the arm tables' counters
+}
+
+// profSeqs bounds the sequence IDs of the Prof instructions addProfs
+// inserts, -1 included; profTables gives tables to some of them, so the
+// others reach OnProf.
+const profSeqs = 6
+
+// addProfs inserts a Prof instruction into about half the blocks of p, at
+// a random point, reading a random register under a random sequence ID
+// in [-1, profSeqs). The generator emits only ProfCond, and its output
+// is pinned, so the engines' arm tables get their Prof instructions
+// here.
+func addProfs(p *ir.Program, seed uint64) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			in := ir.Inst{Op: ir.Prof, SeqID: rng.Intn(profSeqs+1) - 1, A: ir.R(ir.Reg(rng.Intn(f.NRegs)))}
+			b.Insts = slices.Insert(b.Insts, rng.Intn(len(b.Insts)+1), in)
+		}
+	}
+}
+
+// profTables returns fresh arm tables for sequences 0 to profSeqs-3, a
+// quarter of them left nil, and their counters, drawn from seed: 1-5
+// arms, some windows too wide to index densely, and a countdown of rate
+// 1-3.
+func profTables(seed uint64) ([]*interp.ArmTable, [][]uint64) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	tables := make([]*interp.ArmTable, profSeqs-2)
+	counts := make([][]uint64, len(tables))
+	for id := range tables {
+		if rng.Intn(4) == 0 {
+			continue
+		}
+		los, n := []int64{math.MinInt64}, 1+rng.Intn(5)
+		for bound := int64(rng.Intn(40) - 10); len(los) < n; bound += 1 + int64(rng.Intn(8)) {
+			if rng.Intn(6) == 0 {
+				bound += 5000
+			}
+			los = append(los, bound)
+		}
+		rate := 1 + uint64(rng.Intn(3))
+		counts[id] = make([]uint64, len(los))
+		tables[id] = interp.NewArmTable(los, rng.Perm(len(los)), counts[id], rate, uint64(rng.Int63n(int64(rate))))
+	}
+	return tables, counts
 }
 
 func hooks(r *engineRun) (func(int, bool), func(int, int, int64)) {
@@ -36,42 +89,47 @@ func hooks(r *engineRun) (func(int, bool), func(int, int, int64)) {
 		}
 }
 
-// runBoth executes p on both engines and both decodes and applies the
-// two-way oracle: the caller compares the reference machine against the
-// closure engine under the lenient contract (compareRuns), and runBoth
-// holds the closure engine on the fused decode to itself on the unfused
-// decode, and a hooked run to a hook-free one, under strict identity
-// (compareSame). The hook-free run's closure bodies take the log-off
-// path.
-func runBoth(t testing.TB, p *ir.Program, input []byte) (ref, clos engineRun) {
+// runBoth executes p, with Prof instructions added from seed, on both
+// engines and both decodes and applies the two-way oracle: the caller
+// compares the reference machine against the closure engine under the
+// lenient contract (compareRuns), and runBoth holds the closure engine
+// on the fused decode to itself on the unfused decode, and a hooked run
+// to a hook-free one, under strict identity (compareSame). The
+// hook-free run's closure bodies take the log-off path.
+func runBoth(t testing.TB, p *ir.Program, seed uint64, input []byte) (ref, clos engineRun) {
+	addProfs(p, seed)
 	fused := interp.DecodeOptions{Fuse: true}
-	ref = runOn(t, p, input, fused, interp.EngineReference, true)
-	clos = runOn(t, p, input, fused, interp.EngineClosure, true)
+	ref = runOn(t, p, input, fused, interp.EngineReference, true, seed)
+	clos = runOn(t, p, input, fused, interp.EngineClosure, true, seed)
 	// The unfused decode must behave identically to the fused one; any
 	// divergence is a fusion bug, caught here across every seed and every
 	// fuzz input the suite explores.
-	compareSame(t, "fused-vs-unfused", clos, runOn(t, p, input, interp.DecodeOptions{}, interp.EngineClosure, true))
-	// A hook-free run records no streams; everything else must match.
-	plain := runOn(t, p, input, fused, interp.EngineClosure, false)
-	plain.branches, plain.profs = clos.branches, clos.profs
+	compareSame(t, "fused-vs-unfused", clos, runOn(t, p, input, interp.DecodeOptions{}, interp.EngineClosure, true, seed))
+	// A hook-free run records no streams and counts nothing; everything
+	// else must match.
+	plain := runOn(t, p, input, fused, interp.EngineClosure, false, seed)
+	plain.branches, plain.profs, plain.counts = clos.branches, clos.profs, clos.counts
 	compareSame(t, "hooked-vs-plain", clos, plain)
 	return ref, clos
 }
 
 // runOn executes p once on the chosen engine. hooked attaches the
-// branch/prof recorders; without them the engines' logs stay off.
-func runOn(t testing.TB, p *ir.Program, input []byte, opts interp.DecodeOptions, e interp.Engine, hooked bool) (r engineRun) {
+// branch/prof recorders and the arm tables profTables draws from seed;
+// without them the engines' logs stay off.
+func runOn(t testing.TB, p *ir.Program, input []byte, opts interp.DecodeOptions, e interp.Engine, hooked bool, seed uint64) (r engineRun) {
 	t.Helper()
 	var onBranch func(int, bool)
 	var onProf func(int, int, int64)
+	var tables []*interp.ArmTable
 	if hooked {
 		onBranch, onProf = hooks(&r)
+		tables, r.counts = profTables(seed)
 	}
 	var ret int64
 	var err error
 	if e == interp.EngineReference {
 		m := &interp.Machine{Prog: p, Input: input, MaxSteps: randMaxSteps,
-			OnBranch: onBranch, OnProf: onProf}
+			OnBranch: onBranch, ArmTables: tables, OnProf: onProf}
 		ret, err = m.Run()
 		r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
 	} else {
@@ -80,7 +138,7 @@ func runOn(t testing.TB, p *ir.Program, input []byte, opts interp.DecodeOptions,
 			t.Fatalf("decode: %v", derr)
 		}
 		m := &interp.ClosureMachine{Code: code, Input: input, MaxSteps: randMaxSteps,
-			OnBranch: onBranch, OnProf: onProf}
+			OnBranch: onBranch, ArmTables: tables, OnProf: onProf}
 		ret, err = m.Run()
 		r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
 	}
@@ -134,6 +192,9 @@ func compareRuns(t testing.TB, label string, ref, clos engineRun) {
 	if !eqInt64s(ref.profs, clos.profs) {
 		t.Errorf("%s: prof streams differ", label)
 	}
+	if !slices.EqualFunc(ref.counts, clos.counts, slices.Equal) {
+		t.Errorf("%s: arm table counts ref=%v closure=%v", label, ref.counts, clos.counts)
+	}
 	// Stats are only exact on completed runs (trap-point charges are
 	// block-granular on the closure engine).
 	if ref.err == "" && ref.stats != clos.stats {
@@ -168,6 +229,9 @@ func compareSame(t testing.TB, label string, a, b engineRun) {
 	if !eqInt64s(a.profs, b.profs) {
 		t.Errorf("%s: prof streams differ", label)
 	}
+	if !slices.EqualFunc(a.counts, b.counts, slices.Equal) {
+		t.Errorf("%s: arm table counts %v vs %v", label, a.counts, b.counts)
+	}
 }
 
 // TestRandomProgramEquivalence fuzzes the engines against each other
@@ -177,17 +241,19 @@ func TestRandomProgramEquivalence(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	completed, multiChunk := 0, 0
+	completed, multiChunk, counted := 0, 0, 0
 	for seed := 0; seed < n; seed++ {
-		p := randprog.New(uint64(seed))
 		for _, input := range [][]byte{nil, workload.FuzzInput(uint64(seed)+1000, 200)} {
-			ref, clos := runBoth(t, p, input)
+			ref, clos := runBoth(t, randprog.New(uint64(seed)), uint64(seed), input)
 			compareRuns(t, labelFor(seed, input), ref, clos)
 			if ref.err == "" {
 				completed++
 			}
 			if len(clos.branches)/2 > interp.BranchChunk {
 				multiChunk++
+			}
+			if slices.ContainsFunc(clos.counts, func(c []uint64) bool { return slices.ContainsFunc(c, func(n uint64) bool { return n > 0 }) }) {
+				counted++
 			}
 		}
 	}
@@ -201,6 +267,11 @@ func TestRandomProgramEquivalence(t *testing.T) {
 	// mid-run goes untested.
 	if multiChunk < n/40 {
 		t.Errorf("only %d/%d runs filled a branch-log chunk", multiChunk, 2*n)
+	}
+	// And Prof instructions must reach the arm tables, or their counts
+	// go untested.
+	if counted < n/5 {
+		t.Errorf("only %d/%d runs counted into an arm table", counted, 2*n)
 	}
 }
 
@@ -249,8 +320,7 @@ func FuzzEngines(f *testing.F) {
 		if len(input) > 4096 {
 			input = input[:4096]
 		}
-		p := randprog.New(seed)
-		ref, clos := runBoth(t, p, input)
+		ref, clos := runBoth(t, randprog.New(seed), seed, input)
 		compareRuns(t, "fuzz", ref, clos)
 	})
 }
@@ -279,7 +349,7 @@ func FuzzOptimize(f *testing.F) {
 		if err := q.Verify(); err != nil {
 			t.Fatalf("seed %d: optimized program does not verify: %v\n%s", seed, err, q.Dump())
 		}
-		want := runOn(t, p, input, interp.DecodeOptions{}, interp.EngineReference, false)
+		want := runOn(t, p, input, interp.DecodeOptions{}, interp.EngineReference, false, 0)
 		if want.err != "" {
 			return
 		}

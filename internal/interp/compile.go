@@ -47,8 +47,9 @@
 //     observably identical closure graphs.
 //   - One graph per Code, compiled lazily and cached, serves hooked and
 //     hook-free runs alike: every branch outcome stores its event
-//     behind the m.log.on test, and Prof/ProfCond closures test OnProf
-//     at run time.
+//     behind the m.log.on test; a Prof closure counts into its
+//     sequence's ArmTable, inline, when the run has one, and otherwise,
+//     as every ProfCond closure does, tests OnProf at run time.
 //   - Calls split a block: the call closure pushes a frame whose resume
 //     continuation is the already-compiled rest of the block, then
 //     returns the callee's entry closure; Ret pops and returns the
@@ -121,9 +122,10 @@ type ClosureMachine struct {
 	// exactly as Machine.OnBranches does.
 	OnBranches func(events []uint32)
 
-	// OnProf, if non-nil, observes every executed Prof/ProfCond
-	// instruction, exactly as Machine.OnProf does.
-	OnProf func(seqID, sub int, value int64)
+	// ArmTables and OnProf receive the profiling events exactly as
+	// Machine's fields of the same names do.
+	ArmTables []*ArmTable
+	OnProf    func(seqID, sub int, value int64)
 
 	// IJmpInsts is the instruction cost charged per indirect jump;
 	// DefaultIJmpInsts if zero.
@@ -164,6 +166,17 @@ func growWindow(regs []int64, n int) []int64 {
 	grown := make([]int64, n, n+n/2+16)
 	copy(grown, regs[:old])
 	return grown
+}
+
+// reuse returns s resliced to length n and cleared when its capacity
+// allows, and a new slice of length n otherwise.
+func reuse[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // statsAddScaled adds n executions' worth of d to dst.
@@ -227,20 +240,13 @@ func (m *ClosureMachine) Run() (int64, error) {
 		m.maxSteps = DefaultMaxSteps
 	}
 
-	// Reset execution state, reusing every arena from a previous run.
-	if int64(len(m.mem)) != c.prog.MemSize {
-		m.mem = make([]int64, c.prog.MemSize)
-	} else {
-		clear(m.mem)
-	}
+	// Reset execution state, reusing every arena from a previous run,
+	// of this program or another.
+	m.mem = reuse(m.mem, int(c.prog.MemSize))
 	for _, g := range c.prog.Globals {
 		copy(m.mem[g.Addr:g.Addr+g.Size], g.Init)
 	}
-	if len(m.counts) != len(cp.deltas) {
-		m.counts = make([]uint64, len(cp.deltas))
-	} else {
-		clear(m.counts)
-	}
+	m.counts = reuse(m.counts, len(cp.deltas))
 	m.inPos = 0
 	m.Stats = Stats{}
 	m.Output.Reset()
@@ -615,7 +621,11 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 		// ProfHits comes with the segment delta.
 		seqID, sub, a := int(d.seqID), int(d.sub), d.a
 		return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
-			if m.OnProf != nil {
+			if t := armTable(m.ArmTables, seqID); t != nil {
+				if v := a.val(w); !t.countDense(v) {
+					t.countSearch(v)
+				}
+			} else if m.OnProf != nil {
 				m.OnProf(seqID, sub, a.val(w))
 			}
 			return next(m, w, cmpA, cmpB, flags, steps)

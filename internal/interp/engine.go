@@ -136,17 +136,17 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("unknown engine %q (want closure or reference)", s)
 }
 
-// closureMachines recycles Exec's closure machines, so their arenas and
-// output buffers outlive one run.
+// closureMachines recycles Exec's and Train's closure machines, so their
+// arenas and output buffers outlive one run.
 var closureMachines = sync.Pool{New: func() any { return new(ClosureMachine) }}
 
 // Exec runs prog once under the selected engine with the given hooks
 // and returns the run's result, statistics and program output. The
 // reference engine walks prog directly; the closure engine executes
 // code, decoding prog (with fusion) when code is nil. Exec is the
-// one-shot form shared by training runs, auto-evaluation and CLI
-// execution; callers that need fusion/compile reports construct the
-// machines themselves. The returned output is the caller's to keep.
+// one-shot form shared by auto-evaluation and CLI execution (training
+// runs use Train); callers that need fusion/compile reports construct
+// the machines themselves. The returned output is the caller's to keep.
 func Exec(e Engine, prog *ir.Program, code *Code, input []byte,
 	onBranch func(id int, taken bool), onProf func(seqID, sub int, value int64)) (int64, Stats, []byte, error) {
 	if e == EngineReference {
@@ -168,4 +168,24 @@ func Exec(e Engine, prog *ir.Program, code *Code, input []byte,
 	m.Code, m.Input, m.OnBranch, m.OnProf = nil, nil, nil, nil
 	closureMachines.Put(m)
 	return ret, st, out, err
+}
+
+// Train is the training run: it runs prog once under engine e, the
+// closure engine running code, prog's decoding, on a pooled machine.
+// The tables count their sequences' Prof events in place and onProf
+// observes every other profiling event. Training keeps only the counts,
+// so Train returns only the run's error.
+func Train(e Engine, prog *ir.Program, code *Code, input []byte,
+	tables []*ArmTable, onProf func(seqID, sub int, value int64)) error {
+	if e == EngineReference {
+		m := &Machine{Prog: prog, Input: input, ArmTables: tables, OnProf: onProf}
+		_, err := m.Run()
+		return err
+	}
+	m := closureMachines.Get().(*ClosureMachine)
+	m.Code, m.Input, m.ArmTables, m.OnProf = code, input, tables, onProf
+	_, err := m.Run()
+	m.Code, m.Input, m.ArmTables, m.OnProf = nil, nil, nil, nil
+	closureMachines.Put(m)
+	return err
 }

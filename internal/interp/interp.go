@@ -78,10 +78,15 @@ type Machine struct {
 	// outside [0, MaxBranchID] cannot be encoded and traps.
 	OnBranches func(events []uint32)
 
-	// OnProf, if non-nil, observes every executed Prof or ProfCond
-	// instruction: for Prof, value is the branch variable and sub is 0;
-	// for ProfCond, value is the 0/1 outcome of the instrumented
-	// condition and sub identifies it within the sequence.
+	// ArmTables, if non-nil, is indexed by sequence ID: a Prof
+	// instruction whose sequence has a table there counts its value in
+	// the table (see ArmTable), and no hook sees it.
+	ArmTables []*ArmTable
+
+	// OnProf, if non-nil, observes every other executed Prof and every
+	// ProfCond instruction: for Prof, value is the branch variable and
+	// sub is 0; for ProfCond, value is the 0/1 outcome of the
+	// instrumented condition and sub identifies it within the sequence.
 	OnProf func(seqID, sub int, value int64)
 
 	// IJmpInsts is the instruction cost charged per indirect jump;
@@ -262,7 +267,9 @@ func (m *Machine) exec(fr *frame, in *ir.Inst) error {
 	switch in.Op {
 	case ir.Prof:
 		m.Stats.ProfHits++
-		if m.OnProf != nil {
+		if t := armTable(m.ArmTables, in.SeqID); t != nil {
+			t.Count(m.val(fr, in.A))
+		} else if m.OnProf != nil {
 			m.OnProf(in.SeqID, in.Sub, m.val(fr, in.A))
 		}
 		return nil // zero cost

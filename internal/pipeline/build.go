@@ -60,8 +60,9 @@ func Build(src string, train []byte, o Options) (*BuildResult, error) {
 }
 
 // BuildWith is Build with the training run on an explicit execution
-// engine. Every engine replays the identical OnProf hook sequence, so
-// the resulting build is byte-for-byte the same for any choice.
+// engine. Every engine counts the same profile, in the same arm tables
+// and through the same OnProf events, so the resulting build is
+// byte-for-byte the same for any choice.
 func BuildWith(src string, train []byte, o Options, e interp.Engine) (*BuildResult, error) {
 	out, prog, err := detectSource(src, o)
 	if err != nil {
@@ -132,9 +133,11 @@ func consumedBlocks(seqs []*core.Sequence) map[*ir.Block]bool {
 
 // train runs prog, as detect instrumented it, on input under engine e,
 // and records the counts of r's sequences as r.Profile and r.OrProfile.
-// The sampler thins the event stream per pc and scales the surviving
-// counts back to exact shape after the run; a zero config leaves the
-// hook untouched.
+// Each range sequence counts in an arm table inside the engine, with no
+// hook call; OnProf sees only the or-sequences' events, through the
+// or-profile hook. The sampler sets each table's countdown and wraps
+// the hook per pc, and scales the surviving counts back to exact shape
+// after the run; a zero config counts every event.
 func (r *BuildResult) train(prog *ir.Program, input []byte, pc profile.Config, e interp.Engine) error {
 	r.Profile, r.OrProfile = core.NewProfile(r.Sequences), core.NewOrProfile(r.OrSequences)
 	code, err := interp.Decode(prog)
@@ -142,34 +145,27 @@ func (r *BuildResult) train(prog *ir.Program, input []byte, pc profile.Config, e
 		return fmt.Errorf("training run: %w", err)
 	}
 	sampler := profile.NewSampler(pc, r.Profile, r.OrProfile)
-	if _, _, _, err := interp.Exec(e, prog, code, input, nil,
-		sampler.Hook(profHook(r.Profile, r.OrProfile))); err != nil {
+	// Detection numbers the range sequences densely from 0.
+	tables := make([]*interp.ArmTable, len(r.Sequences))
+	for _, s := range r.Sequences {
+		los, arms := r.Profile.ArmsByLo(s.ID)
+		rate, first := sampler.Countdown(s.ID)
+		tables[s.ID] = interp.NewArmTable(los, arms, r.Profile.Seqs[s.ID].Counts, rate, first)
+	}
+	var onProf func(seqID, sub int, v int64)
+	if len(r.OrSequences) > 0 {
+		onProf = sampler.Hook(r.OrProfile.Hook())
+	}
+	if err := interp.Train(e, prog, code, input, tables, onProf); err != nil {
 		return fmt.Errorf("training run: %w", err)
+	}
+	for _, sp := range r.Profile.Seqs {
+		for _, c := range sp.Counts {
+			sp.Total += c
+		}
 	}
 	sampler.Scale()
 	return nil
-}
-
-// profHook fuses the range- and or-profile hooks into the single OnProf
-// callback the interpreter dispatches. Most builds have no
-// common-successor sequences (the extension is off for the
-// paper-fidelity experiments), so the merged two-closure dispatch is
-// skipped whenever either side has nothing to count.
-func profHook(prof *core.Profile, orProf *core.OrProfile) func(seqID, sub int, v int64) {
-	rangeHook, orHook := prof.Hook(), orProf.Hook()
-	switch {
-	case len(prof.Seqs) == 0 && len(orProf.Seqs) == 0:
-		return nil
-	case len(orProf.Seqs) == 0:
-		return rangeHook
-	case len(prof.Seqs) == 0:
-		return orHook
-	default:
-		return func(seqID, sub int, v int64) {
-			rangeHook(seqID, sub, v)
-			orHook(seqID, sub, v)
-		}
-	}
 }
 
 // finalize runs the second pass on prog, as detect left it: it checks

@@ -126,9 +126,10 @@ func TrainStage(front *FrontendProduct, train []byte, d DetectOptions) (*TrainPr
 }
 
 // TrainStageWith is TrainStage on an explicit execution engine. All
-// engines replay the exact same OnProf hook sequence, so the collected
-// profile — and every build derived from it — is byte-identical for any
-// choice; only the training run's wall-clock changes.
+// engines count the same profile, in the same arm tables and through
+// the same OnProf events, so the collected profile — and every build
+// derived from it — is byte-identical for any choice; only the training
+// run's wall-clock changes.
 func TrainStageWith(front *FrontendProduct, train []byte, d DetectOptions, e interp.Engine) (*TrainProduct, error) {
 	var b BuildResult
 	prog := ir.CloneProgram(front.Prog)

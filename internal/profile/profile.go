@@ -5,10 +5,12 @@
 // training input. Production PGO lives with less: counters are sampled
 // (full instrumentation is too expensive to leave on), and the profile
 // is stale by the time it is consumed. This package provides the
-// sampled-collection layer (Sampler) behind the existing
-// core.Profile/core.OrProfile hooks and the configuration (Config) that
-// the build pipeline, the content-addressed store, and the brbench
-// -profile-study quality harness all key on.
+// sampled-collection layer (Sampler), which sets the countdown of the
+// engine's arm tables (interp.ArmTable) that count the range sequences
+// and wraps the core.OrProfile hook that counts the or-sequences, and
+// the configuration (Config) that the build pipeline, the
+// content-addressed store, and the brbench -profile-study quality
+// harness all key on.
 //
 // Everything is deterministic by construction: sampling decisions come
 // from a seeded splitmix64 stream per sequence, never from time or
@@ -88,10 +90,10 @@ type Config struct {
 }
 
 // Sampling reports whether the configuration actually samples — i.e.
-// whether the training-run hook differs from exact collection. An
-// EveryNth config at rate <= 1 still runs the sampling path (it keeps
-// every event and scales by 1), which the differential tests rely on
-// being bit-identical to Exact.
+// whether the training run's countdowns and or-sequence hook differ
+// from exact collection. An EveryNth config at rate <= 1 still runs the
+// sampling path (it keeps every event and scales by 1), which the
+// differential tests rely on being bit-identical to Exact.
 func (c Config) Sampling() bool { return c.Mode != Exact }
 
 // EffectiveRate is the sampling rate with the <= 1 floor applied.

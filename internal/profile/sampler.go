@@ -26,13 +26,16 @@ type seqState struct {
 	phase  uint64 // which residue mod rate is kept
 }
 
-// Sampler thins the training-run profile event stream according to a
-// Config and scales the surviving counts back to exact-profile shape.
-// It wraps the combined Profile/OrProfile hook; wiring is:
+// Sampler thins the training-run profile according to a Config and
+// scales the surviving counts back to exact-profile shape. Range
+// sequences are counted in the engine's arm tables, which take their
+// countdown from Countdown; the or-sequences' ProfCond events reach the
+// OrProfile hook through Hook. Wiring is:
 //
 //	s := profile.NewSampler(cfg, prof, orProf)
-//	machine.OnProf = s.Hook(combinedHook)
-//	... run training input ...
+//	rate, first := s.Countdown(seqID) // per range sequence's table
+//	machine.OnProf = s.Hook(orProf.Hook())
+//	... run training input, then sum each range sequence's Total ...
 //	s.Scale()
 //
 // One head execution of an or-sequence emits N consecutive ProfCond
@@ -69,10 +72,24 @@ func NewSampler(cfg Config, prof *core.Profile, orProf *core.OrProfile) *Sampler
 func (s *Sampler) state(seqID int) *seqState {
 	st := s.seqs[seqID]
 	if st == nil {
-		st = &seqState{phase: mix(s.cfg.Seed, seqID) % s.rate}
+		st = &seqState{phase: s.phase(seqID)}
 		s.seqs[seqID] = st
 	}
 	return st
+}
+
+// phase is the residue mod rate of the head executions of seqID that
+// EveryNth keeps.
+func (s *Sampler) phase(seqID int) uint64 { return mix(s.cfg.Seed, seqID) % s.rate }
+
+// Countdown returns how an arm table keeps the head executions of range
+// sequence seqID that Hook would: one in rate, the first kept being
+// execution first (0-based). An exact config keeps every execution.
+func (s *Sampler) Countdown(seqID int) (rate, first uint64) {
+	if !s.cfg.Sampling() {
+		return 1, 0
+	}
+	return s.rate, s.phase(seqID)
 }
 
 // Hook wraps the exact-collection profile hook with the sampling
@@ -110,24 +127,11 @@ func (s *Sampler) decide(st *seqState) bool {
 // profile damage.
 func (s *Sampler) Scale() {
 	if s.cfg.Sampling() && s.rate > 1 {
-		factor := s.rate
-		for id := range s.seqs {
-			if sp := s.prof[id]; sp != nil {
-				var total uint64
-				for i, c := range sp.Counts {
-					sp.Counts[i] = c * factor
-					total += c * factor
-				}
-				sp.Total = total
-			}
-			if op := s.orProf[id]; op != nil {
-				var total uint64
-				for i, c := range op.Combos {
-					op.Combos[i] = c * factor
-					total += c * factor
-				}
-				op.Total = total
-			}
+		for _, sp := range s.prof {
+			sp.Total = scale(sp.Counts, s.rate)
+		}
+		for _, op := range s.orProf {
+			op.Total = scale(op.Combos, s.rate)
 		}
 	}
 	if s.cfg.Bias > 0 {
@@ -144,4 +148,14 @@ func (s *Sampler) Scale() {
 			}
 		}
 	}
+}
+
+// scale multiplies counts by factor in place and returns their sum.
+func scale(counts []uint64, factor uint64) uint64 {
+	var total uint64
+	for i := range counts {
+		counts[i] *= factor
+		total += counts[i]
+	}
+	return total
 }

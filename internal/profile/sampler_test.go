@@ -5,35 +5,44 @@ import (
 	"testing"
 
 	"branchreorder/internal/core"
+	"branchreorder/internal/interp"
+	"branchreorder/internal/ir"
 )
 
 // testProfiles builds count storage shaped like a training run's: one
-// range sequence with 4 arms and one or-sequence with 3 conditions.
+// range sequence with 4 arms, [MIN..3], [4..7], [8..11] and [12..MAX],
+// and one or-sequence with 3 conditions.
 func testProfiles() (*core.Profile, *core.OrProfile) {
-	prof := &core.Profile{Seqs: map[int]*core.SeqProfile{
-		0: {Counts: make([]uint64, 4)},
-	}}
+	var arms []core.Arm
+	for lo := int64(0); lo < 16; lo += 4 {
+		arms = append(arms, core.Arm{R: core.Range{Lo: lo, Hi: lo + 3}})
+	}
+	arms[0].R.Lo, arms[3].R.Hi = ir.MinVal, ir.MaxVal
+	prof := core.NewProfile([]*core.Sequence{{ID: 0, Arms: arms}})
 	orProf := &core.OrProfile{Seqs: map[int]*core.OrSeqProfile{
 		1: {N: 3, Combos: make([]uint64, 8)},
 	}}
 	return prof, orProf
 }
 
-// drive replays a deterministic synthetic event stream through the
-// sampler-wrapped hook: seq 0 gets single-sub events attributed to arm
-// v%4, seq 1 gets 3-sub groups committed on the last sub, exactly like
-// core's hooks. Returns the stream's exact per-arm truth for seq 0.
+// drive replays a deterministic synthetic event stream as a training run
+// delivers it: seq 0's head executions, with values in [0, 16), count in
+// an arm table with the sampler's countdown, as the engines' Prof
+// instructions do, and seq 1 gets 3-sub ProfCond groups through the
+// sampler-wrapped hook, committed on the last sub as core's hook does.
+// Returns the stream's exact per-arm truth for seq 0.
 func drive(s *Sampler, prof *core.Profile, orProf *core.OrProfile, events int) []uint64 {
-	// Reimplements core's hooks on the test's own storage, with or-group
+	los, arms := prof.ArmsByLo(0)
+	rate, first := s.Countdown(0)
+	sp := prof.Seqs[0]
+	table := interp.NewArmTable(los, arms, sp.Counts, rate, first)
+	// Reimplements core's or-hook on the test's own storage, with group
 	// assembly tracked explicitly so a dropped sub (broken group
 	// integrity) panics instead of silently corrupting a mask.
 	var pendingSubs int
 	orNext := func(seqID, sub int, v int64) {
 		if seqID != 1 {
-			sp := prof.Seqs[0]
-			sp.Counts[int(v)%len(sp.Counts)]++
-			sp.Total++
-			return
+			panic("range sequence event reached the hook")
 		}
 		if sub == 0 {
 			pendingSubs = 0
@@ -53,8 +62,8 @@ func drive(s *Sampler, prof *core.Profile, orProf *core.OrProfile, events int) [
 	for i := 0; i < events; i++ {
 		r = splitmix64(r)
 		v := int64(r % 16)
-		hook(0, 0, v)
-		truth[int(v)%4]++
+		table.Count(v)
+		truth[v/4]++
 		// Every 3rd event also executes the or-sequence head.
 		if i%3 == 0 {
 			hook(1, 0, v)
@@ -62,7 +71,33 @@ func drive(s *Sampler, prof *core.Profile, orProf *core.OrProfile, events int) [
 			hook(1, 2, v)
 		}
 	}
+	// The training run sums each range sequence's total.
+	for _, c := range sp.Counts {
+		sp.Total += c
+	}
 	return truth
+}
+
+// The arm table's countdown keeps the head executions the sampler's hook
+// keeps: on one stream, the sampler-wrapped core.Profile hook and the
+// table count the same.
+func TestCountdownKeepsWhatHookKeeps(t *testing.T) {
+	for _, cfg := range []Config{{}, {Mode: EveryNth, Rate: 1, Seed: 2}, {Mode: EveryNth, Rate: 7, Seed: 3}, {Mode: EveryNth, Rate: 64, Seed: 4}} {
+		hookProf, hookOr := testProfiles()
+		hs := NewSampler(cfg, hookProf, hookOr)
+		hook := hs.Hook(hookProf.Hook())
+		prof, orProf := testProfiles()
+		s := NewSampler(cfg, prof, orProf)
+		drive(s, prof, orProf, 3000)
+		r := uint64(99)
+		for i := 0; i < 3000; i++ {
+			r = splitmix64(r)
+			hook(0, 0, int64(r%16))
+		}
+		if !reflect.DeepEqual(prof.Seqs[0], hookProf.Seqs[0]) {
+			t.Errorf("%+v: table counts %v, hook counts %v", cfg, prof.Seqs[0], hookProf.Seqs[0])
+		}
+	}
 }
 
 func TestExactModeIsPassThrough(t *testing.T) {
