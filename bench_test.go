@@ -39,7 +39,7 @@ var (
 func sharedSuite(b *testing.B) *bench.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suite, suiteErr = bench.RunSuite(nil)
+		suite, suiteErr = bench.NewEngine(0, nil).Suite(context.Background())
 	})
 	if suiteErr != nil {
 		b.Fatalf("building suite: %v", suiteErr)
@@ -549,7 +549,7 @@ func BenchmarkAblation(b *testing.B) {
 		ws = append(ws, w)
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunAblation(lower.SetIII, ws)
+		rows, err := bench.RunAblationWith(context.Background(), bench.NewEngine(0, nil), lower.SetIII, ws)
 		if err != nil {
 			b.Fatal(err)
 		}

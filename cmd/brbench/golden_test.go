@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"branchreorder/internal/sim"
+	"branchreorder/internal/interp"
 )
 
 // The golden anchor: brbench's stdout must reproduce the committed
@@ -33,7 +33,7 @@ func TestGoldenProfileStudy(t *testing.T) {
 func forEachEngine(t *testing.T, f func(t *testing.T, engine string)) {
 	for _, engine := range []string{"closure", "reference"} {
 		t.Run(engine, func(t *testing.T) {
-			if _, err := sim.ParseEngine(engine); err != nil {
+			if _, err := interp.ParseEngine(engine); err != nil {
 				t.Fatal(err)
 			}
 			f(t, engine)

@@ -35,6 +35,7 @@ import (
 
 	"branchreorder/internal/bench"
 	"branchreorder/internal/bench/store"
+	"branchreorder/internal/interp"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/sim"
 	"branchreorder/internal/workload"
@@ -56,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profStudy = fs.Bool("profile-study", false, "run the profile-quality study (sampled profiles scored against exact ones, by sample rate and train/test drift) instead")
 		profRates = fs.String("profile-rates", "1,8,64,512", "comma-separated sample rates for -profile-study (1 is the exact reference and must be present)")
 		profSeed  = fs.Uint64("profile-seed", 1, "deterministic sampling seed for -profile-study")
-		profBias  = fs.Uint64("profile-bias", 0, "fault injection for -profile-study: corrupt every sampled sequence's first arm count by this much")
 		quiet     = fs.Bool("q", false, "suppress progress output and the timing summary")
 		jobs      = fs.Int("j", 0, "max concurrent build+measure jobs (<=0 means GOMAXPROCS); each job's baseline measurement runs beside its training, outside this bound")
 		workloads = fs.String("workloads", "", "comma-separated workload subset (default: all 17)")
@@ -70,6 +70,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	given := map[string]bool{} // the flags named on the command line
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "brbench:", err)
 		return 1
@@ -107,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	measureEngine, err := sim.ParseEngine(*engName)
+	measureEngine, err := interp.ParseEngine(*engName)
 	if err != nil {
 		return fail(err)
 	}
@@ -130,8 +132,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-cache-gc needs a positive age, got %v", *cacheGC))
 	case *profStudy && (*ablation || *table != 0 || *figure != 0 || *jsonOut != ""):
 		return fail(fmt.Errorf("-profile-study renders its own table; drop -ablation/-table/-figure/-json"))
-	case !*profStudy && (*profRates != "1,8,64,512" || *profSeed != 1 || *profBias != 0):
-		return fail(fmt.Errorf("-profile-rates, -profile-seed and -profile-bias configure the study; add -profile-study"))
+	case !*profStudy && (given["profile-rates"] || given["profile-seed"]):
+		return fail(fmt.Errorf("-profile-rates and -profile-seed configure the study; add -profile-study"))
 	}
 	var rates []int
 	if *profStudy {
@@ -204,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	if *profStudy {
-		rows, err := bench.RunProfileStudyWith(ctx, engine, ws, rates, *profSeed, *profBias)
+		rows, err := bench.RunProfileStudyWith(ctx, engine, ws, rates, *profSeed)
 		if err != nil {
 			return fail(err)
 		}

@@ -45,12 +45,6 @@ type AblationRow struct {
 	Baseline uint64
 }
 
-// RunAblation measures the given workloads under every variant on a
-// fresh GOMAXPROCS-wide engine.
-func RunAblation(set lower.HeuristicSet, ws []workload.Workload) ([]AblationRow, error) {
-	return RunAblationWith(context.Background(), NewEngine(0, nil), set, ws)
-}
-
 // AblationJobs enumerates the (workload × variant) grid in deterministic
 // order — workloads outer, variants inner — the way SuiteJobs enumerates
 // the standard matrix. The "full" variant's options equal BaseOptions, so

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestAblation(t *testing.T) {
-	rows, err := RunAblation(lower.SetIII, subset(t, "wc", "sort", "lex"))
+	rows, err := RunAblationWith(context.Background(), NewEngine(0, nil), lower.SetIII, subset(t, "wc", "sort", "lex"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,8 @@
 package bench
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 
 	"branchreorder/internal/bench/store"
@@ -188,13 +186,6 @@ func (s *Suite) AllRuns() []*ProgramRun {
 // Sets lists the heuristic sets in presentation order.
 func Sets() []lower.HeuristicSet {
 	return []lower.HeuristicSet{lower.SetI, lower.SetII, lower.SetIII}
-}
-
-// RunSuite executes the full evaluation on a GOMAXPROCS-wide worker pool
-// (use NewEngine directly to pick the parallelism or share the stages
-// with other experiments). Progress lines go to progress when non-nil.
-func RunSuite(progress io.Writer) (*Suite, error) {
-	return NewEngine(0, progress).Suite(context.Background())
 }
 
 // TotalSeqs reports how many reorderable sequences were detected.

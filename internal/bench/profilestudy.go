@@ -28,16 +28,15 @@ func ProfileStudyDrifts() []profile.Drift {
 
 // ProfileStudyOptions is the build configuration of one study cell. The
 // study runs the paper's main evaluation set (Set II). Rate 1 is the
-// exact reference: sampling and bias are withheld so the row is
-// byte-identical to a plain build — only the drift axis remains.
-func ProfileStudyOptions(drift profile.Drift, rate int, seed, bias uint64) pipeline.Options {
+// exact reference: sampling is withheld so the row is byte-identical to
+// a plain build — only the drift axis remains.
+func ProfileStudyOptions(drift profile.Drift, rate int, seed uint64) pipeline.Options {
 	o := BaseOptions(lower.SetII)
 	o.Profile = profile.Config{Drift: drift}
 	if rate > 1 {
 		o.Profile.Mode = profile.EveryNth
 		o.Profile.Rate = rate
 		o.Profile.Seed = seed
-		o.Profile.Bias = bias
 	}
 	return o
 }
@@ -45,13 +44,13 @@ func ProfileStudyOptions(drift profile.Drift, rate int, seed, bias uint64) pipel
 // ProfileStudyJobs enumerates the study grid in deterministic order —
 // workloads outer, drift arms middle, rates inner. Rates must include 1:
 // every drift arm needs its reference.
-func ProfileStudyJobs(ws []workload.Workload, rates []int, seed, bias uint64) []Job {
+func ProfileStudyJobs(ws []workload.Workload, rates []int, seed uint64) []Job {
 	drifts := ProfileStudyDrifts()
 	jobs := make([]Job, 0, len(ws)*len(drifts)*len(rates))
 	for _, w := range ws {
 		for _, drift := range drifts {
 			for _, rate := range rates {
-				jobs = append(jobs, Job{Workload: w, Opts: ProfileStudyOptions(drift, rate, seed, bias)})
+				jobs = append(jobs, Job{Workload: w, Opts: ProfileStudyOptions(drift, rate, seed)})
 			}
 		}
 	}
@@ -130,7 +129,7 @@ func intsEqual(a, b []int) bool {
 // scores every cell. Rows come back in grid order regardless of which
 // build finishes first, so the rendered table is byte-identical across
 // -j values.
-func RunProfileStudyWith(ctx context.Context, e *Engine, ws []workload.Workload, rates []int, seed, bias uint64) ([]ProfileStudyRow, error) {
+func RunProfileStudyWith(ctx context.Context, e *Engine, ws []workload.Workload, rates []int, seed uint64) ([]ProfileStudyRow, error) {
 	hasRef := false
 	for _, r := range rates {
 		if r == 1 {
@@ -142,7 +141,7 @@ func RunProfileStudyWith(ctx context.Context, e *Engine, ws []workload.Workload,
 	if !hasRef {
 		return nil, fmt.Errorf("bench: profile study needs rate 1 (the exact reference)")
 	}
-	jobs := ProfileStudyJobs(ws, rates, seed, bias)
+	jobs := ProfileStudyJobs(ws, rates, seed)
 	grid := make([]*ProgramRun, len(jobs))
 	err := e.gather(ctx, len(grid), func(ctx context.Context, i int) error {
 		r, err := e.Get(ctx, jobs[i].Workload, jobs[i].Opts)

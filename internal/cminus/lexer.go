@@ -256,19 +256,3 @@ func (l *Lexer) escape(pos Pos) (byte, error) {
 		return 0, errf(pos, "unknown escape sequence \\%c", c)
 	}
 }
-
-// LexAll tokenizes the whole source (for tests and tools).
-func LexAll(src string) ([]Tok, error) {
-	l := NewLexer(src)
-	var toks []Tok
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-	}
-}

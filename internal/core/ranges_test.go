@@ -146,3 +146,36 @@ func TestNonOverlapping(t *testing.T) {
 		t.Error("disjoint range rejected")
 	}
 }
+
+// merged coalesces adjacent/overlapping ranges (helper for sanity checks).
+func merged(ranges []Range) []Range {
+	if len(ranges) == 0 {
+		return nil
+	}
+	s := append([]Range(nil), ranges...)
+	sort.Slice(s, func(i, j int) bool { return s[i].Lo < s[j].Lo })
+	out := []Range{s[0]}
+	for _, r := range s[1:] {
+		last := &out[len(out)-1]
+		if last.Hi != ir.MaxVal && r.Lo <= last.Hi+1 {
+			if r.Hi > last.Hi {
+				last.Hi = r.Hi
+			}
+			continue
+		}
+		if r.Lo <= last.Hi { // overlap at MaxVal edge
+			if r.Hi > last.Hi {
+				last.Hi = r.Hi
+			}
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// CoversDomain reports whether the union of ranges is the full domain.
+func CoversDomain(ranges []Range) bool {
+	m := merged(ranges)
+	return len(m) == 1 && m[0] == FullRange
+}

@@ -59,18 +59,15 @@ type TransformOptions struct {
 	NoTailDup bool
 }
 
-// Reorder selects the best ordering for the sequence under the given
-// profile and, when it beats the original order, rewrites the control
-// flow (Section 8): a replicated, reordered chain of range conditions is
-// built, side effects are sunk onto the exit edges (Theorem 2), the
-// default target may be tail-duplicated to avoid an unconditional jump,
-// and the old head is rewritten to enter the new chain, leaving the old
-// condition blocks to dead-code elimination.
-func Reorder(seq *Sequence, sp *SeqProfile) Result {
-	return ReorderWith(seq, sp, TransformOptions{})
-}
-
-// ReorderWith is Reorder with some design choices disabled.
+// ReorderWith selects the best ordering for the sequence under the
+// given profile and, when it beats the original order, rewrites the
+// control flow (Section 8): a replicated, reordered chain of range
+// conditions is built, side effects are sunk onto the exit edges
+// (Theorem 2), the default target may be tail-duplicated to avoid an
+// unconditional jump, and the old head is rewritten to enter the new
+// chain, leaving the old condition blocks to dead-code elimination. The
+// zero TransformOptions is the paper's full transformation; topt
+// disables some of its design choices.
 func ReorderWith(seq *Sequence, sp *SeqProfile, topt TransformOptions) Result {
 	res := Result{Seq: seq, OrigBranches: seq.OrigBranches()}
 	seq.AttachProfile(sp)

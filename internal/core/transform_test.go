@@ -46,7 +46,7 @@ func trainAndReorder(t *testing.T, p *ir.Program, train []byte) (seq *Sequence, 
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("training run: %v", err)
 	}
-	res = Reorder(seq, prof.Seqs[seq.ID])
+	res = ReorderWith(seq, prof.Seqs[seq.ID], TransformOptions{})
 	StripProf(p)
 	p.Linearize()
 	if err := p.Verify(); err != nil {
@@ -108,7 +108,7 @@ func TestReorderSkipsUnexecutedSequence(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res := Reorder(seq, prof.Seqs[seq.ID])
+	res := ReorderWith(seq, prof.Seqs[seq.ID], TransformOptions{})
 	if res.Applied || res.Reason != ReasonNotExecuted {
 		t.Errorf("result = %+v, want skip for unexecuted sequence", res)
 	}

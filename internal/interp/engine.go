@@ -12,8 +12,7 @@ import (
 // the same Output, return value, hook sequences and trap text, and the
 // same Stats on every completed run, so the choice never affects
 // results, only wall-clock speed. The zero value is the closure engine,
-// the package's default backend for measurement, training,
-// auto-evaluation and brcc.
+// the package's default backend for measurement, training and brcc.
 type Engine int
 
 const (
@@ -144,9 +143,9 @@ var closureMachines = sync.Pool{New: func() any { return new(ClosureMachine) }}
 // and returns the run's result, statistics and program output. The
 // reference engine walks prog directly; the closure engine executes
 // code, decoding prog (with fusion) when code is nil. Exec is the
-// one-shot form shared by auto-evaluation and CLI execution (training
-// runs use Train); callers that need fusion/compile reports construct
-// the machines themselves. The returned output is the caller's to keep.
+// one-shot form of CLI execution (training runs use Train); callers
+// that need fusion/compile reports construct the machines themselves.
+// The returned output is the caller's to keep.
 func Exec(e Engine, prog *ir.Program, code *Code, input []byte,
 	onBranch func(id int, taken bool), onProf func(seqID, sub int, value int64)) (int64, Stats, []byte, error) {
 	if e == EngineReference {

@@ -8,3 +8,7 @@ func SetNextBranchID(p *Program, n int) { p.nextBranchID = n }
 
 // NextBlockID reports f's block-ID allocator.
 func NextBlockID(f *Func) int { return f.nextID }
+
+// NextBranchID reports the number of conditional branches assigned IDs by
+// the last Linearize (IDs are 0..NextBranchID-1).
+func (p *Program) NextBranchID() int { return p.nextBranchID }

@@ -262,27 +262,6 @@ func (t *Term) Succs(dst []*Block) []*Block {
 	return dst
 }
 
-// ReplaceSucc rewrites every successor edge equal to from so it points to
-// to, returning the number of edges rewritten.
-func (t *Term) ReplaceSucc(from, to *Block) int {
-	n := 0
-	if t.Taken == from {
-		t.Taken = to
-		n++
-	}
-	if t.Next == from {
-		t.Next = to
-		n++
-	}
-	for i, tgt := range t.Targets {
-		if tgt == from {
-			t.Targets[i] = to
-			n++
-		}
-	}
-	return n
-}
-
 // Block is a basic block: a run of straight-line instructions ended by a
 // single terminator.
 type Block struct {

@@ -20,10 +20,6 @@ func (p *Program) Linearize() {
 	}
 }
 
-// NextBranchID reports the number of conditional branches assigned IDs by
-// the last Linearize (IDs are 0..NextBranchID-1).
-func (p *Program) NextBranchID() int { return p.nextBranchID }
-
 func linearizeFunc(f *Func, branchID *int) {
 	RemoveUnreachable(f)
 	stripNops(f)

@@ -149,104 +149,3 @@ int main() {
 		}
 	}
 }
-
-// Profile-guided search-method selection (the other Section 10 thread):
-// with a hot-skewed switch, AutoBuild should not pick a method that runs
-// more instructions than the alternatives on the profile.
-func TestAutoBuildPicksCheapest(t *testing.T) {
-	src := `
-int counts[12];
-int main() {
-	int c;
-	while ((c = getchar()) != EOF) {
-		switch (c) {
-		case 'a': counts[0]++; break;
-		case 'b': counts[1]++; break;
-		case 'c': counts[2]++; break;
-		case 'd': counts[3]++; break;
-		case 'e': counts[4]++; break;
-		case 'f': counts[5]++; break;
-		case 'g': counts[6]++; break;
-		case 'h': counts[7]++; break;
-		default:  counts[8]++; break;
-		}
-	}
-	putint(counts[0] + 2*counts[7] + 3*counts[8]);
-	return 0;
-}`
-	// Extremely skewed: nearly always 'h'.
-	gen := func(seed int64, n int) []byte {
-		rng := rand.New(rand.NewSource(seed))
-		var out []byte
-		for i := 0; i < n; i++ {
-			if rng.Intn(20) == 0 {
-				out = append(out, byte('a'+rng.Intn(8)))
-			} else {
-				out = append(out, 'h')
-			}
-		}
-		return out
-	}
-	train, test := gen(5, 3000), gen(6, 4500)
-	auto, err := AutoBuild(src, train, Options{Optimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(auto.TrainInsts) != 3 {
-		t.Fatalf("evaluated %d candidates", len(auto.TrainInsts))
-	}
-	best := auto.TrainInsts[auto.Set]
-	for set, insts := range auto.TrainInsts {
-		if insts < best {
-			t.Errorf("chose set %v (%d insts) but set %v costs %d",
-				auto.Set, best, set, insts)
-		}
-	}
-	// The chosen build must behave like any other candidate.
-	ret0, out0, _ := runProg(t, auto.Chosen.Baseline, string(test))
-	ret1, out1, _ := runProg(t, auto.Chosen.Reordered, string(test))
-	if ret0 != ret1 || out0 != out1 {
-		t.Fatal("auto-chosen build changed semantics")
-	}
-	t.Logf("auto selection: set %v; candidates %v", auto.Set, auto.TrainInsts)
-}
-
-// With a skewed profile the reordered linear search should beat the jump
-// table on this switch (the paper's "fewer indirect jumps" observation),
-// so AutoBuild should prefer Set III here.
-func TestAutoBuildPrefersReorderingOnSkew(t *testing.T) {
-	src := `
-int n = 0;
-int main() {
-	int c;
-	while ((c = getchar()) != EOF) {
-		switch (c) {
-		case 1: n += 1; break;
-		case 2: n += 2; break;
-		case 3: n += 3; break;
-		case 4: n += 4; break;
-		case 5: n += 5; break;
-		case 6: n += 6; break;
-		}
-	}
-	putint(n);
-	return 0;
-}`
-	var train []byte
-	for i := 0; i < 2000; i++ {
-		train = append(train, 6) // always the same case
-	}
-	auto, err := AutoBuild(src, train, Options{Optimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Set I emits a jump table here; Sets II and III both fall back to a
-	// reorderable linear search (n < 8), so either may win — but the
-	// indirect jump must lose on this fully skewed profile.
-	if auto.Set == lower.SetI {
-		t.Errorf("chose the jump table (Set I); candidates %v", auto.TrainInsts)
-	}
-	if auto.TrainInsts[auto.Set] >= auto.TrainInsts[lower.SetI] {
-		t.Errorf("reordered linear search did not beat the jump table: %v", auto.TrainInsts)
-	}
-}

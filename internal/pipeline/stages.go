@@ -54,8 +54,8 @@ func (o Options) Frontend() FrontendOptions {
 
 // DetectOptions is the subset of Options (beyond the frontend's) that
 // determines the stage-2 product. The profile configuration belongs
-// here: sampled or biased counts are a different product than exact
-// ones, so they must never share a stage-2 key or store fingerprint.
+// here: sampled counts are a different product than exact ones, so
+// they must never share a stage-2 key or store fingerprint.
 // It is comparable, so it can key memos directly.
 type DetectOptions struct {
 	CommonSuccessor bool

@@ -82,11 +82,6 @@ type Config struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Drift selects the training input (see Drift).
 	Drift Drift `json:"drift,omitempty"`
-	// Bias corrupts the scaled counts (added to each sequence's first
-	// arm) — the quality harness's injected-bias proof that the study
-	// actually measures selection quality. Never set it outside tests
-	// and the -profile-bias flag.
-	Bias uint64 `json:"bias,omitempty"`
 }
 
 // Sampling reports whether the configuration actually samples — i.e.

@@ -122,9 +122,6 @@ func (s *Sampler) decide(st *seqState) bool {
 // after the training run, multiplying them by the sampling rate. Totals
 // are recomputed as the sum of the scaled counts so the count/total
 // invariant the selection code divides by still holds.
-// Finally the configured Bias, if any, corrupts each executed sequence's
-// first counter — the quality harness's proof that its metrics react to
-// profile damage.
 func (s *Sampler) Scale() {
 	if s.cfg.Sampling() && s.rate > 1 {
 		for _, sp := range s.prof {
@@ -132,20 +129,6 @@ func (s *Sampler) Scale() {
 		}
 		for _, op := range s.orProf {
 			op.Total = scale(op.Combos, s.rate)
-		}
-	}
-	if s.cfg.Bias > 0 {
-		for _, sp := range s.prof {
-			if sp.Total > 0 && len(sp.Counts) > 0 {
-				sp.Counts[0] += s.cfg.Bias
-				sp.Total += s.cfg.Bias
-			}
-		}
-		for _, op := range s.orProf {
-			if op.Total > 0 && len(op.Combos) > 0 {
-				op.Combos[0] += s.cfg.Bias
-				op.Total += s.cfg.Bias
-			}
 		}
 	}
 }

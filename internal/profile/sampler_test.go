@@ -188,23 +188,3 @@ func TestScaledCountsUnbiased(t *testing.T) {
 		}
 	}
 }
-
-func TestBiasCorruptsExecutedSequences(t *testing.T) {
-	prof, orProf := testProfiles()
-	prof.Seqs[0].Counts[2] = 10
-	prof.Seqs[0].Total = 10
-	// A second, never-executed sequence must stay untouched: bias must
-	// not flip ReasonNotExecuted decisions.
-	prof.Seqs[9] = &core.SeqProfile{Counts: make([]uint64, 2)}
-	s := NewSampler(Config{Bias: 1000}, prof, orProf)
-	s.Scale()
-	if got := prof.Seqs[0].Counts[0]; got != 1000 {
-		t.Fatalf("bias not applied: Counts[0] = %d", got)
-	}
-	if got := prof.Seqs[0].Total; got != 1010 {
-		t.Fatalf("bias not reflected in total: %d", got)
-	}
-	if prof.Seqs[9].Total != 0 {
-		t.Fatal("bias leaked into a never-executed sequence")
-	}
-}

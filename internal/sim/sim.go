@@ -54,30 +54,16 @@ type Measurement struct {
 	Fusion interp.FusionStats
 }
 
-// Engine selects the execution backend for a measurement. Both engines
-// produce the same Stats, Output, Ret, Mispredicts and Cycles and
-// differ only in wall-clock speed (and in Fusion, which only the
-// decoding closure engine reports). The enum lives in interp — where
-// the machines do — and is aliased here so measurement callers need
-// only this package.
-type Engine = interp.Engine
-
-const (
-	EngineClosure   = interp.EngineClosure
-	EngineReference = interp.EngineReference
-)
-
-// ParseEngine maps a command-line engine name to an Engine. The empty
-// string selects the default closure engine.
-func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
-
 // Options configures how a measurement executes. The zero value is the
 // default (closure-engine) configuration. Options never enters result
 // fingerprints: engine selection must not invalidate caches, because
 // results are engine-independent.
 type Options struct {
-	// Engine selects the execution backend.
-	Engine Engine
+	// Engine selects the execution backend. Both engines produce the
+	// same Stats, Output, Ret, Mispredicts and Cycles and differ only in
+	// wall-clock speed (and in Fusion, which only the decoding closure
+	// engine reports).
+	Engine interp.Engine
 }
 
 // Run executes prog on input, simulating the given predictor specs (pass
@@ -171,7 +157,7 @@ func (r *runner) measure(prog *ir.Program, input []byte, specs []predictor.Spec,
 // exec runs prog on the selected engine, feeding every branch chunk to
 // r.add.
 func (r *runner) exec(prog *ir.Program, input []byte, opts Options) (interp.Stats, string, int64, interp.FusionStats, error) {
-	if opts.Engine == EngineReference {
+	if opts.Engine == interp.EngineReference {
 		m := &interp.Machine{Prog: prog, Input: input, OnBranches: r.onBranches}
 		ret, err := m.Run()
 		return m.Stats, m.Output.String(), ret, interp.FusionStats{}, err

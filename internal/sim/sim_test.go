@@ -164,8 +164,8 @@ func TestDefaultEngineIsClosure(t *testing.T) {
 		clos bool
 	}{
 		{Options{}, true},
-		{Options{Engine: EngineClosure}, true},
-		{Options{Engine: EngineReference}, false},
+		{Options{Engine: interp.EngineClosure}, true},
+		{Options{Engine: interp.EngineReference}, false},
 	} {
 		r := runners.New().(*runner)
 		if _, err := r.measure(front.Prog, []byte("xyx"), nil, c.opts); err != nil {
@@ -248,8 +248,8 @@ func TestReplayJoinsOnEveryPath(t *testing.T) {
 		{"div-by-zero", trap, "", 0, "sim: runtime error in main: division by zero"},
 		{"step-limit", endless, "", 100000, "sim: runtime error in main: exceeded step limit 100000"},
 	} {
-		for _, opts := range []Options{{}, {Engine: EngineReference}} {
-			if c.maxSteps != 0 && opts.Engine == EngineReference {
+		for _, opts := range []Options{{}, {Engine: interp.EngineReference}} {
+			if c.maxSteps != 0 && opts.Engine == interp.EngineReference {
 				continue // the reference Machine is built per run
 			}
 			before := settledGoroutines()
