@@ -225,7 +225,9 @@ func BenchmarkBuildReordered(b *testing.B) {
 // training run, finalize. staged-warm finalizes a prebuilt frontend and
 // training product, so each iteration pays only the finalize stage; the
 // gap between the two is the work the engine's stage memos amortize
-// across Transform variants.
+// across Transform variants. roster runs Build once for each of the
+// suite's 51 jobs, as brcc would, with no sharing: the op of the
+// benchmark's compile workload, 51 times over.
 func BenchmarkBuild(b *testing.B) {
 	w := wcSource(b)
 	train := w.Train()
@@ -252,6 +254,22 @@ func BenchmarkBuild(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := pipeline.FinalizeStages(front, tp, opts); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("roster", func(b *testing.B) {
+		jobs := bench.SuiteJobs(workload.All())
+		inputs := make([][]byte, len(jobs))
+		for i, j := range jobs {
+			inputs[i] = bench.TrainInput(j.Workload, j.Opts)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k, j := range jobs {
+				if _, err := pipeline.Build(j.Workload.Source, inputs[k], j.Opts); err != nil {
+					b.Fatalf("%s (set %v): %v", j.Workload.Name, j.Opts.Switch, err)
+				}
 			}
 		}
 	})

@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"branchreorder/internal/core"
 	"branchreorder/internal/interp"
@@ -38,7 +39,8 @@ type cmdLine struct {
 	setName, trainFile, profileOut, profileIn, runFile, workload, engine string
 	optimize, dump, seqs, commonSucc, trainBuiltin, runBuiltin, compare  bool
 
-	files []string // the arguments after the flags
+	given map[string]bool // the flags named on the command line
+	files []string        // the arguments after the flags
 }
 
 // parseFlags parses brcc's command line; a bad flag exits 2 with the
@@ -61,6 +63,8 @@ func parseFlags(args []string) *cmdLine {
 	fs.BoolVar(&c.compare, "compare", false, "run both baseline and reordered and report both")
 	fs.StringVar(&c.engine, "engine", "closure", "execution backend for training and -run: closure or reference — results are byte-identical, only speed changes")
 	fs.Parse(args)
+	c.given = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { c.given[f.Name] = true })
 	c.files = fs.Args()
 	return c
 }
@@ -68,19 +72,34 @@ func parseFlags(args []string) *cmdLine {
 // check rejects a flag that the selected mode would ignore: the first
 // pass (-profile-out) trains, writes the profile and stops; the second
 // pass (-profile-in) takes its counts from the file instead of a
-// training run; -compare runs a build on an input; and -common-succ
-// changes only what a build detects and reorders.
+// training run; -compare runs a build on an input; -common-succ changes
+// only what a build detects and reorders; and -engine runs only a
+// training run or an input. A flag named on the command line counts
+// whatever its value, even its default; whether a build trains or runs
+// an input is decided by the values.
 func (c *cmdLine) check() error {
+	given := func(names ...string) bool {
+		return slices.ContainsFunc(names, func(n string) bool { return c.given[n] })
+	}
 	train, run := c.trainFile != "" || c.trainBuiltin, c.runFile != "" || c.runBuiltin
 	switch {
-	case c.profileOut != "" && (c.profileIn != "" || run || c.dump || c.seqs || c.compare):
+	case given("profile-out") && given("profile-in", "run", "run-builtin", "dump", "seqs", "compare"):
 		return errors.New("-profile-out only trains and writes the profile; it cannot take -profile-in, -run, -run-builtin, -dump, -seqs or -compare")
-	case c.profileIn != "" && train:
+	case given("profile-in") && given("train", "train-builtin"):
 		return errors.New("-profile-in reorders by the stored profile; it cannot take -train or -train-builtin")
-	case c.compare && (!run || !train && c.profileIn == ""):
+	case given("compare") && (!run || !train && c.profileIn == ""):
 		return errors.New("-compare needs a build (-train, -train-builtin or -profile-in) and an input (-run or -run-builtin)")
-	case c.commonSucc && !train && c.profileIn == "":
+	case given("common-succ") && !train && c.profileIn == "":
 		return errors.New("-common-succ only changes a reordering build: it needs -train, -train-builtin or -profile-in")
+	case given("engine") && !train && !run:
+		return errors.New("-engine only selects how a training run or an input run executes: it needs -train, -train-builtin, -run or -run-builtin")
+	}
+	for _, f := range []struct{ name, path string }{
+		{"train", c.trainFile}, {"run", c.runFile}, {"profile-out", c.profileOut}, {"profile-in", c.profileIn},
+	} {
+		if given(f.name) && f.path == "" {
+			return fmt.Errorf("-%s needs a file name", f.name)
+		}
 	}
 	return nil
 }

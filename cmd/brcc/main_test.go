@@ -119,6 +119,14 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-workload", "wc", "-train-builtin", "-compare"}, []string{"-compare", "-run-builtin"}},
 		{[]string{"-workload", "wc", "-run-builtin", "-compare"}, []string{"-compare", "-profile-in"}},
 		{[]string{"-workload", "lex", "-seqs", "-common-succ"}, []string{"-common-succ", "-train-builtin"}},
+		// A flag named on the command line counts whatever its value.
+		{[]string{"-workload", "wc", "-engine", "reference", "-seqs"}, []string{"-engine", "-train", "-run"}},
+		{[]string{"-workload", "wc", "-engine", "closure", "-profile-in", "p.txt"}, []string{"-engine", "-run"}},
+		{[]string{"-workload", "wc", "-common-succ=false", "-seqs"}, []string{"-common-succ", "-train-builtin"}},
+		{[]string{"-workload", "wc", "-profile-out", "", "-seqs"}, []string{"-profile-out", "-seqs"}},
+		{append(secondPass, "-train-builtin=false"), []string{"-profile-in", "-train-builtin"}},
+		{[]string{"-workload", "wc", "-train-builtin", "-profile-out", ""}, []string{"-profile-out", "file name"}},
+		{[]string{"-workload", "wc", "-train", "", "-run-builtin"}, []string{"-train", "file name"}},
 	} {
 		err := parseFlags(c.args).check()
 		if err == nil {
@@ -135,7 +143,9 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		{"-workload", "wc", "-dump", "-seqs", "-run-builtin"},
 		{"-workload", "wc", "-train-builtin", "-run-builtin", "-compare", "-dump", "-seqs", "-common-succ"},
 		firstPass,
-		append(secondPass, "-run-builtin", "-compare", "-dump", "-seqs"),
+		append(firstPass, "-engine", "reference"),
+		append(secondPass, "-run-builtin", "-compare", "-dump", "-seqs", "-engine", "reference"),
+		{"-workload", "wc", "-run-builtin", "-engine", "closure"},
 	} {
 		if err := parseFlags(args).check(); err != nil {
 			t.Errorf("%q rejected: %v", args, err)

@@ -78,9 +78,10 @@ func (s *Sequence) String() string {
 // program must be re-linearized before execution.
 func Detect(p *ir.Program, firstID int) []*Sequence {
 	var seqs []*Sequence
+	var buf ir.PredBuf // one function's predecessors at a time
 	id := firstID
 	for _, f := range p.Funcs {
-		for _, s := range detectFunc(f) {
+		for _, s := range detectFunc(f, buf.Preds(f)) {
 			s.ID = id
 			id++
 			instrument(s)
@@ -90,11 +91,12 @@ func Detect(p *ir.Program, firstID int) []*Sequence {
 	return seqs
 }
 
-// detectFunc implements the Figure 4 search over one function.
-func detectFunc(f *ir.Func) []*Sequence {
+// detectFunc implements the Figure 4 search over one function, whose
+// predecessor lists are preds.
+func detectFunc(f *ir.Func, preds [][]*ir.Block) []*Sequence {
 	d := &detector{
 		f:         f,
-		preds:     ir.Preds(f),
+		preds:     preds,
 		needFlags: ir.NeedFlags(f),
 		marked:    map[*ir.Block]bool{},
 	}
@@ -123,7 +125,7 @@ func detectFunc(f *ir.Func) []*Sequence {
 }
 
 // detector holds the analyses of one function, taken before any head is
-// split: preds and needFlags are indexed by Block.ID (ir.Preds,
+// split: preds and needFlags are indexed by Block.ID (ir.PredBuf,
 // ir.NeedFlags), and read through ir.At, so a block split off later has
 // no predecessors and needs no flags.
 type detector struct {

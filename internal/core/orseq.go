@@ -56,9 +56,10 @@ func (s *OrSequence) String() string {
 // at firstID; the program must be re-linearized before execution.
 func DetectCommonSucc(p *ir.Program, firstID int, consumed map[*ir.Block]bool) []*OrSequence {
 	var seqs []*OrSequence
+	var buf ir.PredBuf // one function's predecessors at a time
 	id := firstID
 	for _, f := range p.Funcs {
-		for _, s := range detectOrFunc(f, consumed) {
+		for _, s := range detectOrFunc(f, buf.Preds(f), consumed) {
 			s.ID = id
 			id++
 			instrumentOr(s)
@@ -68,10 +69,10 @@ func DetectCommonSucc(p *ir.Program, firstID int, consumed map[*ir.Block]bool) [
 	return seqs
 }
 
-func detectOrFunc(f *ir.Func, consumed map[*ir.Block]bool) []*OrSequence {
+func detectOrFunc(f *ir.Func, preds [][]*ir.Block, consumed map[*ir.Block]bool) []*OrSequence {
 	d := &detector{
 		f:         f,
-		preds:     ir.Preds(f),
+		preds:     preds,
 		needFlags: ir.NeedFlags(f),
 		marked:    map[*ir.Block]bool{},
 	}

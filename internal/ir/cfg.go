@@ -27,15 +27,26 @@ func At[T any](s []T, b *Block) (v T) {
 	return v
 }
 
+// PredBuf holds predecessor lists. A pass pipeline recomputes them after
+// each change to the edges, and filling one PredBuf each time allocates
+// them only when a function needs more room than the last.
+type PredBuf struct {
+	preds [][]*Block
+	all   []*Block
+	count []int32
+	succs []*Block
+}
+
 // Preds returns each block's predecessors, indexed by Block.ID. A list
 // follows f.Blocks order and names a block at most once, even if several
 // of its terminator edges lead to the same successor. All lists share
-// one backing array.
-func Preds(f *Func) [][]*Block {
-	preds := make([][]*Block, IDBound(f))
-	count := make([]int, len(preds))
+// one backing array, the buffer's, so they are valid until its next
+// Preds call.
+func (pb *PredBuf) Preds(f *Func) [][]*Block {
+	preds := resize(pb.preds, IDBound(f))
+	count := resize(pb.count, len(preds))
 	total := 0
-	var succs []*Block
+	succs := pb.succs
 	for _, b := range f.Blocks {
 		succs = b.Term.Succs(succs[:0])
 		for _, s := range succs {
@@ -43,7 +54,8 @@ func Preds(f *Func) [][]*Block {
 		}
 		total += len(succs)
 	}
-	all := make([]*Block, total)
+	all := resize(pb.all, total)
+	pb.preds, pb.count, pb.all = preds, count, all
 	for id, n := range count {
 		preds[id], all = all[:0:n], all[n:]
 	}
@@ -57,7 +69,18 @@ func Preds(f *Func) [][]*Block {
 			}
 		}
 	}
+	pb.succs = succs
 	return preds
+}
+
+// resize returns s cleared to n elements, reusing its array if it fits.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Reachable reports, indexed by Block.ID, which blocks the entry reaches.

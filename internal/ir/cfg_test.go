@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -84,10 +85,14 @@ func naiveNeedFlags(f *ir.Func) map[*ir.Block]bool {
 }
 
 func TestCFGAnalysesMatchNaive(t *testing.T) {
+	var buf ir.PredBuf // refilled by functions of every size in turn
 	for i, f := range cfgFuncs(300) {
-		preds, reach, need := ir.Preds(f), ir.Reachable(f), ir.NeedFlags(f)
+		preds, reach, need := new(ir.PredBuf).Preds(f), ir.Reachable(f), ir.NeedFlags(f)
 		if len(preds) != ir.IDBound(f) || len(reach) != len(preds) || len(need) != len(preds) {
 			t.Fatalf("func %d: lengths %d, %d, %d, want IDBound %d", i, len(preds), len(reach), len(need), ir.IDBound(f))
+		}
+		if reused := buf.Preds(f); !slices.EqualFunc(reused, preds, func(a, b []*ir.Block) bool { return slices.Equal(a, b) }) {
+			t.Fatalf("func %d: a reused PredBuf's lists differ from a fresh one's", i)
 		}
 		wantPreds, wantReach, wantNeed := naivePreds(f), naiveReach(f), naiveNeedFlags(f)
 		members := 0
@@ -114,6 +119,64 @@ func TestCFGAnalysesMatchNaive(t *testing.T) {
 	}
 }
 
+// naiveFlagsError is the greatest fixpoint of the condition-code
+// equations Verify checks, solved over predecessor lists: flags are
+// available at a block's exit if it has a Cmp or they are available on
+// entry, and on entry if it is not the entry block and they are available
+// at the exit of every reachable predecessor.
+func naiveFlagsError(f *ir.Func) string {
+	preds, reach := naivePreds(f), naiveReach(f)
+	out := map[*ir.Block]bool{}
+	for _, b := range f.Blocks {
+		out[b] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, b := range f.Blocks {
+			if !reach[b] {
+				continue
+			}
+			v := b != f.Entry()
+			for _, p := range preds[b] {
+				v = v && (!reach[p] || out[p])
+			}
+			for _, in := range b.Insts {
+				v = v || in.Op == ir.Cmp
+			}
+			if v != out[b] {
+				out[b] = v
+				changed = true
+			}
+		}
+	}
+	for _, b := range f.Blocks {
+		if reach[b] && b.Term.Kind == ir.TermBr && !out[b] {
+			return fmt.Sprintf("B%d: conditional branch with undefined condition codes", b.ID)
+		}
+	}
+	return ""
+}
+
+// verifyFlags walks the flagless blocks instead of solving the dataflow;
+// it must reject exactly where the dataflow does, naming the same block.
+func TestVerifyFlagsMatchesDataflow(t *testing.T) {
+	rejected, fs := 0, cfgFuncs(300)
+	for i, f := range fs {
+		got := ""
+		if err := ir.VerifyFlags(f); err != nil {
+			got = err.Error()
+			rejected++
+		}
+		if want := naiveFlagsError(f); got != want {
+			t.Fatalf("func %d: verifyFlags says %q, the dataflow %q", i, got, want)
+		}
+	}
+	t.Logf("%d of %d functions rejected", rejected, len(fs))
+	if rejected == 0 {
+		t.Fatal("no generated function has undefined condition codes")
+	}
+}
+
 func ids(bs []*ir.Block) []int {
 	out := make([]int, len(bs))
 	for i, b := range bs {
@@ -128,7 +191,7 @@ func ids(bs []*ir.Block) []int {
 func TestCFGAnalysesOfLaterBlocks(t *testing.T) {
 	for i, f := range cfgFuncs(100) {
 		f.SyncNextID()
-		preds, reach, need := ir.Preds(f), ir.Reachable(f), ir.NeedFlags(f)
+		preds, reach, need := new(ir.PredBuf).Preds(f), ir.Reachable(f), ir.NeedFlags(f)
 		nb := f.NewBlock()
 		nb.Insts = []ir.Inst{{Op: ir.Cmp, A: ir.Imm(0), B: ir.Imm(0)}}
 		nb.Term = ir.Term{Kind: ir.TermBr, Taken: f.Entry(), Next: f.Entry()}
@@ -148,7 +211,7 @@ func TestCFGAnalysesOfLaterBlocks(t *testing.T) {
 	b0.Term = ir.Term{Kind: ir.TermGoto, Taken: b1}
 	b1.Term = ir.Term{Kind: ir.TermGoto, Taken: b2}
 	b2.Term = ir.Term{Kind: ir.TermBr, Rel: ir.EQ, Taken: b0, Next: b1}
-	preds, need := ir.Preds(f), ir.NeedFlags(f)
+	preds, need := new(ir.PredBuf).Preds(f), ir.NeedFlags(f)
 	p.Linearize()
 	if len(f.Blocks) != 4 {
 		t.Fatalf("Linearize left %d blocks, want 4 with a trampoline", len(f.Blocks))

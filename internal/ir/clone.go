@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // CloneInst returns a deep copy of an instruction (the Args slice is the
 // only reference field).
 func CloneInst(in Inst) Inst {
@@ -55,19 +57,20 @@ func CloneFunc(f *Func) *Func {
 }
 
 // CloneProgram returns a deep copy of a program. Funcs, blocks and globals
-// are all fresh; Call instructions refer to callees by name so they need
-// no fixup.
+// are all fresh, and each global's Init, its initialized prefix, is
+// copied; Call instructions refer to callees by name so they need no
+// fixup.
 func CloneProgram(p *Program) *Program {
-	np := &Program{MemSize: p.MemSize, nextBranchID: p.nextBranchID}
-	for _, f := range p.Funcs {
-		np.Funcs = append(np.Funcs, CloneFunc(f))
+	np := &Program{MemSize: p.MemSize, nextBranchID: p.nextBranchID,
+		Funcs: make([]*Func, len(p.Funcs)), Globals: make([]*Global, len(p.Globals))}
+	for i, f := range p.Funcs {
+		np.Funcs[i] = CloneFunc(f)
 	}
-	for _, g := range p.Globals {
-		ng := *g
-		if g.Init != nil {
-			ng.Init = append([]int64(nil), g.Init...)
-		}
-		np.Globals = append(np.Globals, &ng)
+	globals := make([]Global, len(p.Globals))
+	for i, g := range p.Globals {
+		globals[i] = *g
+		globals[i].Init = slices.Clone(g.Init)
+		np.Globals[i] = &globals[i]
 	}
 	return np
 }

@@ -10,17 +10,19 @@ import (
 // CloneProgram copies. That is each function's name, parameter and
 // register counts, block-ID allocator and blocks (ID, LayoutIndex, every
 // instruction field, every terminator field with successors by block ID);
-// each global's name, address, size and initializer; MemSize; and the
-// branch-ID allocator. Two programs with equal digests therefore behave
-// identically under every later pass, interpreter and measurement — the
-// property that lets the bench engine measure a program once however many
-// heuristic sets lowered to it. Dump is not such a key: it omits
-// initializers, MemSize and the allocators.
+// each global's name, address, size and image (Init zero-extended to
+// Size, the words an engine loads); MemSize; and the branch-ID
+// allocator. Two programs with equal digests therefore behave identically
+// under every later pass, interpreter and measurement — the property that
+// lets the bench engine measure a program once however many heuristic
+// sets lowered to it. Dump is not such a key: it omits initializers,
+// MemSize and the allocators.
 //
 // Every variable-length part is length-prefixed, so the encoding is
 // unambiguous; a nil and an empty slice encode alike, as CloneProgram
-// treats them alike. Fields are appended as varints, not formatted, so a
-// roster program digests in tens of microseconds.
+// treats them alike, and so do two Inits that differ only in trailing
+// zeros, as the engines load them alike. Fields are appended as varints,
+// not formatted, so a roster program digests in tens of microseconds.
 func (p *Program) Digest() [32]byte {
 	d := digester{h: sha256.New(), buf: make([]byte, 0, digestChunk+256)}
 	d.num(p.MemSize)
@@ -30,18 +32,7 @@ func (p *Program) Digest() [32]byte {
 		d.str(g.Name)
 		d.num(g.Addr)
 		d.num(g.Size)
-		// Initializers are mostly long zero runs (buffers), so they
-		// encode as (value, run length) pairs.
-		d.num(int64(len(g.Init)))
-		for i := 0; i < len(g.Init); {
-			j := i + 1
-			for j < len(g.Init) && g.Init[j] == g.Init[i] {
-				j++
-			}
-			d.num(g.Init[i])
-			d.num(int64(j - i))
-			i = j
-		}
+		d.image(g)
 	}
 	d.num(int64(len(p.Funcs)))
 	for _, f := range p.Funcs {
@@ -77,6 +68,32 @@ func (d *digester) num(v int64) {
 	if len(d.buf) >= digestChunk {
 		d.h.Write(d.buf)
 		d.buf = d.buf[:0]
+	}
+}
+
+// image encodes g's image, length-prefixed, as (value, run length)
+// pairs. Images are mostly long zero runs (buffers): every zero after
+// Init's last nonzero word, up to Size, is one run, and the words past
+// Init are never read.
+func (d *digester) image(g *Global) {
+	init := g.Init
+	for len(init) > 0 && init[len(init)-1] == 0 {
+		init = init[:len(init)-1]
+	}
+	zeros := max(g.Size, int64(len(g.Init))) - int64(len(init))
+	d.num(int64(len(init)) + zeros)
+	for i := 0; i < len(init); {
+		j := i + 1
+		for j < len(init) && init[j] == init[i] {
+			j++
+		}
+		d.num(init[i])
+		d.num(int64(j - i))
+		i = j
+	}
+	if zeros > 0 {
+		d.num(0)
+		d.num(zeros)
 	}
 }
 

@@ -315,6 +315,11 @@ type Global struct {
 	Name string
 	Addr int64 // starting word address in data memory
 	Size int64 // number of words
+	// Init is the initialized prefix of the global's words, at most Size
+	// of them; every word past it is zero. An uninitialized buffer thus
+	// holds no storage until an engine loads it into cleared memory.
+	// Digest reads the zero-extended image, so an Init that ends in
+	// zeros and the same Init trimmed of them digest alike.
 	Init []int64
 }
 

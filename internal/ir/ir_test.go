@@ -2,6 +2,7 @@ package ir
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,7 +62,7 @@ func TestPredsAndReachable(t *testing.T) {
 	b2.Term = ret(Imm(0))
 	dead.Term = goto_(b0)
 
-	preds := Preds(f)
+	preds := new(PredBuf).Preds(f)
 	if len(preds[b2.ID]) != 2 {
 		t.Errorf("b2 has %d preds, want 2", len(preds[b2.ID]))
 	}
@@ -254,7 +255,7 @@ func TestVerifyFlagsAcrossBlocks(t *testing.T) {
 
 func TestCloneProgramIndependence(t *testing.T) {
 	p := &Program{MemSize: 4}
-	p.Globals = append(p.Globals, &Global{Name: "g", Size: 4, Init: []int64{1, 2}})
+	p.Globals = append(p.Globals, &Global{Name: "g", Size: 4, Init: append(make([]int64, 0, 4), 1, 2)})
 	f := &Func{Name: "main", NRegs: 2}
 	p.Funcs = append(p.Funcs, f)
 	b0 := f.NewBlock()
@@ -268,15 +269,21 @@ func TestCloneProgramIndependence(t *testing.T) {
 	cf := c.Func("main")
 	cf.Blocks[0].Insts[0].B = Imm(99)
 	cf.Blocks[0].Term.Rel = NE
-	c.Globals[0].Init[0] = 42
+	// The clone's Init is its own array: not even its spare capacity,
+	// which an append would fill, is the original's.
+	init := c.Globals[0].Init
+	init = init[:cap(init)]
+	for i := range init {
+		init[i] = 42
+	}
 	if p.Funcs[0].Blocks[0].Insts[0].B.Imm != 1 {
 		t.Error("clone shares instruction storage")
 	}
 	if p.Funcs[0].Blocks[0].Term.Rel != EQ {
 		t.Error("clone shares terminator")
 	}
-	if p.Globals[0].Init[0] != 1 {
-		t.Error("clone shares global init")
+	if orig := p.Globals[0].Init; !slices.Equal(orig[:cap(orig)], []int64{1, 2, 0, 0}) {
+		t.Errorf("clone shares global init: the original's array reads %v", orig[:cap(orig)])
 	}
 	// Clone's edges must point at clone blocks.
 	if cf.Blocks[0].Term.Taken == p.Funcs[0].Blocks[1] {

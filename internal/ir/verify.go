@@ -180,39 +180,32 @@ func (p *Program) verifyFunc(f *Func) error {
 }
 
 // verifyFlags checks that the condition codes are defined on every path
-// reaching a conditional branch. A block's exit has flags available if it
-// contains a Cmp or if flags were available on entry; entry availability is
-// the conjunction over predecessors (unreachable blocks are skipped), and
-// the entry block, which may be reached from outside, starts without them.
+// reaching a conditional branch. The entry block may be reached from
+// outside, without them, and only a Cmp sets them, so they are undefined
+// at the exit of exactly those blocks without a Cmp that the entry
+// reaches through such blocks alone (the entry included). verifyFlags
+// walks those blocks and reports the first, in f.Blocks order, that ends
+// in a conditional branch.
 func verifyFlags(f *Func) error {
-	reach := Reachable(f)
-	preds := Preds(f)
-	// Forward dataflow, initialized optimistically (true) and iterated to
-	// a fixed point.
-	sets := make([]bool, len(reach))
-	availOut := make([]bool, len(reach))
-	for _, b := range f.Blocks {
-		sets[b.ID] = hasCmp(b)
-		availOut[b.ID] = true
+	flagless := make([]bool, IDBound(f))
+	var stack, succs []*Block
+	if entry := f.Entry(); !hasCmp(entry) {
+		flagless[entry.ID] = true
+		stack = append(stack, entry)
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range f.Blocks {
-			if !reach[b.ID] {
-				continue
-			}
-			in := b != f.Entry()
-			for _, p := range preds[b.ID] {
-				in = in && (!reach[p.ID] || availOut[p.ID])
-			}
-			if out := in || sets[b.ID]; out != availOut[b.ID] {
-				availOut[b.ID] = out
-				changed = true
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		succs = b.Term.Succs(succs[:0])
+		for _, s := range succs {
+			if !flagless[s.ID] && !hasCmp(s) {
+				flagless[s.ID] = true
+				stack = append(stack, s)
 			}
 		}
 	}
 	for _, b := range f.Blocks {
-		if reach[b.ID] && b.Term.Kind == TermBr && !availOut[b.ID] {
+		if flagless[b.ID] && b.Term.Kind == TermBr {
 			return fmt.Errorf("B%d: conditional branch with undefined condition codes", b.ID)
 		}
 	}

@@ -6,6 +6,7 @@ package lower
 
 import (
 	"fmt"
+	"slices"
 
 	"branchreorder/internal/cminus"
 	"branchreorder/internal/ir"
@@ -81,13 +82,16 @@ func Program(info *cminus.Info, opts Options) (*Result, error) {
 		Prog:        &ir.Program{},
 		SwitchKinds: map[SwitchKind]int{},
 	}
-	// Lay out globals in declaration order.
+	// Lay out globals in declaration order. Each keeps its initializer
+	// up to the last nonzero word; the rest of it is zero (ir.Global).
 	var addr int64
 	for _, g := range info.File.Globals {
-		init := make([]int64, g.Size)
-		copy(init, g.Init)
+		init := g.Init
+		for len(init) > 0 && init[len(init)-1] == 0 {
+			init = init[:len(init)-1]
+		}
 		res.Prog.Globals = append(res.Prog.Globals, &ir.Global{
-			Name: g.Name, Addr: addr, Size: g.Size, Init: init,
+			Name: g.Name, Addr: addr, Size: g.Size, Init: slices.Clone(init),
 		})
 		addr += g.Size
 	}

@@ -1,6 +1,7 @@
 package lower
 
 import (
+	"runtime"
 	"testing"
 
 	"branchreorder/internal/cminus"
@@ -333,5 +334,69 @@ int main() {
 	ret, _, _ := run(t, prog, "")
 	if want := int64(2*1000 + 30*10 + 34); ret != want {
 		t.Errorf("got %d, want %d", ret, want)
+	}
+}
+
+// A global keeps its initializer up to the last nonzero word, and the
+// engines read every later word as zero.
+func TestGlobalsKeepInitializedPrefix(t *testing.T) {
+	prog := compile(t, `
+int zero;
+int one = 1;
+int scalarZero = 0;
+int buf[1000];
+int msg[8] = "ok";
+int tab[6] = {0, 2, 0, 3, 0, 0};
+int main() {
+	putint(one + zero + scalarZero + buf[999] + msg[2] + msg[7] + tab[5]);
+	putchar(msg[0]); putchar(msg[1]);
+	return tab[1] * 10 + tab[3];
+}`, Options{})
+	want := map[string][]int64{
+		"zero": nil, "one": {1}, "scalarZero": nil, "buf": nil,
+		"msg": {'o', 'k'}, "tab": {0, 2, 0, 3},
+	}
+	for _, g := range prog.Globals {
+		if len(g.Init) != len(want[g.Name]) {
+			t.Errorf("%s: Init %v, want %v", g.Name, g.Init, want[g.Name])
+			continue
+		}
+		for i, v := range want[g.Name] {
+			if g.Init[i] != v {
+				t.Errorf("%s: Init %v, want %v", g.Name, g.Init, want[g.Name])
+				break
+			}
+		}
+	}
+	if ret, out, _ := run(t, prog, ""); ret != 23 || out != "1ok" {
+		t.Errorf("run returned %d and printed %q, want 23 and \"1ok\"", ret, out)
+	}
+}
+
+// Lowering allocates no storage for a global's zero words: the program
+// at the data-memory bound, 2^24 words in all, lowers in well under a
+// megabyte where a full image of a would take 128 MB. It is never run.
+func TestLowerAtMemoryBoundAllocatesNoImage(t *testing.T) {
+	file, err := cminus.Parse(`int a[16777215]; int b; int main() { return b; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := cminus.Check(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Program(info, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("lowering allocated %d bytes, want under 1 MB", n)
+	}
+	if p := res.Prog; p.MemSize != 1<<24 || p.Global("a").Init != nil || p.Global("b").Addr != 1<<24-1 {
+		t.Errorf("MemSize %d, a's Init %d words, b at %d; want 2^24, none, 2^24-1",
+			p.MemSize, len(p.Global("a").Init), p.Global("b").Addr)
 	}
 }

@@ -8,7 +8,7 @@ type domInfo struct {
 }
 
 // computeDominators runs the classic iterative dominator dataflow over the
-// predecessor lists preds (ir.Preds of f).
+// predecessor lists preds (see ir.PredBuf).
 func computeDominators(f *ir.Func, preds [][]*ir.Block) *domInfo {
 	n := len(preds)
 	d := &domInfo{dom: newBitsets(n+2, n)}

@@ -74,8 +74,9 @@ func flagsTransfer(b *ir.Block, in flagsDesc, kill bool) (flagsDesc, bool) {
 }
 
 // RedundantCmpElim removes comparisons whose result is already in the
-// condition codes. It reports whether anything changed.
-func RedundantCmpElim(f *ir.Func) bool {
+// condition codes, filling f's predecessors into buf. It reports whether
+// anything changed.
+func RedundantCmpElim(f *ir.Func, buf *ir.PredBuf) bool {
 	// in and out hold each block's entry and exit descriptors by
 	// Block.ID; out is recomputed only when in changes.
 	n := ir.IDBound(f)
@@ -88,7 +89,7 @@ func RedundantCmpElim(f *ir.Func) bool {
 		}
 		out[b.ID], _ = flagsTransfer(b, in[b.ID], false)
 	}
-	preds := ir.Preds(f)
+	preds := buf.Preds(f)
 	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {

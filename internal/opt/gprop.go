@@ -12,9 +12,10 @@ import "branchreorder/internal/ir"
 //
 // The rounds rewrite uses only: no definition, terminator or edge
 // changes, so the definition sites are found once per call, and the
-// dominators are computed once, when first needed.
-func GlobalPropagate(f *ir.Func) bool {
-	g := &globalProp{f: f, defCount: make([]int, f.NRegs), defAt: make([]defSite, f.NRegs),
+// dominators are computed once, when first needed, from predecessors
+// filled into buf.
+func GlobalPropagate(f *ir.Func, buf *ir.PredBuf) bool {
+	g := &globalProp{f: f, buf: buf, defCount: make([]int, f.NRegs), defAt: make([]defSite, f.NRegs),
 		repl: make([]ir.Operand, f.NRegs), hasRepl: make([]bool, f.NRegs)}
 	for _, b := range f.Blocks {
 		for i := range b.Insts {
@@ -43,6 +44,7 @@ type defSite struct {
 // globalProp is the state of one GlobalPropagate call.
 type globalProp struct {
 	f        *ir.Func
+	buf      *ir.PredBuf
 	defCount []int
 	defAt    []defSite
 	dom      *domInfo     // nil until first needed
@@ -53,7 +55,7 @@ type globalProp struct {
 // dominates reports whether d dominates u (see domInfo.dominates).
 func (g *globalProp) dominates(d, u defSite) bool {
 	if g.dom == nil {
-		g.dom = computeDominators(g.f, ir.Preds(g.f))
+		g.dom = computeDominators(g.f, g.buf.Preds(g.f))
 	}
 	return g.dom.dominates(d.b, d.i, u.b, u.i)
 }

@@ -7,20 +7,22 @@ import "branchreorder/internal/ir"
 const maxRounds = 50
 
 // Function runs the conventional optimization pipeline on one function
-// until a fixed point (or the round cap) is reached.
-func Function(f *ir.Func) {
+// until a fixed point (or the round cap) is reached. The passes that need
+// predecessors recompute them, since SimplifyControl changes edges, but
+// all of them fill buf.
+func Function(f *ir.Func, buf *ir.PredBuf) {
 	for round := 0; round < maxRounds; round++ {
 		changed := false
 		if Propagate(f) {
 			changed = true
 		}
-		if GlobalPropagate(f) {
+		if GlobalPropagate(f, buf) {
 			changed = true
 		}
-		if SimplifyControl(f) {
+		if SimplifyControl(f, buf) {
 			changed = true
 		}
-		if RedundantCmpElim(f) {
+		if RedundantCmpElim(f, buf) {
 			changed = true
 		}
 		if DeadCodeElim(f) {
@@ -35,7 +37,8 @@ func Function(f *ir.Func) {
 // Program optimizes every function of a program. The caller must
 // re-linearize before executing or measuring.
 func Program(p *ir.Program) {
+	var buf ir.PredBuf // one function's predecessors at a time
 	for _, f := range p.Funcs {
-		Function(f)
+		Function(f, &buf)
 	}
 }

@@ -25,7 +25,7 @@ func TestDominators(t *testing.T) {
 	join.Term = ir.Term{Kind: ir.TermGoto, Taken: tail}
 	tail.Term = ir.Term{Kind: ir.TermRet, Val: ir.Imm(0)}
 
-	dom := computeDominators(f, ir.Preds(f))
+	dom := computeDominators(f, new(ir.PredBuf).Preds(f))
 	check := func(a, b *ir.Block, want bool) {
 		t.Helper()
 		got := dom.dom.at(b.ID).get(ir.Reg(a.ID))
@@ -70,7 +70,7 @@ func TestDominatorsMatchDefinition(t *testing.T) {
 		return seen
 	}
 	check := func(label string, f *ir.Func) {
-		dom := computeDominators(f, ir.Preds(f))
+		dom := computeDominators(f, new(ir.PredBuf).Preds(f))
 		reach := reachWithout(f, nil)
 		for _, b := range f.Blocks {
 			if !reach[b] {
@@ -116,7 +116,7 @@ func TestGlobalPropagateAcrossBlocks(t *testing.T) {
 	b1.Term = ir.Term{Kind: ir.TermBr, Rel: ir.EQ, Taken: b2, Next: b2}
 	b2.Term = ir.Term{Kind: ir.TermRet, Val: ir.R(2)}
 
-	if !GlobalPropagate(f) {
+	if !GlobalPropagate(f, new(ir.PredBuf)) {
 		t.Fatal("GlobalPropagate found nothing")
 	}
 	if got := b1.Insts[0].A; got.IsImm || got.Reg != 1 {
@@ -143,7 +143,7 @@ func TestGlobalPropagateRespectsDominance(t *testing.T) {
 	set.Term = ir.Term{Kind: ir.TermGoto, Taken: join}
 	join.Term = ir.Term{Kind: ir.TermRet, Val: ir.R(1)}
 
-	GlobalPropagate(f)
+	GlobalPropagate(f, new(ir.PredBuf))
 	if join.Term.Val.IsImm {
 		t.Error("value from a non-dominating definition was propagated")
 	}
@@ -158,7 +158,7 @@ func TestGlobalPropagateMultiDefStops(t *testing.T) {
 		{Op: ir.PutInt, A: ir.R(1)},
 	}
 	b.Term = ir.Term{Kind: ir.TermRet, Val: ir.R(1)}
-	GlobalPropagate(f)
+	GlobalPropagate(f, new(ir.PredBuf))
 	if b.Insts[2].A.IsImm {
 		t.Error("multi-def register was const-propagated globally")
 	}
@@ -175,7 +175,7 @@ func TestSimplifyControlChainsAndMerges(t *testing.T) {
 	c.Insts = []ir.Inst{{Op: ir.PutInt, A: ir.R(0)}}
 	c.Term = ir.Term{Kind: ir.TermRet, Val: ir.R(0)}
 
-	if !SimplifyControl(f) {
+	if !SimplifyControl(f, new(ir.PredBuf)) {
 		t.Fatal("SimplifyControl found nothing")
 	}
 	// a, hop and c should have collapsed into one block.
@@ -194,7 +194,7 @@ func TestSimplifyControlFoldsConstBranch(t *testing.T) {
 	yes.Term = ir.Term{Kind: ir.TermRet, Val: ir.Imm(1)}
 	no.Term = ir.Term{Kind: ir.TermRet, Val: ir.Imm(0)}
 
-	SimplifyControl(f)
+	SimplifyControl(f, new(ir.PredBuf))
 	if a.Term.Kind != ir.TermGoto && a.Term.Kind != ir.TermRet {
 		t.Errorf("constant branch not folded: %v", a.Term.Kind)
 	}
@@ -267,7 +267,7 @@ func TestRedundantCmpAcrossDiamondRejected(t *testing.T) {
 	join.Term = ir.Term{Kind: ir.TermBr, Rel: ir.EQ, Taken: done, Next: done}
 	done.Term = ir.Term{Kind: ir.TermRet, Val: ir.Imm(0)}
 
-	RedundantCmpElim(f)
+	RedundantCmpElim(f, new(ir.PredBuf))
 	if len(join.Insts) == 0 || join.Insts[0].Op != ir.Cmp {
 		t.Error("compare with conflicting incoming flags was removed")
 	}
@@ -292,7 +292,7 @@ func TestRedundantCmpAcrossAgreementRemoved(t *testing.T) {
 	join.Term = ir.Term{Kind: ir.TermBr, Rel: ir.EQ, Taken: done, Next: done}
 	done.Term = ir.Term{Kind: ir.TermRet, Val: ir.Imm(0)}
 
-	if !RedundantCmpElim(f) {
+	if !RedundantCmpElim(f, new(ir.PredBuf)) {
 		t.Fatal("RedundantCmpElim found nothing")
 	}
 	for i := range join.Insts {
@@ -314,7 +314,7 @@ func TestRedundantCmpInvalidatedByDef(t *testing.T) {
 	}
 	b.Term = ir.Term{Kind: ir.TermBr, Rel: ir.EQ, Taken: done, Next: done}
 	done.Term = ir.Term{Kind: ir.TermRet, Val: ir.Imm(0)}
-	RedundantCmpElim(f)
+	RedundantCmpElim(f, new(ir.PredBuf))
 	n := 0
 	for i := range b.Insts {
 		if b.Insts[i].Op == ir.Cmp {

@@ -5,9 +5,9 @@ import "branchreorder/internal/ir"
 // SimplifyControl performs branch chaining (edges through empty goto
 // blocks are retargeted), folds conditional branches whose comparison is
 // between two constants, collapses branches with identical destinations,
-// and merges single-predecessor goto chains. It reports whether anything
-// changed.
-func SimplifyControl(f *ir.Func) bool {
+// and merges single-predecessor goto chains, for which it fills f's
+// predecessors into buf. It reports whether anything changed.
+func SimplifyControl(f *ir.Func, buf *ir.PredBuf) bool {
 	changed := false
 	if chainBranches(f) {
 		changed = true
@@ -23,7 +23,7 @@ func SimplifyControl(f *ir.Func) bool {
 	if ir.RemoveUnreachable(f) {
 		changed = true
 	}
-	if mergeBlocks(f) {
+	if mergeBlocks(f, buf.Preds(f)) {
 		changed = true
 	}
 	return changed
@@ -110,10 +110,10 @@ func collapseTrivialBranches(f *ir.Func) bool {
 // mergeBlocks merges b -> c when b ends in a goto to c and c has no other
 // predecessors. A merge leaves every other block's predecessor count as
 // it was (c's successors trade c for b, which had no other edge), so the
-// counts are taken once; the merged b is tried again at once, and no
-// block before it can have become mergeable.
-func mergeBlocks(f *ir.Func) bool {
-	preds := ir.Preds(f)
+// counts are taken once, as preds (f's predecessor lists); the merged b
+// is tried again at once, and no block before it can have become
+// mergeable.
+func mergeBlocks(f *ir.Func, preds [][]*ir.Block) bool {
 	gone := make([]bool, len(preds)) // by Block.ID
 	entry := f.Entry()
 	changed := false

@@ -3,9 +3,11 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"branchreorder/internal/core"
+	"branchreorder/internal/ir"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/workload"
 )
@@ -136,5 +138,27 @@ func TestFinalizeStagesRejectsMismatchedProduct(t *testing.T) {
 	bad.NumSeqs++
 	if _, err := FinalizeStages(front, &bad, o); err == nil {
 		t.Fatal("finalize accepted a product with the wrong sequence count")
+	}
+}
+
+// A zero global costs the frontend and a clone of its program no
+// storage: with a 2^20-word buffer (8 MB as an image) they allocate under
+// a megabyte between them. Nothing here runs the program.
+func TestFrontendAndCloneSkipZeroGlobal(t *testing.T) {
+	const src = `int buf[1048576];
+int main() { buf[getchar()] = 1; return buf[7]; }`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	front, err := BuildFrontend(src, FrontendOptions{Switch: lower.SetI, Optimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := ir.CloneProgram(front.Prog)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("BuildFrontend and CloneProgram allocated %d bytes, want under 1 MB", n)
+	}
+	if g := clone.Global("buf"); g.Size != 1<<20 || len(g.Init) != 0 {
+		t.Errorf("cloned buf has %d words and an Init of %d, want 2^20 and none", g.Size, len(g.Init))
 	}
 }
