@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -76,20 +77,23 @@ func ReadProfiles(r io.Reader) (map[int]*SeqProfile, map[int]*OrSeqProfile, erro
 		if len(fields) < 5 || fields[2] != "total" {
 			return nil, nil, fmt.Errorf("profile line %d: malformed: %q", lineNo, line)
 		}
-		var id int
-		var total uint64
-		if _, err := fmt.Sscanf(fields[1], "%d", &id); err != nil {
+		id, err := strconv.Atoi(fields[1])
+		if err != nil {
 			return nil, nil, fmt.Errorf("profile line %d: bad id: %w", lineNo, err)
 		}
-		if _, err := fmt.Sscanf(fields[3], "%d", &total); err != nil {
+		total, err := strconv.ParseUint(fields[3], 10, 64)
+		if err != nil {
 			return nil, nil, fmt.Errorf("profile line %d: bad total: %w", lineNo, err)
 		}
 		counts := make([]uint64, 0, len(fields)-5)
 		var sum uint64
 		for _, f := range fields[5:] {
-			var c uint64
-			if _, err := fmt.Sscanf(f, "%d", &c); err != nil {
+			c, err := strconv.ParseUint(f, 10, 64)
+			if err != nil {
 				return nil, nil, fmt.Errorf("profile line %d: bad count %q: %w", lineNo, f, err)
+			}
+			if sum+c < sum {
+				return nil, nil, fmt.Errorf("profile line %d: counts sum past 2^64", lineNo)
 			}
 			counts = append(counts, c)
 			sum += c

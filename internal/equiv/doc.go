@@ -14,9 +14,10 @@
 // and hence partial output and statistics may differ).
 //
 // Between its own runs the closure engine is held to a stricter
-// contract: on the fused and the unfused decode, hooked or hook-free,
-// everything must be identical — trap text and PC, trap-point
-// statistics, and hook streams included.
+// contract: hooked or hook-free, everything must be identical — trap
+// text and PC, trap-point statistics, and hook streams included. The
+// closure engine has one decode; superinstruction fusion is a static
+// report over it (interp.Code.FusionStats) that nothing executes.
 //
 // Two test layers enforce this: the full workload suite (baseline and
 // reordered executables, measured end-to-end through sim.Run against a

@@ -90,31 +90,18 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 	}
 
 	// sim.Run always installs a branch hook, so the run above logs every
-	// branch; a hook-free run takes the closures' log-off path. On
-	// either decode it must reproduce the measured run, and compile
-	// every function of the program.
-	for _, fuse := range []bool{true, false} {
-		tag := label + "/closure-plain"
-		if !fuse {
-			tag += "-nofuse"
-		}
-		code, err := interp.DecodeWith(prog, interp.DecodeOptions{Fuse: fuse})
-		if err != nil {
-			t.Fatalf("%s: decode: %v", tag, err)
-		}
-		ret, stats, output, err := interp.Exec(interp.EngineClosure, prog, code, input, nil, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		if ret != want.ret || string(output) != want.output {
-			t.Errorf("%s: result diverged from the reference engine", tag)
-		}
-		if stats != want.stats {
-			t.Errorf("%s: stats\nclosure: %+v\nref:     %+v", tag, stats, want.stats)
-		}
-		if st := code.CompileStats(); st.CompiledFuncs != len(prog.Funcs) {
-			t.Errorf("%s: closure compiler did not engage: compiled %d of %d funcs", tag, st.CompiledFuncs, len(prog.Funcs))
-		}
+	// branch; a hook-free run takes the closures' log-off path and must
+	// reproduce the measured run.
+	tag := label + "/closure-plain"
+	ret, stats, output, err := interp.Exec(interp.EngineClosure, prog, nil, input, nil, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if ret != want.ret || string(output) != want.output {
+		t.Errorf("%s: result diverged from the reference engine", tag)
+	}
+	if stats != want.stats {
+		t.Errorf("%s: stats\nclosure: %+v\nref:     %+v", tag, stats, want.stats)
 	}
 }
 

@@ -90,24 +90,18 @@ func hooks(r *engineRun) (func(int, bool), func(int, int, int64)) {
 }
 
 // runBoth executes p, with Prof instructions added from seed, on both
-// engines and both decodes and applies the two-way oracle: the caller
-// compares the reference machine against the closure engine under the
-// lenient contract (compareRuns), and runBoth holds the closure engine
-// on the fused decode to itself on the unfused decode, and a hooked run
-// to a hook-free one, under strict identity (compareSame). The
-// hook-free run's closure bodies take the log-off path.
+// engines and applies the two-way oracle: the caller compares the
+// reference machine against the closure engine under the lenient
+// contract (compareRuns), and runBoth holds a hooked closure run to a
+// hook-free one under strict identity (compareSame). The hook-free
+// run's closure bodies take the log-off path.
 func runBoth(t testing.TB, p *ir.Program, seed uint64, input []byte) (ref, clos engineRun) {
 	addProfs(p, seed)
-	fused := interp.DecodeOptions{Fuse: true}
-	ref = runOn(t, p, input, fused, interp.EngineReference, true, seed)
-	clos = runOn(t, p, input, fused, interp.EngineClosure, true, seed)
-	// The unfused decode must behave identically to the fused one; any
-	// divergence is a fusion bug, caught here across every seed and every
-	// fuzz input the suite explores.
-	compareSame(t, "fused-vs-unfused", clos, runOn(t, p, input, interp.DecodeOptions{}, interp.EngineClosure, true, seed))
+	ref = runOn(t, p, input, interp.EngineReference, true, seed)
+	clos = runOn(t, p, input, interp.EngineClosure, true, seed)
 	// A hook-free run records no streams and counts nothing; everything
 	// else must match.
-	plain := runOn(t, p, input, fused, interp.EngineClosure, false, seed)
+	plain := runOn(t, p, input, interp.EngineClosure, false, seed)
 	plain.branches, plain.profs, plain.counts = clos.branches, clos.profs, clos.counts
 	compareSame(t, "hooked-vs-plain", clos, plain)
 	return ref, clos
@@ -116,7 +110,7 @@ func runBoth(t testing.TB, p *ir.Program, seed uint64, input []byte) (ref, clos 
 // runOn executes p once on the chosen engine. hooked attaches the
 // branch/prof recorders and the arm tables profTables draws from seed;
 // without them the engines' logs stay off.
-func runOn(t testing.TB, p *ir.Program, input []byte, opts interp.DecodeOptions, e interp.Engine, hooked bool, seed uint64) (r engineRun) {
+func runOn(t testing.TB, p *ir.Program, input []byte, e interp.Engine, hooked bool, seed uint64) (r engineRun) {
 	t.Helper()
 	var onBranch func(int, bool)
 	var onProf func(int, int, int64)
@@ -133,7 +127,7 @@ func runOn(t testing.TB, p *ir.Program, input []byte, opts interp.DecodeOptions,
 		ret, err = m.Run()
 		r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
 	} else {
-		code, derr := interp.DecodeWith(p, opts)
+		code, derr := interp.Decode(p)
 		if derr != nil {
 			t.Fatalf("decode: %v", derr)
 		}
@@ -303,10 +297,9 @@ func addFuzzSeeds(f *testing.F) {
 	f.Add(uint64(1), []byte("hello\n42 "))
 	f.Add(uint64(77), []byte{0, 255, '\n'})
 	f.Add(uint64(123456), []byte("a-b c.d 9/0"))
-	// Seeds whose generated CFGs exercise superinstruction edge shapes:
-	// dense straight-line blocks (multi-pair fusion runs), fused pairs
-	// whose second op traps (division by zero, out-of-range Ld/St), and
-	// branch back-edges into fused blocks.
+	// Seeds whose generated CFGs exercise dense straight-line blocks,
+	// traps mid-block (division by zero, out-of-range Ld/St), and
+	// branch back-edges.
 	f.Add(uint64(7), []byte("0 0 0"))
 	f.Add(uint64(42), []byte("9/0"))
 	f.Add(uint64(2026), []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -349,7 +342,7 @@ func FuzzOptimize(f *testing.F) {
 		if err := q.Verify(); err != nil {
 			t.Fatalf("seed %d: optimized program does not verify: %v\n%s", seed, err, q.Dump())
 		}
-		want := runOn(t, p, input, interp.DecodeOptions{}, interp.EngineReference, false, 0)
+		want := runOn(t, p, input, interp.EngineReference, false, 0)
 		if want.err != "" {
 			return
 		}

@@ -16,8 +16,8 @@ type streamEngine struct {
 	run  func(t *testing.T, p *ir.Program, input []byte, maxSteps uint64) (events []uint32, chunks [][]uint32, errText string)
 }
 
-// streamEngines covers both engines and both decodes: the reference
-// Machine, and ClosureMachine fused and unfused.
+// streamEngines covers both engines: the reference Machine and
+// ClosureMachine.
 var streamEngines = []streamEngine{
 	{"reference", func(t *testing.T, p *ir.Program, input []byte, maxSteps uint64) ([]uint32, [][]uint32, string) {
 		var r streamRecorder
@@ -25,14 +25,9 @@ var streamEngines = []streamEngine{
 		_, err := m.Run()
 		return r.events, r.chunks, errText(err)
 	}},
-	{"closure", closureStreamEngine(DecodeOptions{Fuse: true})},
-	{"closure-nofuse", closureStreamEngine(DecodeOptions{})},
-}
-
-func closureStreamEngine(opts DecodeOptions) func(*testing.T, *ir.Program, []byte, uint64) ([]uint32, [][]uint32, string) {
-	return func(t *testing.T, p *ir.Program, input []byte, maxSteps uint64) ([]uint32, [][]uint32, string) {
+	{"closure", func(t *testing.T, p *ir.Program, input []byte, maxSteps uint64) ([]uint32, [][]uint32, string) {
 		t.Helper()
-		code, err := DecodeWith(p, opts)
+		code, err := Decode(p)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -40,7 +35,7 @@ func closureStreamEngine(opts DecodeOptions) func(*testing.T, *ir.Program, []byt
 		m := &ClosureMachine{Code: code, Input: input, MaxSteps: maxSteps, OnBranch: r.onBranch, OnBranches: r.onBranches}
 		_, err = m.Run()
 		return r.events, r.chunks, errText(err)
-	}
+	}},
 }
 
 // referenceStream is the oracle: the reference Machine's OnBranch

@@ -41,10 +41,6 @@
 //
 // Compilation rules:
 //
-//   - Every dinst compiles as the op baseOp maps it to: a
-//     superinstruction as the first op of its run, whose other dinsts
-//     compile as themselves. So fused and unfused Code compile to
-//     observably identical closure graphs.
 //   - One graph per Code, compiled lazily and cached, serves hooked and
 //     hook-free runs alike: every branch outcome stores its event
 //     behind the m.log.on test; a Prof closure counts into its
@@ -74,19 +70,10 @@ import (
 // or a nil closure when the run ends (m.ret / m.err carry the outcome).
 type blockFn func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64)
 
-// CompileStats summarizes one program's closure compilation.
-type CompileStats struct {
-	// CompiledFuncs is the number of functions compiled to closures.
-	CompiledFuncs int `json:"compiledFuncs"`
-	// ClosureBlocks is the number of non-empty basic blocks compiled.
-	ClosureBlocks int `json:"closureBlocks"`
-}
-
 // compiledProg is the compiled closure graph of a Code.
 type compiledProg struct {
 	entries []blockFn // per-function entry closure
 	deltas  []Stats   // per-transfer-counter Stats charge
-	stats   CompileStats
 }
 
 // closFrame is a suspended caller: the continuation to resume, the
@@ -127,10 +114,6 @@ type ClosureMachine struct {
 	ArmTables []*ArmTable
 	OnProf    func(seqID, sub int, value int64)
 
-	// IJmpInsts is the instruction cost charged per indirect jump;
-	// DefaultIJmpInsts if zero.
-	IJmpInsts uint64
-
 	// MaxSteps aborts execution after (block-granularly — see the
 	// package comment above) this many dynamic instructions;
 	// DefaultMaxSteps if zero.
@@ -142,17 +125,16 @@ type ClosureMachine struct {
 	Stats  Stats
 	Output bytes.Buffer
 
-	mem       []int64
-	regs      []int64
-	frames    []closFrame
-	counts    []uint64 // per-transfer execution counts, folded by Run
-	log       branchLog
-	inPos     int
-	maxSteps  uint64
-	ijmpInsts uint64
-	ret       int64
-	err       error
-	numBuf    [24]byte
+	mem      []int64
+	regs     []int64
+	frames   []closFrame
+	counts   []uint64 // per-transfer execution counts, folded by Run
+	log      branchLog
+	inPos    int
+	maxSteps uint64
+	ret      int64
+	err      error
+	numBuf   [24]byte
 }
 
 // growWindow extends regs to length n, zeroing the new window.
@@ -215,12 +197,6 @@ func (c *Code) compiled() *compiledProg {
 	return c.clos
 }
 
-// CompileStats compiles the program (if not already compiled) and
-// reports the closure compiler's counters.
-func (c *Code) CompileStats() CompileStats {
-	return c.compiled().stats
-}
-
 // Run executes main() and returns its result.
 func (m *ClosureMachine) Run() (int64, error) {
 	c := m.Code
@@ -231,10 +207,6 @@ func (m *ClosureMachine) Run() (int64, error) {
 		return 0, fmt.Errorf("interp: main must take no parameters")
 	}
 	cp := c.compiled()
-	m.ijmpInsts = m.IJmpInsts
-	if m.ijmpInsts == 0 {
-		m.ijmpInsts = DefaultIJmpInsts
-	}
 	m.maxSteps = m.MaxSteps
 	if m.maxSteps == 0 {
 		m.maxSteps = DefaultMaxSteps
@@ -335,18 +307,14 @@ func (cc *funcCompiler) compileFunc(fi int) {
 	// calls nest at most #blocks deep between bounces. An empty block
 	// (elided goto needs a following block, so it is never last) is a
 	// pure fall-through aliasing its successor.
-	compiled := 0
 	for bi := nb - 1; bi >= 0; bi-- {
 		if f.blockStart[bi] == f.blockStart[bi+1] {
 			cc.blocks[bi] = cc.blocks[bi+1]
 			continue
 		}
 		cc.blocks[bi] = cc.compileBlock(bi)
-		compiled++
 	}
 	cc.cp.entries[fi] = cc.blocks[0]
-	cc.cp.stats.CompiledFuncs++
-	cc.cp.stats.ClosureBlocks += compiled
 }
 
 // blockPtr returns the successor slot for a transfer target PC. The
@@ -377,8 +345,8 @@ func isTransfer(op dop) bool {
 
 // segCharge accumulates one straight-line op's contribution to its
 // segment's Stats delta; transfers and calls close the segment.
-func segCharge(op dop, d *dinst, seg *Stats) {
-	switch op {
+func segCharge(d *dinst, seg *Stats) {
+	switch d.op {
 	case opEnter:
 		seg.Insts += uint64(d.cost)
 	case opCmp:
@@ -392,20 +360,18 @@ func segCharge(op dop, d *dinst, seg *Stats) {
 	}
 }
 
-// cunit is one base op of a block: its opcode, its dinst, and the
-// segment delta accumulated before it, for trap accounting.
+// cunit is one op of a block: its dinst, and the segment delta
+// accumulated before it, for trap accounting.
 type cunit struct {
-	op  dop
 	d   *dinst
 	pre Stats
 }
 
 // compileBlock compiles one non-empty block. A first left-to-right
-// pass maps each dinst to its base op and computes each op's
-// accumulated segment delta (the Stats its trap or transfer
-// must credit for the straight-line ops already executed); the second
-// pass compiles right to left so each op's closure captures its
-// continuation directly.
+// pass computes each op's accumulated segment delta (the Stats its trap
+// or transfer must credit for the straight-line ops already executed);
+// the second pass compiles right to left so each op's closure captures
+// its continuation directly.
 func (cc *funcCompiler) compileBlock(bi int) blockFn {
 	cc.bi = bi
 	f := cc.f
@@ -414,17 +380,16 @@ func (cc *funcCompiler) compileBlock(bi int) blockFn {
 	var seg Stats
 	for i := lo; i < hi; i++ {
 		d := &f.code[i]
-		op := baseOp[d.op]
-		units = append(units, cunit{op: op, d: d, pre: seg})
-		if op == opCall || isTransfer(op) {
+		units = append(units, cunit{d: d, pre: seg})
+		if d.op == opCall || isTransfer(d.op) {
 			seg = Stats{}
 		} else {
-			segCharge(op, d, &seg)
+			segCharge(d, &seg)
 		}
 	}
 	cc.units = units
 	var next blockFn
-	if !isTransfer(units[len(units)-1].op) {
+	if !isTransfer(units[len(units)-1].d.op) {
 		// The block ends without a transfer (elided goto): continue
 		// straight into the physically following block's chain (built
 		// already — reverse order), crediting the trailing segment.
@@ -441,7 +406,7 @@ func (cc *funcCompiler) compileBlock(bi int) blockFn {
 	}
 	for k := len(units) - 1; k >= 0; k-- {
 		u := &units[k]
-		next = cc.compileUnit(u.op, u.d, next, u.pre)
+		next = cc.compileUnit(u.d, next, u.pre)
 	}
 	return next
 }
@@ -453,13 +418,13 @@ func plus(s Stats, add Stats) Stats {
 	return s
 }
 
-// compileUnit compiles one base op into a closure continuing with
-// next. pre is the segment delta accumulated before this op; trap
-// closures credit it (plus the op's own charges that precede its trap)
-// so aborted-run Stats hold every charge made before the trap point.
-func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) blockFn {
+// compileUnit compiles one op into a closure continuing with next. pre
+// is the segment delta accumulated before this op; trap closures credit
+// it (plus the op's own charges that precede its trap) so aborted-run
+// Stats hold every charge made before the trap point.
+func (cc *funcCompiler) compileUnit(d *dinst, next blockFn, pre Stats) blockFn {
 	fname := cc.fname
-	switch op {
+	switch d.op {
 	case opEnter:
 		stepCost := uint64(d.stepCost)
 		partial := &Stats{Insts: uint64(d.cost)}
@@ -744,14 +709,11 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 		}
 
 	case opBr, opCmpBr:
-		return cc.compileBranch(op, d, pre)
+		return cc.compileBranch(d, pre)
 
 	case opIJmp:
-		stepCost := uint64(d.stepCost)
-		// The per-jump IJmpInsts charge is machine-configured, so it
-		// cannot live in the counter delta; the closure charges it
-		// eagerly (indirect jumps are rare enough not to matter).
-		full := plus(pre, Stats{IndirectJumps: 1, Insts: uint64(d.cost), SlotNops: uint64(d.slotTaken)})
+		stepCost := uint64(d.stepCost) + DefaultIJmpInsts
+		full := plus(pre, Stats{IndirectJumps: 1, Insts: uint64(d.cost) + DefaultIJmpInsts, SlotNops: uint64(d.slotTaken)})
 		id := cc.newCounter(full)
 		partial := &full
 		boundsPartial := &pre
@@ -767,8 +729,7 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 			if idx < 0 || idx >= n {
 				return m.trap(boundsPartial, fname, fmt.Sprintf("indirect jump index %d out of range [0,%d)", idx, n))
 			}
-			m.Stats.Insts += m.ijmpInsts
-			steps += stepCost + m.ijmpInsts
+			steps += stepCost
 			if steps > m.maxSteps {
 				return m.stepTrap(partial, fname)
 			}
@@ -778,7 +739,7 @@ func (cc *funcCompiler) compileUnit(op dop, d *dinst, next blockFn, pre Stats) b
 	}
 
 	// Unknown op: the run ends here with a trap.
-	msg := fmt.Sprintf("unknown opcode %d", op)
+	msg := fmt.Sprintf("unknown opcode %d", d.op)
 	partial := &pre
 	return func(m *ClosureMachine, w []int64, cmpA, cmpB int64, flags bool, steps uint64) (blockFn, []int64, int64, int64, bool, uint64) {
 		return m.trap(partial, fname, msg)

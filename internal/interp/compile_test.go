@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,9 +46,9 @@ func runReference(p *ir.Program, input []byte, maxSteps uint64) engineResult {
 	return r.finish(ret, m.Output.String(), m.Stats, err)
 }
 
-func runClosureWith(t *testing.T, p *ir.Program, input []byte, maxSteps uint64, opts DecodeOptions) engineResult {
+func runClosure(t *testing.T, p *ir.Program, input []byte, maxSteps uint64) engineResult {
 	t.Helper()
-	code, err := DecodeWith(p, opts)
+	code, err := Decode(p)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -63,11 +64,29 @@ func runMachine(m *ClosureMachine, code *Code, input []byte) engineResult {
 	return r.finish(ret, m.Output.String(), m.Stats, err)
 }
 
-// decodes names the two decodes every closure-engine check runs on.
-var decodes = []struct {
-	name string
-	opts DecodeOptions
-}{{"fused", DecodeOptions{Fuse: true}}, {"unfused", DecodeOptions{}}}
+// compareEngineResults demands equal errors, output, return values
+// (of completed runs), event streams and, with wantStats, Stats.
+func compareEngineResults(t *testing.T, label string, want, got engineResult, wantStats bool) {
+	t.Helper()
+	if want.err != got.err {
+		t.Errorf("%s: error %q, want %q", label, got.err, want.err)
+	}
+	if want.out != got.out {
+		t.Errorf("%s: output %q, want %q", label, got.out, want.out)
+	}
+	if want.err == "" && want.ret != got.ret {
+		t.Errorf("%s: ret %d, want %d", label, got.ret, want.ret)
+	}
+	if wantStats && want.stats != got.stats {
+		t.Errorf("%s: stats\ngot:  %+v\nwant: %+v", label, got.stats, want.stats)
+	}
+	if !slices.Equal(want.branches, got.branches) {
+		t.Errorf("%s: branch event streams differ", label)
+	}
+	if !slices.Equal(want.profs, got.profs) {
+		t.Errorf("%s: prof event streams differ", label)
+	}
+}
 
 // countLoopProg is a call-heavy loop: main calls leaf() n times through
 // a compare/branch loop with a real back-edge jump.
@@ -187,33 +206,17 @@ func completedRunCases() []runCase {
 // tests whose checks they carry on; that engine is gone, and they run
 // the closure engine, which replaced it.
 
-// TestFastMatchesReferenceOnCompletedRuns holds the closure engine on
-// Decode's fused code, the decode every measurement runs, to the
-// reference Machine on programs that complete: return value, output,
-// Stats and both event streams must be equal.
+// TestFastMatchesReferenceOnCompletedRuns holds the closure engine to
+// the reference Machine on programs that complete: return value,
+// output, Stats and both event streams must be equal.
 func TestFastMatchesReferenceOnCompletedRuns(t *testing.T) {
 	for _, c := range completedRunCases() {
 		ref := runReference(c.prog, []byte(c.input), 0)
-		fused := runClosureWith(t, c.prog, []byte(c.input), 0, DecodeOptions{Fuse: true})
-		if ref.err != "" || fused.err != "" {
-			t.Fatalf("%s: unexpected errors ref=%q closure=%q", c.name, ref.err, fused.err)
+		clos := runClosure(t, c.prog, []byte(c.input), 0)
+		if ref.err != "" || clos.err != "" {
+			t.Fatalf("%s: unexpected errors ref=%q closure=%q", c.name, ref.err, clos.err)
 		}
-		compareEngineResults(t, c.name, ref, fused, true)
-	}
-}
-
-// TestClosureMatchesFastOnCompletedRuns holds the closure engine on the
-// unfused decode to the same engine on the fused decode, which
-// TestFastMatchesReferenceOnCompletedRuns holds to the reference:
-// fusion must change nothing observable.
-func TestClosureMatchesFastOnCompletedRuns(t *testing.T) {
-	for _, c := range completedRunCases() {
-		fused := runClosureWith(t, c.prog, []byte(c.input), 0, DecodeOptions{Fuse: true})
-		plain := runClosureWith(t, c.prog, []byte(c.input), 0, DecodeOptions{})
-		if fused.err != "" || plain.err != "" {
-			t.Fatalf("%s: unexpected errors fused=%q unfused=%q", c.name, fused.err, plain.err)
-		}
-		compareEngineResults(t, c.name, fused, plain, true)
+		compareEngineResults(t, c.name, ref, clos, true)
 	}
 }
 
@@ -254,22 +257,19 @@ func TestCallHeavyInstCounts(t *testing.T) {
 	}
 }
 
-// TestClosureCallHeavyInstCounts pins the closure engine, on both
-// decodes, to the Stats TestCallHeavyInstCounts pins the reference to.
+// TestClosureCallHeavyInstCounts pins the closure engine to the Stats
+// TestCallHeavyInstCounts pins the reference to.
 func TestClosureCallHeavyInstCounts(t *testing.T) {
 	const n = 1000
-	p := countLoopProg(n)
-	for _, d := range decodes {
-		r := runClosureWith(t, p, nil, 0, d.opts)
-		if r.err != "" {
-			t.Fatalf("%s: %s", d.name, r.err)
-		}
-		if r.ret != n {
-			t.Errorf("%s: ret = %d, want %d", d.name, r.ret, int64(n))
-		}
-		if want := callHeavyStats(n); r.stats != want {
-			t.Errorf("%s: stats = %+v, want %+v", d.name, r.stats, want)
-		}
+	r := runClosure(t, countLoopProg(n), nil, 0)
+	if r.err != "" {
+		t.Fatal(r.err)
+	}
+	if r.ret != n {
+		t.Errorf("ret = %d, want %d", r.ret, int64(n))
+	}
+	if want := callHeavyStats(n); r.stats != want {
+		t.Errorf("stats = %+v, want %+v", r.stats, want)
 	}
 }
 
@@ -395,35 +395,28 @@ func trapCases() []trapCase {
 }
 
 // TestFastTrapParity demands the reference Machine's runtime error
-// text from the closure engine on both decodes.
+// text from the closure engine.
 func TestFastTrapParity(t *testing.T) {
 	for _, c := range trapCases() {
 		ref := runReference(c.prog, nil, 0)
 		if !strings.Contains(ref.err, c.frag) {
 			t.Errorf("%s: reference error %q missing %q", c.name, ref.err, c.frag)
 		}
-		for _, d := range decodes {
-			clos := runClosureWith(t, c.prog, nil, 0, d.opts)
-			if ref.err != clos.err {
-				t.Errorf("%s/%s: error ref=%q closure=%q", c.name, d.name, ref.err, clos.err)
-			}
+		if clos := runClosure(t, c.prog, nil, 0); ref.err != clos.err {
+			t.Errorf("%s: error ref=%q closure=%q", c.name, ref.err, clos.err)
 		}
 	}
 }
 
-// TestClosureTrapParity pins the closure engine's trap-point Stats, the
-// same on both decodes.
+// TestClosureTrapParity pins the closure engine's trap-point Stats.
 func TestClosureTrapParity(t *testing.T) {
 	for _, c := range trapCases() {
-		for _, d := range decodes {
-			label := c.name + "/" + d.name
-			clos := runClosureWith(t, c.prog, nil, 0, d.opts)
-			if !strings.Contains(clos.err, c.frag) {
-				t.Errorf("%s: error %q missing %q", label, clos.err, c.frag)
-			}
-			if clos.stats != c.stats {
-				t.Errorf("%s: trap-point stats\ngot:  %+v\nwant: %+v", label, clos.stats, c.stats)
-			}
+		clos := runClosure(t, c.prog, nil, 0)
+		if !strings.Contains(clos.err, c.frag) {
+			t.Errorf("%s: error %q missing %q", c.name, clos.err, c.frag)
+		}
+		if clos.stats != c.stats {
+			t.Errorf("%s: trap-point stats\ngot:  %+v\nwant: %+v", c.name, clos.stats, c.stats)
 		}
 	}
 }
@@ -460,36 +453,30 @@ func stepLimitCases() []struct {
 	}
 }
 
-// TestFastStepLimit verifies the closure engine enforces MaxSteps, on
-// both decodes, with the reference trap text.
+// TestFastStepLimit verifies the closure engine enforces MaxSteps with
+// the reference trap text.
 func TestFastStepLimit(t *testing.T) {
 	for _, c := range stepLimitCases() {
 		ref := runReference(c.prog, nil, 500)
 		if !strings.Contains(ref.err, "exceeded step limit 500") {
 			t.Errorf("%s: reference error %q", c.name, ref.err)
 		}
-		for _, d := range decodes {
-			clos := runClosureWith(t, c.prog, nil, 500, d.opts)
-			if ref.err != clos.err {
-				t.Errorf("%s/%s: error ref=%q closure=%q", c.name, d.name, ref.err, clos.err)
-			}
+		if clos := runClosure(t, c.prog, nil, 500); ref.err != clos.err {
+			t.Errorf("%s: error ref=%q closure=%q", c.name, ref.err, clos.err)
 		}
 	}
 }
 
 // TestClosureStepLimit pins where the closure engine aborts at a step
-// limit, the same on both decodes.
+// limit.
 func TestClosureStepLimit(t *testing.T) {
 	for _, c := range stepLimitCases() {
-		for _, d := range decodes {
-			label := c.name + "/" + d.name
-			clos := runClosureWith(t, c.prog, nil, 500, d.opts)
-			if !strings.Contains(clos.err, "exceeded step limit 500") {
-				t.Errorf("%s: error %q", label, clos.err)
-			}
-			if clos.stats != c.stats {
-				t.Errorf("%s: abort stats\ngot:  %+v\nwant: %+v", label, clos.stats, c.stats)
-			}
+		clos := runClosure(t, c.prog, nil, 500)
+		if !strings.Contains(clos.err, "exceeded step limit 500") {
+			t.Errorf("%s: error %q", c.name, clos.err)
+		}
+		if clos.stats != c.stats {
+			t.Errorf("%s: abort stats\ngot:  %+v\nwant: %+v", c.name, clos.stats, c.stats)
 		}
 	}
 }
@@ -665,26 +652,5 @@ func TestClosureRunErrors(t *testing.T) {
 	if _, err := (&ClosureMachine{Code: code}).Run(); err == nil ||
 		err.Error() != "runtime error in leaf: unknown opcode 255" {
 		t.Errorf("unknown-opcode error: %v", err)
-	}
-}
-
-// TestCompileStats pins the compiler's counters on a known shape: the
-// count-loop program has two functions, and the counters must be
-// stable across repeated queries (the graph is cached).
-func TestCompileStats(t *testing.T) {
-	p := countLoopProg(5)
-	code, err := Decode(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := code.CompileStats()
-	if st.CompiledFuncs != 2 {
-		t.Errorf("CompiledFuncs = %d, want 2", st.CompiledFuncs)
-	}
-	if st.ClosureBlocks == 0 {
-		t.Error("ClosureBlocks = 0, want nonzero")
-	}
-	if again := code.CompileStats(); again != st {
-		t.Errorf("unstable stats: %+v then %+v", st, again)
 	}
 }

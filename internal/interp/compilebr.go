@@ -19,9 +19,9 @@ package interp
 // charges precede the step check, the outcome's TakenBranches/SlotNops
 // ride in the per-outcome counters, and each outcome then stores its
 // branch event while the machine's log is on.
-func (cc *funcCompiler) compileBranch(op dop, d *dinst, pre Stats) blockFn {
+func (cc *funcCompiler) compileBranch(d *dinst, pre Stats) blockFn {
 	fname := cc.fname
-	isCmp := op == opCmpBr
+	isCmp := d.op == opCmpBr
 	stepCost := uint64(d.stepCost) + 1
 	charge := Stats{CondBranches: 1, Insts: uint64(d.cost) + 1}
 	if isCmp {

@@ -76,59 +76,7 @@ const (
 	opIJmp  // indirect jump through a table
 	opRet
 
-	nBaseDop // count of unfused opcodes; fused superinstructions follow
-
-	// Superinstructions: each marks an adjacent in-block run of 2-5 ops.
-	// The fused opcode overwrites the run's FIRST dinst, whose other
-	// fields keep the first op's operands; the remaining dinsts keep
-	// their full original contents. The closure compiler maps every
-	// opcode through baseOp (superinst.go), so a fused run executes op by
-	// op, exactly as its unfused form. The curated set lives in fusedPatterns.
-	opMovMov              // Mov ; Mov
-	opMovAdd              // Mov ; Add
-	opAddMov              // Add ; Mov
-	opAddAdd              // Add ; Add
-	opAddLd               // Add ; Ld
-	opLdAdd               // Ld ; Add
-	opAddSt               // Add ; St
-	opStAdd               // St ; Add
-	opPutCharAdd          // PutChar ; Add
-	opSubMov              // Sub ; Mov
-	opEnterMov            // Enter ; Mov
-	opAddCmpBr            // Add ; CmpBr
-	opLdCmpBr             // Ld ; CmpBr
-	opStCmpBr             // St ; CmpBr
-	opMovCmpBr            // Mov ; CmpBr
-	opGetCharCmpBr        // GetChar ; CmpBr
-	opXorCmpBr            // Xor ; CmpBr
-	opShlCmpBr            // Shl ; CmpBr
-	opMovJump             // Mov ; Jump
-	opAddJump             // Add ; Jump
-	opLdCall              // Ld ; Call
-	opLdAddSt             // Ld ; Add ; St
-	opAddLdAdd            // Add ; Ld ; Add
-	opAddLdCmpBr          // Add ; Ld ; CmpBr
-	opAddLdCall           // Add ; Ld ; Call
-	opAddMovJump          // Add ; Mov ; Jump
-	opStAddMov            // St ; Add ; Mov
-	opPutCharAddJump      // PutChar ; Add ; Jump
-	opStMovJump           // St ; Mov ; Jump
-	opMovAddMov           // Mov ; Add ; Mov
-	opEnterMovMov         // Enter ; Mov ; Mov
-	opLdAddStCmpBr        // Ld ; Add ; St ; CmpBr
-	opAddLdAddLd          // Add ; Ld ; Add ; Ld
-	opStSub               // St ; Sub
-	opMovAddMovCmpBr      // Mov ; Add ; Mov ; CmpBr
-	opAddLdAddLdCall      // Add ; Ld ; Add ; Ld ; Call
-	opAddAddAddLdSt       // Add ; Add ; Add ; Ld ; St
-	opPcOrShlPcJump       // ProfCond ; Or ; Shl ; ProfCond ; Jump
-	opLdAddStMovJump      // Ld ; Add ; St ; Mov ; Jump
-	opCmpMulCmpAndBr      // Cmp ; Mul ; Cmp ; And ; Br
-	opSubMovJump          // Sub ; Mov ; Jump
-	opLdAddStJump         // Ld ; Add ; St ; Jump
-	opStAddMovJump        // St ; Add ; Mov ; Jump
-	opAddLdAddLdCmpBr     // Add ; Ld ; Add ; Ld ; CmpBr
-	opAddLdPutCharAddJump // Add ; Ld ; PutChar ; Add ; Jump
+	nDop // count of opcodes
 )
 
 // darg is a resolved operand: a register index, or an immediate when
@@ -206,7 +154,7 @@ type dcall struct {
 
 // dfunc is one decoded function. blockStart maps each block's layout
 // index to its first PC (with one extra sentinel entry at len(code));
-// the fusion pass uses it to keep every fused run inside one block.
+// the fusion report uses it to keep every pattern site inside one block.
 type dfunc struct {
 	name       string
 	nParams    int
@@ -230,30 +178,12 @@ type Code struct {
 	clos     *compiledProg
 }
 
-// Prog returns the program the code was decoded from.
-func (c *Code) Prog() *ir.Program { return c.prog }
-
-// DecodeOptions configures DecodeWith.
-type DecodeOptions struct {
-	// Fuse marks curated adjacent-op runs within a block as
-	// superinstructions, which Code.FusionStats counts. The closure
-	// engine runs a fused run op by op, so execution is identical
-	// either way (same Stats, output, traps and event streams); tests
-	// decode with Fuse off as the reference the fused decode is held to.
-	Fuse bool
-}
-
-// Decode compiles a linearized program for the decoded engines with
-// superinstruction fusion on. It fails if any function's block slice
-// disagrees with its layout indices (i.e. Program.Linearize has not run
-// since the last CFG change); everything else the reference interpreter
-// would only trap on at runtime decodes to an equivalent runtime trap.
+// Decode compiles a linearized program for the closure engine. It fails
+// if any function's block slice disagrees with its layout indices (i.e.
+// Program.Linearize has not run since the last CFG change); everything
+// else the reference interpreter would only trap on at runtime decodes to
+// an equivalent runtime trap.
 func Decode(p *ir.Program) (*Code, error) {
-	return DecodeWith(p, DecodeOptions{Fuse: true})
-}
-
-// DecodeWith compiles a linearized program with explicit options.
-func DecodeWith(p *ir.Program, opts DecodeOptions) (*Code, error) {
 	c := &Code{prog: p, main: -1}
 	idx := make(map[string]int32, len(p.Funcs))
 	for i, f := range p.Funcs {
@@ -267,54 +197,8 @@ func DecodeWith(p *ir.Program, opts DecodeOptions) (*Code, error) {
 		if err := decodeFunc(&c.funcs[i], f, idx); err != nil {
 			return nil, fmt.Errorf("interp: decode %s: %w", f.Name, err)
 		}
-		if opts.Fuse {
-			fuseFunc(&c.funcs[i])
-		}
 	}
 	return c, nil
-}
-
-// fuseFunc rewrites each block's decoded run with the curated
-// superinstruction set: a greedy left-to-right, longest-match-first
-// scan that, on a hit, overwrites the first dinst's opcode with the
-// fused one and skips past the matched run (no overlap, one fusion
-// level). All dinst slots stay in place, so block-start PCs, branch
-// targets and the terminator's block-granular charges are untouched by
-// construction.
-func fuseFunc(df *dfunc) {
-	for bi := 0; bi+1 < len(df.blockStart); bi++ {
-		lo, hi := int(df.blockStart[bi]), int(df.blockStart[bi+1])
-		for i := lo; i+1 < hi; {
-			a, b := df.code[i].op, df.code[i+1].op
-			if fuseLonger[a][b] {
-				matched := false
-				for n := maxFuseLen; n > 2; n-- {
-					if i+n > hi {
-						continue
-					}
-					g := gram{n: uint8(n)}
-					for k := 0; k < n; k++ {
-						g.ops[k] = df.code[i+k].op
-					}
-					if fop, ok := fuseLookup[g]; ok {
-						df.code[i].op = fop
-						i += n
-						matched = true
-						break
-					}
-				}
-				if matched {
-					continue
-				}
-			}
-			if fop := fuseTable[a][b]; fop != 0 {
-				df.code[i].op = fop
-				i += 2
-			} else {
-				i++
-			}
-		}
-	}
 }
 
 // stepCostOf is the per-instruction step-budget charge: ordinary

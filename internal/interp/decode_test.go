@@ -86,12 +86,10 @@ func TestDecodeRejectsBranchIDs(t *testing.T) {
 
 // TestDecodeShape pins the structural properties the decoder promises:
 // Cmp+Br fusion, adjacent-goto elision, block charges on terminators,
-// and opEnter only for blocks whose terminator decodes away. Decoded
-// unfused: superinstruction fusion is a separate pass with its own
-// tests, and it would fold the opEnter+opMov prefix this test pins.
+// and opEnter only for blocks whose terminator decodes away.
 func TestDecodeShape(t *testing.T) {
 	p := countLoopProg(3)
-	code, err := DecodeWith(p, DecodeOptions{})
+	code, err := Decode(p)
 	if err != nil {
 		t.Fatal(err)
 	}

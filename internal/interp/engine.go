@@ -142,10 +142,10 @@ var closureMachines = sync.Pool{New: func() any { return new(ClosureMachine) }}
 // Exec runs prog once under the selected engine with the given hooks
 // and returns the run's result, statistics and program output. The
 // reference engine walks prog directly; the closure engine executes
-// code, decoding prog (with fusion) when code is nil. Exec is the
-// one-shot form of CLI execution (training runs use Train); callers
-// that need fusion/compile reports construct the machines themselves.
-// The returned output is the caller's to keep.
+// code, decoding prog when code is nil. Exec is the one-shot form of CLI
+// execution (training runs use Train); callers that need the decoded
+// code's fusion report decode it themselves. The returned output is the
+// caller's to keep.
 func Exec(e Engine, prog *ir.Program, code *Code, input []byte,
 	onBranch func(id int, taken bool), onProf func(seqID, sub int, value int64)) (int64, Stats, []byte, error) {
 	if e == EngineReference {

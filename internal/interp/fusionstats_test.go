@@ -60,58 +60,4 @@ func TestFusionStatsWC(t *testing.T) {
 		!reflect.DeepEqual(got.Patterns, want.Patterns) {
 		t.Errorf("wc fusion stats:\ngot:  %+v\nwant: %+v", got, want)
 	}
-
-	// The unfused decode of the same program must report all zeroes.
-	unfused, err := interp.DecodeWith(front.Prog, interp.DecodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := unfused.FusionStats(); fs.Fused != 0 || fs.Inside != 0 || fs.Patterns != nil {
-		t.Errorf("unfused decode reports fusion: %+v", fs)
-	}
-}
-
-// TestRosterFusedUnfusedIdentical runs every roster workload on its test
-// input through the fused and unfused decodes and demands identical
-// observable results — the whole-program form of the per-seed check the
-// differential suite applies to random CFGs.
-func TestRosterFusedUnfusedIdentical(t *testing.T) {
-	all := workload.All()
-	if testing.Short() {
-		all = all[:4]
-	}
-	for _, w := range all {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			t.Parallel()
-			front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fused, err := interp.Decode(front.Prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			unfused, err := interp.DecodeWith(front.Prog, interp.DecodeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fm := &interp.ClosureMachine{Code: fused, Input: w.Test()}
-			fret, ferr := fm.Run()
-			um := &interp.ClosureMachine{Code: unfused, Input: w.Test()}
-			uret, uerr := um.Run()
-			if (ferr == nil) != (uerr == nil) || (ferr != nil && ferr.Error() != uerr.Error()) {
-				t.Fatalf("errors differ: fused=%v unfused=%v", ferr, uerr)
-			}
-			if fret != uret {
-				t.Errorf("ret fused=%d unfused=%d", fret, uret)
-			}
-			if fm.Output.String() != um.Output.String() {
-				t.Errorf("output differs (%d vs %d bytes)", fm.Output.Len(), um.Output.Len())
-			}
-			if fm.Stats != um.Stats {
-				t.Errorf("stats differ:\nfused:   %+v\nunfused: %+v", fm.Stats, um.Stats)
-			}
-		})
-	}
 }

@@ -23,8 +23,8 @@ type Stats struct {
 	// cost model: every ordinary instruction is 1; a conditional branch
 	// is 1; an unconditional goto is 1 only when it is a real jump (its
 	// target is not the physically following block); an indirect jump
-	// costs IJmpInsts (table-address formation, table load, and jump —
-	// the bounds checks are emitted as explicit instructions by
+	// costs DefaultIJmpInsts (table-address formation, table load, and
+	// jump — the bounds checks are emitted as explicit instructions by
 	// lowering). Prof, ProfCond and Nop cost 0.
 	Insts uint64
 
@@ -89,10 +89,6 @@ type Machine struct {
 	// instrumented condition and sub identifies it within the sequence.
 	OnProf func(seqID, sub int, value int64)
 
-	// IJmpInsts is the instruction cost charged per indirect jump;
-	// DefaultIJmpInsts if zero.
-	IJmpInsts uint64
-
 	// MaxSteps aborts execution after this many dynamic instructions;
 	// DefaultMaxSteps if zero.
 	MaxSteps uint64
@@ -134,9 +130,6 @@ func (m *Machine) Run() (int64, error) {
 	}
 	if main.NParams != 0 {
 		return 0, fmt.Errorf("interp: main must take no parameters")
-	}
-	if m.IJmpInsts == 0 {
-		m.IJmpInsts = DefaultIJmpInsts
 	}
 	if m.MaxSteps == 0 {
 		m.MaxSteps = DefaultMaxSteps
@@ -236,11 +229,11 @@ func (m *Machine) call(f *ir.Func, args []int64) (int64, error) {
 				return 0, &RuntimeError{f.Name, fmt.Sprintf("indirect jump index %d out of range [0,%d)", idx, len(t.Targets))}
 			}
 			m.Stats.IndirectJumps++
-			m.Stats.Insts += m.IJmpInsts
+			m.Stats.Insts += DefaultIJmpInsts
 			if t.Slot != ir.SlotAlways {
 				m.Stats.SlotNops++
 			}
-			if err := m.step(&fr, m.IJmpInsts); err != nil {
+			if err := m.step(&fr, DefaultIJmpInsts); err != nil {
 				return 0, err
 			}
 			b = t.Targets[idx]

@@ -42,9 +42,6 @@ type Config struct {
 	// instruction cost.
 	IJmpExtra uint64
 
-	// IJmpInsts is the instruction cost of the indirect jump itself.
-	IJmpInsts uint64
-
 	// DelaySlots charges one cycle per executed control transfer whose
 	// delay slot holds a nop (all three SPARC generations expose a
 	// single architectural delay slot).
@@ -61,7 +58,6 @@ var (
 		BranchPenalty:  1,
 		StaticPipeline: true,
 		IJmpExtra:      2,
-		IJmpInsts:      3,
 		DelaySlots:     true,
 	}
 	// SPARC20: superscalar SuperSPARC, still without the Ultra's deep
@@ -72,7 +68,6 @@ var (
 		BranchPenalty:  2,
 		StaticPipeline: true,
 		IJmpExtra:      2,
-		IJmpInsts:      3,
 		DelaySlots:     true,
 	}
 	// UltraI: deep pipeline, (0,2) predictor with 2048 entries, indirect
@@ -85,7 +80,6 @@ var (
 		PredictorEntries: 2048,
 		PredictorName:    "(0,2)x2048",
 		IJmpExtra:        8,
-		IJmpInsts:        3,
 		DelaySlots:       true,
 	}
 )

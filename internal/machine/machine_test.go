@@ -17,9 +17,6 @@ func TestConfigsAreDistinctAndComplete(t *testing.T) {
 			t.Errorf("duplicate machine %q", c.Name)
 		}
 		names[c.Name] = true
-		if c.IJmpInsts == 0 {
-			t.Errorf("%s: zero indirect-jump instruction cost", c.Name)
-		}
 		if !c.StaticPipeline && (c.PredictorBits == 0 || c.PredictorEntries == 0) {
 			t.Errorf("%s: dynamic predictor unspecified", c.Name)
 		}

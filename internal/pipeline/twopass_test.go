@@ -101,6 +101,12 @@ func TestReadProfilesErrors(t *testing.T) {
 		"seq 1 sum 2 counts 1 1",                                 // bad structure
 		"seq 1 total 2 counts 1 1\nseq 1 total 1 counts 1 0",     // repeated seq ID
 		"orseq 4 total 1 combos 1 0\norseq 4 total 1 combos 0 1", // repeated orseq ID
+		"seq 1x total 2 counts 1 1",                              // trailing text after a number
+		"seq 1 total 2x counts 1 1",
+		"seq 1 total 2 counts 1 1x",
+		"orseq 2 total 1 combos 1 0junk",
+		"seq 1 total 0 counts 0x10",                   // not decimal
+		"seq 1 total 1 counts 18446744073709551615 2", // the sum wraps to the total
 	}
 	for _, src := range bad {
 		if _, _, err := core.ReadProfiles(strings.NewReader(src)); err == nil {

@@ -46,11 +46,12 @@ type Measurement struct {
 	// Cycles maps machine name to modelled execution cycles.
 	Cycles map[string]uint64
 
-	// Fusion reports the superinstruction fusion of the decoded
-	// executable (all zero under the reference engine, which decodes
-	// nothing). It describes the decode, not the measured program: the
-	// closure engine runs a fused run op by op, so Stats and Cycles do
-	// not depend on it, and store records do not keep it.
+	// Fusion reports where the curated superinstruction patterns occur
+	// in the decoded executable (interp.Code.FusionStats; all zero under
+	// the reference engine, which decodes nothing). It describes the
+	// decoded code, not the measured run: nothing executes a
+	// superinstruction, so Stats and Cycles do not depend on it, and
+	// store records do not keep it.
 	Fusion interp.FusionStats
 }
 
