@@ -39,7 +39,7 @@ var (
 func sharedSuite(b *testing.B) *bench.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suite, suiteErr = bench.NewEngine(0, nil).Suite(context.Background())
+		suite, suiteErr = bench.NewEngine(0, nil).SuiteOf(context.Background(), workload.All())
 	})
 	if suiteErr != nil {
 		b.Fatalf("building suite: %v", suiteErr)
@@ -172,15 +172,40 @@ func BenchmarkFigures(b *testing.B) {
 	}
 }
 
-// The remaining benchmarks time the pipeline's phases themselves.
+// The remaining benchmarks time the pipeline's layers themselves. Every
+// row of BENCH_baseline.json is one of them, keyed by its name without
+// the Benchmark prefix; cmd/brperf converts their output into that
+// document.
 
 func wcSource(b *testing.B) workload.Workload {
 	b.Helper()
-	w, ok := workload.Named("wc")
-	if !ok {
-		b.Fatal("wc workload missing")
+	return named(b, "wc")[0]
+}
+
+// named looks up roster workloads by name, in the order given.
+func named(b *testing.B, names ...string) []workload.Workload {
+	b.Helper()
+	ws := make([]workload.Workload, len(names))
+	for i, name := range names {
+		w, ok := workload.Named(name)
+		if !ok {
+			b.Fatalf("%s workload missing", name)
+		}
+		ws[i] = w
 	}
-	return w
+	return ws
+}
+
+// setIFrontend compiles a workload's optimized Set I program, the one
+// the engine, decode, measurement and predictor benchmarks run.
+func setIFrontend(b *testing.B, name string) (*lower.Result, workload.Workload) {
+	b.Helper()
+	w := named(b, name)[0]
+	front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return front, w
 }
 
 // BenchmarkCompile times the front end plus conventional optimizer: on
@@ -206,18 +231,6 @@ func BenchmarkCompile(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkBuildReordered times the full two-pass scheme (compile,
-// detect, train, reorder) on the wc workload.
-func BenchmarkBuildReordered(b *testing.B) {
-	w := wcSource(b)
-	train := w.Train()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Build(w.Source, train, pipeline.Options{Switch: lower.SetI, Optimize: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkBuild contrasts the monolithic pipeline with the staged one.
@@ -275,6 +288,41 @@ func BenchmarkBuild(b *testing.B) {
 	})
 }
 
+// BenchmarkTrain times the training stage alone on a prebuilt frontend:
+// detection, instrumentation and the training run that counts the arm
+// tables.
+func BenchmarkTrain(b *testing.B) {
+	w := wcSource(b)
+	opts := pipeline.Options{Switch: lower.SetI, Optimize: true}
+	front, err := pipeline.BuildFrontend(w.Source, opts.Frontend())
+	if err != nil {
+		b.Fatal(err)
+	}
+	train := w.Train()
+	b.Run("wc", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := pipeline.TrainStage(front, train, opts.Detection()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSuite times a cold suite of three workloads on a fresh engine
+// at one job: the path the repository benchmark's paper-suite times. wc
+// and sort lower to one program under all three sets and lex to two, so
+// the engine's sharing shows as it does on the whole roster.
+func BenchmarkSuite(b *testing.B) {
+	ws := named(b, "lex", "sort", "wc")
+	b.Run("cold-j1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := bench.NewEngine(1, nil).SuiteOf(context.Background(), ws); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkInterp times raw, hook-free execution of optimized binaries
 // on both engines: the closure engine (the measurement path) and the
 // block-walking reference interpreter it is differentially tested
@@ -283,14 +331,7 @@ func BenchmarkBuild(b *testing.B) {
 // classic light one.
 func BenchmarkInterp(b *testing.B) {
 	for _, name := range []string{"sort", "wc"} {
-		w, ok := workload.Named(name)
-		if !ok {
-			b.Fatalf("%s workload missing", name)
-		}
-		front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
-		if err != nil {
-			b.Fatal(err)
-		}
+		front, w := setIFrontend(b, name)
 		input := w.Test()
 		code, err := interp.Decode(front.Prog)
 		if err != nil {
@@ -329,16 +370,14 @@ func BenchmarkInterp(b *testing.B) {
 // BenchmarkDecode times the pre-decoding step the closure engine amortizes
 // across runs.
 func BenchmarkDecode(b *testing.B) {
-	w := wcSource(b)
-	front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := interp.Decode(front.Prog); err != nil {
-			b.Fatal(err)
+	front, _ := setIFrontend(b, "wc")
+	b.Run("wc", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := interp.Decode(front.Prog); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkStoreGet times the disk-store reads a warm brbench -cache-dir
@@ -382,21 +421,21 @@ func BenchmarkStoreGet(b *testing.B) {
 
 // BenchmarkSimWithPredictors times measurement with the full predictor
 // battery attached, decode (and the closure compile) included each
-// iteration: sim.Run on its default closure engine.
+// iteration: sim.Run on its default closure engine. On sort, the
+// suite's heaviest workload, execution rather than the predictor bank
+// dominates the measurement.
 func BenchmarkSimWithPredictors(b *testing.B) {
-	w := wcSource(b)
-	front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := w.Test()
-	b.Run("closure", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(front.Prog, input, nil); err != nil {
-				b.Fatal(err)
+	for _, name := range []string{"sort", "wc"} {
+		front, w := setIFrontend(b, name)
+		input := w.Test()
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Run(front.Prog, input, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkPredictorBattery times observing one branch stream with the
@@ -419,12 +458,14 @@ func BenchmarkPredictorBattery(b *testing.B) {
 	}
 	b.Run("bank", func(b *testing.B) {
 		bank := predictor.NewTable6Bank()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			bank.Observe(ids[i%streamLen], taken[i%streamLen])
 		}
 	})
 	b.Run("bimodals", func(b *testing.B) {
 		preds := sim.PredictorSweep()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, p := range preds {
 				p.Observe(ids[i%streamLen], taken[i%streamLen])
@@ -434,6 +475,7 @@ func BenchmarkPredictorBattery(b *testing.B) {
 	grepIDs, grepTaken := grepBranchStream(b)
 	b.Run("roster", func(b *testing.B) {
 		bank := predictor.NewTable6Bank()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			bank.Observe(grepIDs[i%len(grepIDs)], grepTaken[i%len(grepIDs)])
 		}
@@ -472,14 +514,7 @@ func replayChunks(bank *predictor.Bank, events []uint32, n int) {
 // run.
 func grepBranchStream(b *testing.B) ([]int, []bool) {
 	b.Helper()
-	w, ok := workload.Named("grep")
-	if !ok {
-		b.Fatal("grep workload missing")
-	}
-	front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	front, w := setIFrontend(b, "grep")
 	code, err := interp.Decode(front.Prog)
 	if err != nil {
 		b.Fatal(err)
@@ -558,14 +593,7 @@ func itoa(n int) string {
 // mechanisms and the Section 10 extension) on three representative
 // workloads.
 func BenchmarkAblation(b *testing.B) {
-	var ws []workload.Workload
-	for _, name := range []string{"wc", "ctags", "cpp"} {
-		w, ok := workload.Named(name)
-		if !ok {
-			b.Fatalf("%s workload missing", name)
-		}
-		ws = append(ws, w)
-	}
+	ws := named(b, "wc", "ctags", "cpp")
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.RunAblationWith(context.Background(), bench.NewEngine(0, nil), lower.SetIII, ws)
 		if err != nil {

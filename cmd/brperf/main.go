@@ -1,17 +1,18 @@
-// Command brperf measures the execution core's headline benchmarks —
-// interpreter throughput on both engines, decode cost, the training
-// stage, the full measurement path, a cold suite and the predictor
-// battery — and writes them as a JSON document. Committing the output
-// as BENCH_baseline.json (and diffing later runs against it) gives the
-// repo a performance trajectory that survives across machines and PRs:
+// Command brperf converts `go test -bench -benchmem` output into the
+// JSON document committed as BENCH_baseline.json, and compares two such
+// documents. The rows are the root package's go benchmarks
+// (bench_test.go), so each is written once and `go test -cpuprofile`
+// profiles any of them. Refresh the baseline with
 //
-//	go run ./cmd/brperf -o BENCH_baseline.json
-//	go run ./cmd/brperf | diff BENCH_baseline.json -   # eyeball a change
+//	go test -run '^$' -benchmem -count 3 \
+//	    -bench '^Benchmark(Interp|Build|Train|Suite|Decode|SimWithPredictors|PredictorBattery)$/^(sort|wc|cold-j1|bank|bimodals|roster|roster-replay)$' . |
+//	    go run ./cmd/brperf -o BENCH_baseline.json
 //
-// All but the Train and Suite rows are also ordinary go benchmarks
-// (go test -bench 'Interp|Decode|Build|SimWithPredictors|PredictorBattery');
-// brperf exists so CI and scripts get machine-readable output without
-// parsing benchmark text.
+// A row's key is the benchmark's name without its Benchmark prefix and
+// without go test's -GOMAXPROCS suffix. A row that -count repeats keeps
+// its fastest run, so the baseline holds each row's minimum over the
+// runs. A failed benchmark, a malformed result line or output without
+// one is an error, so a broken run cannot write a document.
 //
 // -compare diffs two such documents and fails on regressions, which is
 // how CI holds each PR against the committed baseline:
@@ -20,23 +21,17 @@
 package main
 
 import (
-	"context"
+	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
-	"testing"
-
-	"branchreorder/internal/bench"
-	"branchreorder/internal/interp"
-	"branchreorder/internal/lower"
-	"branchreorder/internal/pipeline"
-	"branchreorder/internal/predictor"
-	"branchreorder/internal/sim"
-	"branchreorder/internal/workload"
 )
 
 // result is one benchmark's measurement in the JSON document.
@@ -65,23 +60,6 @@ type hostInfo struct {
 	CPUModel   string `json:"cpuModel,omitempty"`
 }
 
-// collectHost gathers the running host's info. The CPU model comes from
-// /proc/cpuinfo when readable (Linux); elsewhere it stays empty.
-func collectHost() *hostInfo {
-	h := &hostInfo{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if name, ok := strings.CutPrefix(line, "model name"); ok {
-				if _, val, ok := strings.Cut(name, ":"); ok {
-					h.CPUModel = strings.TrimSpace(val)
-					break
-				}
-			}
-		}
-	}
-	return h
-}
-
 func (h *hostInfo) String() string {
 	if h == nil {
 		return "unknown host"
@@ -93,25 +71,126 @@ func (h *hostInfo) String() string {
 	return s
 }
 
+const usage = `usage: go test -run '^$' -bench PATTERN -benchmem PKG | brperf [-o FILE]
+       brperf -compare [-threshold pct] OLD.json NEW.json
+`
+
 func main() {
 	out := flag.String("o", "", "write JSON here instead of stdout")
 	doCompare := flag.Bool("compare", false, "compare two result files: brperf -compare [-threshold pct] OLD.json NEW.json")
 	threshold := flag.Float64("threshold", 25, "with -compare, fail if any benchmark slows down by more than this percentage")
+	flag.Usage = func() {
+		fmt.Fprint(flag.CommandLine.Output(), usage)
+		flag.PrintDefaults()
+	}
 	flag.Parse()
+	// A character device on stdin is a terminal, not go test output:
+	// print the usage rather than wait for input nobody types.
+	fi, statErr := os.Stdin.Stat()
+	piped := statErr == nil && fi.Mode()&os.ModeCharDevice == 0
 	var err error
-	if *doCompare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: brperf -compare [-threshold pct] OLD.json NEW.json")
-			os.Exit(2)
-		}
+	switch {
+	case *doCompare && flag.NArg() == 2:
 		err = compare(flag.Arg(0), flag.Arg(1), *threshold)
-	} else {
-		err = run(*out)
+	case !*doCompare && flag.NArg() == 0 && piped:
+		err = convert(os.Stdin, *out)
+	default:
+		flag.Usage()
+		os.Exit(2)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "brperf:", err)
 		os.Exit(1)
 	}
+}
+
+// parse reads go test -bench -benchmem output. GOOS, GOARCH and the CPU
+// model come from go test's header lines and GOMAXPROCS from the rows'
+// name suffix; the Go version and CPU count are brperf's own, which
+// runs on go test's host and toolchain at the other end of the pipe.
+func parse(r io.Reader) (*document, error) {
+	doc := &document{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		Host:       &hostInfo{NumCPU: runtime.NumCPU()},
+		Benchmarks: map[string]result{},
+	}
+	sc := bufio.NewScanner(r)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "FAIL") || strings.Contains(line, "--- FAIL"):
+			return nil, fmt.Errorf("line %d: benchmark run failed: %s", n, line)
+		case strings.HasPrefix(line, "Benchmark"):
+			name, procs, res, err := parseResult(line)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %v: %s", n, err, line)
+			}
+			if len(doc.Benchmarks) > 0 && procs != doc.Host.GOMAXPROCS {
+				return nil, fmt.Errorf("line %d: GOMAXPROCS %d where earlier rows ran at %d: %s", n, procs, doc.Host.GOMAXPROCS, line)
+			}
+			doc.Host.GOMAXPROCS = procs
+			if old, ok := doc.Benchmarks[name]; !ok || res.NsPerOp < old.NsPerOp {
+				doc.Benchmarks[name] = res
+			}
+		default:
+			switch key, val, _ := strings.Cut(line, ": "); key {
+			case "goos":
+				doc.GOOS = val
+			case "goarch":
+				doc.GOARCH = val
+			case "cpu":
+				doc.Host.CPUModel = val
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(doc.Benchmarks) == 0 {
+		return nil, errors.New("no benchmark result lines in input")
+	}
+	return doc, nil
+}
+
+// parseResult parses one result line, "BenchmarkName-N  iterations" and
+// then value-unit pairs. It keeps ns/op, B/op and allocs/op and skips
+// the rest (MB/s, custom metrics). It returns the row's key and the
+// GOMAXPROCS the row ran at.
+func parseResult(line string) (string, int, result, error) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 {
+		return "", 0, result{}, errors.New("malformed result line")
+	}
+	n, err := strconv.Atoi(f[1])
+	if err != nil {
+		return "", 0, result{}, fmt.Errorf("malformed iteration count %q", f[1])
+	}
+	units := map[string]float64{}
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", 0, result{}, fmt.Errorf("malformed %s value %q", f[i+1], f[i])
+		}
+		units[f[i+1]] = v
+	}
+	ns, okNs := units["ns/op"]
+	bytes, okBytes := units["B/op"]
+	allocs, okAllocs := units["allocs/op"]
+	if !okNs || !okBytes || !okAllocs {
+		return "", 0, result{}, errors.New("want ns/op, B/op and allocs/op (run go test with -benchmem)")
+	}
+	res := result{NsPerOp: ns, AllocsPerOp: int64(allocs), BytesPerOp: int64(bytes), N: n}
+	name := strings.TrimPrefix(f[0], "Benchmark")
+	// go test appends -GOMAXPROCS to every name unless it is 1. Only a
+	// number counts, so Suite/cold-j1 keeps its dash.
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if procs, err := strconv.Atoi(name[i+1:]); err == nil && procs > 0 {
+			return name[:i], procs, res, nil
+		}
+	}
+	return name, 1, res, nil
 }
 
 // loadDocument reads one brperf JSON document.
@@ -188,272 +267,13 @@ func compare(oldPath, newPath string, threshold float64) error {
 	return nil
 }
 
-// frontend compiles one workload the way the benchmarks measure it.
-func frontend(name string) (*lower.Result, workload.Workload, error) {
-	w, ok := workload.Named(name)
-	if !ok {
-		return nil, w, fmt.Errorf("workload %q missing", name)
-	}
-	front, err := pipeline.Frontend(w.Source, pipeline.Options{Switch: lower.SetI, Optimize: true})
-	return front, w, err
-}
-
-// grepBranchStream records every (branchID, taken) event of grep's test
-// run. Same stream as the go test benchmark
-// (BenchmarkPredictorBattery/roster).
-func grepBranchStream() ([]int, []bool, error) {
-	front, w, err := frontend("grep")
-	if err != nil {
-		return nil, nil, err
-	}
-	code, err := interp.Decode(front.Prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	var ids []int
-	var taken []bool
-	m := &interp.ClosureMachine{Code: code, Input: w.Test(), OnBranch: func(id int, t bool) {
-		ids = append(ids, id)
-		taken = append(taken, t)
-	}}
-	if _, err := m.Run(); err != nil {
-		return nil, nil, fmt.Errorf("grep test run: %w", err)
-	}
-	if len(ids) == 0 {
-		return nil, nil, fmt.Errorf("grep test run executed no branches")
-	}
-	return ids, taken, nil
-}
-
-// encodeBranches packs a recorded stream into OnBranches events.
-// Same as the go test benchmark's.
-func encodeBranches(ids []int, taken []bool) []uint32 {
-	events := make([]uint32, len(ids))
-	for i, id := range ids {
-		events[i] = interp.BranchEvent(id, taken[i])
-	}
-	return events
-}
-
-// replayChunks replays n events, cycling through the stream, in chunks
-// of at most interp.BranchChunk that never wrap around its end.
-func replayChunks(bank *predictor.Bank, events []uint32, n int) {
-	for pos := 0; n > 0; {
-		k := min(n, interp.BranchChunk, len(events)-pos)
-		bank.Replay(events[pos : pos+k])
-		n -= k
-		if pos += k; pos == len(events) {
-			pos = 0
-		}
-	}
-}
-
-func run(out string) error {
-	doc := document{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Host:       collectHost(),
-		Benchmarks: map[string]result{},
-	}
-	record := func(name string, r testing.BenchmarkResult) {
-		doc.Benchmarks[name] = result{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			N:           r.N,
-		}
-		fmt.Fprintf(os.Stderr, "brperf: %-28s %12.0f ns/op  %6d allocs/op  (n=%d)\n",
-			name, doc.Benchmarks[name].NsPerOp, r.AllocsPerOp(), r.N)
-	}
-
-	// Interpreter throughput, both engines, on the suite's heaviest
-	// workload by dynamic instruction count (sort, Table 4) and the
-	// classic light one (wc) — the PR-over-PR speedup headline.
-	for _, name := range []string{"sort", "wc"} {
-		front, w, err := frontend(name)
-		if err != nil {
-			return err
-		}
-		input := w.Test()
-		code, err := interp.Decode(front.Prog)
-		if err != nil {
-			return err
-		}
-		// The warm-up run sizes the arenas and compiles the closure
-		// graph, so the loop times steady-state execution.
-		record("Interp/"+name+"/closure", testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			m := &interp.ClosureMachine{Code: code, Input: input}
-			if _, err := m.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		record("Interp/"+name+"/reference", testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m := &interp.Machine{Prog: front.Prog, Input: input}
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-	}
-
-	front, w, err := frontend("wc")
+// convert reads go test output from in and writes its document to out,
+// or to stdout when out is empty.
+func convert(in io.Reader, out string) error {
+	doc, err := parse(in)
 	if err != nil {
 		return err
 	}
-	input := w.Test()
-
-	// The staged-pipeline headline: a cold build pays frontend +
-	// detection + training + finalize; a build over a prebuilt frontend
-	// and training product pays only finalize. The ratio is what the
-	// engine's stage memos save on every Transform variant after the
-	// first.
-	opts := pipeline.Options{Switch: lower.SetI, Optimize: true}
-	train := w.Train()
-	record("Build/wc/cold", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := pipeline.Build(w.Source, train, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	wcFront, err := pipeline.BuildFrontend(w.Source, opts.Frontend())
-	if err != nil {
-		return err
-	}
-	wcTrained, err := pipeline.TrainStage(wcFront, train, opts.Detection())
-	if err != nil {
-		return err
-	}
-	record("Build/wc/staged-warm", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := pipeline.FinalizeStages(wcFront, wcTrained, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
-	// The training stage alone, on a prebuilt frontend: detection,
-	// instrumentation and the training run with its profile hook.
-	record("Train/wc", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := pipeline.TrainStage(wcFront, train, opts.Detection()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	// A cold suite on a fresh engine at one job: the path the repository
-	// benchmark's paper-suite times.
-	var suite []workload.Workload
-	for _, sw := range workload.All() {
-		if sw.Name == "wc" || sw.Name == "sort" || sw.Name == "lex" {
-			suite = append(suite, sw)
-		}
-	}
-	record("Suite/cold-j1", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.NewEngine(1, nil).SuiteOf(context.Background(), suite); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
-	record("Decode/wc", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := interp.Decode(front.Prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	// End-to-end measurement, decode + compile included each iteration:
-	// sim.Run on its default closure engine.
-	record("SimWithPredictors/wc", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(front.Prog, input, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	// The same end-to-end run on the suite's heaviest workload, where
-	// execution (not the predictor bank) dominates the measurement.
-	sortFront, sortW, err := frontend("sort")
-	if err != nil {
-		return err
-	}
-	sortInput := sortW.Test()
-	record("SimWithPredictors/sort", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(sortFront.Prog, sortInput, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
-	// Table-6 battery on a synthetic stream: the vectorized bank versus
-	// the 14-Bimodal fan-out it replaced. Same stream as the go test
-	// benchmark (BenchmarkPredictorBattery).
-	const streamLen = 4096
-	ids := make([]int, streamLen)
-	taken := make([]bool, streamLen)
-	r := uint64(12345)
-	for i := range ids {
-		r = r*6364136223846793005 + 1442695040888963407
-		ids[i] = int(r>>33) % 200
-		taken[i] = r>>62&1 == 0
-	}
-	record("PredictorBattery/bank", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		bank := predictor.NewTable6Bank()
-		for i := 0; i < b.N; i++ {
-			bank.Observe(ids[i%streamLen], taken[i%streamLen])
-		}
-	}))
-	record("PredictorBattery/bimodals", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		preds := sim.PredictorSweep()
-		for i := 0; i < b.N; i++ {
-			for _, p := range preds {
-				p.Observe(ids[i%streamLen], taken[i%streamLen])
-			}
-		}
-	}))
-	// The battery on a real stream: grep's test run, 31 branch IDs, the
-	// range every roster program's stream stays near.
-	grepIDs, grepTaken, err := grepBranchStream()
-	if err != nil {
-		return err
-	}
-	record("PredictorBattery/roster", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		bank := predictor.NewTable6Bank()
-		for i := 0; i < b.N; i++ {
-			bank.Observe(grepIDs[i%len(grepIDs)], grepTaken[i%len(grepIDs)])
-		}
-	}))
-	// The same stream as sim.Run feeds it: encoded events replayed in
-	// interp.BranchChunk-event chunks. Still ns per event.
-	grepEvents := encodeBranches(grepIDs, grepTaken)
-	record("PredictorBattery/roster-replay", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		replayChunks(predictor.NewTable6Bank(), grepEvents, b.N)
-	}))
-
 	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err

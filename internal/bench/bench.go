@@ -71,11 +71,6 @@ func PctChange(before, after uint64) float64 {
 	return 100 * (float64(after)/float64(before) - 1)
 }
 
-// Run builds and measures one workload under one heuristic set.
-func Run(w workload.Workload, set lower.HeuristicSet) (*ProgramRun, error) {
-	return RunOpts(w, BaseOptions(set))
-}
-
 // RunOpts builds and measures one workload under a full pipeline
 // configuration (ablation variants and the Section 10 extension
 // included), using the monolithic pipeline.Build. It is the serial

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"branchreorder/internal/interp"
 	"branchreorder/internal/lower"
+	"branchreorder/internal/machine"
+	"branchreorder/internal/sim"
 	"branchreorder/internal/workload"
 )
 
@@ -20,9 +23,9 @@ func miniSuite(t *testing.T) *Suite {
 			if !ok {
 				t.Fatalf("workload %s missing", name)
 			}
-			r, err := Run(w, set)
+			r, err := RunOpts(w, BaseOptions(set))
 			if err != nil {
-				t.Fatalf("Run(%s, %v): %v", name, set, err)
+				t.Fatalf("RunOpts(%s, %v): %v", name, set, err)
 			}
 			s.Runs[set] = append(s.Runs[set], r)
 		}
@@ -45,7 +48,7 @@ func TestPctChange(t *testing.T) {
 
 func TestRunChecksOutputs(t *testing.T) {
 	w, _ := workload.Named("wc")
-	r, err := Run(w, lower.SetI)
+	r, err := RunOpts(w, BaseOptions(lower.SetI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +102,24 @@ func TestTablesRender(t *testing.T) {
 	}
 	if _, err := s.Figure(9); err == nil {
 		t.Error("Figure(9) should fail")
+	}
+}
+
+// A reordered build that executes more instructions and mispredicts
+// more saves a negative number of instructions per extra misprediction:
+// (100-110)/(12-10) = -5.
+func TestInstRatioNegative(t *testing.T) {
+	w, _ := workload.Named("wc")
+	measure := func(insts, mispreds uint64) *sim.Measurement {
+		return &sim.Measurement{Stats: interp.Stats{Insts: insts}, Mispredicts: map[string]uint64{machine.UltraI.PredictorName: mispreds}}
+	}
+	s := &Suite{Runs: map[lower.HeuristicSet][]*ProgramRun{
+		lower.SetII: {{Workload: w, Set: lower.SetII, Base: measure(100, 10), Reord: measure(110, 12)}},
+	}}
+	for name, text := range map[string]string{"Table5": s.Table5(), "Table6": s.Table6()} {
+		if !strings.Contains(text, "-5.00") {
+			t.Errorf("%s lacks the ratio -5.00:\n%s", name, text)
+		}
 	}
 }
 

@@ -338,11 +338,6 @@ func (e *Engine) gather(ctx context.Context, n int, fn func(ctx context.Context,
 	return ctx.Err()
 }
 
-// Suite builds and measures every workload under every heuristic set.
-func (e *Engine) Suite(ctx context.Context) (*Suite, error) {
-	return e.SuiteOf(ctx, workload.All())
-}
-
 // SuiteOf builds and measures the given workloads under every heuristic
 // set. Results are ordered exactly as ws regardless of which build
 // finishes first, so rendered tables are byte-identical across -j values.

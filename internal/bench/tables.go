@@ -70,9 +70,6 @@ func (s *Suite) Table4() string {
 	return sb.String()
 }
 
-// ultraPredictor is the SPARC Ultra I's predictor configuration.
-const ultraPredictor = "(0,2)x2048"
-
 // Table5 renders branch prediction measurements with the Ultra's (0,2)
 // 2048-entry predictor on Heuristic Set II builds: original
 // mispredictions, the percentage change after reordering, and — for
@@ -88,14 +85,14 @@ func (s *Suite) Table5() string {
 	var sumOrig uint64
 	runs := s.Runs[lower.SetII]
 	for _, r := range runs {
-		m0 := r.Base.Mispredicts[ultraPredictor]
-		m1 := r.Reord.Mispredicts[ultraPredictor]
+		m0 := r.Base.Mispredicts[machine.UltraI.PredictorName]
+		m1 := r.Reord.Mispredicts[machine.UltraI.PredictorName]
 		pct := PctChange(m0, m1)
 		sumPct += pct
 		sumOrig += m0
 		ratio := "N/A"
 		if m1 > m0 {
-			v := float64(r.Base.Stats.Insts-r.Reord.Stats.Insts) / float64(m1-m0)
+			v := instRatio(r, m0, m1)
 			ratio = fmt.Sprintf("%.2f", v)
 			sumRatio += v
 			nRatio++
@@ -110,6 +107,13 @@ func (s *Suite) Table5() string {
 		sumOrig/uint64(len(runs)), sumPct/float64(len(runs)), avgRatio)
 	w.Flush()
 	return sb.String()
+}
+
+// instRatio is Tables 5 and 6's "Inst Ratio": instructions saved per
+// extra misprediction, for m1 > m0. It is negative when reordering
+// added instructions.
+func instRatio(r *ProgramRun, m0, m1 uint64) float64 {
+	return float64(int64(r.Base.Stats.Insts)-int64(r.Reord.Stats.Insts)) / float64(m1-m0)
 }
 
 // Table6 renders the predictor sweep: for (0,1) and (0,2) predictors of
@@ -132,7 +136,7 @@ func (s *Suite) Table6() string {
 				m1 := r.Reord.Mispredicts[name]
 				sumPct += PctChange(m0, m1)
 				if m1 > m0 {
-					sumRatio += float64(r.Base.Stats.Insts-r.Reord.Stats.Insts) / float64(m1-m0)
+					sumRatio += instRatio(r, m0, m1)
 					nRatio++
 				}
 			}

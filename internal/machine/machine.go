@@ -7,8 +7,10 @@
 // on the SPARC IPC or SPARC 20, which motivates Heuristic Set II. We
 // reproduce that relationship as configuration parameters: cycles =
 // instructions + branch-misprediction penalties + extra indirect-jump
-// latency. Absolute cycle counts are not meaningful; ratios between the
-// baseline and reordered executables are.
+// latency + one cycle per executed delay slot that holds a nop (all three
+// generations expose a single architectural delay slot). Absolute cycle
+// counts are not meaningful; ratios between the baseline and reordered
+// executables are.
 package machine
 
 import "branchreorder/internal/lower"
@@ -30,22 +32,13 @@ type Config struct {
 	// SS20): every taken branch pays BranchPenalty, untaken ones none.
 	StaticPipeline bool
 
-	// PredictorBits and PredictorEntries describe the dynamic predictor
-	// used when StaticPipeline is false. PredictorName is the predictor's
-	// precomputed display name ("(0,Bits)xEntries"), so the cycle model
-	// does not re-format it on every evaluation.
-	PredictorBits    int
-	PredictorEntries int
-	PredictorName    string
+	// PredictorName names the dynamic predictor used when StaticPipeline
+	// is false, as predictor.Bank.Mispredicts keys it ("(0,2)x2048").
+	PredictorName string
 
 	// IJmpExtra is the extra latency per indirect jump beyond its
 	// instruction cost.
 	IJmpExtra uint64
-
-	// DelaySlots charges one cycle per executed control transfer whose
-	// delay slot holds a nop (all three SPARC generations expose a
-	// single architectural delay slot).
-	DelaySlots bool
 }
 
 // The three machines of the paper's evaluation.
@@ -58,7 +51,6 @@ var (
 		BranchPenalty:  1,
 		StaticPipeline: true,
 		IJmpExtra:      2,
-		DelaySlots:     true,
 	}
 	// SPARC20: superscalar SuperSPARC, still without the Ultra's deep
 	// pipeline. Compiled with Heuristic Set I.
@@ -68,19 +60,15 @@ var (
 		BranchPenalty:  2,
 		StaticPipeline: true,
 		IJmpExtra:      2,
-		DelaySlots:     true,
 	}
 	// UltraI: deep pipeline, (0,2) predictor with 2048 entries, indirect
 	// jumps ~4x the IPC's. Compiled with Heuristic Set II.
 	UltraI = Config{
-		Name:             "SPARC Ultra I",
-		Switch:           lower.SetII,
-		BranchPenalty:    4,
-		PredictorBits:    2,
-		PredictorEntries: 2048,
-		PredictorName:    "(0,2)x2048",
-		IJmpExtra:        8,
-		DelaySlots:       true,
+		Name:          "SPARC Ultra I",
+		Switch:        lower.SetII,
+		BranchPenalty: 4,
+		PredictorName: "(0,2)x2048",
+		IJmpExtra:     8,
 	}
 )
 

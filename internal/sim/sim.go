@@ -215,18 +215,11 @@ func (r *runner) drain() {
 
 // Cycles evaluates the machine timing model over a run's statistics.
 func Cycles(cfg machine.Config, st interp.Stats, mispreds map[string]uint64) uint64 {
-	cycles := st.Insts + st.IndirectJumps*cfg.IJmpExtra
-	if cfg.DelaySlots {
-		cycles += st.SlotNops
-	}
+	cycles := st.Insts + st.IndirectJumps*cfg.IJmpExtra + st.SlotNops
 	if cfg.StaticPipeline {
 		cycles += st.TakenBranches * cfg.BranchPenalty
 	} else {
-		name := cfg.PredictorName
-		if name == "" {
-			name = fmt.Sprintf("(0,%d)x%d", cfg.PredictorBits, cfg.PredictorEntries)
-		}
-		cycles += mispreds[name] * cfg.BranchPenalty
+		cycles += mispreds[cfg.PredictorName] * cfg.BranchPenalty
 	}
 	return cycles
 }
